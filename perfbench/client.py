@@ -4,14 +4,18 @@
 
 Imports quandlekit from src/, makes one warm-up call, then runs every argv
 in PLAN through quandlekit.cli.run one after another (a closed loop with a
-single client), capturing each report.  OUT receives the exit codes,
-reports, per-query latencies, the round's wall and CPU time, the set-up
-time and the process's peak resident memory; with --trace also the spans.
+single client), capturing each report.  A garbage collection runs before
+each query, untimed, so a query pays only for the collections its own
+allocations trigger, as it would in a fresh `quandlekit` process.  OUT
+receives the exit codes, reports, per-query latencies, the round's wall
+and CPU time, the set-up time and the process's peak resident memory;
+with --trace also the spans.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -63,6 +67,7 @@ def main(argv) -> int:
     clock = time.perf_counter
     wall0, cpu0 = clock(), time.process_time()
     for argv_q in queries:
+        gc.collect()
         t0, c0 = clock(), time.process_time()
         rc, stdout, stderr = _call(cli.run, argv_q)
         outcomes.append({"rc": rc, "latency_s": clock() - t0, "cpu_s": time.process_time() - c0,

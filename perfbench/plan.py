@@ -7,8 +7,10 @@ same file bytes, while relabelings, twists and suite seeds differ between
 rounds and seeds.  The set of families in a round, and hence its cost, does
 not depend on the seed.
 
-Each query names the check that verifies it (see verify.py) and, where no
-independent oracle exists, the key of the result recorded in golden.json.
+Each query names the check that verifies it (see verify.py).  Queries with
+no independent oracle also carry the key of the answer recorded in
+golden.json; they are drawn from RECORDED, which record_golden.py records
+in full.
 """
 
 from __future__ import annotations
@@ -35,14 +37,14 @@ RELABEL_POOL = (
 # metrics take each slot's median over rounds, and a draw between a cheap
 # and a dear option would move that median from seed to seed.  So suite
 # sizes, trial counts, alexander units and class choices are fixed; only
-# relabelings, twists, suite seeds and --cap-order values are drawn.
-# record_golden.py records every key a draw can produce.
-AUT_SUITES = {tid: ["--max-order", "7"] for tid in ("4.3", "4.4", "4.5", "4.6", "5.1", "5.2")}
-AUT_SUITES.update({tid: [] for tid in ("5.3", "5.4", "5.5", "5.6", "5.7", "8.3", "8.4")})
-ALEXANDER_UNITS = ((5, 2), (7, 3))
+# relabelings, twists, suite seeds and subgroup words are drawn.
+SUITES = {tid: ["--max-order", "7"] for tid in ("4.3", "4.4", "4.5", "4.6", "5.1", "5.2")}
+SUITES.update({tid: [] for tid in ("5.3", "5.4", "5.5", "5.6", "5.7", "8.3", "8.4")})
+SUITES.update({tid: ["--max-order", "5"] for tid in ("6.3", "3.3", "8.2")})
+SUITES.update({tid: [] for tid in ("3.1", "7.3", "9.1")})
 SUITE_SEEDS = tuple(range(101, 117))
 SEEDED_SUITES = {"7.1": "120", "9.2": "200"}
-PLAIN_SUITES = ("3.1", "7.3", "9.1")
+ALEXANDER_UNITS = ((5, 2), (7, 3))
 # Class indices (in `enumerate` order) relabeled by classify, and
 # non-isomorphic pairs among them.
 CLASS_SLOTS = {5: (0, 3, 6, 9, 12, 15, 18, 21), 6: (0, 9, 18, 27, 36, 45, 54, 63)}
@@ -61,8 +63,35 @@ H2_FLAG_QUERIES = (
        ("--core", "Z3", "Z4"), ("--core", "Z2xZ2", "Z2xZ3"), ("--core", "Z5", "Z2")]
 )
 # Relabeled h2 bases with a fixed coefficient each, so cost is seed-free.
+# Each pair is also an H2_FLAG_QUERIES entry, whose recorded factors it uses.
 H2_RELABELED = ((("dihedral", 4), "Z4"), (("dihedral", 5), "Z2xZ3"),
                 (("dihedral", 6), "Z3"), (("conj", "S3"), "Z2"))
+# Conj(S4) has order 24, beyond the brute-force oracle.
+S4_QUERIES = (["aut", "--conj", "S4", "--cap-order", "24"], ["inn", "--conj", "S4"],
+              ["invariants", "--conj", "S4", "--cap-order", "24"])
+
+
+def _recorded():
+    """Family -> the argvs a round may draw for it, for every query checked
+    against golden.json.  The builders draw from these lists and
+    record_golden.py records every entry, so the two cannot drift apart."""
+    families = {" ".join(argv): [argv] for argv in S4_QUERIES}
+    for n in COSET_ORDERS:
+        families[f"coset {n}"] = [["envelope", "--dihedral", str(n), "--coset-enum", words,
+                                   "--max-cosets", MAX_COSETS] for words in WORD_POOL]
+    for flag, value, coeff in H2_FLAG_QUERIES:
+        if flag != "--trivial":
+            argv = ["h2", flag, str(value), "--coeff", coeff]
+            families[" ".join(argv)] = [argv]
+    for tid, opts in SUITES.items():
+        families[f"theorem {tid}"] = [["theorem", tid] + opts]
+    for tid, trials in SEEDED_SUITES.items():
+        families[f"theorem {tid}"] = [["theorem", tid, "--seed", str(s), "--trials", trials]
+                                      for s in SUITE_SEEDS]
+    return families
+
+
+RECORDED = _recorded()
 
 
 def base_table(base, classes=None):
@@ -124,60 +153,56 @@ class Round:
         self.queries.append({"argv": [str(a) for a in argv], "check": check,
                              "key": key, **params})
 
-    def cap(self, low, high):
-        return ["--cap-order", str(self.rng.randint(low, high))]
+    def recorded(self, family, check, **params):
+        """Draw one argv of a RECORDED family; its answer is checked against golden.json."""
+        argv = self.rng.choice(RECORDED[family])
+        self.add(argv, check, key=" ".join(argv), **params)
 
 
-def _source_query(r, cmd, flag, value, cap_range=None, base=None, labels_known=True):
-    argv = [cmd, flag, str(value)]
-    key = " ".join(argv)
-    if cap_range is not None and cmd != "inn":
-        argv += r.cap(*cap_range)
-    check = "invariants" if cmd == "invariants" else "group"
-    table = base_table(base) if labels_known else None
-    r.add(argv, check, key=key, cmd=cmd, base=base, table=table, labels_known=labels_known)
-
-
-def _suite_query(r, tid, opts):
-    argv = ["theorem", tid] + [str(o) for o in opts]
-    r.add(argv, "suite", key=" ".join(argv))
+def _check_of(cmd):
+    return "invariants" if cmd == "invariants" else "group"
 
 
 def aut_groups(r):
+    # The flag sources give the same table to each command, so a later
+    # query may meet a table an earlier one in the same process has seen.
     for cmd in ("aut", "inn", "qinn", "invariants"):
         for kind, sizes in (("trivial", range(3, 8)), ("dihedral", range(3, 9))):
             for n in sizes:
-                _source_query(r, cmd, f"--{kind}", n, (8, 12), base=(kind, n))
-    _source_query(r, "aut", "--trivial", 8, (8, 12), base=("trivial", 8))
+                r.add([cmd, f"--{kind}", n], _check_of(cmd), cmd=cmd, base=(kind, n),
+                      table=base_table((kind, n)))
+    r.add(["aut", "--trivial", 8], "group", cmd="aut", base=("trivial", 8),
+          table=base_table(("trivial", 8)))
     for spec in CATALOG:
         for kind in ("conj", "core"):
             for cmd in ("aut", "inn", "invariants"):
                 if spec == "Z2xZ2xZ2" and cmd != "inn":
                     continue
-                _source_query(r, cmd, f"--{kind}", spec, (8, 12), base=(kind, spec),
-                              labels_known=False)
-    for cmd in ("aut", "inn", "invariants"):
-        _source_query(r, cmd, "--conj", "S4", (24, 28), base=("conj", "S4"),
-                      labels_known=False)
+                # The library's labels of Conj(G) and Core(G) are its own, so
+                # only label-free answers are checked here.
+                r.add([cmd, f"--{kind}", spec], _check_of(cmd), cmd=cmd, base=(kind, spec),
+                      table=None)
+    for argv in S4_QUERIES:
+        r.recorded(" ".join(argv), _check_of(argv[0]), cmd=argv[0], base=("conj", "S4"),
+                   table=None)
     for n, u in ALEXANDER_UNITS:
         autfile = r.file([(u * x) % n for x in range(n)])
         for cmd in ("aut", "invariants"):
-            r.add([cmd, "--alexander", f"Z{n}", autfile], "invariants" if cmd == "invariants"
-                  else "group", cmd=cmd, base=("alexander", n, u),
-                  table=ref.alexander_table(n, u), labels_known=True)
+            r.add([cmd, "--alexander", f"Z{n}", autfile], _check_of(cmd), cmd=cmd,
+                  base=("alexander", n, u), table=ref.alexander_table(n, u))
     for base in RELABEL_POOL:
-        path, table = r.relabeled(base)
         for cmd in ("aut", "qinn", "invariants"):
-            r.add([cmd, "--file", path], "invariants" if cmd == "invariants" else "group",
-                  cmd=cmd, base=base, table=table, labels_known=True)
+            path, table = r.relabeled(base)
+            r.add([cmd, "--file", path], _check_of(cmd), cmd=cmd, base=base, table=table)
     pairs = [(b, b) for b in RELABEL_POOL[:6]]
     for order in (6, 8):
         same = [b for b in RELABEL_POOL if len(base_table(b)) == order]
         pairs += list(itertools.combinations(same, 2))
     for a, b in pairs:
         _iso_query(r, a, b)
-    for tid, opts in AUT_SUITES.items():
-        _suite_query(r, tid, opts)
+    for tid in ("4.3", "4.4", "4.5", "4.6", "5.1", "5.2", "5.3", "5.4", "5.5", "5.6", "5.7",
+                "8.3", "8.4"):
+        r.recorded(f"theorem {tid}", "suite")
 
 
 def _iso_query(r, a, b):
@@ -188,17 +213,16 @@ def _iso_query(r, a, b):
 
 def classify(r):
     for n in (3, 4, 5, 6):
-        r.add(["enumerate", n] + r.cap(6, 8), "enumerate", key=f"enumerate {n}", n=n)
-    _suite_query(r, "6.3", ["--max-order", 5])
-    _suite_query(r, "3.3", ["--max-order", 5])
-    _suite_query(r, "8.2", ["--max-order", 5])
+        r.add(["enumerate", n], "enumerate", n=n)
+    for tid in ("6.3", "3.3", "8.2"):
+        r.recorded(f"theorem {tid}", "suite")
     for order in (5, 6):
         for i in CLASS_SLOTS[order]:
             base = ("class", order, i)
             _iso_query(r, base, base)
             path, table = r.relabeled(base)
             r.add(["invariants", "--file", path], "invariants", cmd="invariants",
-                  base=base, table=table, labels_known=True)
+                  base=base, table=table)
             path, table = r.relabeled(base)
             r.add(["envelope", "--file", path, "--abelianization"], "abelianization",
                   table=table)
@@ -236,23 +260,20 @@ def _random_abelian_cocycle(r, base, moduli):
 
 def cohomology(r):
     for flag, value, coeff in H2_FLAG_QUERIES:
-        argv = ["h2", flag, str(value), "--coeff", coeff]
-        key = " ".join(argv)
-        if (flag, value) == ("--dihedral", 7):
-            argv += r.cap(7, 9)
         base = (flag[2:], value)
-        labels_known = flag in ("--trivial", "--dihedral")
-        r.add(argv, "h2", key=key, base=base, moduli=moduli_of(coeff), h2_key=key,
-              table=base_table(base) if labels_known else None)
+        params = {"base": base, "moduli": moduli_of(coeff),
+                  "table": base_table(base) if flag in ("--trivial", "--dihedral") else None}
+        if flag == "--trivial":
+            r.add(["h2", flag, value, "--coeff", coeff], "h2", **params)
+        else:
+            r.recorded(f"h2 {flag} {value} --coeff {coeff}", "h2", **params)
     for base, coeff in H2_RELABELED:
         path, table = r.relabeled(base)
         r.add(["h2", "--file", path, "--coeff", coeff], "h2", base=base,
               moduli=moduli_of(coeff), table=table,
-              h2_key=f"h2 --{base[0]} {base[1]} --coeff {coeff}")
+              key=f"h2 --{base[0]} {base[1]} --coeff {coeff}")
     for n in COSET_ORDERS:
-        words = r.rng.choice(WORD_POOL)
-        argv = ["envelope", "--dihedral", n, "--coset-enum", words, "--max-cosets", MAX_COSETS]
-        r.add(argv, "coset", key=" ".join(str(a) for a in argv), n=n)
+        r.recorded(f"coset {n}", "coset", n=n)
     for base, fiber in ((("trivial", 2), 3), (("trivial", 3), 2), (("trivial", 4), 2),
                         (("dihedral", 3), 3), (("dihedral", 4), 2)):
         table, alpha = _random_constant_cocycle(r, base, fiber)
@@ -276,56 +297,25 @@ def cohomology(r):
         spec = {"kind": "union_spec", "q1": quandle_doc(table), "q2": quandle_doc(table),
                 "sigma": columns, "tau": columns}
         r.add(["union", r.file(spec)], "union", expected=ref.involutory_double(table))
-    for tid in PLAIN_SUITES:
-        r.add(["theorem", tid, "--seed", r.rng.choice(SUITE_SEEDS)], "suite",
-              key=f"theorem {tid}")
-    for tid, trials in SEEDED_SUITES.items():
-        _suite_query(r, tid, ["--seed", r.rng.choice(SUITE_SEEDS), "--trials", trials])
+    for tid in ("3.1", "7.3", "9.1", "7.1", "9.2"):
+        r.recorded(f"theorem {tid}", "suite")
 
 
 BUILDERS = {"aut-groups": aut_groups, "classify": classify, "cohomology": cohomology}
 
 
 def make_round(workload, seed, index, workdir, classes):
-    """The queries and files of one round; files map relative path -> JSON text."""
+    """The queries and files of one round; files map relative path -> JSON text.
+
+    The builders emit each family as a block.  The round runs them in one
+    fixed shuffled order, the same for every seed and round, so the cheap
+    queries are spread over the round.  Otherwise they all run within a
+    fraction of a second, and the median latency of a round would sample
+    the shared machine's speed at one moment only.
+    """
     r = Round(workload, seed, index, workdir, classes)
     BUILDERS[workload](r)
-    return r.queries, r.files
+    order = list(range(len(r.queries)))
+    random.Random(f"order:{workload}").shuffle(order)
+    return [r.queries[i] for i in order], r.files
 
-
-def keyed_argvs():
-    """Key -> argv for every result golden.json must hold, over all option draws."""
-    out = []
-    for cmd in ("aut", "inn", "qinn", "invariants"):
-        for kind, sizes in (("trivial", range(3, 8)), ("dihedral", range(3, 9))):
-            out += [[cmd, f"--{kind}", str(n)] for n in sizes]
-    out.append(["aut", "--trivial", "8"])
-    for spec in CATALOG:
-        for kind in ("conj", "core"):
-            for cmd in ("aut", "inn", "invariants"):
-                if spec != "Z2xZ2xZ2" or cmd == "inn":
-                    out.append([cmd, f"--{kind}", spec])
-    out += [[cmd, "--conj", "S4", "--cap-order", "24"] for cmd in ("aut", "inn", "invariants")]
-    out += [["theorem", tid] + opts for tid, opts in AUT_SUITES.items()]
-    out += [["enumerate", str(n)] for n in (3, 4, 5, 6)]
-    out.append(["theorem", "6.3", "--max-order", "5"])
-    out += [["theorem", tid, "--max-order", "5"] for tid in ("3.3", "8.2")]
-    out += [["h2", flag, str(value), "--coeff", coeff] for flag, value, coeff in H2_FLAG_QUERIES]
-    for base, coeff in H2_RELABELED:
-        out.append(["h2", f"--{base[0]}", str(base[1]), "--coeff", coeff])
-    for n in COSET_ORDERS:
-        for words in WORD_POOL:
-            out.append(["envelope", "--dihedral", str(n), "--coset-enum", words,
-                        "--max-cosets", MAX_COSETS])
-    out += [["theorem", tid] for tid in PLAIN_SUITES]
-    for tid, trials in SEEDED_SUITES.items():
-        out += [["theorem", tid, "--seed", str(s), "--trials", trials] for s in SUITE_SEEDS]
-    return {golden_key(argv): argv for argv in out}
-
-
-def golden_key(argv):
-    """A query's argv without a trailing --cap-order, which never changes results."""
-    argv = [str(a) for a in argv]
-    if len(argv) > 2 and argv[-2] == "--cap-order":
-        argv = argv[:-2]
-    return " ".join(argv)

@@ -3,10 +3,11 @@
     python3 perfbench/record_golden.py
 
 Run from the repository root on the commit whose answers are trusted.  It
-runs every argv in plan.keyed_argvs() through quandlekit.cli.run and
-writes perfbench/golden.json (a digest of each `results` section, plus the
-invariant factors of each h2 query), and perfbench/classes.json (the class
-tables of orders 5 and 6, which the classify workload relabels).
+runs every argv a round may draw from plan.RECORDED through
+quandlekit.cli.run and writes perfbench/golden.json (the label-free
+summary of each `results` section, see verify.recorded_summary), and
+perfbench/classes.json (the class tables of orders 5 and 6, which the
+classify workload relabels).
 """
 
 from __future__ import annotations
@@ -21,28 +22,28 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
 import plan  # noqa: E402
-from verify import results_digest  # noqa: E402
+from verify import recorded_summary  # noqa: E402
+
+
+def _run(cli, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.run(argv)
+    if rc not in (0, 1):
+        raise SystemExit(f"{' '.join(argv)}: exit {rc}")
+    print(f"exit {rc}  {' '.join(argv)}", file=sys.stderr)
+    return json.loads(out.getvalue())["results"]
 
 
 def main() -> int:
     sys.path.insert(0, os.path.join(os.getcwd(), "src"))
     from quandlekit import cli
 
-    golden, classes = {}, {}
-    for key, argv in sorted(plan.keyed_argvs().items()):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            rc = cli.run(argv)
-        results = json.loads(out.getvalue())["results"]
-        if rc not in (0, 1):
-            raise SystemExit(f"{key}: exit {rc}")
-        entry = {"digest": results_digest(results)}
-        if argv[0] == "h2":
-            entry["summary"] = results["invariant_factors"]
-        if argv[0] == "enumerate" and argv[1] in ("5", "6"):
-            classes[argv[1]] = results["tables"]
-        golden[key] = entry
-        print(f"exit {rc}  {key}", file=sys.stderr)
+    golden = {}
+    for family in plan.RECORDED.values():
+        for argv in family:
+            golden[" ".join(argv)] = recorded_summary(argv, _run(cli, argv))
+    classes = {n: _run(cli, ["enumerate", n])["tables"] for n in ("5", "6")}
     for name, doc, indent in (("golden.json", golden, 0), ("classes.json", classes, None)):
         with open(os.path.join(HERE, name), "w") as fh:
             json.dump(doc, fh, sort_keys=True, indent=indent)

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -27,7 +28,7 @@ import plan  # noqa: E402
 import reference as ref  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
-from verify import Checker  # noqa: E402
+from verify import Checker, recorded_summary  # noqa: E402
 
 
 def _load(name):
@@ -47,7 +48,7 @@ def test_same_seed_same_inputs(workload):
     assert [q["argv"] for q in first[0]] == [q["argv"] for q in again[0]]
     assert first[1] == again[1]
     assert first[1] != other[1]
-    assert len(first[0]) == len(other[0])
+    assert [q["check"] for q in first[0]] == [q["check"] for q in other[0]]
 
 
 @pytest.mark.parametrize("workload", plan.WORKLOADS)
@@ -58,12 +59,34 @@ def test_queries_in_a_round_are_distinct(workload):
 
 
 def test_every_keyed_query_has_a_recorded_result():
+    drawable = {" ".join(argv) for family in plan.RECORDED.values() for argv in family}
+    assert drawable == set(GOLDEN)
     for workload in plan.WORKLOADS:
-        for seed in range(25):
-            queries, _ = plan.make_round(workload, seed, seed % 4, "w", CLASSES)
-            for q in queries:
-                for key in (q.get("key"), q.get("h2_key")):
-                    assert key is None or key in GOLDEN, key
+        for seed in range(5):
+            queries, _ = plan.make_round(workload, seed, 0, "w", CLASSES)
+            keys = [q["key"] for q in queries if q["key"] is not None]
+            assert keys and all(key in GOLDEN for key in keys)
+
+
+def test_recorded_answers_are_label_free():
+    for key, summary in GOLDEN.items():
+        assert "generators" not in summary and "representatives" not in summary, key
+
+
+def test_classes_in_another_order_and_labeling_pass():
+    rng = random.Random(5)
+    tables = [ref.relabel(t, rng.sample(range(5), 5)) for t in CLASSES["5"]]
+    rng.shuffle(tables)
+    assert Checker._check_classes(5, {"count": 22, "tables": tables}) is None
+    tables[3] = tables[4]
+    assert Checker._check_classes(5, {"count": 22, "tables": tables}) is not None
+
+
+def test_percentile_moves_smoothly_across_a_gap():
+    below, above = [10.0] * 31 + [20.0] * 33, [10.0] * 33 + [20.0] * 31
+    assert 10 < run.percentile(above, 50) < run.percentile(below, 50) < 20
+    assert run.percentile(below, 50) - run.percentile(above, 50) < 3
+    assert run.percentile([4.0, 1.0, 3.0, 2.0, 5.0], 50) == pytest.approx(3.0)
 
 
 def test_reference_closed_forms():
@@ -120,8 +143,8 @@ def test_uninstall_restores_bindings():
 
 
 def _tiny_round(workload, seed, index, workdir, classes):
-    queries = [{"argv": ["enumerate", str(n)], "check": "enumerate", "key": f"enumerate {n}",
-                "n": n} for n in (3, 4)]
+    queries = [{"argv": ["enumerate", str(n)], "check": "enumerate", "key": None, "n": n}
+               for n in (3, 4)]
     return queries, {}
 
 

@@ -89,8 +89,8 @@ class Tracer:
         layers.add(layer)
         return 1
 
-    def install(self, package="quandlekit"):
-        modules = {layer: importlib.import_module(f"{package}.{layer}") for layer in LAYERS}
+    def install(self):
+        modules = {layer: importlib.import_module(f"quandlekit.{layer}") for layer in LAYERS}
         replaced = {}
         for layer, module in modules.items():
             for attr, obj in list(vars(module).items()):
@@ -103,7 +103,7 @@ class Tracer:
                 elif inspect.isclass(obj) and not issubclass(obj, BaseException):
                     self._wrap_class(layer, obj)
         self._count_perm(modules["perm"].Perm)
-        for module in [sys.modules[package]] + list(modules.values()):
+        for module in [sys.modules["quandlekit"]] + list(modules.values()):
             for attr, obj in list(vars(module).items()):
                 if inspect.isfunction(obj) and obj in replaced:
                     self._set(module, attr, replaced[obj])
