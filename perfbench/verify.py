@@ -161,9 +161,10 @@ class Checker:
                 return 0, f"{field} {res[field]!r}, expected {facts[field]!r}"
         table = q["table"]
         if table is not None:
-            if res["orbits"] != ref.orbits(table):
+            if sorted(sorted(block) for block in res["orbits"]) != ref.orbits(table):
                 return 0, "orbits differ"
-            if res["center"] != [x for x in range(len(table)) if all(v == x for v in table[x])]:
+            if sorted(res["center"]) != [x for x in range(len(table))
+                                         if all(v == x for v in table[x])]:
                 return 0, "center differs"
         else:
             sizes = sorted(len(b) for b in facts["orbits"])
