@@ -6,10 +6,12 @@ Run from the repository root.  Each round is a fresh interpreter
 (client.py) that imports quandlekit from src/ and runs one seeded query
 list in a closed loop; rounds repeat, each with new relabelings, until
 --seconds of round time have been measured.  Every report is checked by
-verify.py outside the timed process.  The last line of standard output is
-one JSON object: the end-to-end metrics with --trace 0, or the per-layer
-metrics of one traced round (plus an untraced twin for the overhead) with
---trace 1.  See perfbench/README.md.
+verify.py outside the timed process.  End-to-end times are given at a
+reference speed of the host: each is scaled by the speed probe of
+client.py.  The last line of standard output is one JSON object: the
+end-to-end metrics with --trace 0, or the per-layer metrics of one traced
+round (plus an untraced twin for the overhead) with --trace 1.  See
+perfbench/README.md.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ TAIL_PERCENTILES = (99.9, 99.5, 99.0, 98.0, 97.5, 95.0, 90.0, 85.0, 80.0, 75.0, 
 # and checking on a slow machine cannot stretch a run far past --seconds.
 RUN_BUDGET_SHARE = 1.25
 CHILD_TIMEOUT_S = 170.0
+# The speed probe's time at the reference speed: about its time on a 2-vCPU
+# Xeon guest running Python 3.11 while the shared host runs slow (it takes
+# about half that while the host runs fast).  A time t measured while the
+# probe took p seconds is reported as t * PROBE_REF_S / p.
+PROBE_REF_S = 0.001
 
 
 def percentile(values, p):
@@ -124,8 +131,12 @@ class Bench:
     def setup_times(self):
         """Set-up samples after one unmeasured start, which may write bytecode caches."""
         self.child("setup", ["--setup-only"])
-        return [self.child(f"setup{i}", ["--setup-only"])["setup_s"]
+        return [self.child(f"setup{i}", ["--setup-only"])
                 for i in range(SETUP_SAMPLES)]
+
+
+def at_reference_speed(seconds, probe_s):
+    return seconds * PROBE_REF_S / probe_s
 
 
 def end_to_end(bench, seconds, started):
@@ -134,7 +145,8 @@ def end_to_end(bench, seconds, started):
     Every round runs the same families in the same order, so slot j of each
     round is one draw of the same kind of query.  Taking each slot's median
     before summing keeps a burst of load on the shared machine, which hits
-    a few queries of a few rounds, out of the figures.
+    a few queries of a few rounds, out of the figures.  Each time is first
+    scaled to the reference speed by the probe taken over it.
     """
     setups = bench.setup_times()
     rounds = []
@@ -148,22 +160,30 @@ def end_to_end(bench, seconds, started):
     if any(len(r["outcomes"]) != slots for r in rounds):
         raise RuntimeError("rounds differ in length; the plan is not seed-free")
 
-    def slot_medians(field):
-        return [statistics.median(r["outcomes"][j][field] for r in rounds) for j in range(slots)]
+    def slot_medians(field, scaled=True):
+        return [statistics.median(
+                    at_reference_speed(o[field], o["probe_s"]) if scaled else o[field]
+                    for o in (r["outcomes"][j] for r in rounds))
+                for j in range(slots)]
 
     latency_ms = [v * 1000.0 for v in slot_medians("latency_s")]
     p_tail = tail_percentile(slots)
+    setup_s = [at_reference_speed(s["setup_s"], s["setup_probe_s"]) for s in setups]
     metrics = {
         "wall_s": sum(slot_medians("latency_s")),
         "cpu_s": sum(slot_medians("cpu_s")),
         "query_p50_ms": percentile(latency_ms, 50.0),
         "query_tail_ms": percentile(latency_ms, p_tail),
         "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rounds),
-        "setup_s": statistics.median(setups),
+        "setup_s": statistics.median(setup_s),
     }
     notes = {
         "round_wall_s": [r["wall_s"] for r in rounds],
-        "setup_samples_s": setups,
+        "unscaled_wall_s": sum(slot_medians("latency_s", scaled=False)),
+        "unscaled_setup_s": statistics.median(s["setup_s"] for s in setups),
+        "probe_ms": 1000.0 * statistics.median(o["probe_s"] for r in rounds
+                                                for o in r["outcomes"]),
+        "setup_samples_s": setup_s,
         "queries_per_round": slots,
         "tail_percentile": p_tail,
         "failed_ratio": len(bench.failures) / max(bench.attempted, 1),
@@ -174,9 +194,13 @@ def end_to_end(bench, seconds, started):
 def per_layer(bench):
     plain = bench.round(0)
     traced = bench.round(0, trace=True)
+    # Summed query latencies at the reference speed, so that a change of the
+    # host's speed between the two rounds does not show as tracing cost.
+    plain_s, traced_s = (sum(at_reference_speed(o["latency_s"], o["probe_s"])
+                             for o in r["outcomes"]) for r in (plain, traced))
     metrics = tracer.summarize(traced["trace"])
-    metrics["trace.overhead_ratio"] = traced["wall_s"] / plain["wall_s"]
-    notes = {"untraced_wall_s": plain["wall_s"], "traced_wall_s": traced["wall_s"],
+    metrics["trace.overhead_ratio"] = traced_s / plain_s
+    notes = {"untraced_wall_s": plain_s, "traced_wall_s": traced_s,
              "failed_ratio": len(bench.failures) / max(bench.attempted, 1)}
     return metrics, notes
 

@@ -24,6 +24,7 @@ ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+import client  # noqa: E402
 import plan  # noqa: E402
 import reference as ref  # noqa: E402
 import run  # noqa: E402
@@ -87,6 +88,18 @@ def test_percentile_moves_smoothly_across_a_gap():
     assert 10 < run.percentile(above, 50) < run.percentile(below, 50) < 20
     assert run.percentile(below, 50) - run.percentile(above, 50) < 3
     assert run.percentile([4.0, 1.0, 3.0, 2.0, 5.0], 50) == pytest.approx(3.0)
+
+
+def test_speed_probe_samples_within_a_span_and_keeps_its_own_time_apart():
+    probe = client.SpeedProbe(client.PROBE_INTERVAL_S)
+    with probe.span() as speed:
+        start = time.perf_counter()
+        while time.perf_counter() - start < 0.15:
+            client._probe_work()
+    assert len(probe.samples) >= 4  # before, after and from the timer
+    assert 0 < speed["handler_s"] < 0.15
+    assert speed["probe_s"] == pytest.approx(sum(probe.samples) / len(probe.samples))
+    assert run.at_reference_speed(2.0, 2 * run.PROBE_REF_S) == pytest.approx(1.0)
 
 
 def test_reference_closed_forms():
