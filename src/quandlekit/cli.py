@@ -171,15 +171,15 @@ def _source_quandle(args, inputs: _Inputs) -> Quandle:
         spec, autfile = args.alexander
         group = _group_from_spec(spec, args.cap_group)
         images = inputs.load_json(autfile)
-        if not isinstance(images, list) or not all(isinstance(i, int) for i in images):
-            raise QuandleKitError(f"{autfile}: expected a JSON array of images")
+        if not isinstance(images, list) or not all(type(i) is int for i in images):
+            raise QuandleKitError(f"{autfile}: expected a JSON array of integer images")
         return fingroup.alexander_quandle(group, Perm(images))
     doc = inputs.load_json(args.file)
     _, q = _detect(doc, args.file, expected=("quandle",))
     return q
 
 
-def _aut_cap(args, order: int) -> int:
+def _aut_cap(args) -> int:
     return quandlemod.DEFAULT_AUT_CAP if args.cap_order is None else args.cap_order
 
 
@@ -213,12 +213,12 @@ def _run_subcommand(args, inputs: _Inputs):
 
     if cmd == "invariants":
         q = _source_quandle(args, inputs)
-        aut_q = quandlemod.aut(q, cap=_aut_cap(args, q.order))
+        aut_q = quandlemod.aut(q, cap=_aut_cap(args))
         results = {
             "order": q.order,
             "aut_order": aut_q.order,
             "inn_order": quandlemod.inn(q).order,
-            "qinn_order": quandlemod.qinn(q, cap=_aut_cap(args, q.order)).order,
+            "qinn_order": quandlemod.quasi_inner_subgroup(q, aut_q).order,
             "connected": quandlemod.is_connected(q),
             "involutory": quandlemod.is_involutory(q),
             "orbits": quandlemod.orbit_partition(q),
@@ -229,11 +229,11 @@ def _run_subcommand(args, inputs: _Inputs):
     if cmd in ("aut", "inn", "qinn"):
         q = _source_quandle(args, inputs)
         if cmd == "aut":
-            group = quandlemod.aut(q, cap=_aut_cap(args, q.order))
+            group = quandlemod.aut(q, cap=_aut_cap(args))
         elif cmd == "inn":
             group = quandlemod.inn(q)
         else:
-            group = quandlemod.qinn(q, cap=_aut_cap(args, q.order))
+            group = quandlemod.qinn(q, cap=_aut_cap(args))
         return _permgroup_doc(group), {}
 
     if cmd == "iso":

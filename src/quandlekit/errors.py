@@ -22,7 +22,8 @@ class UnsupportedSpec(QuandleKitError):
 
 
 class NotASubgroup(QuandleKitError):
-    """A stabilizer computation produced a set not closed under composition."""
+    """A set required to be a group (a stabilizer, or the input of
+    PermGroup.from_elements) is not closed under composition."""
 
 
 class NotAHomomorphism(QuandleKitError):
@@ -86,14 +87,6 @@ class CosetLimitExceeded(QuandleKitError):
 
     Hitting the cap says nothing about the index being infinite; retry with
     a larger cap if the presentation is expected to have small index.
-    """
-
-
-class ArithmeticOverflow(QuandleKitError):
-    """Reserved for integer overflow in matrix arithmetic.
-
-    Python integers are arbitrary precision, so the normal-form routines
-    never raise this; the class is kept so callers can guard uniformly.
     """
 
 

@@ -320,7 +320,7 @@ def _bfs_order(group: FiniteGroup, gens: Sequence[int]):
     return order, parent
 
 
-def _image_maps(source: FiniteGroup, target: FiniteGroup, gens, bfs, candidates):
+def _image_maps(source: FiniteGroup, target: FiniteGroup, gens, bfs):
     """Yield every bijective homomorphism source -> target extending gens -> images."""
     order, parent = bfs
     n = source.order
@@ -361,7 +361,7 @@ def automorphism_group(group: FiniteGroup, cap: int = DEFAULT_GROUP_CAP) -> Perm
         raise CapExceeded(f"group order {group.order} exceeds cap {cap}")
     gens = generating_sequence(group)
     bfs = _bfs_order(group, gens)
-    found = [Perm(f) for f in _image_maps(group, group, gens, bfs, None)]
+    found = [Perm(f) for f in _image_maps(group, group, gens, bfs)]
     return PermGroup.from_elements(found, degree=group.order)
 
 
@@ -377,7 +377,7 @@ def find_isomorphism(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_GROUP_CA
         return None
     gens = generating_sequence(a)
     bfs = _bfs_order(a, gens)
-    for f in _image_maps(a, b, gens, bfs, None):
+    for f in _image_maps(a, b, gens, bfs):
         return f
     return None
 

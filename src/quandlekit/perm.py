@@ -1,14 +1,17 @@
 """Permutations on {0, ..., n-1} and explicitly materialized permutation groups.
 
 Everything here is exact and small-scale by design: groups are stored as a
-sorted tuple of their elements, found by breadth-first closure.  There is no
-stabilizer-chain machinery; the point of the module is determinism and easy
-auditing, not asymptotics.
+sorted tuple of their elements.  The elements are found by Dimino's coset
+closure (G. Butler, Fundamental Algorithms for Permutation Groups, LNCS 559,
+1991, ch. 6): generators are added one at a time, and the span of the ones
+added so far grows by whole right cosets, composed on raw image tuples.
+There is no stabilizer-chain machinery; the point of the module is
+determinism and easy auditing, not asymptotics.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import CapExceeded, NotASubgroup
@@ -125,23 +128,25 @@ class PermGroup:
     """A fully materialized permutation group.
 
     Elements are kept sorted lexicographically by image tuple, so the
-    element list of a group does not depend on how it was generated.
+    element list of a group does not depend on how it was generated.  The
+    constructor takes them already in that order; `closure` and
+    `from_elements` are the ways to build one from unsorted input.
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm], elements: Sequence[Perm]):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
-        self._members = frozenset(self.elements)
-        if Perm.identity(degree) not in self._members:
+        self.elements = tuple(elements)
+        self._members = frozenset(map(attrgetter("images"), self.elements))
+        if tuple(range(degree)) not in self._members:
             raise ValueError("element list lacks the identity")
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p: Perm) -> bool:
-        return p in self._members
+    def __contains__(self, p) -> bool:
+        return isinstance(p, Perm) and p.images in self._members
 
     def __iter__(self):
         return iter(self.elements)
@@ -161,39 +166,75 @@ class PermGroup:
 
     @classmethod
     def from_elements(cls, elements: Iterable[Perm], degree: int | None = None) -> "PermGroup":
-        """Wrap a set already known to be closed, picking a small generating set.
+        """Wrap a set closed under composition, picking a small generating set.
 
         The generating set is found greedily: walk the sorted elements and
-        keep each one that is not already generated by the kept ones.
+        keep each one that is not already generated by the kept ones.  Each
+        kept element extends the span by Dimino's coset step, and every
+        element the span gains must lie in the given set; otherwise
+        NotASubgroup names a product of two members that falls outside it.
         """
-        elements = sorted(set(elements))
-        if not elements:
+        by_images = {p.images: p for p in elements}
+        if not by_images:
             raise ValueError("empty element set")
+        elements = sorted(by_images.values(), key=attrgetter("images"))
         if degree is None:
             degree = elements[0].degree
-        gens: list[Perm] = []
-        span = {Perm.identity(degree)}
-        for p in elements:
-            if p not in span:
-                gens.append(p)
-                span = _closure_set(gens, degree, cap=len(elements))
-        return cls(degree, gens, elements)
+        if set(map(len, by_images)) != {degree}:
+            raise ValueError(f"elements are not all of degree {degree}")
+        if tuple(range(degree)) not in by_images:
+            p = elements[0]
+            raise NotASubgroup(f"not closed: {p!r}**{p.order()} is the identity, not in the set")
+        added, _ = _dimino(map(attrgetter("images"), elements), degree, within=by_images)
+        return cls(degree, [by_images[t] for t in added], elements)
 
 
-def _closure_set(generators: Sequence[Perm], degree: int, cap: int) -> set[Perm]:
-    identity = Perm.identity(degree)
-    seen = {identity}
-    frontier = deque([identity])
-    while frontier:
-        p = frontier.popleft()
-        for g in generators:
-            q = g * p
-            if q not in seen:
-                if len(seen) >= cap:
+def _dimino(candidates, degree, cap=None, within=None):
+    """Dimino's closure: add each candidate not yet in the span of those added before.
+
+    Candidates and elements are image tuples.  Adding g to the generators of
+    H = <added> grows H, in place, to the union of its right cosets H*r in
+    <added, g>.  Those cosets are reached from H itself: for a coset
+    representative r and a generator s, H*(r*s) is either already present or
+    a new coset with representative r*s.  Each element costs one tuple
+    composition, h*t being `t`'s images looked up in `h`.
+
+    The order is bounded in one of two ways.  With `cap`, CapExceeded is
+    raised before a coset would take the group past `cap` elements.  With
+    `within`, every new element must be a key of it, or NotASubgroup names
+    a product of two members that is not; the group then cannot outgrow it.
+
+    Returns the added candidates and the group's elements, identity first.
+    """
+    span_list = [tuple(range(degree))]
+    span = set(span_list)
+    added: list[tuple[int, ...]] = []
+    for g in candidates:
+        if g in span:
+            continue
+        added.append(g)
+        old = span_list[:]
+        reps = [old[0]]
+        for r in reps:  # grows while it is walked
+            for s in added:
+                t = tuple([r[x] for x in s])
+                if t in span:
+                    continue
+                if within is None and len(span) + len(old) > cap:
                     raise CapExceeded(f"closure order exceeds cap {cap}")
-                seen.add(q)
-                frontier.append(q)
-    return seen
+                coset = list(map(itemgetter(*t), old))
+                if within is not None and not all(map(within.__contains__, coset)):
+                    if t not in within:
+                        left, right = r, s
+                    else:
+                        left, right = next((h, t) for h, ht in zip(old, coset) if ht not in within)
+                    raise NotASubgroup(
+                        f"not closed: {Perm(left)!r} * {Perm(right)!r} is not in the set"
+                    )
+                span.update(coset)
+                span_list.extend(coset)
+                reps.append(t)
+    return added, span_list
 
 
 def closure(
@@ -201,9 +242,11 @@ def closure(
     cap: int = DEFAULT_ORDER_CAP,
     degree: int | None = None,
 ) -> PermGroup:
-    """Group generated by the given permutations, materialized breadth-first.
+    """Group generated by the given permutations, materialized by Dimino's algorithm.
 
-    Raises CapExceeded as soon as more than `cap` elements have been found.
+    The generators are added one at a time; one already in the span adds
+    nothing.  Raises CapExceeded once the group is known to have more than
+    `cap` elements, before the coset that would exceed it is built.
     """
     generators = list(generators)
     if degree is None:
@@ -212,8 +255,9 @@ def closure(
         degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators have mixed degrees")
-    seen = _closure_set(generators, degree, cap)
-    return PermGroup(degree, generators, seen)
+    _, elements = _dimino([g.images for g in generators], degree, cap=cap)
+    elements.sort()
+    return PermGroup(degree, generators, [Perm(images) for images in elements])
 
 
 def orbit_partition(generators: Sequence[Perm], degree: int) -> list[list[int]]:

@@ -19,6 +19,7 @@ from .errors import (
     CapExceeded,
     HypothesisViolated,
     NotAHomomorphism,
+    ParseError,
 )
 from .perm import (
     DEFAULT_ORDER_CAP,
@@ -50,6 +51,8 @@ class Quandle:
         for x, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {x} has length {len(row)}, expected {n}")
+            if any(type(v) is not int for v in row):
+                raise ParseError(f"row {x} has an entry that is not an integer")
             if any(not 0 <= v < n for v in row):
                 raise ValueError(f"row {x} has out-of-range entries")
         for x in range(n):
@@ -96,9 +99,18 @@ class Quandle:
         if "order" not in doc or "table" not in doc:
             raise ValueError("quandle JSON needs 'order' and 'table'")
         table = doc["table"]
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise ParseError("quandle 'table' must be an array of arrays")
         if len(table) != doc["order"]:
             raise ValueError("declared order does not match table size")
-        return cls.from_table(table, labels=doc.get("labels"))
+        labels = doc.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list)
+            and len(labels) == len(table)
+            and all(isinstance(label, str) for label in labels)
+        ):
+            raise ParseError("quandle 'labels' must be an array of one string per element")
+        return cls.from_table(table, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -309,7 +321,11 @@ def is_isomorphic(a: Quandle, b: Quandle) -> bool:
 
 def qinn(q: Quandle, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
     """Automorphisms moving every element within its translation orbit."""
-    group = aut(q, cap=cap)
+    return quasi_inner_subgroup(q, aut(q, cap=cap))
+
+
+def quasi_inner_subgroup(q: Quandle, group: PermGroup) -> PermGroup:
+    """Elements of `group` (usually Aut(q)) keeping every translation orbit of q."""
     orbits = orbit_partition(q)
     where = [0] * q.order
     for i, block in enumerate(orbits):

@@ -280,6 +280,41 @@ def test_file_errors_exit_two(tmp_path, capsys):
     assert "kind" in captured.err
 
 
+@pytest.mark.parametrize(
+    "table",
+    [[[0, "a"], [1, 1]], [[0, False], [True, 1]], [[0, 1.0], [1, 1]], [[0, 1], 5]],
+    ids=["string", "booleans", "float", "row-not-array"],
+)
+def test_file_table_entries_must_be_integers(tmp_path, capsys, table):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"kind": "quandle", "order": 2, "table": table}))
+    code, captured = invoke(["build", "--file", str(path)], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("quandlekit: error:")
+
+
+@pytest.mark.parametrize("labels", [5, ["a"], ["a", 1]], ids=["not-array", "too-few", "not-string"])
+def test_file_labels_must_be_one_string_per_element(tmp_path, capsys, labels):
+    path = tmp_path / "q.json"
+    doc = {"kind": "quandle", "order": 2, "table": [[0, 0], [1, 1]], "labels": labels}
+    path.write_text(json.dumps(doc))
+    code, captured = invoke(["build", "--file", str(path)], capsys)
+    assert code == 2
+    assert "labels" in captured.err
+
+
+@pytest.mark.parametrize("images", ["[false, true]", '[0, "2", 1]'], ids=["booleans", "string"])
+def test_alexander_images_must_be_integers(tmp_path, capsys, images):
+    autfile = tmp_path / "phi.json"
+    autfile.write_text(images)
+    group = "Z2" if images.startswith("[false") else "Z3"
+    code, captured = invoke(["build", "--alexander", group, str(autfile)], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert "integer images" in captured.err
+
+
 def test_kind_dispatch_rejects_wrong_file(tmp_path, capsys):
     alpha = cocycle.trivial_cocycle(quandle.build("trivial", 2), 2)
     path = tmp_path / "alpha.json"

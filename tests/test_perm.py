@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit.errors import CapExceeded, NotASubgroup
 from quandlekit.perm import (
@@ -66,6 +68,7 @@ def test_cycle_and_transposition_helpers():
 def test_closure_of_single_transposition():
     group = closure([Perm.transposition(3, 0, 1)])
     assert group.order == 2
+    assert Perm((1, 0, 2)) in group and (1, 0, 2) not in group
 
 
 def test_closure_matches_naive_oracle_on_random_generators():
@@ -213,6 +216,74 @@ def test_from_elements_reduces_generators():
     assert rebuilt == s3
     assert len(rebuilt.generators) <= 2
     assert closure(rebuilt.generators, degree=3) == s3
+
+
+def test_from_elements_rejects_a_set_not_closed_under_composition():
+    identity, rotation = Perm.identity(3), Perm((1, 2, 0))
+    with pytest.raises(NotASubgroup, match=r"Perm\(1, 2, 0\) \* Perm\(1, 2, 0\) is not in the set"):
+        PermGroup.from_elements([identity, rotation])
+    with pytest.raises(NotASubgroup, match="identity"):
+        PermGroup.from_elements([Perm((1, 0))])
+    s3 = symmetric_group(3).elements
+    with pytest.raises(NotASubgroup):
+        PermGroup.from_elements([p for p in s3 if p != Perm((2, 0, 1))])
+
+
+def test_closure_cap_is_exact():
+    gens = [Perm.transposition(5, 0, 1), Perm.cycle(5, (0, 1, 2, 3, 4))]
+    assert closure(gens, cap=120).order == 120
+    with pytest.raises(CapExceeded):
+        closure(gens, cap=119)
+
+
+def _bfs_span(gens, degree):
+    """Images of every product of the generators, found breadth-first."""
+    identity = tuple(range(degree))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[p[x]] for x in range(degree))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+@st.composite
+def generator_sets(draw):
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(degree)), max_size=4))
+    return degree, [tuple(g) for g in gens]
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_closure_matches_breadth_first_span(case):
+    degree, gens = case
+    group = closure([Perm(g) for g in gens], degree=degree)
+    assert [p.images for p in group.elements] == sorted(_bfs_span(gens, degree))
+    assert [p.images for p in group.generators] == gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets(), st.randoms(use_true_random=False))
+def test_from_elements_matches_greedy_reference(case, rng):
+    degree, gens = case
+    elements = sorted(_bfs_span(gens, degree))
+    kept, span = [], {tuple(range(degree))}
+    for p in elements:
+        if p not in span:
+            kept.append(p)
+            span = _bfs_span(kept, degree)
+    shuffled = [Perm(p) for p in elements]
+    rng.shuffle(shuffled)
+    group = PermGroup.from_elements(shuffled, degree=degree)
+    assert [p.images for p in group.generators] == kept
+    assert [p.images for p in group.elements] == elements
 
 
 def test_direct_product_order_and_degree():
