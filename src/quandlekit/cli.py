@@ -14,6 +14,7 @@ runs with the same inputs are byte-identical apart from "timing_ms".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import re
@@ -26,7 +27,7 @@ from . import envgroup
 from . import fingroup
 from . import quandle as quandlemod
 from . import theorems
-from .errors import ParseError, QuandleKitError
+from .errors import CapExceeded, ParseError, QuandleKitError
 from .perm import Perm
 from .quandle import Quandle
 
@@ -183,6 +184,15 @@ def _aut_cap(args) -> int:
     return quandlemod.DEFAULT_AUT_CAP if args.cap_order is None else args.cap_order
 
 
+@contextlib.contextmanager
+def _cap_order_flag():
+    """Name --cap-order in a CapExceeded raised by an order-capped call."""
+    try:
+        yield
+    except CapExceeded as exc:
+        raise CapExceeded(f"{exc} (raise it with --cap-order)") from exc
+
+
 def _permgroup_doc(group) -> dict:
     return {
         "degree": group.degree,
@@ -213,7 +223,8 @@ def _run_subcommand(args, inputs: _Inputs):
 
     if cmd == "invariants":
         q = _source_quandle(args, inputs)
-        aut_q = quandlemod.aut(q, cap=_aut_cap(args))
+        with _cap_order_flag():
+            aut_q = quandlemod.aut(q, cap=_aut_cap(args))
         results = {
             "order": q.order,
             "aut_order": aut_q.order,
@@ -228,12 +239,12 @@ def _run_subcommand(args, inputs: _Inputs):
 
     if cmd in ("aut", "inn", "qinn"):
         q = _source_quandle(args, inputs)
-        if cmd == "aut":
-            group = quandlemod.aut(q, cap=_aut_cap(args))
-        elif cmd == "inn":
+        if cmd == "inn":
             group = quandlemod.inn(q)
         else:
-            group = quandlemod.qinn(q, cap=_aut_cap(args))
+            search = quandlemod.aut if cmd == "aut" else quandlemod.qinn
+            with _cap_order_flag():
+                group = search(q, cap=_aut_cap(args))
         return _permgroup_doc(group), {}
 
     if cmd == "iso":
@@ -248,7 +259,8 @@ def _run_subcommand(args, inputs: _Inputs):
 
     if cmd == "enumerate":
         cap = quandlemod.DEFAULT_ENUM_CAP if args.cap_order is None else args.cap_order
-        classes = quandlemod.enumerate_quandles(args.n, cap=cap)
+        with _cap_order_flag():
+            classes = quandlemod.enumerate_quandles(args.n, cap=cap)
         results = {
             "order": args.n,
             "count": len(classes),

@@ -26,6 +26,10 @@ from .errors import (
     DiagonalViolation,
     NotAutomorphism,
     NotInStabilizer,
+    require_field,
+    require_int,
+    require_ints,
+    require_list,
 )
 from .perm import Perm
 from .quandle import Quandle, aut, orbit_partition
@@ -59,20 +63,32 @@ class ConstantCocycle:
         if doc.get("kind", "constant_cocycle") != "constant_cocycle":
             raise ValueError(f"expected a constant cocycle, got kind {doc['kind']!r}")
         return validate_constant(
-            Quandle.from_json(doc["base"]), int(doc["fiber"]), doc["table"]
+            Quandle.from_json(require_field(doc, "base", "constant cocycle")),
+            require_field(doc, "fiber", "constant cocycle"),
+            _json_cells(require_field(doc, "table", "constant cocycle")),
         )
+
+
+def _json_cells(table) -> list:
+    """A cocycle table read from JSON: an array of arrays of cells."""
+    rows = require_list(table, "cocycle 'table'")
+    return [require_list(row, "cocycle table row") for row in rows]
 
 
 def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
     """Check the diagonal and pair-coherence conditions, with witnesses."""
-    if fiber_size < 1:
+    if require_int(fiber_size, "cocycle fiber") < 1:
         raise ValueError("fiber must have at least one point")
     n = base.order
     rows = tuple(table)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"cocycle table must be {n}x{n}")
     a = tuple(
-        tuple(p if isinstance(p, Perm) else Perm(p) for p in row) for row in rows
+        tuple(
+            p if isinstance(p, Perm) else Perm(require_ints(p, "cocycle entry"))
+            for p in row
+        )
+        for row in rows
     )
     for row in a:
         for p in row:
@@ -345,14 +361,14 @@ class AbelianCocycle:
         if doc.get("kind", "abelian_cocycle") != "abelian_cocycle":
             raise ValueError(f"expected an abelian cocycle, got kind {doc['kind']!r}")
         return validate_abelian(
-            Quandle.from_json(doc["base"]),
-            tuple(int(m) for m in doc["moduli"]),
-            doc["table"],
+            Quandle.from_json(require_field(doc, "base", "abelian cocycle")),
+            require_field(doc, "moduli", "abelian cocycle"),
+            _json_cells(require_field(doc, "table", "abelian cocycle")),
         )
 
 
 def validate_abelian(base: Quandle, moduli, table) -> AbelianCocycle:
-    moduli = tuple(int(m) for m in moduli)
+    moduli = tuple(require_ints(moduli, "cocycle moduli"))
     if any(m < 1 for m in moduli):
         raise ValueError("moduli must be positive")
     n = base.order
@@ -362,7 +378,7 @@ def validate_abelian(base: Quandle, moduli, table) -> AbelianCocycle:
     r = len(moduli)
 
     def reduce(v):
-        v = tuple(int(c) for c in v)
+        v = tuple(require_ints(v, "cocycle entry"))
         if len(v) != r:
             raise ValueError(f"entries must have {r} coordinates")
         return tuple(c % m for c, m in zip(v, moduli))

@@ -20,6 +20,9 @@ from .errors import (
     NotInvolutory,
     SigmaNotHom,
     TauNotHom,
+    require_field,
+    require_ints,
+    require_list,
 )
 from .fingroup import FiniteGroup
 from .perm import Perm
@@ -27,7 +30,7 @@ from .quandle import Quandle, is_involutory
 
 
 def _as_perm(p, degree: int, what: str) -> Perm:
-    p = p if isinstance(p, Perm) else Perm(p)
+    p = p if isinstance(p, Perm) else Perm(require_ints(p, what))
     if len(p.images) != degree:
         raise ValueError(f"{what} must act on {degree} points")
     return p
@@ -119,9 +122,11 @@ class UnionSpec:
     def from_json(cls, doc: dict) -> "UnionSpec":
         if doc.get("kind", "union_spec") != "union_spec":
             raise ValueError(f"expected a union spec, got kind {doc['kind']!r}")
-        q1 = Quandle.from_json(doc["q1"])
-        q2 = Quandle.from_json(doc["q2"])
-        return make_union_spec(q1, q2, doc["sigma"], doc["tau"])
+        q1 = Quandle.from_json(require_field(doc, "q1", "union spec"))
+        q2 = Quandle.from_json(require_field(doc, "q2", "union spec"))
+        sigma = require_list(require_field(doc, "sigma", "union spec"), "union 'sigma'")
+        tau = require_list(require_field(doc, "tau", "union spec"), "union 'tau'")
+        return make_union_spec(q1, q2, sigma, tau)
 
 
 def make_union_spec(q1: Quandle, q2: Quandle, sigma, tau) -> UnionSpec:

@@ -17,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .errors import CosetLimitExceeded
+from .errors import (
+    CosetLimitExceeded,
+    ParseError,
+    require_field,
+    require_int,
+    require_list,
+)
 from .perm import Perm
 from .quandle import Quandle
 
@@ -46,10 +52,12 @@ def word_to_json(word: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def word_from_json(letters: Sequence[int]) -> Word:
+    if not isinstance(letters, (list, tuple)):
+        raise ParseError(f"a word is an array of letters, got {letters!r}")
     out = []
     for k in letters:
-        if not isinstance(k, int) or k == 0:
-            raise ValueError(f"word letters are nonzero integers, got {k!r}")
+        if type(k) is not int or k == 0:
+            raise ParseError(f"word letters are nonzero integers, got {k!r}")
         out.append((abs(k) - 1, 1 if k > 0 else -1))
     return tuple(out)
 
@@ -82,9 +90,10 @@ class Presentation:
     def from_json(cls, doc: dict) -> "Presentation":
         if doc.get("kind", "presentation") != "presentation":
             raise ValueError(f"expected a presentation, got kind {doc['kind']!r}")
+        relators = require_list(require_field(doc, "relators", "presentation"), "relators")
         return cls(
-            ngens=int(doc["ngens"]),
-            relators=tuple(word_from_json(w) for w in doc["relators"]),
+            ngens=require_int(require_field(doc, "ngens", "presentation"), "ngens"),
+            relators=tuple(word_from_json(w) for w in relators),
         )
 
 

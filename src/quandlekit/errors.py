@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 Every error that signals bad input or a violated precondition derives from
-QuandleKitError, so callers (and the CLI) can catch one base class.
+QuandleKitError, so callers (and the CLI) can catch one base class.  The
+`require_*` helpers at the end are the type checks the JSON readers share:
+they raise ParseError, so a malformed document never reaches code that
+would fail on it with a traceback.
 """
 
 
@@ -128,3 +131,32 @@ class FixedPointHypothesisViolated(QuandleKitError):
 
 class NotInvolutory(QuandleKitError):
     """An involutory quandle was required."""
+
+
+def require_field(doc, key: str, what: str):
+    """doc[key], where doc must be a JSON object that has the key."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    if key not in doc:
+        raise ParseError(f"{what} needs a {key!r} field")
+    return doc[key]
+
+
+def require_int(value, what: str) -> int:
+    """value itself if it is an int (a JSON bool is not)."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be an array")
+    return value
+
+
+def require_ints(value, what: str):
+    """value itself if it is a list or tuple of ints (JSON bools are not)."""
+    if not isinstance(value, (list, tuple)) or any(type(v) is not int for v in value):
+        raise ParseError(f"{what} must be an array of integers")
+    return value

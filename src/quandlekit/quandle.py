@@ -94,6 +94,8 @@ class Quandle:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Quandle":
+        if not isinstance(doc, dict):
+            raise ParseError("a quandle document must be a JSON object")
         if doc.get("kind", "quandle") != "quandle":
             raise ValueError(f"expected a quandle document, got kind {doc['kind']!r}")
         if "order" not in doc or "table" not in doc:
@@ -207,28 +209,31 @@ def is_connected(q: Quandle) -> bool:
     return len(orbit_partition(q)) == 1
 
 
+def _cycle_type(images) -> tuple[int, ...]:
+    """Sorted cycle lengths of a permutation given by its images."""
+    n = len(images)
+    seen = [False] * n
+    lengths = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        ln = 0
+        z = start
+        while not seen[z]:
+            seen[z] = True
+            z = images[z]
+            ln += 1
+        lengths.append(ln)
+    return tuple(sorted(lengths))
+
+
 def _element_invariants(table, n):
+    """(number of y with x * y != x, cycle type of R_x) for each element x."""
     inv = []
     for x in range(n):
-        moved = 0
         row = table[x]
-        for y in range(n):
-            if row[y] != x:
-                moved += 1
-        col = [table[z][x] for z in range(n)]
-        seen = [False] * n
-        lengths = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            ln = 0
-            z = start
-            while not seen[z]:
-                seen[z] = True
-                z = col[z]
-                ln += 1
-            lengths.append(ln)
-        inv.append((moved, tuple(sorted(lengths))))
+        moved = sum(1 for y in range(n) if row[y] != x)
+        inv.append((moved, _cycle_type([table[z][x] for z in range(n)])))
     return inv
 
 
@@ -341,16 +346,29 @@ def is_quasi_inner_strong(q: Quandle, phi: Perm) -> bool:
 
 
 def _canonical_table(table, n):
+    """The lexicographically smallest relabeling of `table` over all of S_n.
+
+    Each candidate is built row by row and dropped at the first row that
+    compares greater than the same row of the best table so far.
+    """
     best = None
-    for sigma in itertools.permutations(range(n)):
-        sinv = [0] * n
-        for i, s in enumerate(sigma):
-            sinv[s] = i
-        cand = tuple(
-            tuple(sigma[table[sinv[x]][sinv[y]]] for y in range(n)) for x in range(n)
-        )
-        if best is None or cand < best:
-            best = cand
+    for sinv in itertools.permutations(range(n)):
+        sigma = [0] * n
+        for i, s in enumerate(sinv):
+            sigma[s] = i
+        rows = []
+        smaller = best is None
+        for x in range(n):
+            src = table[sinv[x]]
+            row = tuple([sigma[src[s]] for s in sinv])
+            if not smaller:
+                if row > best[x]:
+                    break
+                smaller = row < best[x]
+            rows.append(row)
+        else:
+            if smaller:
+                best = tuple(rows)
     return best
 
 
@@ -369,70 +387,98 @@ def _fingerprint(table, n):
 
 
 def _labeled_quandle_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every quandle table on 0..n-1, generated column by column.
+    """At least one quandle table on 0..n-1 per isomorphism class.
 
     Columns are right translations; the third axiom says conjugating one
     column by another must land on a column again, which both prunes and
     forces later columns during the search.
+
+    A labeling is kept only if its element invariants are non-decreasing in
+    label order.  The invariant of x is the cycle type of its column R_x,
+    ranked by decreasing sorted cycle lengths (the identity comes last, so
+    the most constraining columns are placed first), then the number of y
+    with x * y != x.  Relabeling by sigma puts sigma R_x sigma^-1 at sigma(x), so
+    both parts travel with their element, and sorting the elements of any
+    quandle by them gives a labeling that passes: every class survives.
+    The column part is checked whenever a column is chosen or forced, and
+    the first violation prunes the branch; the row part is known only at
+    the leaves.
     """
     perms = list(itertools.permutations(range(n)))
     pindex = {p: i for i, p in enumerate(perms)}
-    nperms = len(perms)
-    mult = [[0] * nperms for _ in range(nperms)]
-    for a, pa in enumerate(perms):
-        row = mult[a]
-        for b, pb in enumerate(perms):
-            row[b] = pindex[tuple(pa[pb[x]] for x in range(n))]
-    invp = [0] * nperms
-    for a, pa in enumerate(perms):
-        images = [0] * n
-        for x, y in enumerate(pa):
-            images[y] = x
-        invp[a] = pindex[tuple(images)]
+    types = [_cycle_type(p) for p in perms]
+    type_rank = {t: r for r, t in enumerate(sorted(set(types), reverse=True))}
+    rank = [type_rank[t] for t in types]
+    invp = [pindex[tuple(sorted(range(n), key=p.__getitem__))] for p in perms]
     fixing = [[i for i, p in enumerate(perms) if p[y] == y] for y in range(n)]
     known = [-1] * n
+    col_rank = [-1] * n
     out: list[tuple[tuple[int, ...], ...]] = []
+
+    def fits(w: int, r: int) -> bool:
+        """Whether a column of rank r at label w keeps the ranks sorted."""
+        for u in range(w):
+            if col_rank[u] > r:
+                return False
+        for u in range(w + 1, n):
+            if -1 != col_rank[u] < r:
+                return False
+        return True
 
     def propagate(queue: list[int], trail: list[int]) -> bool:
         qi = 0
         while qi < len(queue):
             a = queue[qi]
             qi += 1
-            pa = known[a]
-            ta = perms[pa]
-            ia = invp[pa]
             for b in range(n):
-                pb = known[b]
-                if pb == -1 or b == a:
+                if known[b] == -1 or b == a:
                     continue
-                for outer, inner, po, pi_, io in ((a, b, pa, pb, ia), (b, a, pb, pa, invp[pb])):
-                    w = perms[po][inner]
-                    forced = mult[mult[po][pi_]][io]
+                for outer, inner in ((a, b), (b, a)):
+                    # R_w = R_outer R_inner R_outer^-1 at w = inner * outer,
+                    # so R_w has the cycle type of R_inner
+                    po = perms[known[outer]]
+                    w = po[inner]
+                    r = col_rank[inner]
                     if known[w] == -1:
-                        if perms[forced][w] != w:
+                        if not fits(w, r):
                             return False
-                        known[w] = forced
+                    elif col_rank[w] != r:
+                        return False
+                    pi_ = perms[known[inner]]
+                    conj = tuple([po[pi_[x]] for x in perms[invp[known[outer]]]])
+                    if known[w] == -1:
+                        known[w] = pindex[conj]
+                        col_rank[w] = r
                         trail.append(w)
                         queue.append(w)
-                    elif known[w] != forced:
+                    elif perms[known[w]] != conj:
                         return False
         return True
+
+    def leaf():
+        table = tuple(tuple(perms[known[y]][x] for y in range(n)) for x in range(n))
+        inv = _element_invariants(table, n)
+        keys = [(col_rank[x], moved) for x, (moved, _) in enumerate(inv)]
+        if keys == sorted(keys):
+            out.append(table)
 
     def rec(y: int):
         while y < n and known[y] != -1:
             y += 1
         if y == n:
-            out.append(
-                tuple(tuple(perms[known[col]][x] for col in range(n)) for x in range(n))
-            )
+            leaf()
             return
         for pi in fixing[y]:
+            if not fits(y, rank[pi]):
+                continue
             trail = [y]
             known[y] = pi
+            col_rank[y] = rank[pi]
             if propagate([y], trail):
                 rec(y + 1)
             for i in trail:
                 known[i] = -1
+                col_rank[i] = -1
 
     rec(0)
     return out
@@ -441,8 +487,13 @@ def _labeled_quandle_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
 def enumerate_quandles(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[Quandle]:
     """One canonical representative per isomorphism class of order-n quandles.
 
-    The canonical form is the lexicographically smallest table over all
-    relabelings; the output list is sorted by table.
+    The labeled tables come from `_labeled_quandle_tables`, which keeps only
+    labelings whose element invariants are non-decreasing in label order;
+    every class has such a labeling, because relabeling carries invariants
+    along with their elements.  Tables are bucketed by fingerprint and
+    de-duplicated by isomorphism tests.  The canonical form is the
+    lexicographically smallest table over all relabelings; the output list
+    is sorted by table.
     """
     if n < 1:
         raise ValueError("order must be positive")

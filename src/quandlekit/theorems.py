@@ -21,7 +21,12 @@ from . import construct as constructmod
 from . import envgroup
 from . import fingroup
 from . import quandle as quandlemod
-from .errors import FixedPointHypothesisViolated, NotInvolutory, UnsupportedSpec
+from .errors import (
+    FixedPointHypothesisViolated,
+    NotInvolutory,
+    QuandleKitError,
+    UnsupportedSpec,
+)
 from .perm import Perm, closure, is_k_transitive
 
 GROUP_CATALOG = (
@@ -64,9 +69,13 @@ def _catalog_groups(options):
 
 
 def _finish(tid: str, options_used: dict, cases: list) -> dict:
+    """The suite report; a sweep its options leave empty is an error, not a pass."""
+    options = dict(sorted(options_used.items()))
+    if not cases:
+        raise QuandleKitError(f"suite {tid} has no cases with options {options}")
     return {
         "id": tid,
-        "options": dict(sorted(options_used.items())),
+        "options": options,
         "cases": cases,
         "passed": all(c.get("passed", False) for c in cases),
     }

@@ -233,6 +233,28 @@ def test_theorem_suite_passes(capsys):
     assert report["checks"] == {"passed": True}
 
 
+def test_theorem_empty_sweep_exits_two(capsys):
+    code, captured = invoke(["theorem", "4.6", "--max-order", "-3"], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert "suite 4.6" in captured.err
+    assert "'max_order': -3" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "7"], ["aut", "--trivial", "9"], ["qinn", "--trivial", "9"],
+     ["invariants", "--trivial", "9"]],
+    ids=["enumerate", "aut", "qinn", "invariants"],
+)
+def test_cap_errors_name_the_flag(capsys, argv):
+    code, captured = invoke(argv, capsys)
+    assert code == 2
+    assert "exceeds" in captured.err
+    assert "--cap-order" in captured.err
+
+
 def test_theorem_unknown_id(capsys):
     code, captured = invoke(["theorem", "99.9"], capsys)
     assert code == 2
@@ -365,3 +387,73 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["aut_order"] == 2
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+BASE1 = {"kind": "quandle", "order": 1, "table": [[0]]}
+BASE2 = {"kind": "quandle", "order": 2, "table": [[0, 0], [1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "constant_cocycle", "base": BASE2, "fiber": 2,
+         "table": [[[0, 1], ["1", 0]], [[0, 1], [0, 1]]]},
+        {"kind": "constant_cocycle", "base": BASE2, "fiber": 2,
+         "table": [[[0, 1], [False, True]], [[0, 1], [0, 1]]]},
+        {"kind": "constant_cocycle", "base": BASE1, "fiber": True, "table": [[[0]]]},
+        {"kind": "constant_cocycle", "base": BASE1, "fiber": "1", "table": [[[0]]]},
+        {"kind": "constant_cocycle", "base": BASE1, "table": [[[0]]]},
+        {"kind": "constant_cocycle", "base": 5, "fiber": 1, "table": [[[0]]]},
+        {"kind": "constant_cocycle", "base": BASE1, "fiber": 1, "table": [[0]]},
+        {"kind": "abelian_cocycle", "base": BASE2, "moduli": [2],
+         "table": [[[0], ["1"]], [[0], [0]]]},
+        {"kind": "abelian_cocycle", "base": BASE2, "moduli": [2],
+         "table": [[[False], [True]], [[0], [0]]]},
+        {"kind": "abelian_cocycle", "base": BASE1, "moduli": [True], "table": [[[0]]]},
+        {"kind": "abelian_cocycle", "base": BASE1, "moduli": 2, "table": [[[0]]]},
+    ],
+    ids=[
+        "constant-string-entry", "constant-boolean-entries", "constant-boolean-fiber",
+        "constant-string-fiber", "constant-no-fiber", "constant-base-not-object",
+        "constant-entry-not-array", "abelian-string-entry", "abelian-boolean-entries",
+        "abelian-boolean-modulus", "abelian-moduli-not-array",
+    ],
+)
+def test_cocycle_files_must_hold_integers(tmp_path, capsys, doc):
+    code, captured = invoke(["extend", _write(tmp_path, doc)], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("quandlekit: error:")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "union_spec", "q1": BASE1, "q2": BASE1, "sigma": [[False]], "tau": [[0]]},
+        {"kind": "union_spec", "q1": BASE1, "q2": BASE1, "sigma": [[0.0]], "tau": [[0]]},
+        {"kind": "union_spec", "q1": BASE1, "q2": BASE1, "sigma": 5, "tau": [[0]]},
+        {"kind": "union_spec", "q1": BASE1, "q2": BASE1, "sigma": [[0]]},
+        {"kind": "union_spec", "q1": [1], "q2": BASE1, "sigma": [[0]], "tau": [[0]]},
+    ],
+    ids=["boolean-entry", "float-entry", "sigma-not-array", "no-tau", "q1-not-object"],
+)
+def test_union_files_must_hold_integers(tmp_path, capsys, doc):
+    code, captured = invoke(["union", _write(tmp_path, doc)], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("quandlekit: error:")
+
+
+@pytest.mark.parametrize("words", ["[[true]]", "[5]"], ids=["boolean-letter", "word-not-array"])
+def test_coset_enum_words_must_be_integer_arrays(capsys, words):
+    argv = ["envelope", "--dihedral", "3", "--coset-enum", words, "--max-cosets", "10"]
+    code, captured = invoke(argv, capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert "word" in captured.err

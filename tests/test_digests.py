@@ -1,16 +1,23 @@
-"""Pinned report digests of the automorphism-group commands.
+"""Pinned digests of outputs that faster algorithms must leave unchanged.
 
 Each `report_digest` covers the printed generators and orders, so a change
 to how groups are closed or how their generating sets are chosen that
 alters any output byte shows up here.  The digests were recorded with the
 breadth-first closure that preceded the coset closure in `perm`.
+
+The enumeration digests cover the representative tables of every class,
+in output order.  They were recorded with the enumeration that built every
+labeled table and the full S_n product table, before labelings were
+ordered by element invariants.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from quandlekit import cli
+from quandlekit.quandle import enumerate_quandles
 
 DIGESTS = {
     "aut --trivial 3": "172dfe817a0a3a111cb12e5f8c20d758aea12432412c5936d1c9ba709a7d05e8",
@@ -86,3 +93,20 @@ def test_report_digest_is_pinned(command, capsys):
     assert cli.run(command.split()) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["report_digest"] == DIGESTS[command]
+
+
+ENUMERATION_DIGESTS = {
+    1: "7ae717c9aac47e3aed392515ac52ae17e50da8555c618e0ace9ee7b86985afea",
+    2: "0e02b59cb15735ecbb3eea9769f56c53a5316f53377f97e44446f0548ce000ad",
+    3: "5df479918eaaaf28dfd4cf9e0dd57586ea2a37a0f90acead6b30722a8cf9c63d",
+    4: "87ba80bff77521668b020abc0b888657c452c44821a88bbb01bf2097c38992e9",
+    5: "5576c0ab389a9eed849c314bfdf0c31e2245ba446ebebe461a1f31ef3039e548",
+    6: "3ceaf33febfd8bbd9bcec01ceb971b4ebbb24d96b458ebd6cd3de82e8331307e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_tables_are_pinned(n):
+    tables = [[list(row) for row in q.table] for q in enumerate_quandles(n)]
+    doc = json.dumps(tables, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == ENUMERATION_DIGESTS[n]

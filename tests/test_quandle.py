@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit.errors import (
     Axiom1Violation,
@@ -17,6 +19,8 @@ from quandlekit.perm import Perm, is_k_transitive
 from quandlekit.quandle import (
     Quandle,
     QuandleMap,
+    _canonical_table,
+    _labeled_quandle_tables,
     aut,
     build,
     center,
@@ -292,8 +296,8 @@ def test_enumeration_representatives_are_canonical_and_distinct():
         assert q.table == best
 
 
-def naive_enumerate(n):
-    """Independent path: filter every column choice, then split by brute-force iso."""
+def naive_tables(n):
+    """Every quandle table on 0..n-1, by filtering every choice of columns."""
     fixing = [
         [p for p in itertools.permutations(range(n)) if p[y] == y] for y in range(n)
     ]
@@ -314,6 +318,12 @@ def naive_enumerate(n):
                 break
         if ok:
             valid.append(tuple(tuple(r) for r in table))
+    return valid
+
+
+def naive_enumerate(n):
+    """Independent path: filter every column choice, then split by brute-force iso."""
+    valid = naive_tables(n)
     classes = []
     for t in valid:
         for cls in classes:
@@ -412,3 +422,43 @@ def test_inn_three_transitivity_examples():
     # right translations of the 3-element dihedral quandle generate S_3
     assert is_k_transitive(inn(build("dihedral", 3)), 3)
     assert not is_k_transitive(inn(build("dihedral", 4)), 2)
+
+
+def reference_canonical(table):
+    """The lexicographic minimum over all n! relabelings, with no early exit."""
+    n = len(table)
+    return min(
+        tuple(tuple(r) for r in relabel(table, sigma))
+        for sigma in itertools.permutations(range(n))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pruned_labelings_keep_every_class(n):
+    pruned = _labeled_quandle_tables(n)
+    brute = naive_tables(n)
+    assert set(pruned) <= set(brute)
+    assert {_canonical_table(t, n) for t in pruned} == {reference_canonical(t) for t in brute}
+    if n == 4:
+        assert len(pruned) < len(brute)
+
+
+ORDER_FIVE = [q.table for q in enumerate_quandles(5)]
+
+
+@pytest.mark.parametrize("index", range(len(ORDER_FIVE)))
+@settings(max_examples=8, deadline=None)
+@given(sigma=st.permutations(range(5)))
+def test_canonical_table_of_relabeled_order_five_class(index, sigma):
+    table = relabel(ORDER_FIVE[index], sigma)
+    assert _canonical_table(table, 5) == reference_canonical(table) == ORDER_FIVE[index]
+
+
+ORDER_SIX_SAMPLE = [q.table for q in enumerate_quandles(6)[::6]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=st.sampled_from(ORDER_SIX_SAMPLE), sigma=st.permutations(range(6)))
+def test_canonical_table_of_relabeled_order_six_class(table, sigma):
+    relabeled = relabel(table, sigma)
+    assert _canonical_table(relabeled, 6) == reference_canonical(relabeled) == table

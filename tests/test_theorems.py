@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from quandlekit.errors import UnsupportedSpec
+from quandlekit.errors import QuandleKitError, UnsupportedSpec
 from quandlekit.theorems import CATALOG, GROUP_CATALOG, run_suite
 
 ALL_IDS = (
@@ -229,6 +229,11 @@ def test_union_gluing_cases(reports):
     bad = by_case(rep, "randomized_bad_glue")
     assert bad["inconsistent"] == 0
     assert bad["axiom_failures"] >= math.ceil(0.95 * bad["trials"])
+
+
+def test_empty_sweep_is_an_error():
+    with pytest.raises(QuandleKitError, match="suite 4.6"):
+        run_suite("4.6", {"max_order": -3})
 
 
 def test_options_narrow_the_sweep():
