@@ -49,7 +49,8 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--pretty", action="store_true", help="aligned tables instead of JSON")
         p.add_argument("--cap-order", type=int, default=None, metavar="N",
-                       help="override order caps (automorphism search, enumeration, cohomology)")
+                       help="override order caps (automorphism search, enumeration, "
+                            "cohomology, abelian fibers)")
         p.add_argument("--cap-group", type=int, default=None, metavar="N",
                        help="override the group-construction cap")
         if source:
@@ -303,7 +304,12 @@ def _run_subcommand(args, inputs: _Inputs):
         kind, value = _detect(
             doc, args.cocyclefile, ("constant_cocycle", "abelian_cocycle")
         )
-        alpha = value if kind == "constant_cocycle" else cocyclemod.abelian_to_constant(value)
+        if kind == "constant_cocycle":
+            alpha = value
+        else:
+            cap = cocyclemod.DEFAULT_FIBER_CAP if args.cap_order is None else args.cap_order
+            with _cap_order_flag():
+                alpha = cocyclemod.abelian_to_constant(value, cap=cap)
         ext = cocyclemod.extend(alpha)
         results = {
             "base_order": alpha.base.order,

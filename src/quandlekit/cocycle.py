@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .envgroup import smith_normal_form
 from .errors import (
@@ -36,6 +35,9 @@ from .quandle import Quandle, aut, orbit_partition
 
 # A lambda map is one fiber permutation per base element.
 LambdaMap = tuple
+
+# Largest coefficient group whose translations abelian_to_constant builds.
+DEFAULT_FIBER_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -408,15 +410,18 @@ def zero_abelian_cocycle(base: Quandle, moduli) -> AbelianCocycle:
     return AbelianCocycle(base, moduli, (row,) * base.order)
 
 
-def abelian_to_constant(mu: AbelianCocycle) -> ConstantCocycle:
+def abelian_to_constant(mu: AbelianCocycle, cap: int = DEFAULT_FIBER_CAP) -> ConstantCocycle:
     """Replace each coefficient value with its translation permutation.
 
     Fiber points are the coefficient-group elements in tuple-lexicographic
-    order, so the fiber has size prod(moduli).
+    order, so the fiber has size prod(moduli); a size above cap raises
+    CapExceeded before any fiber point is built.
     """
+    size = prod(mu.moduli)
+    if size > cap:
+        raise CapExceeded(f"coefficient group order {size} exceeds the fiber cap {cap}")
     elements = list(itertools.product(*[range(m) for m in mu.moduli]))
     index = {e: i for i, e in enumerate(elements)}
-    size = len(elements)
 
     def translation(v) -> Perm:
         return Perm(
@@ -433,30 +438,6 @@ def abelian_to_constant(mu: AbelianCocycle) -> ConstantCocycle:
 # ---------------------------------------------------------------------------
 # H^2 with finite abelian coefficients
 # ---------------------------------------------------------------------------
-
-
-def _int_inverse(mat) -> list:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(mat)
-    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise AssertionError("matrix is singular; unimodularity was promised")
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [v / pv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    inv = [[cell for cell in row[n:]] for row in work]
-    for row in inv:
-        for cell in row:
-            if cell.denominator != 1:
-                raise AssertionError("inverse is not integral; matrix not unimodular")
-    return [[int(cell) for cell in row] for row in inv]
 
 
 def _h2_single(q: Quandle, m: int) -> list:
@@ -489,12 +470,11 @@ def _h2_single(q: Quandle, m: int) -> list:
                 if any(row):
                     rows.append(row)
 
-    cond = smith_normal_form(rows) if rows else None
-    diag = [cond.d[i][i] for i in range(min(len(rows), big))] if cond else []
+    cond = smith_normal_form(rows)
+    diag = [cond.d[i][i] for i in range(min(len(rows), big))]
     scale = [m // gcd(d, m) if d else 1 for d in diag]
     scale += [1] * (big - len(scale))
-    v = [list(r) for r in cond.v] if cond else [[int(i == j) for j in range(big)] for i in range(big)]
-    v_inv = _int_inverse(v)
+    v, v_inv = cond.v, cond.v_inv
 
     def to_lattice_coords(vec) -> list:
         raw = [sum(v_inv[i][j] * vec[j] for j in range(big)) for i in range(big)]
@@ -523,13 +503,12 @@ def _h2_single(q: Quandle, m: int) -> list:
     quot = smith_normal_form(gen_rows)
     if quot.free_rank != 0:
         raise AssertionError("quotient must be finite")
-    v2_inv = _int_inverse([list(r) for r in quot.v])
 
     pieces = []
     for i, d in enumerate(quot.invariant_factors):
         if d <= 1:
             continue
-        coords = v2_inv[i]
+        coords = quot.v_inv[i]
         ambient = [
             sum(v[r][k] * scale[k] * coords[k] for k in range(big)) % m
             for r in range(big)

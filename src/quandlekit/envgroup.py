@@ -138,65 +138,67 @@ def commutator_generators(q: Quandle) -> list[Word]:
 
 @dataclass(frozen=True)
 class SmithForm:
+    """D = U*A*V with U, V unimodular; v_inv is the exact inverse of V."""
+
     d: tuple
     u: tuple
     v: tuple
+    v_inv: tuple
     invariant_factors: tuple
     free_rank: int
 
 
-def _identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _axpy(target: dict, source: dict, c: int) -> None:
+    """target += c * source, on sparse vectors that store no zeros."""
+    for k, x in source.items():
+        y = target.get(k, 0) + c * x
+        if y:
+            target[k] = y
+        else:
+            target.pop(k, None)
 
 
-def _mat_mul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
-    return out
+def _is_inverse_pair(rows, cols) -> bool:
+    """Whether the matrix with these sparse rows times the one with these
+    sparse columns is the identity.
+
+    Two square integer matrices whose product is I both have determinant
+    +1 or -1, so this certifies that both are unimodular.
+    """
+    size = len(rows)
+    if len(cols) != size:
+        return False
+    by_row = [{} for _ in range(size)]
+    for j, col in enumerate(cols):
+        for k, x in col.items():
+            by_row[k][j] = x
+    for i, row in enumerate(rows):
+        acc: dict = {}
+        for k, x in row.items():
+            for j, y in by_row[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        if acc.pop(i, 0) != 1 or any(acc.values()):
+            return False
+    return True
 
 
-def _det(mat) -> int:
-    """Bareiss fraction-free determinant."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _dense(rows, size: int) -> tuple:
+    out = [[0] * size for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, x in row.items():
+            dense[j] = x
+    return tuple(map(tuple, out))
 
 
 def smith_normal_form(matrix) -> SmithForm:
     """Diagonalize an integer matrix with certified transforms.
 
     Returns D, U, V with U*A*V = D, U and V unimodular, and the diagonal
-    entries nonnegative with each dividing the next.  The product identity
-    and both determinants are re-checked before returning, so a returned
-    SmithForm is a verified certificate, not just a claim.
+    entries nonnegative with each dividing the next, plus the inverse of V.
+    Every elementary operation on U or V applies its inverse to a running
+    U^-1 or V^-1, all held as sparse rows or columns.  Before returning,
+    U*U^-1 = I, V^-1*V = I and U*A*V = D are re-checked exactly, so a
+    returned SmithForm is a verified certificate, not just a claim.
     """
     original = [list(map(int, row)) for row in matrix]
     m = len(original)
@@ -205,34 +207,38 @@ def smith_normal_form(matrix) -> SmithForm:
         if len(row) != n:
             raise ValueError("matrix rows must have equal length")
     a = [row[:] for row in original]
-    u = _identity_matrix(m)
-    v = _identity_matrix(n)
+    u = [{i: 1} for i in range(m)]  # rows of U
+    u_inv = [{i: 1} for i in range(m)]  # columns of U^-1
+    v = [{i: 1} for i in range(n)]  # columns of V
+    v_inv = [{i: 1} for i in range(n)]  # rows of V^-1
 
     def row_op(i, k, c):  # row i -= c * row k
         for j in range(n):
             a[i][j] -= c * a[k][j]
-        for j in range(m):
-            u[i][j] -= c * u[k][j]
+        _axpy(u[i], u[k], -c)
+        _axpy(u_inv[k], u_inv[i], c)
 
     def col_op(j, k, c):  # col j -= c * col k
         for i in range(m):
             a[i][j] -= c * a[i][k]
-        for i in range(n):
-            v[i][j] -= c * v[i][k]
+        _axpy(v[j], v[k], -c)
+        _axpy(v_inv[k], v_inv[j], c)
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
         u[i], u[k] = u[k], u[i]
+        u_inv[i], u_inv[k] = u_inv[k], u_inv[i]
 
     def swap_cols(j, k):
         for row in a:
             row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
+        v[j], v[k] = v[k], v[j]
+        v_inv[j], v_inv[k] = v_inv[k], v_inv[j]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        u[i] = {j: -x for j, x in u[i].items()}
+        u_inv[i] = {j: -x for j, x in u_inv[i].items()}
 
     t = 0
     while t < min(m, n):
@@ -277,18 +283,28 @@ def smith_normal_form(matrix) -> SmithForm:
             continue
         t += 1
 
-    det_u = _det(u)
-    det_v = _det(v)
-    if det_u not in (1, -1) or det_v not in (1, -1):
+    if not _is_inverse_pair(u, u_inv) or not _is_inverse_pair(v_inv, v):
         raise AssertionError("transform matrices lost unimodularity")
-    if _mat_mul(_mat_mul(u, original), v) != a:
-        raise AssertionError("certificate U*A*V = D failed to re-verify")
+    dense_v = tuple(zip(*_dense(v, n)))
+    for i, row in enumerate(u):
+        ua = [0] * n
+        for k, x in row.items():
+            for j, y in enumerate(original[k]):
+                ua[j] += x * y
+        uav = [0] * n
+        for k, x in enumerate(ua):
+            if x:
+                for j, y in enumerate(dense_v[k]):
+                    uav[j] += x * y
+        if uav != a[i]:
+            raise AssertionError("certificate U*A*V = D failed to re-verify")
 
     factors = tuple(a[i][i] for i in range(min(m, n)) if a[i][i] != 0)
     return SmithForm(
         d=tuple(tuple(row) for row in a),
-        u=tuple(tuple(row) for row in u),
-        v=tuple(tuple(row) for row in v),
+        u=_dense(u, m),
+        v=dense_v,
+        v_inv=_dense(v_inv, n),
         invariant_factors=factors,
         free_rank=n - len(factors),
     )

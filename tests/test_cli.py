@@ -457,3 +457,23 @@ def test_coset_enum_words_must_be_integer_arrays(capsys, words):
     assert code == 2
     assert captured.out == ""
     assert "word" in captured.err
+
+
+@pytest.mark.parametrize("moduli", [[5, 13], [10**12]], ids=["just-above-cap", "huge"])
+def test_extend_caps_the_abelian_fiber_before_building_it(tmp_path, capsys, moduli):
+    doc = {"kind": "abelian_cocycle", "base": BASE1, "moduli": moduli,
+           "table": [[[0] * len(moduli)]]}
+    path = _write(tmp_path, doc)
+    code, captured = invoke(["extend", path], capsys)
+    assert code == 2
+    assert captured.out == ""
+    size = 65 if moduli == [5, 13] else 10**12
+    assert f"order {size} exceeds the fiber cap {cocycle.DEFAULT_FIBER_CAP}" in captured.err
+    assert "--cap-order" in captured.err
+
+
+def test_extend_fiber_cap_is_raised_by_cap_order(tmp_path, capsys):
+    doc = {"kind": "abelian_cocycle", "base": BASE1, "moduli": [5, 13], "table": [[[0, 0]]]}
+    code, report = report_of(["extend", _write(tmp_path, doc), "--cap-order", "65"], capsys)
+    assert code == 0
+    assert report["results"]["fiber"] == 65

@@ -300,6 +300,14 @@ def test_abelian_to_constant_translations():
     assert a.table[0][0].is_identity()
 
 
+def test_abelian_to_constant_caps_the_fiber():
+    mu = zero_abelian_cocycle(T2, (8, 9))
+    with pytest.raises(CapExceeded, match="order 72 exceeds the fiber cap 64"):
+        abelian_to_constant(mu)
+    assert abelian_to_constant(mu, cap=72).fiber_size == 72
+    assert abelian_to_constant(zero_abelian_cocycle(T2, (8, 8))).fiber_size == 64
+
+
 def test_abelian_extension_matches_direct_formula():
     mu = validate_abelian(T2, (2, 2), [
         [(0, 0), (1, 1)],

@@ -9,15 +9,23 @@ The enumeration digests cover the representative tables of every class,
 in output order.  They were recorded with the enumeration that built every
 labeled table and the full S_n product table, before labelings were
 ordered by element invariants.
+
+The `h2` and `envelope --abelianization` digests, and the digest of the
+Smith normal form transforms, were recorded while the transforms were
+certified by Bareiss determinants and `compute_h2` inverted V by
+Gauss-Jordan elimination over fractions.  The `h2` digests cover the
+cocycle representatives, which are read off V and its inverse.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from quandlekit import cli
-from quandlekit.quandle import enumerate_quandles
+from quandlekit import cli, cocycle
+from quandlekit.envgroup import smith_normal_form
+from quandlekit.quandle import build, enumerate_quandles
 
 DIGESTS = {
     "aut --trivial 3": "172dfe817a0a3a111cb12e5f8c20d758aea12432412c5936d1c9ba709a7d05e8",
@@ -87,12 +95,66 @@ DIGESTS = {
     "aut --trivial 8": "2d85589494854ca803a918fd7b41520ab3ddd5600df99ca92e7c231f7b1a6194",
 }
 
+SNF_DIGESTS = {
+    "h2 --trivial 3 --coeff Z2": "b9c298c39ed9729b2a7953d5e18378104abd1abb8810244a6753c173c178d08a",
+    "h2 --trivial 3 --coeff Z3": "43fcf6de54331101768cab8f14f61d15d68cd9c984d7b8b337024d6009f981cd",
+    "h2 --trivial 3 --coeff Z4": "c6c8a236bc7570916426ac0721f548890ebc8de013e2f5a5457680342e5789da",
+    "h2 --trivial 3 --coeff Z2xZ3": "c885164a55e766f4144a83d62ef3b022c5faa98fc7107b8873fee3f8eeca6efa",
+    "h2 --trivial 4 --coeff Z2": "37a21402711eade0f4599f8de2e2b3240830bccf25a423491a5fb8e3c687c5e0",
+    "h2 --trivial 4 --coeff Z3": "aa64c17accb504567d5f450260b46b554436b147c5da9aa4329b6c2fc5635beb",
+    "h2 --trivial 4 --coeff Z4": "a0f8a35a49b052abe9d7d02b2e0583ab7e8201981aeb1df8dd4ca4cbbb4d369b",
+    "h2 --trivial 4 --coeff Z2xZ3": "b199a9c396f9e5d5bc223f828682ad1b0acc2658f8a9f54a5da9806f042968e7",
+    "h2 --trivial 5 --coeff Z2": "f745c9f9af31566d259c936ad0d303ea939f090259a77942a2923f35f13a5c83",
+    "h2 --trivial 5 --coeff Z3": "0f88c46848feb1deed7991b8538ace9542cea500750adb7efad3fb9005d93df9",
+    "h2 --trivial 5 --coeff Z4": "f3974ac7772dea286c459f57c92a503dca650884ef422ff909fefb30e603c7b6",
+    "h2 --trivial 5 --coeff Z2xZ3": "41cf0d6bb8333835690ef80ffd87637821d78b41af0f53e403736da5ddcd06fd",
+    "h2 --trivial 6 --coeff Z2": "e20347772dd6ebcc9533204cde382790e4b15dd3898f15c4804a9e094c851805",
+    "h2 --trivial 6 --coeff Z3": "0ba8362494ee4c6bbb94fb3fe62db442cfbc80ecfdf6b8aca1efb2ac8153d24d",
+    "h2 --trivial 6 --coeff Z4": "427a9fbb3f8275a70030274cefff1746b71571a1f377c756a8e1be3040e94f25",
+    "h2 --trivial 6 --coeff Z2xZ3": "b3cf7f7be25fc6f793a36f7ce93efdba7c400a174662e69a19682269aa050c00",
+    "h2 --dihedral 3 --coeff Z2": "d7c337b04348cae39aac45b06f5dcf002c024bf6174e4419a9cbd01ed0319224",
+    "h2 --dihedral 3 --coeff Z3": "77d5e4a188e6541734b11aea024cc32b9e71bccd18af98fa293c05b6eb9099c3",
+    "h2 --dihedral 3 --coeff Z4": "6cd6209420d6f6bf86db4c5f6e82f85598189349ee27d2a05394dc83b6898609",
+    "h2 --dihedral 3 --coeff Z2xZ3": "06cf99e1c08505a5c3f1b09d078d1375c5c671215ec6e823a6a08e7def152f64",
+    "h2 --dihedral 4 --coeff Z2": "9927e82ebf90e3386e94fdb749b1f029c886643ca372828372a79052c5631b97",
+    "h2 --dihedral 4 --coeff Z3": "0fa199a29dcec0c91a9a4eea643e4f7a2b34d0e137cb35df8557172a1a5f92ea",
+    "h2 --dihedral 4 --coeff Z4": "354fc28b61a9a878d122a2e9c1f2c2f43c8b51540191168008b5c344473e9a0a",
+    "h2 --dihedral 4 --coeff Z2xZ3": "36436853583aeec879a0579aa15aed5fa028b80119b2e328ce0ec699c9f11d6c",
+    "h2 --dihedral 5 --coeff Z2": "2658f22416ac3205442b6e3e01554e2c6741a2f73a50b83d43afc49bbf27e271",
+    "h2 --dihedral 5 --coeff Z3": "904c7f259f6be8affd64f3a87aaf4661ac3d4553255938d9b2ff860654c11776",
+    "h2 --dihedral 5 --coeff Z4": "31a07cb6c90b8bad69f65e816e5478c85500a4e801d681a3a65a30e4a5fd5a39",
+    "h2 --dihedral 5 --coeff Z2xZ3": "dd5762c63cba1fa123dcd3640849325bb4a41196a5c81e8603a7af54c6af0839",
+    "h2 --dihedral 6 --coeff Z2": "a01815182b7d987457e9790db079867ebfff2bbe88e30a6e87ea3503070b9d30",
+    "h2 --dihedral 6 --coeff Z3": "9d756926fc06eaf078268f352016c1751705636b781732b8a6f1d7799f689a17",
+    "h2 --dihedral 6 --coeff Z4": "5c903f4162dd29dfea5a7c08e293461a97bf29dccec84609b1c59bb377ec62be",
+    "h2 --dihedral 6 --coeff Z2xZ3": "01eaf49f666651b89a9f6bc753d47c51c23ab2eb7589dad3543cd65521a3384c",
+    "h2 --dihedral 7 --coeff Z2": "ac4ae9bd5b4f718809e9094740768eafa25f5aee8d9a8311ca0059ee99e5fe41",
+    "h2 --conj S3 --coeff Z2": "fa7308c48ef189321ff6a419f8f7eb5c5150673729571f43343f96e32b2a0bb1",
+    "h2 --conj S3 --coeff Z3": "55faa9a8c7f415e2232f44b2cdc3363ab0d245a89ddc1000ebeabfabf6d861cd",
+    "h2 --core Z3 --coeff Z4": "055635e85b7cc4b6d784d01033b4318caac3a1056e6ca7189e302bd9f6be5c4b",
+    "h2 --core Z2xZ2 --coeff Z2xZ3": "af4829ccd57468fbd0cbd8ade8aafaaf272f8ad877202b22aedacd4cf70a019f",
+    "h2 --core Z5 --coeff Z2": "f14ca3be71109cef457d1f5e5e25f9c65268ce334d677c212b8978497add7118",
+    "envelope --trivial 3 --abelianization": "c139e7868c753887d84779a2c3770ce88a862e7a94c2a275f25ae2ac23783a1c",
+    "envelope --trivial 4 --abelianization": "7d73f760a627e3bb2e486ccbcd1351e5b60c60762f4faa51cfb07db2b7b07a40",
+    "envelope --trivial 5 --abelianization": "a0fcc29d53fc8fd486e461756faa08ffbf32328431981fa0916ced0ac6b75103",
+    "envelope --trivial 6 --abelianization": "47f0ea0616b798973515ccf4d6cb4f3749582472b66b8255529f18234d4056ee",
+    "envelope --trivial 7 --abelianization": "25e1a334dcd9250d2050d8fbae4020f5c001e244af7d266658796867c96b3426",
+    "envelope --trivial 8 --abelianization": "7c295f9257ff43588d57b33ac2bf857c04b486220854caebc8696d7c0f22a6ed",
+    "envelope --dihedral 3 --abelianization": "15ef7425ad695f2b9bbd5fd928a2c3d962057d95492ba4bbd5329eeee08635e9",
+    "envelope --dihedral 4 --abelianization": "2461141bfc37effdf163df4320f9503129d607766502949e2af549a28aeb5fad",
+    "envelope --dihedral 5 --abelianization": "52869bbd72ece7533da2d2c3023c77cbba6325f948a2fd905216a1c768c906c7",
+    "envelope --dihedral 6 --abelianization": "59cfb0cde9b78b0fa280f9483c15283ccd1b7a70f9680d8fa03082e1f9c532ad",
+    "envelope --dihedral 7 --abelianization": "e7d5dd2584c6641e0d90cef11ea0e130330ede75bd48999657ee0e6fc623975b",
+    "envelope --dihedral 8 --abelianization": "5e19dc86a44bcee9d8fd31e4bd9cca89848c76efa879544ac596a65d6017adc8",
+    "envelope --conj S3 --abelianization": "3268001778a0ef221ab12abe629b2a625d93783bd8ac4b37de7d8b71dc1d84ec",
+}
 
-@pytest.mark.parametrize("command", sorted(DIGESTS))
+
+@pytest.mark.parametrize("command", sorted(DIGESTS) + sorted(SNF_DIGESTS))
 def test_report_digest_is_pinned(command, capsys):
     assert cli.run(command.split()) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["report_digest"] == DIGESTS[command]
+    assert report["report_digest"] == {**DIGESTS, **SNF_DIGESTS}[command]
 
 
 ENUMERATION_DIGESTS = {
@@ -110,3 +172,23 @@ def test_enumeration_tables_are_pinned(n):
     tables = [[list(row) for row in q.table] for q in enumerate_quandles(n)]
     doc = json.dumps(tables, separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == ENUMERATION_DIGESTS[n]
+
+
+SNF_TRANSFORMS_DIGEST = "706f4afaeecb90edfa280d9c5a14951d36b94cec1e28a0311ba995e261917ec7"
+
+
+def test_smith_normal_form_transforms_are_pinned(monkeypatch):
+    """Seeded small matrices, then every matrix `compute_h2` reduces for two bases."""
+    rng = random.Random(47)
+    mats = []
+    for _ in range(60):
+        m, n = rng.randrange(1, 9), rng.randrange(1, 6)
+        mats.append([[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)])
+    real = cocycle.smith_normal_form
+    monkeypatch.setattr(cocycle, "smith_normal_form", lambda mat: mats.append(mat) or real(mat))
+    cocycle.compute_h2(build("dihedral", 5), (2, 3))
+    cocycle.compute_h2(build("trivial", 3), (4,))
+    assert len(mats) == 66
+    forms = [smith_normal_form(mat) for mat in mats]
+    doc = json.dumps([[s.d, s.u, s.v] for s in forms], separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == SNF_TRANSFORMS_DIGEST

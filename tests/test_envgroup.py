@@ -1,9 +1,13 @@
 """Tests for presentations, Smith normal form, coset enumeration, hom checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quandlekit import cocycle, envgroup
 from quandlekit.envgroup import (
     ConcreteModel,
     Presentation,
@@ -163,6 +167,145 @@ def test_smith_normal_form_certificate_on_random_matrices():
             for j in range(n):
                 if i != j:
                     assert d[i][j] == 0
+
+
+def integer_matrices(rows, cols):
+    """Integer matrices with a row count drawn from rows and a column count from cols."""
+    return st.tuples(rows, cols).flatmap(
+        lambda mn: st.lists(
+            st.lists(st.integers(-9, 9), min_size=mn[1], max_size=mn[1]),
+            min_size=mn[0],
+            max_size=mn[0],
+        )
+    )
+
+
+SMALL_MATRICES = integer_matrices(st.integers(1, 6), st.integers(1, 6))
+TALL_MATRICES = integer_matrices(st.integers(8, 24), st.integers(1, 3))
+
+
+def sympy_invariant_factors(mat) -> tuple:
+    """Nonzero invariant factors from sympy's Smith normal form over ZZ."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    d = sympy_snf(sympy.Matrix(mat), domain=sympy.ZZ)
+    return tuple(abs(int(d[i, i])) for i in range(min(d.shape)) if d[i, i] != 0)
+
+
+def assert_agrees_with_sympy(mat):
+    s = smith_normal_form(mat)
+    expected = sympy_invariant_factors(mat)
+    assert s.invariant_factors == expected
+    assert s.free_rank == len(mat[0]) - len(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(SMALL_MATRICES, TALL_MATRICES))
+def test_smith_normal_form_agrees_with_sympy(mat):
+    assert_agrees_with_sympy(mat)
+
+
+def test_smith_normal_form_agrees_with_sympy_on_h2_relations_of_r5(monkeypatch):
+    mats = []
+    real = cocycle.smith_normal_form
+    monkeypatch.setattr(cocycle, "smith_normal_form", lambda mat: mats.append(mat) or real(mat))
+    cocycle.compute_h2(build("dihedral", 5), (2, 3, 5))
+    assert len(mats) == 6
+    for mat in mats:
+        assert_agrees_with_sympy(mat)
+
+
+def fraction_inverse(mat) -> list:
+    """Exact inverse of an invertible integer matrix, by Gauss-Jordan over Fractions."""
+    n = len(mat)
+    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col] != 0)
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [v / pv for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(SMALL_MATRICES, TALL_MATRICES))
+def test_v_inv_is_the_inverse_of_v(mat):
+    s = smith_normal_form(mat)
+    n = len(mat[0])
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert matmul(s.v, s.v_inv) == identity
+    assert [list(row) for row in s.v_inv] == fraction_inverse(s.v)
+
+
+# Nonsingular, so D has no zero row or column and dropping any one
+# elementary operation from U or V changes U*A*V.
+NONSINGULAR = [[2, 4, 4], [-6, 6, 12], [10, -4, -15]]
+
+
+def transform_updates(monkeypatch, mat) -> int:
+    """How many sparse updates of U, U^-1, V and V^-1 reducing mat makes."""
+    real = envgroup._axpy
+    calls = []
+    monkeypatch.setattr(envgroup, "_axpy", lambda dst, src, c: calls.append(c) or real(dst, src, c))
+    assert smith_normal_form(mat).invariant_factors == (1, 2, 54)
+    monkeypatch.setattr(envgroup, "_axpy", real)
+    return len(calls)
+
+
+def test_a_corrupted_transform_update_fails_the_certificate(monkeypatch):
+    """Each update of U, U^-1, V or V^-1, made off by one in turn, is caught."""
+    real = envgroup._axpy
+    count = transform_updates(monkeypatch, NONSINGULAR)
+    assert count > 20
+    for target in range(count):
+        seen = []
+
+        def off_by_one(dst, src, c):
+            real(dst, src, c)
+            if len(seen) == target:
+                k = next(iter(src))
+                dst[k] = dst.get(k, 0) + 1
+            seen.append(c)
+
+        monkeypatch.setattr(envgroup, "_axpy", off_by_one)
+        with pytest.raises(AssertionError, match="unimodularity"):
+            smith_normal_form(NONSINGULAR)
+
+
+def test_a_dropped_elementary_operation_fails_the_product_check(monkeypatch):
+    """Dropping one operation from both U and U^-1 (or V and V^-1) keeps them
+    inverse to each other, so only U*A*V = D can catch it."""
+    real = envgroup._axpy
+    count = transform_updates(monkeypatch, NONSINGULAR)
+    for target in range(0, count, 2):
+        seen = []
+
+        def drop_pair(dst, src, c):
+            if len(seen) not in (target, target + 1):
+                real(dst, src, c)
+            seen.append(c)
+
+        monkeypatch.setattr(envgroup, "_axpy", drop_pair)
+        with pytest.raises(AssertionError, match="U\\*A\\*V"):
+            smith_normal_form(NONSINGULAR)
+
+
+def test_inverse_pair_check_rejects_one_changed_entry():
+    rows = [{0: 2, 1: 1}, {0: 1, 1: 1}, {2: -1}]
+    cols = [{0: 1, 1: -1}, {0: -1, 1: 2}, {2: -1}]
+    assert envgroup._is_inverse_pair(rows, cols)
+    for i in range(3):
+        for j in range(3):
+            changed = [dict(col) for col in cols]
+            changed[j][i] = changed[j].get(i, 0) + 1
+            assert not envgroup._is_inverse_pair(rows, changed)
+    assert not envgroup._is_inverse_pair([{0: 1}], [{0: 1}, {1: 1}])
 
 
 def test_relator_matrix_of_r3():
