@@ -322,7 +322,8 @@ def _run_subcommand(args, inputs: _Inputs):
         q = _source_quandle(args, inputs)
         moduli = _parse_moduli(args.coeff)
         max_order = 8 if args.cap_order is None else args.cap_order
-        factors, reps = cocyclemod.compute_h2(q, moduli, max_order=max_order)
+        with _cap_order_flag():
+            factors, reps = cocyclemod.compute_h2(q, moduli, max_order=max_order)
         results = {
             "moduli": list(moduli),
             "invariant_factors": list(factors),

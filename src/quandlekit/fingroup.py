@@ -283,23 +283,10 @@ def generating_sequence(group: FiniteGroup) -> list[int]:
     for x in range(group.order):
         if x not in span:
             gens.append(x)
-            span = _spanned(group, gens)
+            span = set(_bfs_order(group, gens)[0])
             if len(span) == group.order:
                 break
     return gens
-
-
-def _spanned(group: FiniteGroup, gens: Sequence[int]) -> set[int]:
-    seen = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.table[g][x]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
 
 
 def _bfs_order(group: FiniteGroup, gens: Sequence[int]):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -25,6 +25,7 @@ from .perm import (
     DEFAULT_ORDER_CAP,
     Perm,
     PermGroup,
+    _dimino,
     closure,
     orbit_partition as _perm_orbits,
 )
@@ -237,23 +238,32 @@ def _element_invariants(table, n):
     return inv
 
 
-def _iso_images(t1, t2, n, find_all):
-    """Table isomorphisms t1 -> t2 by most-constrained-first backtracking.
+def _search_order(inv):
+    """Elements most constrained first: most elements moved, then by index."""
+    return sorted(range(len(inv)), key=lambda x: (-inv[x][0], x))
 
-    Forced values propagate through the tables: as soon as x and y have
-    images, so does x * y.  Candidates are filtered by per-element
-    invariants (row fixedness, column cycle type).
+
+def _iso_images(t1, t2, n, pairs=(), inv1=None, inv2=None):
+    """The first table isomorphism t1 -> t2 found by backtracking, or None.
+
+    Each `(x, v)` in `pairs` is assigned x -> v before the search starts.
+    The remaining elements are chosen most-constrained first.  Forced values
+    propagate through the tables: as soon as x and y have images, so does
+    x * y, and every pair of assigned elements is checked against both
+    tables.  Candidates are filtered by per-element invariants (row
+    fixedness, column cycle type), which may be passed in precomputed.
     """
-    inv1 = _element_invariants(t1, n)
-    inv2 = _element_invariants(t2, n)
+    if inv1 is None:
+        inv1 = _element_invariants(t1, n)
+    if inv2 is None:
+        inv2 = _element_invariants(t2, n)
     if sorted(inv1) != sorted(inv2):
-        return []
-    static_order = sorted(range(n), key=lambda x: (-inv1[x][0], x))
+        return None
+    static_order = _search_order(inv1)
     cand = [[v for v in range(n) if inv2[v] == inv1[x]] for x in range(n)]
     mapping = [-1] * n
     used = [False] * n
     assigned: list[int] = []
-    results: list[tuple[int, ...]] = []
 
     def process(start: int) -> bool:
         qi = start
@@ -282,8 +292,7 @@ def _iso_images(t1, t2, n, find_all):
         while k < n and mapping[static_order[k]] != -1:
             k += 1
         if k == n:
-            results.append(tuple(mapping))
-            return not find_all
+            return True
         x = static_order[k]
         for v in cand[x]:
             if used[v]:
@@ -300,24 +309,114 @@ def _iso_images(t1, t2, n, find_all):
             del assigned[mark:]
         return False
 
-    rec(0)
-    return results
+    for x, v in pairs:
+        if mapping[x] == v:
+            continue
+        if mapping[x] != -1 or used[v] or inv1[x] != inv2[v]:
+            return None
+        mapping[x] = v
+        used[v] = True
+        assigned.append(x)
+        if not process(len(assigned) - 1):
+            return None
+    return tuple(mapping) if rec(0) else None
+
+
+def _base(table, order):
+    """Elements of `order` outside the subquandle generated by the earlier ones.
+
+    These are the choice points on the identity path of `_iso_images`: once
+    the earlier ones are mapped to themselves, propagation fixes their whole
+    subquandle.  An automorphism fixing the base fixes every element.
+    """
+    inside: set[int] = set()
+    base = []
+    for x in order:
+        if x in inside:
+            continue
+        base.append(x)
+        inside.add(x)
+        fresh = [x]
+        while fresh:
+            a = fresh.pop()
+            for b in list(inside):
+                for c in (table[a][b], table[b][a]):
+                    if c not in inside:
+                        inside.add(c)
+                        fresh.append(c)
+    return base
+
+
+def _orbit(x, gens):
+    """Orbit of x under the group generated by image tuples."""
+    orbit = [x]
+    seen = {x}
+    for y in orbit:  # grows while it is walked
+        for g in gens:
+            z = g[y]
+            if z not in seen:
+                seen.add(z)
+                orbit.append(z)
+    return seen
 
 
 def aut(q: Quandle, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
-    """Full automorphism group, materialized by backtracking."""
-    if q.order > cap:
-        raise CapExceeded(f"order {q.order} exceeds automorphism cap {cap}")
-    maps = _iso_images(q.table, q.table, q.order, find_all=True)
-    return PermGroup.from_elements([Perm(m) for m in maps], degree=q.order)
+    """Full automorphism group, closed from generators found along a base.
+
+    The base b_1, ..., b_k is `_base` over the search order of `_iso_images`.
+    Levels are searched deepest first.  At level i the earlier base points
+    are fixed, and one first-match search sends b_i to each candidate v (same
+    invariants) not yet in the orbit of b_i under the generators found so
+    far.  A map found is kept as a generator; a failed v proves that no point
+    of its orbit is an image either, and the orbit is skipped.  The
+    generators then reach the whole orbit of each b_i under the stabilizer of
+    b_1, ..., b_(i-1), so they generate Aut(q), of order the product of those
+    orbit lengths (Seress, Permutation Group Algorithms, 2003, ch. 4; McKay
+    and Piperno, Practical graph isomorphism II, 2014).
+
+    Each generator is re-checked against the table, and the order of their
+    Dimino closure against that product.  The reported generators are
+    picked greedily over the sorted elements, as in `PermGroup.from_elements`.
+    """
+    n = q.order
+    if n > cap:
+        raise CapExceeded(f"order {n} exceeds automorphism cap {cap}")
+    t = q.table
+    inv = _element_invariants(t, n)
+    base = _base(t, _search_order(inv))
+    gens: list[tuple[int, ...]] = []
+    order = 1
+    for i in reversed(range(len(base))):
+        b = base[i]
+        fixed = [(x, x) for x in base[:i]]
+        orbit = {b}
+        failed: set[int] = set()
+        for v in range(n):
+            if v in orbit or v in failed or inv[v] != inv[b]:
+                continue
+            g = _iso_images(t, t, n, fixed + [(b, v)], inv, inv)
+            if g is None:
+                failed |= _orbit(v, gens)
+            else:
+                if not QuandleMap(q, q, g).is_bijective():
+                    raise AssertionError("the search returned a map that is not a bijection")
+                gens.append(g)
+                orbit = _orbit(b, gens)
+        order *= len(orbit)
+    _, elements = _dimino(gens, n, cap=factorial(n))  # no group on n points is larger
+    if len(elements) != order:
+        raise AssertionError("the generators do not close to the product of the orbit lengths")
+    elements.sort()
+    added, _ = _dimino(elements, n, cap=order)
+    return PermGroup(n, [Perm(g) for g in added], [Perm(g) for g in elements])
 
 
 def find_isomorphism(a: Quandle, b: Quandle) -> Perm | None:
     """An isomorphism a -> b as a permutation of indices, or None."""
     if a.order != b.order:
         return None
-    maps = _iso_images(a.table, b.table, a.order, find_all=False)
-    return Perm(maps[0]) if maps else None
+    images = _iso_images(a.table, b.table, a.order)
+    return None if images is None else Perm(images)
 
 
 def is_isomorphic(a: Quandle, b: Quandle) -> bool:
@@ -506,7 +605,7 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[Quandle]:
         fp = _fingerprint(t, n)
         bucket = buckets.setdefault(fp, [])
         for rep in bucket:
-            if _iso_images(t, rep, n, find_all=False):
+            if _iso_images(t, rep, n) is not None:
                 break
         else:
             bucket.append(t)

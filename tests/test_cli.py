@@ -245,8 +245,8 @@ def test_theorem_empty_sweep_exits_two(capsys):
 @pytest.mark.parametrize(
     "argv",
     [["enumerate", "7"], ["aut", "--trivial", "9"], ["qinn", "--trivial", "9"],
-     ["invariants", "--trivial", "9"]],
-    ids=["enumerate", "aut", "qinn", "invariants"],
+     ["invariants", "--trivial", "9"], ["h2", "--trivial", "9", "--coeff", "Z2"]],
+    ids=["enumerate", "aut", "qinn", "invariants", "h2"],
 )
 def test_cap_errors_name_the_flag(capsys, argv):
     code, captured = invoke(argv, capsys)

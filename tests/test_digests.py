@@ -15,6 +15,12 @@ Smith normal form transforms, were recorded while the transforms were
 certified by Bareiss determinants and `compute_h2` inverted V by
 Gauss-Jordan elimination over fractions.  The `h2` digests cover the
 cocycle representatives, which are read off V and its inverse.
+
+The `AUT_SEARCH_DIGESTS` (`Conj(S4)`, Alexander quandles of Z5 and Z7, and
+the suites that compute automorphism groups) were recorded while `aut`
+enumerated every automorphism by backtracking and re-closed them greedily,
+before it searched for generators along a base.  The Alexander quandles read
+their automorphism `x -> u x` from a file named in the command.
 """
 
 import hashlib
@@ -155,6 +161,50 @@ def test_report_digest_is_pinned(command, capsys):
     assert cli.run(command.split()) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["report_digest"] == {**DIGESTS, **SNF_DIGESTS}[command]
+
+
+AUT_SEARCH_DIGESTS = {
+    "aut --conj S4 --cap-order 24": "246bf9cbc1d0ae061585eb49fc43b25d10740bf5914446cc27492a3162399134",
+    "qinn --conj S4 --cap-order 24": "7e6951ea3fdcc6d1e7a7eb1dee15ba3c7b2652c8521ebea77e340c674972df01",
+    "invariants --conj S4 --cap-order 24": "73ed140dbdc64a7e4e234d9a09d366aa51639fe85ed2a4f0b9ec644e3a0b18c6",
+    "aut --alexander Z5 z5u2.json": "add20ad7ee65b59844dcd299df8c8d50f7accc16b49cebe79bac721f12cfd0d9",
+    "qinn --alexander Z5 z5u2.json": "87c5b905794c230eb3aa84bb04f656d54a9b2447a87b14752fd9adf5a88bda04",
+    "invariants --alexander Z5 z5u2.json": "326f41335a9182ae617bd2573c544d5c7e5f06408dfed55d794bdf7525feece4",
+    "aut --alexander Z5 z5u3.json": "8bb004218443c440d22a6b0036d2da03febeecb62406547c9ce2a547393c8c8f",
+    "qinn --alexander Z5 z5u3.json": "594c86079321b3bbdf3809cfd84614a7f70591e14730b5000d6627fc83b5a944",
+    "invariants --alexander Z5 z5u3.json": "0208e68b5e93d93bbe9fe70ad6805a3214fa2a744457f5c98c67ffe429611669",
+    "aut --alexander Z7 z7u2.json": "fb891740870514e8be66ee3bb0c35937898c22f5b985701cb96f6cfa8a760a1b",
+    "qinn --alexander Z7 z7u2.json": "03b2f848b1300bb64463e2312f78d6ff939a02b62c14f3c3cb299bc4aad66df1",
+    "invariants --alexander Z7 z7u2.json": "7228e8344256852c58b79db3aa570ba53c6ef5ad3cb7973a1f27b8749d84fae0",
+    "aut --alexander Z7 z7u3.json": "05f0659d8632eb7d82133c4d5f65ad4877471eabdda0a1761ba9d0447a7ec1ef",
+    "qinn --alexander Z7 z7u3.json": "c8e08f0b42622ff80bc27cd770b6fed8d3fd18f6511045f1c1dd63432befc179",
+    "invariants --alexander Z7 z7u3.json": "0b2281b77c665faed5b0a40be181a4633d36e90cccd0888292e43ff5f3ce2f36",
+    "theorem 4.3": "1d49809b5db34a960a58fd969ca266b29d4e9b4ec8697f60e60fb1968c8b530b",
+    "theorem 4.4": "743d9dc356cc365920408801a1a6254de1f479cac3392377f4d70a34302e518f",
+    "theorem 4.5": "1be2ec09a3695fc16a858d7b128d8e1c10b518a4a8179202ada92da3482afe23",
+    "theorem 4.6": "41a926f1d926d684666df901bc419455a2e601c444b1562f282ef40986e3cd5e",
+    "theorem 5.1": "a651717e770ef7caf15e7de4f81c5a380b610fe061b73ab206dacb842654de4c",
+    "theorem 5.2": "58713c163895861d26677164a9615dad1db4c80d4a7d456bf95187303ad38d08",
+    "theorem 5.3": "24d77a2750def3d770d4acde4d8d50be104a5ec7652f6c0beec87e11b3c31201",
+    "theorem 5.4": "43542bf98a4d63c535b811d1947c179e06247bc17203459741cf7048b2d3b486",
+    "theorem 5.5": "4f794cbf5ec8865939ee41cbce7e99d62731f7793c67f08d34e67e784a372be3",
+    "theorem 5.6": "df2a8f3b6e6b3dfc75fd0d9569a3953da5c697346a3d5e4dad94c67cf6e63e3b",
+    "theorem 5.7": "f48f0171952853e8ad0ddba933bcd944e899c1ba0e74e3f614b9417a27735bbe",
+    "theorem 8.3": "26b02975c9b3841948318ea236801159743020eeec24aad1df427a15a6306290",
+    "theorem 8.4": "63dc98e96ea28cc58a7672e556f5cc25daa8a543314ba8f370308e26a112d314",
+}
+
+
+@pytest.mark.parametrize("command", sorted(AUT_SEARCH_DIGESTS))
+def test_automorphism_search_digest_is_pinned(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for n in (5, 7):
+        for u in (2, 3):
+            images = json.dumps([u * x % n for x in range(n)])
+            (tmp_path / f"z{n}u{u}.json").write_text(images + "\n")
+    assert cli.run(command.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["report_digest"] == AUT_SEARCH_DIGESTS[command]
 
 
 ENUMERATION_DIGESTS = {

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from quandlekit.errors import (
     HypothesisViolated,
     NotAHomomorphism,
 )
-from quandlekit.perm import Perm, is_k_transitive
+from quandlekit.perm import Perm, PermGroup, is_k_transitive
 from quandlekit.quandle import (
     Quandle,
     QuandleMap,
@@ -154,6 +155,41 @@ def test_aut_orders_of_small_dihedral_quandles():
 def test_aut_matches_naive_filter():
     for q in (build("dihedral", 3), build("dihedral", 4), Quandle.from_table(JOYCE_TABLE), build("trivial", 4)):
         assert {g.images for g in aut(q).elements} == naive_aut(q)
+
+
+SMALL_CLASSES = [q.table for n in range(1, 6) for q in enumerate_quandles(n)]
+ORDER_SIX_SAMPLE = [q.table for q in enumerate_quandles(6)[::6]]
+
+
+def assert_aut_is_brute_force_group(q):
+    expected = PermGroup.from_elements([Perm(p) for p in naive_aut(q)], degree=q.order)
+    found = aut(q)
+    assert found.elements == expected.elements
+    assert found.generators == expected.generators
+
+
+@pytest.mark.parametrize("index", range(len(SMALL_CLASSES)))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_aut_of_relabeled_small_class_matches_brute_force(index, data):
+    table = SMALL_CLASSES[index]
+    sigma = data.draw(st.permutations(range(len(table))))
+    assert_aut_is_brute_force_group(Quandle.from_table(relabel(table, sigma)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=st.sampled_from(ORDER_SIX_SAMPLE), sigma=st.permutations(range(6)))
+def test_aut_of_relabeled_order_six_class_matches_brute_force(table, sigma):
+    assert_aut_is_brute_force_group(Quandle.from_table(relabel(table, sigma)))
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_aut_of_odd_dihedral_quandle_is_the_affine_group(n):
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    group = aut(build("dihedral", n), cap=n)
+    assert group.order == n * len(units)
+    affine = {tuple((a * x + b) % n for x in range(n)) for a in units for b in range(n)}
+    assert {g.images for g in group.elements} == affine
 
 
 def test_aut_cap():
@@ -452,9 +488,6 @@ ORDER_FIVE = [q.table for q in enumerate_quandles(5)]
 def test_canonical_table_of_relabeled_order_five_class(index, sigma):
     table = relabel(ORDER_FIVE[index], sigma)
     assert _canonical_table(table, 5) == reference_canonical(table) == ORDER_FIVE[index]
-
-
-ORDER_SIX_SAMPLE = [q.table for q in enumerate_quandles(6)[::6]]
 
 
 @settings(max_examples=25, deadline=None)
