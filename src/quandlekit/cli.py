@@ -14,6 +14,7 @@ runs with the same inputs are byte-identical apart from "timing_ms".
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import json
@@ -41,66 +42,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="quandlekit", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
-
-    def add(name, help_text, source=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--pretty", action="store_true", help="aligned tables instead of JSON")
-        p.add_argument("--cap-order", type=int, default=None, metavar="N",
-                       help="override order caps (automorphism search, enumeration, "
-                            "cohomology, abelian fibers)")
-        p.add_argument("--cap-group", type=int, default=None, metavar="N",
-                       help="override the group-construction cap")
-        if source:
-            grp = p.add_mutually_exclusive_group(required=True)
-            grp.add_argument("--trivial", type=int, metavar="N")
-            grp.add_argument("--dihedral", type=int, metavar="N")
-            grp.add_argument("--conj", metavar="SPEC")
-            grp.add_argument("--core", metavar="SPEC")
-            grp.add_argument("--alexander", nargs=2, metavar=("SPEC", "AUTFILE"))
-            grp.add_argument("--file", metavar="PATH")
-            p.add_argument("--power", type=int, default=None, metavar="K",
-                           help="conjugation exponent, only with --conj")
-        return p
-
-    add("build", "construct a quandle and print it", source=True)
-    add("invariants", "orders, orbits and flags of a quandle", source=True)
-    add("aut", "automorphism group of a quandle", source=True)
-    add("inn", "inner automorphism group of a quandle", source=True)
-    add("qinn", "quasi-inner automorphism group of a quandle", source=True)
-
-    p = add("iso", "test two quandle files for isomorphism")
-    p.add_argument("file1", metavar="FILE1")
-    p.add_argument("file2", metavar="FILE2")
-
-    p = add("enumerate", "all isomorphism classes of a given order")
-    p.add_argument("n", type=int, metavar="N")
-
-    p = add("envelope", "enveloping-group computations", source=True)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--abelianization", action="store_true")
-    mode.add_argument("--coset-enum", metavar="SUBGENS",
-                      help="JSON list of subgroup words in signed 1-based letters")
-    p.add_argument("--max-cosets", type=int, default=None, metavar="M")
-
-    p = add("extend", "extension quandle of a cocycle file")
-    p.add_argument("cocyclefile", metavar="COCYCLEFILE")
-
-    p = add("h2", "second cohomology with cyclic-sum coefficients", source=True)
-    p.add_argument("--coeff", required=True, metavar="SPEC")
-
-    p = add("union", "glue two quandles along a union spec file")
-    p.add_argument("specfile", metavar="SPECFILE")
-
-    p = add("theorem", "run a named check suite")
-    p.add_argument("tid", metavar="ID")
-    p.add_argument("--max-order", type=int, default=None, metavar="N")
-    p.add_argument("--trials", type=int, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=None, metavar="N")
-
-    return parser
+_FILE_READERS = {
+    "quandle": Quandle.from_json,
+    "constant_cocycle": cocyclemod.ConstantCocycle.from_json,
+    "abelian_cocycle": cocyclemod.AbelianCocycle.from_json,
+    "union_spec": constructmod.UnionSpec.from_json,
+    "presentation": envgroup.Presentation.from_json,
+}
 
 
 class _Inputs:
@@ -121,85 +69,64 @@ class _Inputs:
         except json.JSONDecodeError as exc:
             raise QuandleKitError(f"{path} is not valid JSON: {exc}") from exc
 
+    def load_doc(self, path: str, expected: tuple):
+        """Load a JSON document and read it by its top-level kind field."""
+        doc = self.load_json(path)
+        if not isinstance(doc, dict):
+            raise QuandleKitError(f"{path}: expected a JSON object")
+        kind = doc.get("kind")
+        if kind is None:
+            raise QuandleKitError(f"{path}: missing the 'kind' field")
+        if kind not in _FILE_READERS:
+            raise QuandleKitError(f"{path}: unknown kind {kind!r}")
+        if kind not in expected:
+            raise QuandleKitError(
+                f"{path}: kind {kind!r} not usable here (expected one of {', '.join(expected)})"
+            )
+        return _FILE_READERS[kind](doc)
+
 
 def _canonical(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-_FILE_READERS = {
-    "quandle": Quandle.from_json,
-    "constant_cocycle": cocyclemod.ConstantCocycle.from_json,
-    "abelian_cocycle": cocyclemod.AbelianCocycle.from_json,
-    "union_spec": constructmod.UnionSpec.from_json,
-    "presentation": envgroup.Presentation.from_json,
-}
+@contextlib.contextmanager
+def _cap_flag(flag: str):
+    """Name the flag that raises the cap in a CapExceeded from a capped call."""
+    try:
+        yield
+    except CapExceeded as exc:
+        raise CapExceeded(f"{exc} (raise it with {flag})") from exc
 
 
-def _detect(doc, path: str, expected: tuple):
-    """Dispatch a loaded JSON document on its top-level kind field."""
-    if not isinstance(doc, dict):
-        raise QuandleKitError(f"{path}: expected a JSON object")
-    kind = doc.get("kind")
-    if kind is None:
-        raise QuandleKitError(f"{path}: missing the 'kind' field")
-    if kind not in _FILE_READERS:
-        raise QuandleKitError(f"{path}: unknown kind {kind!r}")
-    if kind not in expected:
-        raise QuandleKitError(
-            f"{path}: kind {kind!r} not usable here (expected one of {', '.join(expected)})"
-        )
-    return kind, _FILE_READERS[kind](doc)
-
-
-def _group_from_spec(spec: str, cap_group: int | None):
-    cap = fingroup.DEFAULT_GROUP_CAP if cap_group is None else cap_group
-    return fingroup.make_group(spec, cap=cap)
+def _cap_order(args, default: int) -> int:
+    return default if args.cap_order is None else args.cap_order
 
 
 def _source_quandle(args, inputs: _Inputs) -> Quandle:
     if args.power is not None and args.conj is None:
         raise _UsageError("quandlekit: error: --power only applies with --conj")
-    if args.trivial is not None:
-        return quandlemod.build("trivial", args.trivial)
-    if args.dihedral is not None:
-        return quandlemod.build("dihedral", args.dihedral)
-    if args.conj is not None:
-        group = _group_from_spec(args.conj, args.cap_group)
-        power = 1 if args.power is None else args.power
-        return fingroup.conj_quandle(group, power)
-    if args.core is not None:
-        return fingroup.core_quandle(_group_from_spec(args.core, args.cap_group))
-    if args.alexander is not None:
-        spec, autfile = args.alexander
-        group = _group_from_spec(spec, args.cap_group)
-        images = inputs.load_json(autfile)
-        if not isinstance(images, list) or not all(type(i) is int for i in images):
-            raise QuandleKitError(f"{autfile}: expected a JSON array of integer images")
-        return fingroup.alexander_quandle(group, Perm(images))
-    doc = inputs.load_json(args.file)
-    _, q = _detect(doc, args.file, expected=("quandle",))
-    return q
-
-
-def _aut_cap(args) -> int:
-    return quandlemod.DEFAULT_AUT_CAP if args.cap_order is None else args.cap_order
-
-
-@contextlib.contextmanager
-def _cap_order_flag():
-    """Name --cap-order in a CapExceeded raised by an order-capped call."""
-    try:
-        yield
-    except CapExceeded as exc:
-        raise CapExceeded(f"{exc} (raise it with --cap-order)") from exc
-
-
-def _permgroup_doc(group) -> dict:
-    return {
-        "degree": group.degree,
-        "order": group.order,
-        "generators": [list(g.images) for g in group.generators],
-    }
+    cap = fingroup.DEFAULT_GROUP_CAP if args.cap_group is None else args.cap_group
+    with _cap_flag("--cap-group"):
+        for kind in ("trivial", "dihedral"):
+            n = getattr(args, kind)
+            if n is not None:
+                if n > cap:
+                    raise CapExceeded(f"quandle order {n} exceeds the construction cap {cap}")
+                return quandlemod.build(kind, n)
+        if args.conj is not None:
+            power = 1 if args.power is None else args.power
+            return fingroup.conj_quandle(fingroup.make_group(args.conj, cap=cap), power)
+        if args.core is not None:
+            return fingroup.core_quandle(fingroup.make_group(args.core, cap=cap))
+        if args.alexander is not None:
+            spec, autfile = args.alexander
+            group = fingroup.make_group(spec, cap=cap)
+            images = inputs.load_json(autfile)
+            if not isinstance(images, list) or not all(type(i) is int for i in images):
+                raise QuandleKitError(f"{autfile}: expected a JSON array of integer images")
+            return fingroup.alexander_quandle(group, Perm(images))
+    return inputs.load_doc(args.file, ("quandle",))
 
 
 _COEFF_RE = re.compile(r"^Z(\d+)$")
@@ -215,137 +142,203 @@ def _parse_moduli(spec: str) -> tuple:
     return tuple(moduli)
 
 
-def _run_subcommand(args, inputs: _Inputs):
-    """Compute (results, checks) for a parsed invocation."""
-    cmd = args.subcommand
+# One handler per subcommand; each computes (results, checks).
+def _build(args, inputs):
+    return _source_quandle(args, inputs).to_json(), {}
 
-    if cmd == "build":
-        return _source_quandle(args, inputs).to_json(), {}
 
-    if cmd == "invariants":
-        q = _source_quandle(args, inputs)
-        with _cap_order_flag():
-            aut_q = quandlemod.aut(q, cap=_aut_cap(args))
-        results = {
-            "order": q.order,
-            "aut_order": aut_q.order,
-            "inn_order": quandlemod.inn(q).order,
-            "qinn_order": quandlemod.quasi_inner_subgroup(q, aut_q).order,
-            "connected": quandlemod.is_connected(q),
-            "involutory": quandlemod.is_involutory(q),
-            "orbits": quandlemod.orbit_partition(q),
-            "center": quandlemod.center(q),
-        }
-        return results, {}
+def _invariants(args, inputs):
+    q = _source_quandle(args, inputs)
+    with _cap_flag("--cap-order"):
+        aut_q = quandlemod.aut(q, cap=_cap_order(args, quandlemod.DEFAULT_AUT_CAP))
+    return {
+        "order": q.order,
+        "aut_order": aut_q.order,
+        "inn_order": quandlemod.inn(q).order,
+        "qinn_order": quandlemod.quasi_inner_subgroup(q, aut_q).order,
+        "connected": quandlemod.is_connected(q),
+        "involutory": quandlemod.is_involutory(q),
+        "orbits": quandlemod.orbit_partition(q),
+        "center": quandlemod.center(q),
+    }, {}
 
-    if cmd in ("aut", "inn", "qinn"):
-        q = _source_quandle(args, inputs)
-        if cmd == "inn":
-            group = quandlemod.inn(q)
-        else:
-            search = quandlemod.aut if cmd == "aut" else quandlemod.qinn
-            with _cap_order_flag():
-                group = search(q, cap=_aut_cap(args))
-        return _permgroup_doc(group), {}
 
-    if cmd == "iso":
-        _, q1 = _detect(inputs.load_json(args.file1), args.file1, ("quandle",))
-        _, q2 = _detect(inputs.load_json(args.file2), args.file2, ("quandle",))
-        witness = quandlemod.find_isomorphism(q1, q2)
-        results = {
-            "isomorphic": witness is not None,
-            "witness": None if witness is None else list(witness.images),
-        }
-        return results, {"isomorphic": witness is not None}
+def _group(args, inputs):
+    """aut, inn and qinn: the named permutation group of the quandle."""
+    q = _source_quandle(args, inputs)
+    if args.subcommand == "inn":
+        group = quandlemod.inn(q)
+    else:
+        search = quandlemod.aut if args.subcommand == "aut" else quandlemod.qinn
+        with _cap_flag("--cap-order"):
+            group = search(q, cap=_cap_order(args, quandlemod.DEFAULT_AUT_CAP))
+    return {
+        "degree": group.degree,
+        "order": group.order,
+        "generators": [list(g.images) for g in group.generators],
+    }, {}
 
-    if cmd == "enumerate":
-        cap = quandlemod.DEFAULT_ENUM_CAP if args.cap_order is None else args.cap_order
-        with _cap_order_flag():
-            classes = quandlemod.enumerate_quandles(args.n, cap=cap)
-        results = {
-            "order": args.n,
-            "count": len(classes),
-            "tables": [[list(row) for row in q.table] for q in classes],
-        }
-        return results, {}
 
-    if cmd == "envelope":
-        q = _source_quandle(args, inputs)
-        p = envgroup.presentation_of(q)
-        if args.abelianization:
-            free_rank, torsion = envgroup.abelianization(p)
-            results = {
-                "generators": p.ngens,
-                "relators": len(p.relators),
-                "free_rank": free_rank,
-                "torsion": list(torsion),
-            }
-            return results, {}
-        if args.max_cosets is None:
-            raise _UsageError("quandlekit: error: --coset-enum requires --max-cosets")
-        try:
-            words_doc = json.loads(args.coset_enum)
-        except json.JSONDecodeError as exc:
-            raise QuandleKitError(f"bad SUBGENS value: {exc}") from exc
-        if not isinstance(words_doc, list):
-            raise QuandleKitError("SUBGENS must be a JSON list of words")
-        words = [envgroup.word_from_json(w) for w in words_doc]
-        index = envgroup.todd_coxeter(p, subgroup_words=words, max_cosets=args.max_cosets)
-        results = {
+def _iso(args, inputs):
+    q1, q2 = (inputs.load_doc(path, ("quandle",)) for path in (args.file1, args.file2))
+    witness = quandlemod.find_isomorphism(q1, q2)
+    results = {
+        "isomorphic": witness is not None,
+        "witness": None if witness is None else list(witness.images),
+    }
+    return results, {"isomorphic": witness is not None}
+
+
+def _enumerate(args, inputs):
+    cap = _cap_order(args, quandlemod.DEFAULT_ENUM_CAP)
+    with _cap_flag("--cap-order"):
+        classes = quandlemod.enumerate_quandles(args.n, cap=cap)
+    return {
+        "order": args.n,
+        "count": len(classes),
+        "tables": [[list(row) for row in q.table] for q in classes],
+    }, {}
+
+
+def _envelope(args, inputs):
+    q = _source_quandle(args, inputs)
+    p = envgroup.presentation_of(q)
+    if args.abelianization:
+        free_rank, torsion = envgroup.abelianization(p)
+        return {
             "generators": p.ngens,
-            "subgroup_words": words_doc,
-            "max_cosets": args.max_cosets,
-            "index": index,
-        }
-        return results, {}
+            "relators": len(p.relators),
+            "free_rank": free_rank,
+            "torsion": list(torsion),
+        }, {}
+    if args.max_cosets is None:
+        raise _UsageError("quandlekit: error: --coset-enum requires --max-cosets")
+    try:
+        words_doc = json.loads(args.coset_enum)
+    except json.JSONDecodeError as exc:
+        raise QuandleKitError(f"bad SUBGENS value: {exc}") from exc
+    if not isinstance(words_doc, list):
+        raise QuandleKitError("SUBGENS must be a JSON list of words")
+    words = [envgroup.word_from_json(w) for w in words_doc]
+    index = envgroup.todd_coxeter(p, subgroup_words=words, max_cosets=args.max_cosets)
+    return {
+        "generators": p.ngens,
+        "subgroup_words": words_doc,
+        "max_cosets": args.max_cosets,
+        "index": index,
+    }, {}
 
-    if cmd == "extend":
-        doc = inputs.load_json(args.cocyclefile)
-        kind, value = _detect(
-            doc, args.cocyclefile, ("constant_cocycle", "abelian_cocycle")
-        )
-        if kind == "constant_cocycle":
-            alpha = value
+
+def _extend(args, inputs):
+    alpha = inputs.load_doc(args.cocyclefile, ("constant_cocycle", "abelian_cocycle"))
+    if isinstance(alpha, cocyclemod.AbelianCocycle):
+        cap = _cap_order(args, cocyclemod.DEFAULT_FIBER_CAP)
+        with _cap_flag("--cap-order"):
+            alpha = cocyclemod.abelian_to_constant(alpha, cap=cap)
+    ext = cocyclemod.extend(alpha)
+    return {
+        "base_order": alpha.base.order,
+        "fiber": alpha.fiber_size,
+        "extension": ext.to_json(),
+    }, {}
+
+
+def _h2(args, inputs):
+    q = _source_quandle(args, inputs)
+    moduli = _parse_moduli(args.coeff)
+    with _cap_flag("--cap-order"):
+        factors, reps = cocyclemod.compute_h2(q, moduli, max_order=_cap_order(args, 8))
+    return {
+        "moduli": list(moduli),
+        "invariant_factors": list(factors),
+        "representatives": [r.to_json() for r in reps],
+    }, {}
+
+
+def _union(args, inputs):
+    spec = inputs.load_doc(args.specfile, ("union_spec",))
+    return constructmod.union_quandle(spec).to_json(), {}
+
+
+def _theorem(args, inputs):
+    keys = ("max_order", "trials", "seed", "cap_order", "cap_group")
+    options = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    report = theorems.run_suite(args.tid, options)
+    return report, {"passed": report["passed"]}
+
+
+def _arg(*names, **kwargs):
+    """One add_argument call; a list of them is a required either-or group."""
+    return names, kwargs
+
+
+_COMMON_ARGS = (
+    _arg("--pretty", action="store_true", help="aligned tables instead of JSON"),
+    _arg("--cap-order", type=int, metavar="N", help="override order caps (automorphism search, "
+         "enumeration, cohomology, abelian fibers)"),
+    _arg("--cap-group", type=int, metavar="N", help="override the group-construction cap"),
+)
+
+_SOURCE_ARGS = (
+    [_arg("--trivial", type=int, metavar="N"), _arg("--dihedral", type=int, metavar="N"),
+     _arg("--conj", metavar="SPEC"), _arg("--core", metavar="SPEC"),
+     _arg("--alexander", nargs=2, metavar=("SPEC", "AUTFILE")), _arg("--file", metavar="PATH")],
+    _arg("--power", type=int, metavar="K", help="conjugation exponent, only with --conj"),
+)
+
+_Command = collections.namedtuple("_Command", "name help source arguments handler")
+
+# Every subcommand, in --help order: name, help, whether it reads a quandle
+# source, its own arguments, and its handler.
+_COMMANDS = {command.name: command for command in (
+    _Command("build", "construct a quandle and print it", True, (), _build),
+    _Command("invariants", "orders, orbits and flags of a quandle", True, (), _invariants),
+    _Command("aut", "automorphism group of a quandle", True, (), _group),
+    _Command("inn", "inner automorphism group of a quandle", True, (), _group),
+    _Command("qinn", "quasi-inner automorphism group of a quandle", True, (), _group),
+    _Command("iso", "test two quandle files for isomorphism", False,
+             (_arg("file1", metavar="FILE1"), _arg("file2", metavar="FILE2")), _iso),
+    _Command("enumerate", "all isomorphism classes of a given order", False,
+             (_arg("n", type=int, metavar="N"),), _enumerate),
+    _Command("envelope", "enveloping-group computations", True, (
+        [_arg("--abelianization", action="store_true"),
+         _arg("--coset-enum", metavar="SUBGENS",
+              help="JSON list of subgroup words in signed 1-based letters")],
+        _arg("--max-cosets", type=int, metavar="M"),
+    ), _envelope),
+    _Command("extend", "extension quandle of a cocycle file", False,
+             (_arg("cocyclefile", metavar="COCYCLEFILE"),), _extend),
+    _Command("h2", "second cohomology with cyclic-sum coefficients", True,
+             (_arg("--coeff", required=True, metavar="SPEC"),), _h2),
+    _Command("union", "glue two quandles along a union spec file", False,
+             (_arg("specfile", metavar="SPECFILE"),), _union),
+    _Command("theorem", "run a named check suite", False, (
+        _arg("tid", metavar="ID"), _arg("--max-order", type=int, metavar="N"),
+        _arg("--trials", type=int, metavar="N"), _arg("--seed", type=int, metavar="N"),
+    ), _theorem),
+)}
+
+
+def _add_arguments(target, specs) -> None:
+    for spec in specs:
+        if isinstance(spec, list):
+            _add_arguments(target.add_mutually_exclusive_group(required=True), spec)
         else:
-            cap = cocyclemod.DEFAULT_FIBER_CAP if args.cap_order is None else args.cap_order
-            with _cap_order_flag():
-                alpha = cocyclemod.abelian_to_constant(value, cap=cap)
-        ext = cocyclemod.extend(alpha)
-        results = {
-            "base_order": alpha.base.order,
-            "fiber": alpha.fiber_size,
-            "extension": ext.to_json(),
-        }
-        return results, {}
+            names, kwargs = spec
+            target.add_argument(*names, **kwargs)
 
-    if cmd == "h2":
-        q = _source_quandle(args, inputs)
-        moduli = _parse_moduli(args.coeff)
-        max_order = 8 if args.cap_order is None else args.cap_order
-        with _cap_order_flag():
-            factors, reps = cocyclemod.compute_h2(q, moduli, max_order=max_order)
-        results = {
-            "moduli": list(moduli),
-            "invariant_factors": list(factors),
-            "representatives": [r.to_json() for r in reps],
-        }
-        return results, {}
 
-    if cmd == "union":
-        doc = inputs.load_json(args.specfile)
-        _, spec = _detect(doc, args.specfile, ("union_spec",))
-        return constructmod.union_quandle(spec).to_json(), {}
-
-    if cmd == "theorem":
-        options = {
-            key: getattr(args, key)
-            for key in ("max_order", "trials", "seed", "cap_order", "cap_group")
-            if getattr(args, key) is not None
-        }
-        report = theorems.run_suite(args.tid, options)
-        return report, {"passed": report["passed"]}
-
-    raise _UsageError("quandlekit: error: a subcommand is required")
+def _build_parser(names) -> _Parser:
+    """The top-level parser with a subparser for each named command."""
+    parser = _Parser(prog="quandlekit", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
+    for name in names:
+        command = _COMMANDS[name]
+        _add_arguments(
+            sub.add_parser(name, help=command.help),
+            _COMMON_ARGS + (_SOURCE_ARGS if command.source else ()) + command.arguments,
+        )
+    return parser
 
 
 def _pretty_rows(table) -> list:
@@ -410,14 +403,15 @@ def _emit(report: dict, pretty: bool) -> None:
 def run(argv) -> int:
     """Parse argv, execute, print one report; returns the exit code."""
     argv = list(argv)
-    parser = _build_parser()
+    # Build only the subcommand that runs; help and bad commands list them all.
+    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             parser.error("a subcommand is required")
         inputs = _Inputs()
-        results, checks = _run_subcommand(args, inputs)
+        results, checks = _COMMANDS[args.subcommand].handler(args, inputs)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2

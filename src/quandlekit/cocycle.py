@@ -31,7 +31,7 @@ from .errors import (
     require_list,
 )
 from .perm import Perm
-from .quandle import Quandle, aut, orbit_partition
+from .quandle import Quandle, _first_unpreserved, aut, orbit_partition
 
 # A lambda map is one fiber permutation per base element.
 LambdaMap = tuple
@@ -190,11 +190,9 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle, cap: int = 1
 def _check_base_automorphism(q: Quandle, phi: Perm) -> None:
     if len(phi.images) != q.order:
         raise NotAutomorphism(f"permutation degree {len(phi.images)} != {q.order}")
-    t = q.table
-    for x in range(q.order):
-        for y in range(q.order):
-            if phi(t[x][y]) != t[phi(x)][phi(y)]:
-                raise NotAutomorphism(f"map breaks the product at ({x}, {y})")
+    pair = _first_unpreserved(q.table, q.table, phi.images)
+    if pair is not None:
+        raise NotAutomorphism(f"map breaks the product at {pair}")
 
 
 def act(phi: Perm, theta: Perm, alpha: ConstantCocycle) -> ConstantCocycle:
@@ -261,10 +259,8 @@ def embed(pair, alpha: ConstantCocycle) -> Perm:
     s = alpha.fiber_size
     gamma = Perm(tuple(phi(i // s) * s + theta(i % s) for i in range(n * s)))
     ext = extend(alpha)
-    for i in range(n * s):
-        for j in range(n * s):
-            if gamma(ext.table[i][j]) != ext.table[gamma(i)][gamma(j)]:
-                raise AssertionError("stabilizing pair failed to act on the extension")
+    if _first_unpreserved(ext.table, ext.table, gamma.images) is not None:
+        raise AssertionError("stabilizing pair failed to act on the extension")
     return gamma
 
 

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .fingroup import FiniteGroup
 from .perm import Perm
-from .quandle import Quandle, is_involutory
+from .quandle import Quandle, _first_unpreserved, is_involutory
 
 
 def _as_perm(p, degree: int, what: str) -> Perm:
@@ -36,18 +36,10 @@ def _as_perm(p, degree: int, what: str) -> Perm:
     return p
 
 
-def _check_group_automorphism(group: FiniteGroup, p: Perm) -> None:
-    for x in range(group.order):
-        for y in range(group.order):
-            if p(group.mul(x, y)) != group.mul(p(x), p(y)):
-                raise NotAutomorphism(f"map breaks the product at ({x}, {y})")
-
-
-def _check_quandle_automorphism(q: Quandle, p: Perm) -> None:
-    for x in range(q.order):
-        for y in range(q.order):
-            if p(q.table[x][y]) != q.table[p(x)][p(y)]:
-                raise NotAutomorphism(f"map breaks the product at ({x}, {y})")
+def _check_automorphism(table, p: Perm) -> None:
+    pair = _first_unpreserved(table, table, p.images)
+    if pair is not None:
+        raise NotAutomorphism(f"map breaks the product at {pair}")
 
 
 def is_compatible(group: FiniteGroup, assignment) -> tuple:
@@ -61,7 +53,7 @@ def is_compatible(group: FiniteGroup, assignment) -> tuple:
     if len(maps) != n:
         raise ValueError(f"need one automorphism per element, got {len(maps)}")
     for p in maps:
-        _check_group_automorphism(group, p)
+        _check_automorphism(group.table, p)
     for x in range(n):
         inv = maps[x].inverse()
         for y in range(n):
@@ -171,9 +163,9 @@ def union_quandle(spec: UnionSpec) -> Quandle:
     """
     q1, q2, sigma, tau = spec.q1, spec.q2, spec.sigma, spec.tau
     for p in sigma:
-        _check_quandle_automorphism(q2, p)
+        _check_automorphism(q2.table, p)
     for p in tau:
-        _check_quandle_automorphism(q1, p)
+        _check_automorphism(q1.table, p)
     t1, t2 = q1.table, q2.table
     n1, n2 = q1.order, q2.order
     for x in range(n1):

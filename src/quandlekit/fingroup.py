@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedSpec,
 )
 from .perm import Perm, PermGroup
-from .quandle import Quandle
+from .quandle import Quandle, _first_unpreserved
 
 DEFAULT_GROUP_CAP = 200
 
@@ -206,10 +206,8 @@ def semidirect(
         p = a if isinstance(a, Perm) else Perm(a)
         if p.degree != normal.order:
             raise NotAHomomorphism(f"action[{h}] has wrong degree")
-        for x in range(normal.order):
-            for y in range(normal.order):
-                if p(normal.table[x][y]) != normal.table[p(x)][p(y)]:
-                    raise NotAutomorphism(f"action[{h}] does not preserve the table")
+        if _first_unpreserved(normal.table, normal.table, p.images) is not None:
+            raise NotAutomorphism(f"action[{h}] does not preserve the table")
         maps.append(p)
     for h1 in range(acting.order):
         for h2 in range(acting.order):
@@ -413,10 +411,8 @@ def alexander_quandle(group: FiniteGroup, phi: Perm | Sequence[int]) -> Quandle:
     p = phi if isinstance(phi, Perm) else Perm(phi)
     if p.degree != group.order:
         raise NotAutomorphism("phi has the wrong degree")
-    for x in range(group.order):
-        for y in range(group.order):
-            if p(group.table[x][y]) != group.table[p(x)][p(y)]:
-                raise NotAutomorphism("phi does not preserve the group table")
+    if _first_unpreserved(group.table, group.table, p.images) is not None:
+        raise NotAutomorphism("phi does not preserve the group table")
     size = group.order
     table = [
         [group.mul(p(group.mul(x, group.inv(y))), y) for y in range(size)]

@@ -116,6 +116,20 @@ class Quandle:
         return cls.from_table(table, labels=labels)
 
 
+def _first_unpreserved(source, target, images) -> tuple[int, int] | None:
+    """The first (x, y), x outer and y inner, with f(x * y) != f(x) * f(y).
+
+    f is the map x -> images[x] from the `source` table to the `target`
+    table; None means f preserves the operation.
+    """
+    for x, row in enumerate(source):
+        target_row = target[images[x]]
+        for y, xy in enumerate(row):
+            if images[xy] != target_row[images[y]]:
+                return x, y
+    return None
+
+
 @dataclass(frozen=True)
 class QuandleMap:
     """A quandle homomorphism given by its images, verified on construction."""
@@ -127,11 +141,9 @@ class QuandleMap:
     def __post_init__(self):
         if len(self.images) != self.source.order:
             raise NotAHomomorphism("image list has the wrong length")
-        s, t, f = self.source.table, self.target.table, self.images
-        for x in range(self.source.order):
-            for y in range(self.source.order):
-                if t[f[x]][f[y]] != f[s[x][y]]:
-                    raise NotAHomomorphism(f"operation not preserved at ({x}, {y})")
+        pair = _first_unpreserved(self.source.table, self.target.table, self.images)
+        if pair is not None:
+            raise NotAHomomorphism(f"operation not preserved at {pair}")
 
     def __call__(self, x: int) -> int:
         return self.images[x]

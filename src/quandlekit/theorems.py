@@ -28,6 +28,7 @@ from .errors import (
     UnsupportedSpec,
 )
 from .perm import Perm, closure, is_k_transitive
+from .quandle import _first_unpreserved
 
 GROUP_CATALOG = (
     "Z2",
@@ -51,8 +52,7 @@ def _opt(options, key, default):
 
 
 def _preserves(table, p: Perm) -> bool:
-    n = len(table)
-    return all(p(table[x][y]) == table[p(x)][p(y)] for x in range(n) for y in range(n))
+    return _first_unpreserved(table, table, p.images) is None
 
 
 def _catalog_groups(options):
@@ -724,11 +724,7 @@ def _suite_cohomologous_extensions(options: dict) -> dict:
                 (i // s) * s + lam[i // s](i % s) for i in range(base.order * s)
             )
         )
-        explicit_ok = all(
-            f(ext_a.table[i][j]) == ext_b.table[f(i)][f(j)]
-            for i in range(base.order * s)
-            for j in range(base.order * s)
-        )
+        explicit_ok = _first_unpreserved(ext_a.table, ext_b.table, f.images) is None
         if witness is None or not explicit_ok:
             failures.append(
                 {"trial": trial, "base": name, "fiber": s, "witness_found": witness is not None}

@@ -4,7 +4,11 @@ Runs the CLI in process through cli.run and inspects the printed report,
 the exit code, and the stability of the digests.
 """
 
+import argparse
+import contextlib
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -477,3 +481,106 @@ def test_extend_fiber_cap_is_raised_by_cap_order(tmp_path, capsys):
     code, report = report_of(["extend", _write(tmp_path, doc), "--cap-order", "65"], capsys)
     assert code == 0
     assert report["results"]["fiber"] == 65
+
+
+# Help and usage text, pinned as (exit code, sha256 of stdout, sha256 of
+# stderr) and recorded when every invocation built all twelve subparsers.
+# argparse words its help and errors differently across Python minor
+# versions, so the pins hold for Python 3.11 only.
+EMPTY = hashlib.sha256(b"").hexdigest()
+CLI_TEXT_PINS = {
+    "--help": (0, "31bd78694c7e821e877d4dceff84c0da14912ac4b542dc973e887a9bc9f44dc2",
+        EMPTY),
+    "build --help": (0, "5188cac44ed019ee7dfcb448df01f81d851ce2070b060703e3eefec481a664bb",
+        EMPTY),
+    "invariants --help": (0, "af392902288c2392386adbf4985aed7f3048359cefb5c033e6d3305b64a69341",
+        EMPTY),
+    "aut --help": (0, "f7f1c17f4ce8d23e40d036cd9d14a822ae3c208bdfb81a12fb3fb720d37654bb",
+        EMPTY),
+    "inn --help": (0, "7bf1fa47bf33bde555801935f28b6fe7159321d811c9c7a1d94903ba4ff25490",
+        EMPTY),
+    "qinn --help": (0, "aee4091b9cb0512193843848d5966edde809ae8a6398f0e34feac4204cc04c2d",
+        EMPTY),
+    "iso --help": (0, "70445727cb8d3345abe961591e2fd887f349f7778f3ea144a1bf26ac5eeec96f",
+        EMPTY),
+    "enumerate --help": (0, "908874a30dcd3649cc108925e7d9cf528da388ada3f979a4be55b53fa17db427",
+        EMPTY),
+    "envelope --help": (0, "d85c0dcf7dc7c9a98df9bd2ed3014874771778c9e8c898142d38ae74ad484455",
+        EMPTY),
+    "extend --help": (0, "e7908cae35aec22f4cb8ef56a18fde04ca6fd2fdeadae3419bd05a43f2fad5f6",
+        EMPTY),
+    "h2 --help": (0, "09301a2c7ea63e30e12b2337876acf9352aa388b92de177c4272e9c71fdceae9",
+        EMPTY),
+    "union --help": (0, "5fe706027e0d8400f868757841154064018d8b981d305c7fa865ebeacd707d82",
+        EMPTY),
+    "theorem --help": (0, "f5780268a23a801b82cfb35c33a332224dcda5fa7000ac9cb960388048421836",
+        EMPTY),
+    "": (2, EMPTY,
+        "3539c0d3ebd1baa0ed7373a2b7d1a7e808f046db5f72bba80c08cd1c8069637f"),
+    "frobnicate": (2, EMPTY,
+        "ce62fe993cad85cb211d7cc044a1d7ed66d9ab4165ca385da1fe0d5ff061b634"),
+    "build": (2, EMPTY,
+        "e0953ee8472013df39583a10d57ce440cc4a02fb0613d0829eccc5c321d04396"),
+    "build --trivial 2 --dihedral 3": (2, EMPTY,
+        "05fe1c1761ca77cb2d421fcad55ee28c394dfa8334a5e098aab69442d5e9a973"),
+    "build --trivial 2 --power 2": (2, EMPTY,
+        "ff31791206d743587c2cbb511849b58a2b42f3f95a21ed06c4f8076a5850ee4c"),
+    "invariants --conj FROB": (2, EMPTY,
+        "6b517bc6f3f8606ef2621692ff7357b5f9ff42cec785cc6fdec1abc22d842489"),
+    "envelope --dihedral 3 --coset-enum [[1]]": (2, EMPTY,
+        "5926f7f0cc267569bc8a98f6b35a22ac62b5524591fe21df916de70a49399e63"),
+    "inn --dihedral 3 extra": (2, EMPTY,
+        "905f0798ad9c926aa2875726102c06075345abc04328c894c6e0389084cc3137"),
+    "enumerate four": (2, EMPTY,
+        "cc6aa43b10383be3755a3eb1b58bfa9b89a3da429097eaf7c0b3013ce9522259"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pins record Python 3.11 argparse text")
+@pytest.mark.parametrize("argv", sorted(CLI_TEXT_PINS))
+def test_help_and_usage_text_is_pinned(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.run(argv.split())
+    except SystemExit as exc:  # --help exits from inside argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert (code, digest(captured.out), digest(captured.err)) == CLI_TEXT_PINS[argv]
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [(["inn", "--dihedral", "3"], 1), (["--help"], 12), ([], 12), (["frobnicate"], 12)],
+)
+def test_a_query_builds_only_its_own_subparser(argv, built, capsys, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    with contextlib.suppress(SystemExit):
+        cli.run(argv)
+    capsys.readouterr()
+    assert len(added) == built
+
+
+@pytest.mark.parametrize(
+    "source", [["--trivial", "201"], ["--dihedral", "201"], ["--conj", "Z201"]],
+    ids=["trivial", "dihedral", "conj"],
+)
+def test_flag_sources_are_capped_before_building(source, capsys):
+    code, captured = invoke(["build", *source], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert "201 exceeds" in captured.err
+    assert "--cap-group" in captured.err
+
+
+def test_source_cap_is_raised_by_cap_group(capsys):
+    code, report = report_of(["build", "--trivial", "201", "--cap-group", "201"], capsys)
+    assert code == 0
+    assert report["results"]["order"] == 201

@@ -21,6 +21,7 @@ from quandlekit.quandle import (
     Quandle,
     QuandleMap,
     _canonical_table,
+    _first_unpreserved,
     _labeled_quandle_tables,
     aut,
     build,
@@ -304,6 +305,20 @@ def test_quandle_map_validates():
     assert not f.is_bijective()
     with pytest.raises(NotAHomomorphism):
         QuandleMap(q, build("trivial", 2), (0, 0, 1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_first_unpreserved_is_the_first_failing_pair(data):
+    n = data.draw(st.integers(2, 5))
+    source = build(data.draw(st.sampled_from(["trivial", "dihedral"])), n).table
+    target = build(data.draw(st.sampled_from(["trivial", "dihedral"])), n).table
+    images = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    failing = [
+        (x, y) for x in range(n) for y in range(n)
+        if images[source[x][y]] != target[images[x]][images[y]]
+    ]
+    assert _first_unpreserved(source, target, images) == (failing[0] if failing else None)
 
 
 def test_enumeration_counts_small_orders():
