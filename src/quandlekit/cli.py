@@ -149,13 +149,15 @@ def _build(args, inputs):
 
 def _invariants(args, inputs):
     q = _source_quandle(args, inputs)
+    cap = _cap_order(args, quandlemod.DEFAULT_AUT_CAP)
     with _cap_flag("--cap-order"):
-        aut_q = quandlemod.aut(q, cap=_cap_order(args, quandlemod.DEFAULT_AUT_CAP))
+        aut_order = quandlemod.aut(q, cap=cap).order
+        qinn_order = quandlemod.qinn(q, cap=cap).order
     return {
         "order": q.order,
-        "aut_order": aut_q.order,
+        "aut_order": aut_order,
         "inn_order": quandlemod.inn(q).order,
-        "qinn_order": quandlemod.quasi_inner_subgroup(q, aut_q).order,
+        "qinn_order": qinn_order,
         "connected": quandlemod.is_connected(q),
         "involutory": quandlemod.is_involutory(q),
         "orbits": quandlemod.orbit_partition(q),

@@ -420,40 +420,14 @@ class _CosetTable:
                     break
                 self.scan(c, rel)
 
-    def scan(self, start: int, word) -> None:
-        """Trace a relator without defining; record a coincidence if forced."""
-        f = start
-        i = 0
-        b = start
-        j = len(word) - 1
-        while True:
-            while i <= j:
-                nxt = self.table[f][self._col(word[i])]
-                if nxt is None:
-                    break
-                f = self.rep(nxt)
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i:
-                prv = self.table[b][self._inv_col(self._col(word[j]))]
-                if prv is None:
-                    break
-                b = self.rep(prv)
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if i == j:
-                col = self._col(word[i])
-                self.table[f][col] = b
-                self.table[b][self._inv_col(col)] = f
-                return
-            return  # gap wider than one letter: nothing to deduce without defining
+    def scan(self, start: int, word, fill: bool = False) -> None:
+        """Trace a relator from `start` forwards and backwards.
 
-    def scan_and_fill(self, start: int, word) -> None:
+        A complete trace that closes up on different cosets records a
+        coincidence, and a gap of one letter is a deduction.  A wider gap is
+        bridged by defining a coset when `fill` is set; otherwise nothing
+        can be deduced and the scan stops.
+        """
         f = start
         i = 0
         b = start
@@ -483,6 +457,8 @@ class _CosetTable:
                 self.table[f][col] = b
                 self.table[b][self._inv_col(col)] = f
                 return
+            if not fill:
+                return
             self.define(f, col)
 
 
@@ -510,7 +486,7 @@ def todd_coxeter(
 
     ct = _CosetTable(p.ngens, max_cosets, relators)
     for w in subgroup:
-        ct.scan_and_fill(0, w)
+        ct.scan(0, w, fill=True)
     alpha = 0
     while alpha < len(ct.table):
         if ct.rep(alpha) != alpha:
@@ -519,7 +495,7 @@ def todd_coxeter(
         for rel in relators:
             if ct.rep(alpha) != alpha:
                 break
-            ct.scan_and_fill(alpha, rel)
+            ct.scan(alpha, rel, fill=True)
         if ct.rep(alpha) == alpha:
             for col in range(ct.width):
                 if ct.table[alpha][col] is None:

@@ -1,16 +1,22 @@
-"""Permutations on {0, ..., n-1} and explicitly materialized permutation groups.
+"""Permutations on {0, ..., n-1} and permutation groups, listed or as stabilizer chains.
 
-Everything here is exact and small-scale by design: groups are stored as a
-sorted tuple of their elements.  The elements are found by Dimino's coset
-closure (G. Butler, Fundamental Algorithms for Permutation Groups, LNCS 559,
-1991, ch. 6): generators are added one at a time, and the span of the ones
-added so far grows by whole right cosets, composed on raw image tuples.
-There is no stabilizer-chain machinery; the point of the module is
-determinism and easy auditing, not asymptotics.
+Everything here is exact and small-scale by design.  A group is held in one
+of two ways.  `closure` and `from_elements` store a sorted tuple of its
+elements, found by Dimino's coset closure (G. Butler, Fundamental
+Algorithms for Permutation Groups, LNCS 559, 1991, ch. 6): generators are
+added one at a time, and the span of the ones added so far grows by whole
+right cosets, composed on raw image tuples.  `PermGroup.generated` holds a
+stabilizer chain on the base 0, 1, ..., n-1, built by deterministic
+Schreier-Sims (A. Seress, Permutation Group Algorithms, 2003, ch. 4-5): the
+order is the product of the basic orbit lengths and membership is a sift,
+and the sorted elements and the greedy generators are computed only when
+read.  Either way the reported generators and elements do not depend on how
+the group was generated.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -35,6 +41,13 @@ class Perm:
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap an image tuple known to be a rearrangement, without checking it again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
@@ -125,41 +138,89 @@ class Perm:
 
 
 class PermGroup:
-    """A fully materialized permutation group.
+    """A permutation group, given by its elements or by a stabilizer chain.
 
-    Elements are kept sorted lexicographically by image tuple, so the
-    element list of a group does not depend on how it was generated.  The
-    constructor takes them already in that order; `closure` and
-    `from_elements` are the ways to build one from unsorted input.
+    A group built by `closure` or `from_elements` holds its elements, sorted
+    lexicographically by image tuple, so the element list does not depend
+    on how it was generated; the constructor takes them already in that
+    order.  A group built on a `_Chain` (`generated`) knows its order and
+    decides membership by sifting; its sorted elements and its greedy
+    generators are computed only when they are read.
     """
 
-    def __init__(self, degree: int, generators: Sequence[Perm], elements: Sequence[Perm]):
+    def __init__(
+        self,
+        degree: int,
+        generators: Sequence[Perm] = (),
+        elements: Sequence[Perm] = (),
+        chain: "_Chain | None" = None,
+    ):
         self.degree = degree
-        self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self._members = frozenset(map(attrgetter("images"), self.elements))
-        if tuple(range(degree)) not in self._members:
-            raise ValueError("element list lacks the identity")
+        self._chain = chain
+        if chain is None:
+            self.generators = tuple(generators)
+            self.elements = tuple(elements)
+            self._members = frozenset(map(attrgetter("images"), self.elements))
+            if tuple(range(degree)) not in self._members:
+                raise ValueError("element list lacks the identity")
+
+    @classmethod
+    def generated(cls, degree: int, generators: Iterable[tuple[int, ...]]) -> "PermGroup":
+        """The group generated by image tuples, held as a stabilizer chain."""
+        return cls(degree, chain=_Chain(degree, generators))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.elements) if self._chain is None else self._chain.order()
+
+    @cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        """Sorted elements of a chain-backed group, listed once the order allows it."""
+        order = self._chain.order()
+        if order > DEFAULT_ORDER_CAP:
+            raise CapExceeded(
+                f"listing {order} group elements exceeds the element cap {DEFAULT_ORDER_CAP}"
+            )
+        _, elements = _dimino(self._chain.gens[0], self.degree, cap=order)
+        elements.sort()
+        return tuple(map(Perm._trusted, elements))
+
+    @cached_property
+    def generators(self) -> tuple[Perm, ...]:
+        """Greedy generators of a chain-backed group, as `from_elements` picks them."""
+        return tuple(map(Perm._trusted, self._chain.greedy_generators()))
+
+    def _spanning(self) -> list[tuple[int, ...]]:
+        """Image tuples of some generating set, found without computing one."""
+        if self._chain is None:
+            return [g.images for g in self.generators]
+        return self._chain.gens[0]
 
     def __contains__(self, p) -> bool:
-        return isinstance(p, Perm) and p.images in self._members
+        if not isinstance(p, Perm):
+            return False
+        if self._chain is None:
+            return p.images in self._members
+        return len(p.images) == self.degree and self._chain.contains(p.images)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __eq__(self, other) -> bool:
-        return (
+        if not (
             isinstance(other, PermGroup)
             and self.degree == other.degree
-            and self._members == other._members
-        )
+            and self.order == other.order
+        ):
+            return False
+        if self._chain is None:
+            if other._chain is None:
+                return self._members == other._members
+            self, other = other, self
+        return all(map(self._chain.contains, other._spanning()))
 
     def __hash__(self):
-        return hash((self.degree, self._members))
+        return hash((self.degree, self.order))
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -237,6 +298,160 @@ def _dimino(candidates, degree, cap=None, within=None):
     return added, span_list
 
 
+def _compose(p, q):
+    """p*q on image tuples of degree at least 2: (p*q)(x) = p(q(x))."""
+    return itemgetter(*q)(p)
+
+
+def _invert(p):
+    inv = [0] * len(p)
+    for x, y in enumerate(p):
+        inv[y] = x
+    return tuple(inv)
+
+
+class _Chain:
+    """A stabilizer chain on the base 0, 1, ..., n-1, over image tuples.
+
+    Level k holds G^(k), the pointwise stabilizer of 0, ..., k-1: the strong
+    generators `gens[k]` that fix 0, ..., k-1, the basic orbit `orbits[k]`
+    of k under them, and for each point d of that orbit a transversal
+    element `reps[k][d]` sending k to d, with its inverse in `invs[k][d]`.
+    The order of the group is the product of the basic orbit lengths, and
+    g is a member exactly when it sifts: dividing off, level by level, the
+    transversal element that agrees with it at k ends at the identity.
+
+    The chain is built by deterministic Schreier-Sims (Seress, Permutation
+    Group Algorithms, 2003, ch. 4): each generator that does not sift is
+    added at every level whose base prefix its residue fixes, and a level
+    is complete once each of its Schreier generators sifts through the
+    levels below it.  Points whose orbit is {k} cost nothing beyond a
+    comparison.  Degree-1 groups have no non-identity element, so nothing
+    is ever composed at degree 1.
+    """
+
+    __slots__ = ("degree", "gens", "orbits", "reps", "invs", "_sifted")
+
+    def __init__(self, degree: int, generators: Iterable[tuple[int, ...]] = ()):
+        identity = tuple(range(degree))
+        self.degree = degree
+        self.gens: list[list[tuple[int, ...]]] = [[] for _ in range(degree)]
+        self.orbits = [[k] for k in range(degree)]
+        self.reps = [{k: identity} for k in range(degree)]
+        self.invs = [{k: identity} for k in range(degree)]
+        # the (orbit point, generator index) pairs whose Schreier generator sifts
+        self._sifted: list[set[tuple[int, int]]] = [set() for _ in range(degree)]
+        for g in generators:
+            self.add(g)
+
+    def order(self) -> int:
+        total = 1
+        for orbit in self.orbits:
+            total *= len(orbit)
+        return total
+
+    def _strip(self, g, level):
+        """Sift g from `level` down: (None, degree) for a member, else (residue, its level)."""
+        for k in range(level, self.degree):
+            d = g[k]
+            if d != k:
+                inv = self.invs[k].get(d)
+                if inv is None:
+                    return g, k
+                g = _compose(inv, g)
+        return None, self.degree
+
+    def contains(self, g) -> bool:
+        return self._strip(g, 0)[0] is None
+
+    def add(self, g) -> None:
+        """Extend the group by g, keeping the chain complete."""
+        residue, level = self._strip(g, 0)
+        if residue is not None:
+            self._insert(residue, 0, level)
+            self._complete(level)
+
+    def _insert(self, h, first, last):
+        """Make h a strong generator at levels first..last and grow their orbits."""
+        for k in range(first, last + 1):
+            gens, orbit, reps, invs = self.gens[k], self.orbits[k], self.reps[k], self.invs[k]
+            gens.append(h)
+            for d in orbit:  # grows while it is walked
+                u = reps[d]
+                for s in gens:
+                    e = s[d]
+                    if e not in reps:
+                        v = _compose(s, u)
+                        reps[e] = v
+                        invs[e] = _invert(v)
+                        orbit.append(e)
+
+    def _complete(self, level):
+        """Sift every Schreier generator of levels `level`, ..., 0, adding residues."""
+        k = level
+        while k >= 0:
+            failed = self._first_residue(k)
+            if failed is None:
+                k -= 1
+            else:
+                residue, j = failed
+                self._insert(residue, k + 1, j)
+                k = j
+
+    def _first_residue(self, k):
+        """The residue of the first Schreier generator at level k that does not sift."""
+        reps, invs, sifted = self.reps[k], self.invs[k], self._sifted[k]
+        for d in self.orbits[k]:
+            u = reps[d]
+            for i, s in enumerate(self.gens[k]):
+                if (d, i) in sifted:
+                    continue
+                e = s[d]
+                if d == e == k:  # the Schreier generator is s, strong at level k + 1
+                    continue
+                su = _compose(s, u)
+                if su != reps[e]:
+                    residue = self._strip(_compose(invs[e], su), k + 1)
+                    if residue[0] is not None:
+                        return residue
+                sifted.add((d, i))
+        return None
+
+    def _least_in_coset(self, g, k):
+        """The lexicographically least element of g G^(k)."""
+        for j in range(k, self.degree):
+            reps = self.reps[j]
+            if len(reps) > 1:
+                g = _compose(g, reps[min(reps, key=g.__getitem__)])
+        return g
+
+    def greedy_generators(self) -> list[tuple[int, ...]]:
+        """The generators `PermGroup.from_elements` keeps, found without the element list.
+
+        The next greedy generator is the least element of G outside the span
+        H of the ones before it.  Let k be least with G^(k) <= H, which holds
+        when every strong generator of level k sifts through H's chain.  The
+        elements of G^(k-1) are the least in G, and some lie outside H; they
+        fall into the cosets u G^(k), for u in level k-1's transversal, each
+        inside H or disjoint from it, and ordered by u(k-1).  So the next
+        generator is the least element of the first coset whose
+        representative is not in H.
+        """
+        span = _Chain(self.degree)
+        found: list[tuple[int, ...]] = []
+        k = self.degree
+        while True:
+            while k > 0 and all(map(span.contains, self.gens[k - 1])):
+                k -= 1
+            if k == 0:
+                return found
+            reps = self.reps[k - 1]
+            d = next(d for d in sorted(reps) if not span.contains(reps[d]))
+            g = self._least_in_coset(reps[d], k)
+            found.append(g)
+            span.add(g)
+
+
 def closure(
     generators: Sequence[Perm],
     cap: int = DEFAULT_ORDER_CAP,
@@ -257,7 +472,7 @@ def closure(
         raise ValueError("generators have mixed degrees")
     _, elements = _dimino([g.images for g in generators], degree, cap=cap)
     elements.sort()
-    return PermGroup(degree, generators, [Perm(images) for images in elements])
+    return PermGroup(degree, generators, list(map(Perm._trusted, elements)))
 
 
 def orbit_partition(generators: Sequence[Perm], degree: int) -> list[list[int]]:
@@ -284,20 +499,29 @@ def orbit_partition(generators: Sequence[Perm], degree: int) -> list[list[int]]:
 def is_k_transitive(group: PermGroup, k: int) -> bool:
     """Whether the group moves any ordered k-tuple of distinct points to any other.
 
-    For k larger than the degree this is vacuously true (there are no such
-    tuples), matching the usual convention.
+    That is, whether the orbit of (0, ..., k-1), walked under a generating
+    set, holds all n!/(n-k)! tuples.  For k larger than the degree this is
+    vacuously true (there are no such tuples), matching the usual convention.
     """
     n = group.degree
     if k > n:
         return True
     if k <= 0:
         return True
+    gens = group._spanning()
     base = tuple(range(k))
-    images = {tuple(g(i) for i in base) for g in group.elements}
+    orbit = [base]
+    seen = {base}
+    for t in orbit:  # grows while it is walked
+        for g in gens:
+            image = tuple([g[x] for x in t])
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
     expected = 1
     for i in range(k):
         expected *= n - i
-    return len(images) == expected
+    return len(seen) == expected
 
 
 def stabilizer(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -25,9 +25,7 @@ from .perm import (
     DEFAULT_ORDER_CAP,
     Perm,
     PermGroup,
-    _dimino,
     closure,
-    orbit_partition as _perm_orbits,
 )
 
 DEFAULT_AUT_CAP = 8
@@ -214,8 +212,28 @@ def inn(q: Quandle, cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
 
 
 def orbit_partition(q: Quandle) -> list[list[int]]:
-    gens = [p for _, p in inner_generators(q)]
-    return _perm_orbits(gens, q.order)
+    return _orbits(q.table)
+
+
+def _orbits(table) -> list[list[int]]:
+    """Orbits of the right translations, each sorted, listed by minimum.
+
+    The orbit of x is what the steps z -> z * y reach from it: a finite set
+    closed under bijections is closed under their inverses too.
+    """
+    seen = [False] * len(table)
+    orbits = []
+    for start in range(len(table)):
+        if not seen[start]:
+            seen[start] = True
+            orbit = [start]
+            for z in orbit:  # grows while it is walked
+                for w in table[z]:
+                    if not seen[w]:
+                        seen[w] = True
+                        orbit.append(w)
+            orbits.append(sorted(orbit))
+    return orbits
 
 
 def is_connected(q: Quandle) -> bool:
@@ -242,12 +260,7 @@ def _cycle_type(images) -> tuple[int, ...]:
 
 def _element_invariants(table, n):
     """(number of y with x * y != x, cycle type of R_x) for each element x."""
-    inv = []
-    for x in range(n):
-        row = table[x]
-        moved = sum(1 for y in range(n) if row[y] != x)
-        inv.append((moved, _cycle_type([table[z][x] for z in range(n)])))
-    return inv
+    return [(n - table[x].count(x), _cycle_type([row[x] for row in table])) for x in range(n)]
 
 
 def _search_order(inv):
@@ -259,11 +272,8 @@ def _iso_images(t1, t2, n, pairs=(), inv1=None, inv2=None):
     """The first table isomorphism t1 -> t2 found by backtracking, or None.
 
     Each `(x, v)` in `pairs` is assigned x -> v before the search starts.
-    The remaining elements are chosen most-constrained first.  Forced values
-    propagate through the tables: as soon as x and y have images, so does
-    x * y, and every pair of assigned elements is checked against both
-    tables.  Candidates are filtered by per-element invariants (row
-    fixedness, column cycle type), which may be passed in precomputed.
+    Candidates are filtered by per-element invariants (row fixedness,
+    column cycle type), which may be passed in precomputed; see `_iso_search`.
     """
     if inv1 is None:
         inv1 = _element_invariants(t1, n)
@@ -271,82 +281,105 @@ def _iso_images(t1, t2, n, pairs=(), inv1=None, inv2=None):
         inv2 = _element_invariants(t2, n)
     if sorted(inv1) != sorted(inv2):
         return None
+    return _iso_search(t1, t2, n, inv1, inv2)(pairs)
+
+
+def _iso_search(t1, t2, n, inv1, inv2):
+    """A function from pre-assigned pairs to the first isomorphism extending them.
+
+    The remaining elements are chosen most-constrained first, each tried
+    on the elements of t2 with its invariants, in increasing order.  Forced
+    values propagate through the tables: as soon as x and y have images, so
+    does x * y, and every pair of assigned elements is checked against both
+    tables.  The search order and candidate lists are set up once, so one
+    function serves every search of a backtrack over base images.  Each
+    element of its `fixed` argument starts out mapped to itself, unchecked,
+    as propagation from the identity on it would map it; so with t1 == t2,
+    `fixed` must be a subquandle.
+    """
     static_order = _search_order(inv1)
     cand = [[v for v in range(n) if inv2[v] == inv1[x]] for x in range(n)]
-    mapping = [-1] * n
-    used = [False] * n
-    assigned: list[int] = []
 
-    def process(start: int) -> bool:
-        qi = start
-        while qi < len(assigned):
-            a = assigned[qi]
-            qi += 1
-            va = mapping[a]
-            for bj in range(len(assigned)):
-                b = assigned[bj]
-                vb = mapping[b]
-                for p, q, vp, vq in ((a, b, va, vb), (b, a, vb, va)):
-                    c = t1[p][q]
-                    w = t2[vp][vq]
-                    mc = mapping[c]
-                    if mc == -1:
-                        if used[w] or inv1[c] != inv2[w]:
+    def first(pairs, fixed=()):
+        mapping = [-1] * n
+        used = [False] * n
+        for x in fixed:
+            mapping[x] = x
+            used[x] = True
+        assigned: list[int] = list(fixed)
+
+        def process(start: int) -> bool:
+            """Propagate from `assigned[start]` on; a pair is checked by its later element."""
+            qi = start
+            while qi < len(assigned):
+                a = assigned[qi]
+                qi += 1
+                va = mapping[a]
+                row1, row2 = t1[a], t2[va]
+                for b in assigned[:qi]:
+                    vb = mapping[b]
+                    for c, w in ((row1[b], row2[vb]), (t1[b][a], t2[vb][va])):
+                        mc = mapping[c]
+                        if mc == -1:
+                            if used[w] or inv1[c] != inv2[w]:
+                                return False
+                            mapping[c] = w
+                            used[w] = True
+                            assigned.append(c)
+                        elif mc != w:
                             return False
-                        mapping[c] = w
-                        used[w] = True
-                        assigned.append(c)
-                    elif mc != w:
-                        return False
-        return True
-
-    def rec(k: int) -> bool:
-        while k < n and mapping[static_order[k]] != -1:
-            k += 1
-        if k == n:
             return True
-        x = static_order[k]
-        for v in cand[x]:
-            if used[v]:
+
+        def rec(k: int) -> bool:
+            while k < n and mapping[static_order[k]] != -1:
+                k += 1
+            if k == n:
+                return True
+            x = static_order[k]
+            for v in cand[x]:
+                if used[v]:
+                    continue
+                mark = len(assigned)
+                mapping[x] = v
+                used[v] = True
+                assigned.append(x)
+                if process(mark) and rec(k + 1):
+                    return True
+                for idx in assigned[mark:]:
+                    used[mapping[idx]] = False
+                    mapping[idx] = -1
+                del assigned[mark:]
+            return False
+
+        for x, v in pairs:
+            if mapping[x] == v:
                 continue
-            mark = len(assigned)
+            if mapping[x] != -1 or used[v] or inv1[x] != inv2[v]:
+                return None
             mapping[x] = v
             used[v] = True
             assigned.append(x)
-            if process(mark) and rec(k + 1):
-                return True
-            for idx in assigned[mark:]:
-                used[mapping[idx]] = False
-                mapping[idx] = -1
-            del assigned[mark:]
-        return False
+            if not process(len(assigned) - 1):
+                return None
+        return tuple(mapping) if rec(0) else None
 
-    for x, v in pairs:
-        if mapping[x] == v:
-            continue
-        if mapping[x] != -1 or used[v] or inv1[x] != inv2[v]:
-            return None
-        mapping[x] = v
-        used[v] = True
-        assigned.append(x)
-        if not process(len(assigned) - 1):
-            return None
-    return tuple(mapping) if rec(0) else None
+    return first
 
 
 def _base(table, order):
     """Elements of `order` outside the subquandle generated by the earlier ones.
 
-    These are the choice points on the identity path of `_iso_images`: once
-    the earlier ones are mapped to themselves, propagation fixes their whole
-    subquandle.  An automorphism fixing the base fixes every element.
+    Each comes with that subquandle, as a list.  These are the choice points
+    on the identity path of `_iso_images`: once the earlier ones are mapped
+    to themselves, propagation fixes their whole subquandle.  An
+    automorphism fixing the base fixes every element.
     """
     inside: set[int] = set()
     base = []
     for x in order:
         if x in inside:
             continue
-        base.append(x)
+        base.append((x, list(inside)))
         inside.add(x)
         fresh = [x]
         while fresh:
@@ -372,41 +405,43 @@ def _orbit(x, gens):
     return seen
 
 
-def aut(q: Quandle, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
-    """Full automorphism group, closed from generators found along a base.
+def _automorphisms(q: Quandle, cap: int, colours: Sequence[int] | None = None) -> PermGroup:
+    """Automorphisms of q that keep each element's colour, by a search along a base.
 
-    The base b_1, ..., b_k is `_base` over the search order of `_iso_images`.
+    Candidates are filtered by each element's invariants, extended by its
+    colour when colours are given, so every map found keeps them.  The base
+    b_1, ..., b_k is `_base` over the search order of `_iso_images`.
     Levels are searched deepest first.  At level i the earlier base points
     are fixed, and one first-match search sends b_i to each candidate v (same
     invariants) not yet in the orbit of b_i under the generators found so
     far.  A map found is kept as a generator; a failed v proves that no point
     of its orbit is an image either, and the orbit is skipped.  The
     generators then reach the whole orbit of each b_i under the stabilizer of
-    b_1, ..., b_(i-1), so they generate Aut(q), of order the product of those
-    orbit lengths (Seress, Permutation Group Algorithms, 2003, ch. 4; McKay
-    and Piperno, Practical graph isomorphism II, 2014).
+    b_1, ..., b_(i-1), so they generate the group, of order the product of
+    those orbit lengths (Seress, Permutation Group Algorithms, 2003, ch. 4;
+    McKay and Piperno, Practical graph isomorphism II, 2014).
 
-    Each generator is re-checked against the table, and the order of their
-    Dimino closure against that product.  The reported generators are
-    picked greedily over the sorted elements, as in `PermGroup.from_elements`.
+    Each generator is re-checked against the table.  The generators are
+    then built into a stabilizer chain on the base 0, ..., n-1 by
+    Schreier-Sims, and the chain's order must equal that product.
     """
     n = q.order
     if n > cap:
         raise CapExceeded(f"order {n} exceeds automorphism cap {cap}")
     t = q.table
     inv = _element_invariants(t, n)
-    base = _base(t, _search_order(inv))
+    if colours is not None:
+        inv = [x_inv + (colour,) for x_inv, colour in zip(inv, colours)]
+    search = _iso_search(t, t, n, inv, inv)
     gens: list[tuple[int, ...]] = []
     order = 1
-    for i in reversed(range(len(base))):
-        b = base[i]
-        fixed = [(x, x) for x in base[:i]]
+    for b, fixed in reversed(_base(t, _search_order(inv))):
         orbit = {b}
         failed: set[int] = set()
         for v in range(n):
             if v in orbit or v in failed or inv[v] != inv[b]:
                 continue
-            g = _iso_images(t, t, n, fixed + [(b, v)], inv, inv)
+            g = search([(b, v)], fixed)
             if g is None:
                 failed |= _orbit(v, gens)
             else:
@@ -415,12 +450,21 @@ def aut(q: Quandle, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
                 gens.append(g)
                 orbit = _orbit(b, gens)
         order *= len(orbit)
-    _, elements = _dimino(gens, n, cap=factorial(n))  # no group on n points is larger
-    if len(elements) != order:
-        raise AssertionError("the generators do not close to the product of the orbit lengths")
-    elements.sort()
-    added, _ = _dimino(elements, n, cap=order)
-    return PermGroup(n, [Perm(g) for g in added], [Perm(g) for g in elements])
+    group = PermGroup.generated(n, gens)
+    if group.order != order:
+        raise AssertionError("the generators do not generate the product of the orbit lengths")
+    return group
+
+
+def aut(q: Quandle, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
+    """Full automorphism group, as a stabilizer chain on generators found by a search.
+
+    See `_automorphisms`.  The order and membership come from the chain;
+    the sorted elements and the reported generators, picked greedily over
+    the sorted elements as in `PermGroup.from_elements`, are computed only
+    when read.
+    """
+    return _automorphisms(q, cap)
 
 
 def find_isomorphism(a: Quandle, b: Quandle) -> Perm | None:
@@ -436,19 +480,17 @@ def is_isomorphic(a: Quandle, b: Quandle) -> bool:
 
 
 def qinn(q: Quandle, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
-    """Automorphisms moving every element within its translation orbit."""
-    return quasi_inner_subgroup(q, aut(q, cap=cap))
+    """Automorphisms moving every element within its translation orbit.
 
-
-def quasi_inner_subgroup(q: Quandle, group: PermGroup) -> PermGroup:
-    """Elements of `group` (usually Aut(q)) keeping every translation orbit of q."""
-    orbits = orbit_partition(q)
+    The same search as `aut`, with each element's invariants extended by
+    the index of its translation orbit, so only maps keeping every orbit
+    are found; the group is a stabilizer chain on the generators found.
+    """
     where = [0] * q.order
-    for i, block in enumerate(orbits):
+    for i, block in enumerate(orbit_partition(q)):
         for x in block:
             where[x] = i
-    kept = [g for g in group.elements if all(where[g(x)] == where[x] for x in range(q.order))]
-    return PermGroup.from_elements(kept, degree=q.order)
+    return _automorphisms(q, cap, where)
 
 
 def is_quasi_inner_strong(q: Quandle, phi: Perm) -> bool:
@@ -485,14 +527,7 @@ def _canonical_table(table, n):
 
 def _fingerprint(table, n):
     inv = _element_invariants(table, n)
-    gens = []
-    seen = set()
-    for y in range(n):
-        images = tuple(table[x][y] for x in range(n))
-        if images not in seen:
-            seen.add(images)
-            gens.append(Perm(images))
-    orbit_sizes = tuple(sorted(len(b) for b in _perm_orbits(gens, n)))
+    orbit_sizes = tuple(sorted(map(len, _orbits(table))))
     centre = sum(1 for x in range(n) if inv[x][0] == 0)
     return (tuple(sorted(inv)), orbit_sizes, centre)
 

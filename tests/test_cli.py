@@ -272,6 +272,26 @@ def test_theorem_reports_are_reproducible(capsys):
     assert first["report_digest"] == second["report_digest"]
 
 
+@pytest.mark.parametrize("suite", ["7.1", "9.2"])
+def test_randomized_suites_reject_a_trial_count_below_one(capsys, suite):
+    code, captured = invoke(["theorem", suite, "--trials", "0"], capsys)
+    assert code == 2
+    assert "--trials 0 is below the floor of 1 trial" in captured.err
+
+
+def test_cohomologous_extensions_pass_on_fewer_than_100_trials(capsys):
+    code, report = report_of(["theorem", "7.1", "--trials", "99"], capsys)
+    assert code == 0
+    assert report["results"]["passed"]
+
+
+def test_aut_of_a_trivial_quandle_of_order_16(capsys):
+    code, report = report_of(["aut", "--trivial", "16", "--cap-order", "16"], capsys)
+    assert code == 0
+    assert report["results"]["order"] == 20922789888000
+    assert len(report["results"]["generators"]) == 15
+
+
 def test_usage_errors_exit_two(capsys):
     cases = [
         [],

@@ -207,6 +207,21 @@ def test_automorphism_search_digest_is_pinned(command, capsys, tmp_path, monkeyp
     assert report["report_digest"] == AUT_SEARCH_DIGESTS[command]
 
 
+# Recorded while `aut` closed its generators by Dimino's algorithm, listed
+# all 9! elements and picked the generators greedily over the sorted list,
+# before the group became a stabilizer chain with lazy elements.
+CHAIN_DIGESTS = {
+    "aut --trivial 9 --cap-order 9": "cee8ffba94b2cd752bd8ae7f199aa5e5e8c28dfffb27856f0c9ed8b94ca02483",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHAIN_DIGESTS))
+def test_stabilizer_chain_digest_is_pinned(command, capsys):
+    assert cli.run(command.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["report_digest"] == CHAIN_DIGESTS[command]
+
+
 ENUMERATION_DIGESTS = {
     1: "7ae717c9aac47e3aed392515ac52ae17e50da8555c618e0ace9ee7b86985afea",
     2: "0e02b59cb15735ecbb3eea9769f56c53a5316f53377f97e44446f0548ce000ad",

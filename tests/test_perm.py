@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import perm
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +285,34 @@ def test_from_elements_matches_greedy_reference(case, rng):
     group = PermGroup.from_elements(shuffled, degree=degree)
     assert [p.images for p in group.generators] == kept
     assert [p.images for p in group.elements] == elements
+
+
+@st.composite
+def chain_cases(draw):
+    degree = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(degree)), max_size=4))
+    probes = draw(st.lists(st.permutations(range(degree)), max_size=20))
+    return degree, [tuple(g) for g in gens], [Perm(p) for p in probes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_cases())
+def test_stabilizer_chain_agrees_with_the_closure(case):
+    degree, gens, probes = case
+    closed = closure([Perm(g) for g in gens], degree=degree)
+    chained = PermGroup.generated(degree, gens)
+    assert chained.order == closed.order
+    members = set(closed.elements)
+    for p in list(closed.elements) + probes:
+        assert (p in chained) == (p in members)
+    assert chained == closed and closed == chained
+    assert PermGroup.generated(degree, gens).generators == (
+        PermGroup.from_elements(closed.elements).generators
+    )
+    assert chained.elements == closed.elements
+    for k in range(1, min(degree, 3) + 1):
+        tuples = {p.images[:k] for p in closed.elements}
+        assert is_k_transitive(chained, k) == (len(tuples) == perm(degree, k))
 
 
 def test_direct_product_order_and_degree():

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +197,24 @@ def test_aut_cap():
     with pytest.raises(CapExceeded):
         aut(build("trivial", 9))
     assert aut(build("trivial", 9), cap=9).order == 362880
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_aut_of_trivial_quandle_is_the_symmetric_group(n):
+    # every permutation preserves x * y = x
+    group = aut(build("trivial", n), cap=n)
+    assert group.order == factorial(n)
+    adjacent = [Perm.transposition(n, k, k + 1) for k in reversed(range(n - 1))]
+    assert list(group.generators) == adjacent
+
+
+def test_aut_caps_the_element_list_not_the_answer():
+    group = aut(build("trivial", 16), cap=16)
+    assert group.order == factorial(16)
+    assert len(group.generators) == 15
+    assert Perm.cycle(16, tuple(range(16))) in group
+    with pytest.raises(CapExceeded, match=f"{factorial(16)} .* cap 1000000"):
+        group.elements
 
 
 def test_aut_preserves_center_setwise():
