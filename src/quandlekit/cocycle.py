@@ -473,7 +473,8 @@ def _h2_single(q: Quandle, m: int) -> list:
     v, v_inv = cond.v, cond.v_inv
 
     def to_lattice_coords(vec) -> list:
-        raw = [sum(v_inv[i][j] * vec[j] for j in range(big)) for i in range(big)]
+        support = [(j, c) for j, c in enumerate(vec) if c]
+        raw = [sum(row[j] * c for j, c in support) for row in v_inv]
         out = []
         for val, e in zip(raw, scale):
             if val % e:

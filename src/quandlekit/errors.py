@@ -25,8 +25,12 @@ class UnsupportedSpec(QuandleKitError):
 
 
 class NotASubgroup(QuandleKitError):
-    """A set required to be a group (a stabilizer, or the input of
-    PermGroup.from_elements) is not closed under composition."""
+    """A set required to be a group is not closed under composition.
+
+    `stabilizer` names two fixing elements whose product does not fix;
+    `PermGroup.from_elements` names a member times one of its greedy
+    generators that falls outside the set, or a member whose powers reach
+    the missing identity."""
 
 
 class NotAHomomorphism(QuandleKitError):

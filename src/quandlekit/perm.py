@@ -1,17 +1,12 @@
-"""Permutations on {0, ..., n-1} and permutation groups, listed or as stabilizer chains.
+"""Permutations on {0, ..., n-1} and permutation groups held as stabilizer chains.
 
-Everything here is exact and small-scale by design.  A group is held in one
-of two ways.  `closure` and `from_elements` store a sorted tuple of its
-elements, found by Dimino's coset closure (G. Butler, Fundamental
-Algorithms for Permutation Groups, LNCS 559, 1991, ch. 6): generators are
-added one at a time, and the span of the ones added so far grows by whole
-right cosets, composed on raw image tuples.  `PermGroup.generated` holds a
+Everything here is exact and small-scale by design.  Every group is a
 stabilizer chain on the base 0, 1, ..., n-1, built by deterministic
 Schreier-Sims (A. Seress, Permutation Group Algorithms, 2003, ch. 4-5): the
-order is the product of the basic orbit lengths and membership is a sift,
-and the sorted elements and the greedy generators are computed only when
-read.  Either way the reported generators and elements do not depend on how
-the group was generated.
+order is the product of the basic orbit lengths, membership is a sift, and
+the sorted elements are listed from the transversals only when read.  The
+reported elements, and the greedy generators of a group not built from
+given generators, do not depend on how the group was generated.
 """
 
 from __future__ import annotations
@@ -23,6 +18,23 @@ from typing import Callable, Hashable, Iterable, Sequence
 from .errors import CapExceeded, NotASubgroup
 
 DEFAULT_ORDER_CAP = 10**6
+
+
+def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
+    """Sorted cycle lengths of a permutation given by its images (fixed points included)."""
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths))
 
 
 class Perm:
@@ -106,20 +118,7 @@ class Perm:
         return k
 
     def cycle_type(self) -> tuple[int, ...]:
-        """Multiset of cycle lengths, sorted ascending (fixed points included)."""
-        seen = [False] * len(self.images)
-        lengths = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            length = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = self.images[x]
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths))
+        return _cycle_type(self.images)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
@@ -138,86 +137,79 @@ class Perm:
 
 
 class PermGroup:
-    """A permutation group, given by its elements or by a stabilizer chain.
+    """A permutation group, held as a stabilizer chain (`_Chain`).
 
-    A group built by `closure` or `from_elements` holds its elements, sorted
-    lexicographically by image tuple, so the element list does not depend
-    on how it was generated; the constructor takes them already in that
-    order.  A group built on a `_Chain` (`generated`) knows its order and
-    decides membership by sifting; its sorted elements and its greedy
-    generators are computed only when they are read.
+    The order comes from the chain, membership is a sift, and two groups of
+    equal order are equal when one's level-0 generators sift through the
+    other's chain.  The elements, sorted lexicographically by image tuple,
+    and the greedy generators, as `from_elements` picks them, are computed
+    only when read, unless the constructor was given them.
     """
 
     def __init__(
         self,
-        degree: int,
-        generators: Sequence[Perm] = (),
-        elements: Sequence[Perm] = (),
-        chain: "_Chain | None" = None,
+        chain: "_Chain",
+        generators: Sequence[Perm] | None = None,
+        elements: Sequence[Perm] | None = None,
     ):
-        self.degree = degree
+        self.degree = chain.degree
         self._chain = chain
-        if chain is None:
+        if generators is not None:
             self.generators = tuple(generators)
+        if elements is not None:
             self.elements = tuple(elements)
-            self._members = frozenset(map(attrgetter("images"), self.elements))
-            if tuple(range(degree)) not in self._members:
-                raise ValueError("element list lacks the identity")
 
     @classmethod
     def generated(cls, degree: int, generators: Iterable[tuple[int, ...]]) -> "PermGroup":
-        """The group generated by image tuples, held as a stabilizer chain."""
-        return cls(degree, chain=_Chain(degree, generators))
+        """The group generated by image tuples."""
+        return cls(_Chain(degree, generators))
 
     @property
     def order(self) -> int:
-        return len(self.elements) if self._chain is None else self._chain.order()
+        return self._chain.order()
 
     @cached_property
     def elements(self) -> tuple[Perm, ...]:
-        """Sorted elements of a chain-backed group, listed once the order allows it."""
-        order = self._chain.order()
+        """Sorted elements, listed from the chain once the order allows it.
+
+        G^(k) is the disjoint union of the cosets G^(k+1) * u^-1, for u in
+        level k's transversal, so the listing grows from the identity level
+        by level upwards; each element costs one composition.
+        """
+        order = self.order
         if order > DEFAULT_ORDER_CAP:
             raise CapExceeded(
                 f"listing {order} group elements exceeds the element cap {DEFAULT_ORDER_CAP}"
             )
-        _, elements = _dimino(self._chain.gens[0], self.degree, cap=order)
+        elements = [tuple(range(self.degree))]
+        for invs in reversed(self._chain.invs):
+            if len(invs) > 1:
+                elements = [h for v in invs.values() for h in map(itemgetter(*v), elements)]
         elements.sort()
         return tuple(map(Perm._trusted, elements))
 
     @cached_property
     def generators(self) -> tuple[Perm, ...]:
-        """Greedy generators of a chain-backed group, as `from_elements` picks them."""
+        """Greedy generators, as `from_elements` picks them."""
         return tuple(map(Perm._trusted, self._chain.greedy_generators()))
 
-    def _spanning(self) -> list[tuple[int, ...]]:
-        """Image tuples of some generating set, found without computing one."""
-        if self._chain is None:
-            return [g.images for g in self.generators]
-        return self._chain.gens[0]
-
     def __contains__(self, p) -> bool:
-        if not isinstance(p, Perm):
-            return False
-        if self._chain is None:
-            return p.images in self._members
-        return len(p.images) == self.degree and self._chain.contains(p.images)
+        return (
+            isinstance(p, Perm)
+            and len(p.images) == self.degree
+            and self._chain.contains(p.images)
+        )
 
     def __iter__(self):
         return iter(self.elements)
 
     def __eq__(self, other) -> bool:
-        if not (
+        return (
             isinstance(other, PermGroup)
             and self.degree == other.degree
             and self.order == other.order
-        ):
-            return False
-        if self._chain is None:
-            if other._chain is None:
-                return self._members == other._members
-            self, other = other, self
-        return all(map(self._chain.contains, other._spanning()))
+            and all(map(self._chain.contains, other._chain.gens[0]))
+        )
 
     def __hash__(self):
         return hash((self.degree, self.order))
@@ -230,10 +222,13 @@ class PermGroup:
         """Wrap a set closed under composition, picking a small generating set.
 
         The generating set is found greedily: walk the sorted elements and
-        keep each one that is not already generated by the kept ones.  Each
-        kept element extends the span by Dimino's coset step, and every
-        element the span gains must lie in the given set; otherwise
-        NotASubgroup names a product of two members that falls outside it.
+        keep each one that does not sift through the chain of the ones kept
+        before.  Every element then lies in the group H of the kept ones, so
+        the set is H exactly when it has |H| elements.  Otherwise the set is
+        not closed under right multiplication by the kept ones, since a set
+        that holds the identity and is so closed contains H; NotASubgroup
+        names the first product a * s, a a member and s a kept element, that
+        falls outside it.
         """
         by_images = {p.images: p for p in elements}
         if not by_images:
@@ -246,56 +241,18 @@ class PermGroup:
         if tuple(range(degree)) not in by_images:
             p = elements[0]
             raise NotASubgroup(f"not closed: {p!r}**{p.order()} is the identity, not in the set")
-        added, _ = _dimino(map(attrgetter("images"), elements), degree, within=by_images)
-        return cls(degree, [by_images[t] for t in added], elements)
-
-
-def _dimino(candidates, degree, cap=None, within=None):
-    """Dimino's closure: add each candidate not yet in the span of those added before.
-
-    Candidates and elements are image tuples.  Adding g to the generators of
-    H = <added> grows H, in place, to the union of its right cosets H*r in
-    <added, g>.  Those cosets are reached from H itself: for a coset
-    representative r and a generator s, H*(r*s) is either already present or
-    a new coset with representative r*s.  Each element costs one tuple
-    composition, h*t being `t`'s images looked up in `h`.
-
-    The order is bounded in one of two ways.  With `cap`, CapExceeded is
-    raised before a coset would take the group past `cap` elements.  With
-    `within`, every new element must be a key of it, or NotASubgroup names
-    a product of two members that is not; the group then cannot outgrow it.
-
-    Returns the added candidates and the group's elements, identity first.
-    """
-    span_list = [tuple(range(degree))]
-    span = set(span_list)
-    added: list[tuple[int, ...]] = []
-    for g in candidates:
-        if g in span:
-            continue
-        added.append(g)
-        old = span_list[:]
-        reps = [old[0]]
-        for r in reps:  # grows while it is walked
-            for s in added:
-                t = tuple([r[x] for x in s])
-                if t in span:
-                    continue
-                if within is None and len(span) + len(old) > cap:
-                    raise CapExceeded(f"closure order exceeds cap {cap}")
-                coset = list(map(itemgetter(*t), old))
-                if within is not None and not all(map(within.__contains__, coset)):
-                    if t not in within:
-                        left, right = r, s
-                    else:
-                        left, right = next((h, t) for h, ht in zip(old, coset) if ht not in within)
-                    raise NotASubgroup(
-                        f"not closed: {Perm(left)!r} * {Perm(right)!r} is not in the set"
-                    )
-                span.update(coset)
-                span_list.extend(coset)
-                reps.append(t)
-    return added, span_list
+        chain = _Chain(degree)
+        kept = []
+        for p in elements:
+            if not chain.contains(p.images):
+                kept.append(p)
+                chain.add(p.images)
+        if chain.order() != len(elements):
+            left, right = next(
+                (a, s) for a in elements for s in kept if (a * s).images not in by_images
+            )
+            raise NotASubgroup(f"not closed: {left!r} * {right!r} is not in the set")
+        return cls(chain, kept, elements)
 
 
 def _compose(p, q):
@@ -327,7 +284,8 @@ class _Chain:
     is complete once each of its Schreier generators sifts through the
     levels below it.  Points whose orbit is {k} cost nothing beyond a
     comparison.  Degree-1 groups have no non-identity element, so nothing
-    is ever composed at degree 1.
+    is ever composed at degree 1.  `gens[n]` belongs to the trivial group
+    G^(n) and stays empty; it keeps `gens[0]` defined at degree 0.
     """
 
     __slots__ = ("degree", "gens", "orbits", "reps", "invs", "_sifted")
@@ -335,7 +293,7 @@ class _Chain:
     def __init__(self, degree: int, generators: Iterable[tuple[int, ...]] = ()):
         identity = tuple(range(degree))
         self.degree = degree
-        self.gens: list[list[tuple[int, ...]]] = [[] for _ in range(degree)]
+        self.gens: list[list[tuple[int, ...]]] = [[] for _ in range(degree + 1)]
         self.orbits = [[k] for k in range(degree)]
         self.reps = [{k: identity} for k in range(degree)]
         self.invs = [{k: identity} for k in range(degree)]
@@ -457,11 +415,11 @@ def closure(
     cap: int = DEFAULT_ORDER_CAP,
     degree: int | None = None,
 ) -> PermGroup:
-    """Group generated by the given permutations, materialized by Dimino's algorithm.
+    """Group generated by the given permutations, which it keeps as its generators.
 
-    The generators are added one at a time; one already in the span adds
-    nothing.  Raises CapExceeded once the group is known to have more than
-    `cap` elements, before the coset that would exceed it is built.
+    Raises CapExceeded if the group has more than `cap` elements.  The cap
+    is checked once the chain is built: a chain holds at most n(n+1)/2
+    transversal elements, whatever the order of the group.
     """
     generators = list(generators)
     if degree is None:
@@ -470,9 +428,10 @@ def closure(
         degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators have mixed degrees")
-    _, elements = _dimino([g.images for g in generators], degree, cap=cap)
-    elements.sort()
-    return PermGroup(degree, generators, list(map(Perm._trusted, elements)))
+    group = PermGroup(_Chain(degree, [g.images for g in generators]), generators)
+    if group.order > cap:
+        raise CapExceeded(f"closure order {group.order} exceeds cap {cap}")
+    return group
 
 
 def orbit_partition(generators: Sequence[Perm], degree: int) -> list[list[int]]:
@@ -508,7 +467,7 @@ def is_k_transitive(group: PermGroup, k: int) -> bool:
         return True
     if k <= 0:
         return True
-    gens = group._spanning()
+    gens = group._chain.gens[0]
     base = tuple(range(k))
     orbit = [base]
     seen = {base}
@@ -547,9 +506,9 @@ def stabilizer(
 
 def symmetric_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
     """The full symmetric group on n points."""
-    if n <= 1:
-        return PermGroup(n, [], [Perm.identity(n)])
-    gens = [Perm.transposition(n, 0, 1)]
+    gens = []
+    if n > 1:
+        gens.append(Perm.transposition(n, 0, 1))
     if n > 2:
         gens.append(Perm.cycle(n, tuple(range(n))))
     return closure(gens, cap=cap, degree=n)

@@ -25,6 +25,7 @@ from .perm import (
     DEFAULT_ORDER_CAP,
     Perm,
     PermGroup,
+    _cycle_type,
     closure,
 )
 
@@ -238,24 +239,6 @@ def _orbits(table) -> list[list[int]]:
 
 def is_connected(q: Quandle) -> bool:
     return len(orbit_partition(q)) == 1
-
-
-def _cycle_type(images) -> tuple[int, ...]:
-    """Sorted cycle lengths of a permutation given by its images."""
-    n = len(images)
-    seen = [False] * n
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        ln = 0
-        z = start
-        while not seen[z]:
-            seen[z] = True
-            z = images[z]
-            ln += 1
-        lengths.append(ln)
-    return tuple(sorted(lengths))
 
 
 def _element_invariants(table, n):

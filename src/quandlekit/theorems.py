@@ -707,13 +707,14 @@ def _suite_cohomologous_extensions(options: dict) -> dict:
     pools = {
         (name, s): _cocycle_pool(q, s) for name, q in bases for s in (2, 3)
     }
+    base_auts = {name: quandlemod.aut(q).elements for name, q in bases}
     failures = []
     for trial in range(trials):
         name, base = bases[rng.randrange(len(bases))]
         s = rng.choice((2, 3))
         pool = pools[(name, s)]
         alpha = pool[rng.randrange(len(pool))]
-        auts = quandlemod.aut(base).elements
+        auts = base_auts[name]
         alpha = cocyclemod.act(
             auts[rng.randrange(len(auts))],
             fiber_perms[s][rng.randrange(len(fiber_perms[s]))],

@@ -1,11 +1,13 @@
 """Tests for the permutation layer."""
 
+import ast
 import itertools
 import random
+import re
 from math import perm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quandlekit.errors import CapExceeded, NotASubgroup
@@ -254,6 +256,16 @@ def _bfs_span(gens, degree):
     return seen
 
 
+def _greedy_generators(elements, degree):
+    """Walk the sorted elements, keeping each one outside the span of those kept before."""
+    kept, span = [], {tuple(range(degree))}
+    for p in elements:
+        if p not in span:
+            kept.append(p)
+            span = _bfs_span(kept, degree)
+    return kept
+
+
 @st.composite
 def generator_sets(draw):
     degree = draw(st.integers(1, 6))
@@ -275,11 +287,7 @@ def test_closure_matches_breadth_first_span(case):
 def test_from_elements_matches_greedy_reference(case, rng):
     degree, gens = case
     elements = sorted(_bfs_span(gens, degree))
-    kept, span = [], {tuple(range(degree))}
-    for p in elements:
-        if p not in span:
-            kept.append(p)
-            span = _bfs_span(kept, degree)
+    kept = _greedy_generators(elements, degree)
     shuffled = [Perm(p) for p in elements]
     rng.shuffle(shuffled)
     group = PermGroup.from_elements(shuffled, degree=degree)
@@ -298,21 +306,40 @@ def chain_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(chain_cases())
 def test_stabilizer_chain_agrees_with_the_closure(case):
+    # the oracles are the breadth-first span and the greedy walk over it
     degree, gens, probes = case
     closed = closure([Perm(g) for g in gens], degree=degree)
     chained = PermGroup.generated(degree, gens)
-    assert chained.order == closed.order
-    members = set(closed.elements)
-    for p in list(closed.elements) + probes:
-        assert (p in chained) == (p in members)
+    span = sorted(_bfs_span(gens, degree))
+    assert chained.order == closed.order == len(span)
+    members = set(span)
+    for p in [Perm(q) for q in span] + probes:
+        assert (p in chained) == (p.images in members)
     assert chained == closed and closed == chained
-    assert PermGroup.generated(degree, gens).generators == (
-        PermGroup.from_elements(closed.elements).generators
-    )
-    assert chained.elements == closed.elements
+    assert [p.images for p in chained.generators] == _greedy_generators(span, degree)
+    assert [p.images for p in chained.elements] == span
     for k in range(1, min(degree, 3) + 1):
-        tuples = {p.images[:k] for p in closed.elements}
+        tuples = {p[:k] for p in span}
         assert is_k_transitive(chained, k) == (len(tuples) == perm(degree, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets(), st.data())
+def test_from_elements_names_a_product_outside_a_punctured_group(case, data):
+    # a group of order at least 3 less one non-identity element is not a group
+    degree, gens = case
+    span = _bfs_span(gens, degree)
+    assume(len(span) > 2)
+    elements = sorted(span)[1:]  # the identity sorts first
+    removed = elements.pop(data.draw(st.integers(0, len(elements) - 1)))
+    members = {tuple(range(degree))} | set(elements)
+    with pytest.raises(NotASubgroup) as info:
+        PermGroup.from_elements([Perm(p) for p in members], degree=degree)
+    named = re.search(r"Perm(\(.*?\)) \* Perm(\(.*?\)) is not in the set", str(info.value))
+    a, s = (ast.literal_eval(t) for t in named.groups())
+    assert a in members and s in members
+    product = tuple(a[x] for x in s)
+    assert product not in members and product == removed
 
 
 def test_direct_product_order_and_degree():
