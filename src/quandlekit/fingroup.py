@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     CapExceeded,
@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedSpec,
 )
 from .perm import Perm, PermGroup
-from .quandle import Quandle, _first_unpreserved
+from .quandle import Quandle, _automorphisms, _first_unpreserved, _iso_images
 
 DEFAULT_GROUP_CAP = 200
 
@@ -86,11 +86,9 @@ class FiniteGroup:
 
 
 def power(group: FiniteGroup, x: int, k: int) -> int:
-    """k-th power of x, with negative k meaning powers of the inverse."""
-    if k < 0:
-        x, k = group.inv(x), -k
+    """k-th power of x for any integer k, reduced modulo the order of x first."""
     acc = group.identity
-    for _ in range(k):
+    for _ in range(k % element_order(group, x)):
         acc = group.mul(acc, x)
     return acc
 
@@ -274,97 +272,25 @@ def make_group(spec: str, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     return group
 
 
-def generating_sequence(group: FiniteGroup) -> list[int]:
-    """A short generating list, grown greedily in index order."""
-    gens: list[int] = []
-    span = {group.identity}
-    for x in range(group.order):
-        if x not in span:
-            gens.append(x)
-            span = set(_bfs_order(group, gens)[0])
-            if len(span) == group.order:
-                break
-    return gens
-
-
-def _bfs_order(group: FiniteGroup, gens: Sequence[int]):
-    """Breadth-first discovery order via left multiplication by generators."""
-    order = [group.identity]
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {group.identity}
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for gi, g in enumerate(gens):
-            y = group.table[g][x]
-            if y not in seen:
-                seen.add(y)
-                parent[y] = (gi, x)
-                order.append(y)
-    return order, parent
-
-
-def _image_maps(source: FiniteGroup, target: FiniteGroup, gens, bfs):
-    """Yield every bijective homomorphism source -> target extending gens -> images."""
-    order, parent = bfs
-    n = source.order
-    target_orders = [element_order(target, x) for x in range(target.order)]
-
-    def build(images: list[int]):
-        f = [-1] * n
-        f[source.identity] = target.identity
-        for y in order[1:]:
-            gi, x = parent[y]
-            f[y] = target.table[images[gi]][f[x]]
-        if len(set(f)) != n:
-            return None
-        for gi, g in enumerate(gens):
-            img = images[gi]
-            for x in range(n):
-                if f[source.table[g][x]] != target.table[img][f[x]]:
-                    return None
-        return f
-
-    def rec(pos: int, chosen: list[int]):
-        if pos == len(gens):
-            f = build(chosen)
-            if f is not None:
-                yield f
-            return
-        want = element_order(source, gens[pos])
-        for img in range(target.order):
-            if target_orders[img] == want:
-                yield from rec(pos + 1, chosen + [img])
-
-    yield from rec(0, [])
-
-
 def automorphism_group(group: FiniteGroup, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
-    """All table automorphisms, as a permutation group on element indices."""
+    """All table automorphisms, as a permutation group on element indices.
+
+    The search is `quandle._automorphisms`, which needs only a table with
+    bijective columns.
+    """
     if group.order > cap:
         raise CapExceeded(f"group order {group.order} exceeds cap {cap}")
-    gens = generating_sequence(group)
-    bfs = _bfs_order(group, gens)
-    found = [Perm(f) for f in _image_maps(group, group, gens, bfs)]
-    return PermGroup.from_elements(found, degree=group.order)
+    return _automorphisms(group.table, cap)
 
 
 def find_isomorphism(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_GROUP_CAP) -> list[int] | None:
-    """An index map realizing a == b, or None."""
+    """An index map realizing a == b, or None; the search is `quandle._iso_images`."""
     if a.order != b.order:
         return None
     if a.order > cap:
         raise CapExceeded(f"group order {a.order} exceeds cap {cap}")
-    orders_a = sorted(element_order(a, x) for x in range(a.order))
-    orders_b = sorted(element_order(b, x) for x in range(b.order))
-    if orders_a != orders_b:
-        return None
-    gens = generating_sequence(a)
-    bfs = _bfs_order(a, gens)
-    for f in _image_maps(a, b, gens, bfs):
-        return f
-    return None
+    images = _iso_images(a.table, b.table, a.order)
+    return None if images is None else list(images)
 
 
 def is_isomorphic(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_GROUP_CAP) -> bool:
@@ -384,13 +310,12 @@ def from_permgroup(group: PermGroup) -> FiniteGroup:
 def conj_quandle(group: FiniteGroup, n: int = 1) -> Quandle:
     """Quandle on the group with x * y = y^-n x y^n; n = 0 gives the trivial one."""
     size = group.order
-    table = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            p = power(group, y, n)
-            row.append(group.mul(group.mul(group.inv(p), x), p))
-        table.append(row)
+    powers = [power(group, y, n) for y in range(size)]
+    inverses = [group.inv(p) for p in powers]
+    table = [
+        [group.mul(group.mul(inverses[y], x), powers[y]) for y in range(size)]
+        for x in range(size)
+    ]
     return Quandle.from_table(table, labels=group.labels)
 
 

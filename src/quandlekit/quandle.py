@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     Axiom1Violation,
@@ -270,15 +270,16 @@ def _iso_images(t1, t2, n, pairs=(), inv1=None, inv2=None):
 def _iso_search(t1, t2, n, inv1, inv2):
     """A function from pre-assigned pairs to the first isomorphism extending them.
 
-    The remaining elements are chosen most-constrained first, each tried
-    on the elements of t2 with its invariants, in increasing order.  Forced
-    values propagate through the tables: as soon as x and y have images, so
-    does x * y, and every pair of assigned elements is checked against both
-    tables.  The search order and candidate lists are set up once, so one
-    function serves every search of a backtrack over base images.  Each
-    element of its `fixed` argument starts out mapped to itself, unchecked,
-    as propagation from the identity on it would map it; so with t1 == t2,
-    `fixed` must be a subquandle.
+    t1 and t2 may be any operation tables with bijective columns, such as
+    quandle or group tables.  The remaining elements are chosen
+    most-constrained first, each tried on the elements of t2 with its
+    invariants, in increasing order.  Forced values propagate through the
+    tables: as soon as x and y have images, so does x * y, and every pair of
+    assigned elements is checked against both tables.  The search order and
+    candidate lists are set up once, so one function serves every search of
+    a backtrack over base images.  Each element of its `fixed` argument
+    starts out mapped to itself, unchecked, as propagation from the identity
+    on it would map it; so with t1 == t2, `fixed` must be a closed subset.
     """
     static_order = _search_order(inv1)
     cand = [[v for v in range(n) if inv2[v] == inv1[x]] for x in range(n)]
@@ -350,11 +351,12 @@ def _iso_search(t1, t2, n, inv1, inv2):
 
 
 def _base(table, order):
-    """Elements of `order` outside the subquandle generated by the earlier ones.
+    """Elements of `order` outside the closed subset generated by the earlier ones.
 
-    Each comes with that subquandle, as a list.  These are the choice points
+    `table` is any operation table with bijective columns.  Each element
+    comes with that closed subset, as a list.  These are the choice points
     on the identity path of `_iso_images`: once the earlier ones are mapped
-    to themselves, propagation fixes their whole subquandle.  An
+    to themselves, propagation fixes their whole closed subset.  An
     automorphism fixing the base fixes every element.
     """
     inside: set[int] = set()
@@ -388,11 +390,14 @@ def _orbit(x, gens):
     return seen
 
 
-def _automorphisms(q: Quandle, cap: int, colours: Sequence[int] | None = None) -> PermGroup:
-    """Automorphisms of q that keep each element's colour, by a search along a base.
+def _automorphisms(table, cap: int, colours: Sequence[int] | None = None) -> PermGroup:
+    """Automorphisms of `table` that keep each element's colour, by a search along a base.
 
-    Candidates are filtered by each element's invariants, extended by its
-    colour when colours are given, so every map found keeps them.  The base
+    `table` is any operation table with bijective columns: a quandle or a
+    group.  Every automorphism keeps the invariants of `_element_invariants`
+    (for a group, the cycle type of R_x encodes the order of x), so
+    candidates are filtered by them, extended by each element's colour when
+    colours are given, and every map found keeps them.  The base
     b_1, ..., b_k is `_base` over the search order of `_iso_images`.
     Levels are searched deepest first.  At level i the earlier base points
     are fixed, and one first-match search sends b_i to each candidate v (same
@@ -404,21 +409,21 @@ def _automorphisms(q: Quandle, cap: int, colours: Sequence[int] | None = None) -
     those orbit lengths (Seress, Permutation Group Algorithms, 2003, ch. 4;
     McKay and Piperno, Practical graph isomorphism II, 2014).
 
-    Each generator is re-checked against the table.  The generators are
-    then built into a stabilizer chain on the base 0, ..., n-1 by
-    Schreier-Sims, and the chain's order must equal that product.
+    Each generator is re-checked against the table and for bijectivity.  The
+    generators are then built into a stabilizer chain on the base
+    0, ..., n-1 by Schreier-Sims, and the chain's order must equal that
+    product.
     """
-    n = q.order
+    n = len(table)
     if n > cap:
         raise CapExceeded(f"order {n} exceeds automorphism cap {cap}")
-    t = q.table
-    inv = _element_invariants(t, n)
+    inv = _element_invariants(table, n)
     if colours is not None:
         inv = [x_inv + (colour,) for x_inv, colour in zip(inv, colours)]
-    search = _iso_search(t, t, n, inv, inv)
+    search = _iso_search(table, table, n, inv, inv)
     gens: list[tuple[int, ...]] = []
     order = 1
-    for b, fixed in reversed(_base(t, _search_order(inv))):
+    for b, fixed in reversed(_base(table, _search_order(inv))):
         orbit = {b}
         failed: set[int] = set()
         for v in range(n):
@@ -428,8 +433,8 @@ def _automorphisms(q: Quandle, cap: int, colours: Sequence[int] | None = None) -
             if g is None:
                 failed |= _orbit(v, gens)
             else:
-                if not QuandleMap(q, q, g).is_bijective():
-                    raise AssertionError("the search returned a map that is not a bijection")
+                if _first_unpreserved(table, table, g) is not None or len(set(g)) != n:
+                    raise AssertionError("the search returned a map that is not an automorphism")
                 gens.append(g)
                 orbit = _orbit(b, gens)
         order *= len(orbit)
@@ -447,7 +452,7 @@ def aut(q: Quandle, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
     the sorted elements as in `PermGroup.from_elements`, are computed only
     when read.
     """
-    return _automorphisms(q, cap)
+    return _automorphisms(q.table, cap)
 
 
 def find_isomorphism(a: Quandle, b: Quandle) -> Perm | None:
@@ -473,7 +478,7 @@ def qinn(q: Quandle, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
     for i, block in enumerate(orbit_partition(q)):
         for x in block:
             where[x] = i
-    return _automorphisms(q, cap, where)
+    return _automorphisms(q.table, cap, where)
 
 
 def is_quasi_inner_strong(q: Quandle, phi: Perm) -> bool:

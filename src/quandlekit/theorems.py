@@ -43,6 +43,14 @@ GROUP_CATALOG = (
     "Q8",
 )
 
+# Catalog groups of order 9 to 24.  `_catalog_groups` builds them only when
+# the order bound exceeds 8, the largest order in GROUP_CATALOG, so the
+# default sweep never pays for their tables.
+LARGER_GROUP_CATALOG = (
+    "Z3xZ3", "D5", "D6", "Z2xS3", "Z3xS3", "Z2xD4",
+    "Z2xQ8", "Z4xZ4", "Z2xZ8", "Z2xZ2xZ2xZ2", "S4",
+)
+
 DEFAULT_SEED = 20260814
 
 
@@ -67,8 +75,9 @@ def _catalog_groups(options):
     """Catalog groups within the order bound, sorted by (order, spec)."""
     max_order = _opt(options, "max_order", 8)
     cap_group = _opt(options, "cap_group", fingroup.DEFAULT_GROUP_CAP)
+    specs = GROUP_CATALOG + (LARGER_GROUP_CATALOG if max_order > 8 else ())
     picked = []
-    for spec in GROUP_CATALOG:
+    for spec in specs:
         group = fingroup.make_group(spec, cap=cap_group)
         if group.order <= max_order:
             picked.append((spec, group))

@@ -86,6 +86,14 @@ def test_build_sources(capsys):
     assert len(report["results"]["table"]) == 4
 
 
+def test_huge_power_is_reduced_modulo_element_orders(capsys):
+    # 10**11 = 4 mod 6, the exponent of S3
+    code, huge = report_of(["build", "--conj", "S3", "--power", "100000000000"], capsys)
+    assert code == 0
+    _, four = report_of(["build", "--conj", "S3", "--power", "4"], capsys)
+    assert huge["results"]["table"] == four["results"]["table"]
+
+
 def test_build_alexander(tmp_path, capsys):
     autfile = tmp_path / "phi.json"
     autfile.write_text("[0, 2, 1]")

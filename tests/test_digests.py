@@ -31,6 +31,7 @@ import pytest
 
 from quandlekit import cli, cocycle
 from quandlekit.envgroup import smith_normal_form
+from quandlekit.fingroup import automorphism_group, make_group
 from quandlekit.quandle import build, enumerate_quandles
 
 DIGESTS = {
@@ -220,6 +221,27 @@ def test_stabilizer_chain_digest_is_pinned(command, capsys):
     assert cli.run(command.split()) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["report_digest"] == CHAIN_DIGESTS[command]
+
+
+# Recorded while `fingroup.automorphism_group` listed every automorphism by
+# its own backtrack over images of a greedy generating sequence, before it
+# used the automorphism search of `quandle`.
+GROUP_AUT_SPECS = (
+    "Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2", "Z2xZ2xZ2", "S3", "D4", "Q8",
+    "Z3xZ3", "D5", "D6", "Z2xS3", "Z3xS3", "Z2xD4", "Z2xQ8", "Z4xZ4", "Z2xZ8",
+    "Z2xZ2xZ2xZ2", "S4",
+)
+GROUP_AUT_DIGEST = "c87b1d8bc3fde0242383cf1fd32d27fd6aee7f6d2c1633b9c730d8e0b66b3f97"
+
+
+def test_group_automorphisms_are_pinned():
+    doc = []
+    for spec in GROUP_AUT_SPECS:
+        group = automorphism_group(make_group(spec))
+        doc.append([[list(p.images) for p in group.elements],
+                    [list(p.images) for p in group.generators]])
+    text = json.dumps(doc, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GROUP_AUT_DIGEST
 
 
 ENUMERATION_DIGESTS = {

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit.errors import (
     CapExceeded,
@@ -29,12 +31,14 @@ from quandlekit.fingroup import (
     is_abelian,
     is_isomorphic,
     make_group,
+    power,
     quaternion_group,
     semidirect,
     symmetric_group_table,
 )
 from quandlekit.quandle import Quandle, build, inn
 from quandlekit.quandle import is_isomorphic as quandle_isomorphic
+from quandlekit.theorems import GROUP_CATALOG, LARGER_GROUP_CATALOG
 
 
 def naive_automorphisms(g):
@@ -176,6 +180,50 @@ def test_find_isomorphism_returns_checked_witness():
         f[a.mul(x, y)] == b.mul(f[x], f[y]) for x in range(6) for y in range(6)
     )
     assert find_isomorphism(make_group("D4"), make_group("Q8")) is None
+
+
+def test_search_separates_groups_with_equal_element_orders():
+    a, b = make_group("Z4xZ4"), make_group("Z2xQ8")
+
+    def orders(g):
+        return sorted(element_order(g, x) for x in range(g.order))
+
+    assert orders(a) == orders(b)
+    assert find_isomorphism(a, b) is None
+
+
+def relabel_group(g, sigma):
+    """The table of g with each element x renamed sigma[x]."""
+    n = g.order
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[sigma[x]][sigma[y]] = sigma[g.mul(x, y)]
+    return FiniteGroup(table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(GROUP_CATALOG + LARGER_GROUP_CATALOG), data=st.data())
+def test_relabeled_catalog_group_is_isomorphic_to_it(spec, data):
+    g = make_group(spec)
+    n = g.order
+    h = relabel_group(g, data.draw(st.permutations(range(n))))
+    f = find_isomorphism(g, h)
+    assert f is not None
+    assert sorted(f) == list(range(n))
+    assert all(f[g.mul(x, y)] == h.mul(f[x], f[y]) for x in range(n) for y in range(n))
+    assert automorphism_group(h).order == automorphism_group(g).order
+
+
+def test_power_matches_repeated_products():
+    g = symmetric_group_table(3)
+    for x in range(g.order):
+        for k in range(-13, 14):
+            step = x if k >= 0 else g.inv(x)
+            expected = g.identity
+            for _ in range(abs(k)):
+                expected = g.mul(expected, step)
+            assert power(g, x, k) == expected
 
 
 def test_from_permgroup_recovers_abstract_table():

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from quandlekit.errors import QuandleKitError, UnsupportedSpec
-from quandlekit.theorems import CATALOG, GROUP_CATALOG, run_suite
+from quandlekit.fingroup import is_abelian, make_group
+from quandlekit.theorems import CATALOG, GROUP_CATALOG, LARGER_GROUP_CATALOG, run_suite
 
 ALL_IDS = (
     "3.1",
@@ -84,6 +85,57 @@ def test_center_swap_runs_on_every_catalog_group(reports):
         c["case"] for c in reports["4.3"]["cases"] if not c["hypothesis_holds"]
     ]
     assert trivial_center == ["S3"]
+
+
+# |Aut(G)| from the literature, e.g. |Aut(Z3xZ3)| = |GL(2, 3)| and
+# |Aut(Z2xZ2xZ2xZ2)| = |GL(4, 2)|.
+PUBLISHED_AUT_ORDERS = {
+    "Z3xZ3": 48,
+    "D5": 20,
+    "D6": 12,
+    "Z2xS3": 12,
+    "Z3xS3": 12,
+    "Z2xD4": 64,
+    "Z2xQ8": 192,
+    "Z4xZ4": 96,
+    "Z2xZ8": 16,
+    "Z2xZ2xZ2xZ2": 20160,
+    "S4": 24,
+}
+
+
+@pytest.fixture(scope="module")
+def larger_sweep():
+    return run_suite("4.4", {"max_order": 24})
+
+
+def test_larger_catalog_runs_only_past_the_default_bound(reports, larger_sweep):
+    assert {c["case"] for c in reports["4.4"]["cases"]} == set(GROUP_CATALOG)
+    assert len(larger_sweep["cases"]) == len(GROUP_CATALOG) + len(LARGER_GROUP_CATALOG)
+    assert larger_sweep["passed"]
+    for tid in ("4.3", "4.5", "4.6"):
+        assert run_suite(tid, {"max_order": 24})["passed"]
+
+
+def test_larger_catalog_matches_published_aut_orders(larger_sweep):
+    assert set(PUBLISHED_AUT_ORDERS) == set(LARGER_GROUP_CATALOG)
+    for spec, order in PUBLISHED_AUT_ORDERS.items():
+        assert by_case(larger_sweep, spec)["aut_group_order"] == order
+
+
+def test_conj_quandle_of_abelian_group_has_every_permutation(larger_sweep):
+    # Conj(G) of an abelian G is the trivial quandle, kept by all of S_|G|
+    abelian = [c for c in larger_sweep["cases"] if is_abelian(make_group(c["case"]))]
+    assert len(abelian) == 11
+    for case in abelian:
+        assert case["aut_conj_order"] == math.factorial(make_group(case["case"]).order)
+
+
+def test_centerless_groups_share_aut_with_their_conj_quandle(larger_sweep):
+    for spec in ("S3", "D5", "S4"):
+        case = by_case(larger_sweep, spec)
+        assert case["center_order"] == 1
+        assert case["aut_conj_order"] == case["aut_group_order"]
 
 
 def test_conj_aut_equality_only_for_trivial_center(reports):
