@@ -23,7 +23,6 @@ from .errors import (
     CapExceeded,
     CocycleViolation,
     DiagonalViolation,
-    NotAutomorphism,
     NotInStabilizer,
     require_field,
     require_int,
@@ -31,7 +30,7 @@ from .errors import (
     require_list,
 )
 from .perm import Perm
-from .quandle import Quandle, _first_unpreserved, aut, orbit_partition
+from .quandle import Quandle, _first_unpreserved, _require_automorphism, aut, orbit_partition
 
 # A lambda map is one fiber permutation per base element.
 LambdaMap = tuple
@@ -77,6 +76,21 @@ def _json_cells(table) -> list:
     return [require_list(row, "cocycle table row") for row in rows]
 
 
+def _conditions(t):
+    """The cocycle condition a(x*y, z) a(x, y) = a(x*z, y*z) a(x, z), one triple at a time.
+
+    Yields ((x, y, z), (i, j, k, l)) for the base table t, x outer and z
+    inner, where i, j, k, l are the positions x*n + y of the four pairs in
+    the flattened cocycle table: the condition reads a[i] a[j] = a[k] a[l].
+    """
+    n = len(t)
+    for x, tx in enumerate(t):
+        for y, xy in enumerate(tx):
+            ty = t[y]
+            for z in range(n):
+                yield (x, y, z), (xy * n + z, x * n + y, tx[z] * n + ty[z], x * n + z)
+
+
 def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
     """Check the diagonal and pair-coherence conditions, with witnesses."""
     if require_int(fiber_size, "cocycle fiber") < 1:
@@ -92,19 +106,15 @@ def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
         )
         for row in rows
     )
-    for row in a:
-        for p in row:
-            if len(p.images) != fiber_size:
-                raise ValueError("cocycle entries must permute the fiber")
+    flat = [p for row in a for p in row]
+    if any(len(p.images) != fiber_size for p in flat):
+        raise ValueError("cocycle entries must permute the fiber")
     for x in range(n):
         if not a[x][x].is_identity():
             raise DiagonalViolation(x)
-    t = base.table
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if a[t[x][y]][z] * a[x][y] != a[t[x][z]][t[y][z]] * a[x][z]:
-                    raise CocycleViolation(x, y, z)
+    for triple, (i, j, k, l) in _conditions(base.table):
+        if flat[i] * flat[j] != flat[k] * flat[l]:
+            raise CocycleViolation(*triple)
     return ConstantCocycle(base, fiber_size, a)
 
 
@@ -187,17 +197,9 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle, cap: int = 1
     return witness
 
 
-def _check_base_automorphism(q: Quandle, phi: Perm) -> None:
-    if len(phi.images) != q.order:
-        raise NotAutomorphism(f"permutation degree {len(phi.images)} != {q.order}")
-    pair = _first_unpreserved(q.table, q.table, phi.images)
-    if pair is not None:
-        raise NotAutomorphism(f"map breaks the product at {pair}")
-
-
 def act(phi: Perm, theta: Perm, alpha: ConstantCocycle) -> ConstantCocycle:
     """Transport a cocycle along a base automorphism and a fiber permutation."""
-    _check_base_automorphism(alpha.base, phi)
+    _require_automorphism(alpha.base.table, phi)
     if len(theta.images) != alpha.fiber_size:
         raise ValueError("theta must permute the fiber")
     n = alpha.base.order
@@ -269,56 +271,35 @@ def all_constant_cocycles(base: Quandle, fiber_size: int, cap: int = 10**6) -> l
     n = base.order
     t = base.table
     candidates = [Perm(p) for p in itertools.permutations(range(fiber_size))]
-    free = [(x, y) for x in range(n) for y in range(n) if x != y]
+    # the off-diagonal pairs, as positions x*n + y of the flattened table
+    free = [x * n + y for x in range(n) for y in range(n) if x != y]
     if len(candidates) ** len(free) > cap:
         raise CapExceeded(
             f"cocycle space {len(candidates)}**{len(free)} exceeds cap {cap}"
         )
-    slot = {p: i for i, p in enumerate(free)}
+    slot = {pos: i for i, pos in enumerate(free)}
 
-    def slot_of(x, y):
-        return -1 if x == y else slot[(x, y)]
-
-    # triples become checkable once their last involved pair is assigned
+    # a condition becomes checkable once its last off-diagonal pair is assigned
     due = [[] for _ in range(len(free))]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                involved = [
-                    slot_of(t[x][y], z),
-                    slot_of(x, y),
-                    slot_of(t[x][z], t[y][z]),
-                    slot_of(x, z),
-                ]
-                last = max(involved)
-                if last >= 0:
-                    due[last].append((x, y, z))
+    for _, positions in _conditions(t):
+        last = max(slot.get(p, -1) for p in positions)
+        if last >= 0:
+            due[last].append(positions)
 
     ident = Perm.identity(fiber_size)
-    entries = [[ident] * n for _ in range(n)]
+    entries = [ident] * (n * n)
     out = []
-
-    def value(x, y):
-        return entries[x][y]
-
-    def consistent(triple) -> bool:
-        x, y, z = triple
-        return value(t[x][y], z) * value(x, y) == value(t[x][z], t[y][z]) * value(x, z)
 
     def rec(k: int):
         if k == len(free):
-            out.append(
-                validate_constant(
-                    base, fiber_size, tuple(tuple(row) for row in entries)
-                )
-            )
+            rows = tuple(tuple(entries[x * n:(x + 1) * n]) for x in range(n))
+            out.append(validate_constant(base, fiber_size, rows))
             return
-        x, y = free[k]
         for p in candidates:
-            entries[x][y] = p
-            if all(consistent(tr) for tr in due[k]):
+            entries[free[k]] = p
+            if all(entries[i] * entries[j] == entries[u] * entries[v] for i, j, u, v in due[k]):
                 rec(k + 1)
-        entries[x][y] = ident
+        entries[free[k]] = ident
 
     rec(0)
     return out
@@ -390,12 +371,10 @@ def validate_abelian(base: Quandle, moduli, table) -> AbelianCocycle:
     def add(u, v):
         return tuple((c + d) % m for c, d, m in zip(u, v, moduli))
 
-    t = base.table
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if add(a[t[x][y]][z], a[x][y]) != add(a[t[x][z]][t[y][z]], a[x][z]):
-                    raise CocycleViolation(x, y, z)
+    flat = [v for row in a for v in row]
+    for triple, (i, j, k, l) in _conditions(base.table):
+        if add(flat[i], flat[j]) != add(flat[k], flat[l]):
+            raise CocycleViolation(*triple)
     return AbelianCocycle(base, moduli, a)
 
 
@@ -455,16 +434,12 @@ def _h2_single(q: Quandle, m: int) -> list:
         row = [0] * big
         row[pos(x, x)] = 1
         rows.append(row)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                row = [0] * big
-                row[pos(t[x][y], z)] += 1
-                row[pos(x, y)] += 1
-                row[pos(t[x][z], t[y][z])] -= 1
-                row[pos(x, z)] -= 1
-                if any(row):
-                    rows.append(row)
+    for _, positions in _conditions(t):
+        row = [0] * big
+        for p, sign in zip(positions, (1, 1, -1, -1)):
+            row[p] += sign
+        if any(row):
+            rows.append(row)
 
     cond = smith_normal_form(rows)
     diag = [cond.d[i][i] for i in range(min(len(rows), big))]

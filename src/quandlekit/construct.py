@@ -16,7 +16,6 @@ from .errors import (
     Condition1Violated,
     Condition2Violated,
     FixedPointHypothesisViolated,
-    NotAutomorphism,
     NotInvolutory,
     SigmaNotHom,
     TauNotHom,
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .fingroup import FiniteGroup
 from .perm import Perm
-from .quandle import Quandle, _first_unpreserved, is_involutory
+from .quandle import Quandle, _require_automorphism, is_involutory
 
 
 def _as_perm(p, degree: int, what: str) -> Perm:
@@ -34,12 +33,6 @@ def _as_perm(p, degree: int, what: str) -> Perm:
     if len(p.images) != degree:
         raise ValueError(f"{what} must act on {degree} points")
     return p
-
-
-def _check_automorphism(table, p: Perm) -> None:
-    pair = _first_unpreserved(table, table, p.images)
-    if pair is not None:
-        raise NotAutomorphism(f"map breaks the product at {pair}")
 
 
 def is_compatible(group: FiniteGroup, assignment) -> tuple:
@@ -53,7 +46,7 @@ def is_compatible(group: FiniteGroup, assignment) -> tuple:
     if len(maps) != n:
         raise ValueError(f"need one automorphism per element, got {len(maps)}")
     for p in maps:
-        _check_automorphism(group.table, p)
+        _require_automorphism(group.table, p)
     for x in range(n):
         inv = maps[x].inverse()
         for y in range(n):
@@ -163,9 +156,9 @@ def union_quandle(spec: UnionSpec) -> Quandle:
     """
     q1, q2, sigma, tau = spec.q1, spec.q2, spec.sigma, spec.tau
     for p in sigma:
-        _check_automorphism(q2.table, p)
+        _require_automorphism(q2.table, p)
     for p in tau:
-        _check_automorphism(q1.table, p)
+        _require_automorphism(q1.table, p)
     t1, t2 = q1.table, q2.table
     n1, n2 = q1.order, q2.order
     for x in range(n1):

@@ -17,12 +17,11 @@ from .errors import (
     CapExceeded,
     NotAbelian,
     NotAHomomorphism,
-    NotAutomorphism,
     ParseError,
     UnsupportedSpec,
 )
 from .perm import Perm, PermGroup
-from .quandle import Quandle, _automorphisms, _first_unpreserved, _iso_images
+from .quandle import Quandle, _automorphisms, _iso_images, _require_automorphism
 
 DEFAULT_GROUP_CAP = 200
 
@@ -204,8 +203,7 @@ def semidirect(
         p = a if isinstance(a, Perm) else Perm(a)
         if p.degree != normal.order:
             raise NotAHomomorphism(f"action[{h}] has wrong degree")
-        if _first_unpreserved(normal.table, normal.table, p.images) is not None:
-            raise NotAutomorphism(f"action[{h}] does not preserve the table")
+        _require_automorphism(normal.table, p, f"action[{h}]")
         maps.append(p)
     for h1 in range(acting.order):
         for h2 in range(acting.order):
@@ -334,10 +332,7 @@ def alexander_quandle(group: FiniteGroup, phi: Perm | Sequence[int]) -> Quandle:
     if not is_abelian(group):
         raise NotAbelian("the carrier group must be abelian")
     p = phi if isinstance(phi, Perm) else Perm(phi)
-    if p.degree != group.order:
-        raise NotAutomorphism("phi has the wrong degree")
-    if _first_unpreserved(group.table, group.table, p.images) is not None:
-        raise NotAutomorphism("phi does not preserve the group table")
+    _require_automorphism(group.table, p, "phi")
     size = group.order
     table = [
         [group.mul(p(group.mul(x, group.inv(y))), y) for y in range(size)]

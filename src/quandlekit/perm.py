@@ -11,6 +11,7 @@ given generators, do not depend on how the group was generated.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
@@ -434,25 +435,38 @@ def closure(
     return group
 
 
+def _orbit(start, step) -> set:
+    """The points reached from `start` by repeated steps; `step(x)` lists the next ones.
+
+    When each step applies one of a set of permutations, this is the orbit
+    of `start` under the group they generate: a finite set closed under
+    bijections is closed under their inverses too.
+    """
+    orbit = [start]
+    seen = {start}
+    for x in orbit:  # grows while it is walked
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return seen
+
+
+def _orbits(neighbours) -> list[list[int]]:
+    """Orbits of the steps x -> neighbours[x] on 0..n-1, each sorted, listed by minimum."""
+    placed: set[int] = set()
+    orbits = []
+    for x in range(len(neighbours)):
+        if x not in placed:
+            orbit = _orbit(x, neighbours.__getitem__)
+            placed |= orbit
+            orbits.append(sorted(orbit))
+    return orbits
+
+
 def orbit_partition(generators: Sequence[Perm], degree: int) -> list[list[int]]:
     """Orbits of the generated group on points, each sorted, listed by minimum."""
-    parent = list(range(degree))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in generators:
-        for x in range(degree):
-            a, b = find(x), find(g(x))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    blocks: dict[int, list[int]] = {}
-    for x in range(degree):
-        blocks.setdefault(find(x), []).append(x)
-    return [blocks[r] for r in sorted(blocks)]
+    return _orbits([[g.images[x] for g in generators] for x in range(degree)])
 
 
 def is_k_transitive(group: PermGroup, k: int) -> bool:
@@ -463,24 +477,11 @@ def is_k_transitive(group: PermGroup, k: int) -> bool:
     vacuously true (there are no such tuples), matching the usual convention.
     """
     n = group.degree
-    if k > n:
-        return True
-    if k <= 0:
+    if k > n or k <= 0:
         return True
     gens = group._chain.gens[0]
-    base = tuple(range(k))
-    orbit = [base]
-    seen = {base}
-    for t in orbit:  # grows while it is walked
-        for g in gens:
-            image = tuple([g[x] for x in t])
-            if image not in seen:
-                seen.add(image)
-                orbit.append(image)
-    expected = 1
-    for i in range(k):
-        expected *= n - i
-    return len(seen) == expected
+    orbit = _orbit(tuple(range(k)), lambda t: [tuple([g[x] for x in t]) for g in gens])
+    return len(orbit) == math.perm(n, k)
 
 
 def stabilizer(

@@ -19,6 +19,7 @@ from .errors import (
     CapExceeded,
     HypothesisViolated,
     NotAHomomorphism,
+    NotAutomorphism,
     ParseError,
 )
 from .perm import (
@@ -26,6 +27,8 @@ from .perm import (
     Perm,
     PermGroup,
     _cycle_type,
+    _orbit,
+    _orbits,
     closure,
 )
 
@@ -129,6 +132,15 @@ def _first_unpreserved(source, target, images) -> tuple[int, int] | None:
     return None
 
 
+def _require_automorphism(table, p: Perm, what: str = "map") -> None:
+    """Raise NotAutomorphism unless p is a permutation of the table's elements preserving it."""
+    if len(p.images) != len(table):
+        raise NotAutomorphism(f"{what} has degree {len(p.images)}, not {len(table)}")
+    pair = _first_unpreserved(table, table, p.images)
+    if pair is not None:
+        raise NotAutomorphism(f"{what} breaks the product at {pair}")
+
+
 @dataclass(frozen=True)
 class QuandleMap:
     """A quandle homomorphism given by its images, verified on construction."""
@@ -213,28 +225,8 @@ def inn(q: Quandle, cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
 
 
 def orbit_partition(q: Quandle) -> list[list[int]]:
+    """Orbits of the right translations, each sorted, listed by minimum; row x lists x * y."""
     return _orbits(q.table)
-
-
-def _orbits(table) -> list[list[int]]:
-    """Orbits of the right translations, each sorted, listed by minimum.
-
-    The orbit of x is what the steps z -> z * y reach from it: a finite set
-    closed under bijections is closed under their inverses too.
-    """
-    seen = [False] * len(table)
-    orbits = []
-    for start in range(len(table)):
-        if not seen[start]:
-            seen[start] = True
-            orbit = [start]
-            for z in orbit:  # grows while it is walked
-                for w in table[z]:
-                    if not seen[w]:
-                        seen[w] = True
-                        orbit.append(w)
-            orbits.append(sorted(orbit))
-    return orbits
 
 
 def is_connected(q: Quandle) -> bool:
@@ -377,19 +369,6 @@ def _base(table, order):
     return base
 
 
-def _orbit(x, gens):
-    """Orbit of x under the group generated by image tuples."""
-    orbit = [x]
-    seen = {x}
-    for y in orbit:  # grows while it is walked
-        for g in gens:
-            z = g[y]
-            if z not in seen:
-                seen.add(z)
-                orbit.append(z)
-    return seen
-
-
 def _automorphisms(table, cap: int, colours: Sequence[int] | None = None) -> PermGroup:
     """Automorphisms of `table` that keep each element's colour, by a search along a base.
 
@@ -423,6 +402,10 @@ def _automorphisms(table, cap: int, colours: Sequence[int] | None = None) -> Per
     search = _iso_search(table, table, n, inv, inv)
     gens: list[tuple[int, ...]] = []
     order = 1
+
+    def step(x):  # one step under each generator found so far
+        return [g[x] for g in gens]
+
     for b, fixed in reversed(_base(table, _search_order(inv))):
         orbit = {b}
         failed: set[int] = set()
@@ -431,12 +414,12 @@ def _automorphisms(table, cap: int, colours: Sequence[int] | None = None) -> Per
                 continue
             g = search([(b, v)], fixed)
             if g is None:
-                failed |= _orbit(v, gens)
+                failed |= _orbit(v, step)
             else:
                 if _first_unpreserved(table, table, g) is not None or len(set(g)) != n:
                     raise AssertionError("the search returned a map that is not an automorphism")
                 gens.append(g)
-                orbit = _orbit(b, gens)
+                orbit = _orbit(b, step)
         order *= len(orbit)
     group = PermGroup.generated(n, gens)
     if group.order != order:

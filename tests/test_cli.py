@@ -267,6 +267,35 @@ def test_cap_errors_name_the_flag(capsys, argv):
     assert "--cap-order" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, order",
+    [(["5.5", "--max-order", "5"], 256), (["5.7", "--max-order", "400"], 202),
+     (["8.3", "--max-order", "301"], 201)],
+    ids=["5.5", "5.7", "8.3"],
+)
+def test_suite_sweeps_are_capped_before_building(capsys, monkeypatch, argv, order):
+    def refuse(*args):
+        raise AssertionError("a quandle was built")
+
+    monkeypatch.setattr(quandle, "build", refuse)
+    monkeypatch.setattr(quandle, "takasaki_quandle", refuse)
+    code, captured = invoke(["theorem", *argv], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert f"quandle order {order} exceeds the construction cap 200" in captured.err
+    assert captured.err.rstrip().endswith("(raise it with --cap-group)")
+
+
+def test_suite_cap_is_raised_by_cap_group(capsys):
+    code, captured = invoke(["theorem", "5.5", "--max-order", "3", "--cap-group", "63"], capsys)
+    assert code == 2
+    assert "quandle order 64 exceeds the construction cap 63" in captured.err
+    code, raised = report_of(["theorem", "5.5", "--max-order", "3", "--cap-group", "64"], capsys)
+    assert code == 0
+    _, default = report_of(["theorem", "5.5", "--max-order", "3"], capsys)
+    assert raised["results"] == default["results"]
+
+
 def test_theorem_unknown_id(capsys):
     code, captured = invoke(["theorem", "99.9"], capsys)
     assert code == 2

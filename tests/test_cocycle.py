@@ -5,6 +5,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit.cocycle import (
     AbelianCocycle,
@@ -446,3 +448,41 @@ def test_h2_reps_link_to_constant_classes():
 def test_h2_cap():
     with pytest.raises(CapExceeded):
         compute_h2(build("trivial", 9), (2,))
+
+
+# Valid cocycles to corrupt: every one over four small bases and fibers.
+VALID_COCYCLES = [
+    alpha
+    for base, s in ((T2, 3), (build("trivial", 3), 2), (R3, 2), (build("dihedral", 4), 2))
+    for alpha in all_constant_cocycles(base, s)
+]
+
+
+def first_cocycle_violation(t, a):
+    """The first (x, y, z), x outer and z inner, breaking the cocycle condition."""
+    n = len(t)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if a[t[x][y]][z] * a[x][y] != a[t[x][z]][t[y][z]] * a[x][z]:
+                    return x, y, z
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(VALID_COCYCLES), st.data())
+def test_one_changed_cell_fails_at_the_first_broken_triple(alpha, data):
+    n, s = alpha.base.order, alpha.fiber_size
+    x, y = data.draw(
+        st.sampled_from([(x, y) for x in range(n) for y in range(n) if x != y])
+    )
+    p = data.draw(st.sampled_from([Perm(i) for i in itertools.permutations(range(s))]))
+    table = [list(row) for row in alpha.table]
+    table[x][y] = p
+    expected = first_cocycle_violation(alpha.base.table, table)
+    if expected is None:
+        assert validate_constant(alpha.base, s, table).table[x][y] == p
+    else:
+        with pytest.raises(CocycleViolation) as e:
+            validate_constant(alpha.base, s, table)
+        assert e.value.triple == expected

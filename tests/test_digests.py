@@ -208,6 +208,37 @@ def test_automorphism_search_digest_is_pinned(command, capsys, tmp_path, monkeyp
     assert report["report_digest"] == AUT_SEARCH_DIGESTS[command]
 
 
+# Recorded while suites 4.4-4.6 were three functions, the cocycle condition
+# was written out in each of its four users, orbits had four routines, and
+# suite 5.1 checked every element of each Aut(G) instead of its generators.
+# With `AUT_SEARCH_DIGESTS` these cover every default suite report.
+SUITE_DIGESTS = {
+    "theorem 3.1": "8640d724bdc401e07fd2018f1275d4e15721235c8f22dc051cb1c45854c242c1",
+    "theorem 3.3": "0760bb782d1f079a3b14b2706e4000692df113321c9ca2149a34c7864a0d5ccc",
+    "theorem 6.3": "4959232f313fe9e383253cfd8b9cfa38644dfc22db1c561686da21dee83df55a",
+    "theorem 7.1": "9a8a998cf04b8af06b02763395d0eb8d386804293f4bf70b786e597d7c7447d6",
+    "theorem 7.3": "c8e24d16babc18a96922bf1daf53a82a5a0098cb935b6bac35f8a159044a13a2",
+    "theorem 8.2": "9320f90baf730330905880c24362c215dde6a7e86cf49cda4f2475fb60a6bcae",
+    "theorem 9.1": "32395c9198d331834411f0c5d60da1ffc709cf16930b1b9a5302c2673bb41c18",
+    "theorem 9.2": "8622d1af3ef3c62083bf1be1af95c2f0309f771afed4e37aa82eeb9241dfe45c",
+    "theorem 4.3 --max-order 24": "4a026749a2da4a7afc388ef98c676cb7d86d85a6ab8cc51ede26620b1109c541",
+    "theorem 4.4 --max-order 24": "7063babe3840acd949f7a46b3d32e1f89b3a641cbb3aa3c48640250e282073aa",
+    "theorem 4.5 --max-order 24": "902aabf15f10bba1e42357cec13c96a62bbbda64deda729358833091d5f76f47",
+    "theorem 4.6 --max-order 24": "f51fc03fd506c86098cd978ec5ac31838d247c54c90eccd33b3968ca5183f124",
+    "theorem 9.1 --max-order 24": "220b9bc9bda7e69ee0b6900eee5fcac469ba6ea9563fa7820fdb4bfcc58856a8",
+    "theorem 5.1 --max-order 16": "509abc5fe28a9f858b08ac1d58e4294ee1b95d6ef3b9ebdc5751863cadb617ae",
+    "theorem 7.1 --seed 105": "d2446431b9cdfd66d33898e65fb88056f8333b5ae83be75fc0ec43e25a4be540",
+    "theorem 9.2 --seed 103": "a6646f77791e63aa58810a158eac1bef6494248119bace2e679d56f1f784dc36",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUITE_DIGESTS))
+def test_suite_digest_is_pinned(command, capsys):
+    assert cli.run(command.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["report_digest"] == SUITE_DIGESTS[command]
+
+
 # Recorded while `aut` closed its generators by Dimino's algorithm, listed
 # all 9! elements and picked the generators greedily over the sorted list,
 # before the group became a stabilizer chain with lazy elements.

@@ -282,6 +282,18 @@ def test_alexander_quandle_validation():
         alexander_quandle(g, (0, 2, 1, 3, 4))
 
 
+def test_automorphism_checks_name_the_map_and_the_witness():
+    g = cyclic_group(5)
+    with pytest.raises(NotAutomorphism, match=r"^phi has degree 4, not 5$"):
+        alexander_quandle(g, (0, 1, 2, 3))
+    with pytest.raises(NotAutomorphism, match=r"^phi breaks the product at \(0, 0\)$"):
+        alexander_quandle(g, (1, 0, 2, 3, 4))
+    with pytest.raises(NotAutomorphism, match=r"^action\[1\] breaks the product at"):
+        semidirect(g, cyclic_group(2), [tuple(range(5)), (1, 0, 2, 3, 4)])
+    with pytest.raises(NotAHomomorphism, match=r"action\[1\] has wrong degree"):
+        semidirect(g, cyclic_group(2), [tuple(range(5)), (0, 1, 2)])
+
+
 def test_alexander_with_identity_map_is_trivial():
     g = cyclic_group(4)
     q = alexander_quandle(g, tuple(range(4)))

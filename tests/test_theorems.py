@@ -4,7 +4,16 @@ import pytest
 
 from quandlekit.errors import QuandleKitError, UnsupportedSpec
 from quandlekit.fingroup import is_abelian, make_group
-from quandlekit.theorems import CATALOG, GROUP_CATALOG, LARGER_GROUP_CATALOG, run_suite
+from quandlekit import cocycle as cocyclemod
+from quandlekit import construct as constructmod
+from quandlekit import quandle as quandlemod
+from quandlekit.theorems import (
+    CATALOG,
+    GROUP_CATALOG,
+    LARGER_GROUP_CATALOG,
+    _cocycle_pool,
+    run_suite,
+)
 
 ALL_IDS = (
     "3.1",
@@ -293,3 +302,38 @@ def test_options_narrow_the_sweep():
     assert len(rep["cases"]) == 5
     rep = run_suite("4.6", {"max_order": 6})
     assert {c["case"] for c in rep["cases"]} == {"Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2", "S3"}
+
+
+def test_a_type_error_in_the_glue_trials_is_not_a_rejection(monkeypatch):
+    real = constructmod.union_quandle
+
+    def broken(spec):
+        if (spec.q1.order, spec.q2.order) == (3, 4):  # only the randomized trials glue R3 to R4
+            raise TypeError("bug in the gluing code")
+        return real(spec)
+
+    monkeypatch.setattr(constructmod, "union_quandle", broken)
+    with pytest.raises(TypeError):
+        run_suite("9.2", {"trials": 5})
+
+
+def test_a_type_error_in_the_axiom_check_is_not_an_axiom_failure(monkeypatch):
+    real = quandlemod.Quandle.from_table
+
+    def broken(table, labels=None):
+        if len(table) == 7:  # only the randomized trials build order-7 tables
+            raise TypeError("bug in the axiom check")
+        return real(table, labels=labels)
+
+    monkeypatch.setattr(quandlemod.Quandle, "from_table", broken)
+    with pytest.raises(TypeError):
+        run_suite("9.2", {"trials": 5})
+
+
+def test_a_type_error_in_the_cocycle_pool_is_not_a_rejection(monkeypatch):
+    def broken(base, fiber_size, table):
+        raise TypeError("bug in the cocycle check")
+
+    monkeypatch.setattr(cocyclemod, "validate_constant", broken)
+    with pytest.raises(TypeError):
+        _cocycle_pool(quandlemod.build("trivial", 2), 2)
