@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
 import hashlib
 import json
 import re
@@ -28,7 +27,7 @@ from . import envgroup
 from . import fingroup
 from . import quandle as quandlemod
 from . import theorems
-from .errors import CapExceeded, ParseError, QuandleKitError
+from .errors import CapExceeded, ParseError, QuandleKitError, _cap_flag
 from .perm import Perm
 from .quandle import Quandle
 
@@ -88,15 +87,6 @@ class _Inputs:
 
 def _canonical(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
-@contextlib.contextmanager
-def _cap_flag(flag: str):
-    """Name the flag that raises the cap in a CapExceeded from a capped call."""
-    try:
-        yield
-    except CapExceeded as exc:
-        raise CapExceeded(f"{exc} (raise it with {flag})") from exc
 
 
 def _cap_order(args, default: int) -> int:

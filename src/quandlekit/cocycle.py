@@ -29,14 +29,17 @@ from .errors import (
     require_ints,
     require_list,
 )
-from .perm import Perm
+from .perm import Perm, PermGroup
 from .quandle import Quandle, _first_unpreserved, _require_automorphism, aut, orbit_partition
-
-# A lambda map is one fiber permutation per base element.
-LambdaMap = tuple
 
 # Largest coefficient group whose translations abelian_to_constant builds.
 DEFAULT_FIBER_CAP = 64
+
+# Largest fiber, and least automorphism cap, of cocycle_stabilizer.
+_STABILIZER_CAP = 9
+
+# Largest search space, (fiber size)! ** (orbit count), of are_cohomologous.
+_LAMBDA_SEARCH_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ def extend(alpha: ConstantCocycle) -> Quandle:
     return Quandle.from_table(table)
 
 
-def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle, cap: int = 10**6):
+def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
     """Search for a lambda map linking two cocycles; None when there is none.
 
     The defining equation propagates lambda along inner orbits, so the
@@ -155,9 +158,10 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle, cap: int = 1
     t = alpha.base.table
     candidates = [Perm(p) for p in itertools.permutations(range(s))]
     orbits = orbit_partition(alpha.base)
-    if len(candidates) ** len(orbits) > cap:
+    if len(candidates) ** len(orbits) > _LAMBDA_SEARCH_CAP:
         raise CapExceeded(
-            f"lambda search space {len(candidates)}**{len(orbits)} exceeds cap {cap}"
+            f"lambda search space {len(candidates)}**{len(orbits)}"
+            f" exceeds cap {_LAMBDA_SEARCH_CAP}"
         )
 
     lam: list = [None] * n
@@ -212,17 +216,18 @@ def act(phi: Perm, theta: Perm, alpha: ConstantCocycle) -> ConstantCocycle:
     return validate_constant(alpha.base, alpha.fiber_size, table)
 
 
-def cocycle_stabilizer(alpha: ConstantCocycle, cap: int = 9) -> list:
+def cocycle_stabilizer(alpha: ConstantCocycle) -> list:
     """All pairs (phi, theta) whose action fixes the cocycle table.
 
-    Returns a closure-verified subgroup of Aut(base) x Sym(fiber) as a
-    sorted list of permutation pairs.
+    Returns a subgroup of Aut(base) x Sym(fiber) as a sorted list of
+    permutation pairs.  `PermGroup.from_elements` certifies that the pairs
+    form a group, as the permutations phi + (n + theta) of degree n + s.
     """
     n = alpha.base.order
     s = alpha.fiber_size
-    if s > cap:
-        raise CapExceeded(f"fiber size {s} exceeds cap {cap}")
-    base_aut = aut(alpha.base, cap=max(cap, n)).elements
+    if s > _STABILIZER_CAP:
+        raise CapExceeded(f"fiber size {s} exceeds cap {_STABILIZER_CAP}")
+    base_aut = aut(alpha.base, cap=max(_STABILIZER_CAP, n)).elements
     pairs = []
     for phi in base_aut:
         pinv = phi.inverse()
@@ -236,13 +241,9 @@ def cocycle_stabilizer(alpha: ConstantCocycle, cap: int = 9) -> list:
                 for y in range(n)
             ):
                 pairs.append((phi, theta))
-    members = set(pairs)
-    if (Perm.identity(n), Perm.identity(s)) not in members:
-        raise AssertionError("stabilizer lost the identity pair")
-    for p1, t1 in pairs:
-        for p2, t2 in pairs:
-            if (p1 * p2, t1 * t2) not in members:
-                raise AssertionError("stabilizer is not closed under composition")
+    PermGroup.from_elements(
+        [Perm(phi.images + tuple(n + t for t in theta.images)) for phi, theta in pairs]
+    )
     return sorted(pairs)
 
 
@@ -303,15 +304,6 @@ def all_constant_cocycles(base: Quandle, fiber_size: int, cap: int = 10**6) -> l
 
     rec(0)
     return out
-
-
-def constant_cocycle_classes(base: Quandle, fiber_size: int, cap: int = 10**6) -> list:
-    """One representative per cohomology class of constant cocycles."""
-    reps = []
-    for alpha in all_constant_cocycles(base, fiber_size, cap=cap):
-        if not any(are_cohomologous(alpha, r, cap=cap) is not None for r in reps):
-            reps.append(alpha)
-    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +368,6 @@ def validate_abelian(base: Quandle, moduli, table) -> AbelianCocycle:
         if add(flat[i], flat[j]) != add(flat[k], flat[l]):
             raise CocycleViolation(*triple)
     return AbelianCocycle(base, moduli, a)
-
-
-def zero_abelian_cocycle(base: Quandle, moduli) -> AbelianCocycle:
-    moduli = tuple(int(m) for m in moduli)
-    zero = (0,) * len(moduli)
-    row = (zero,) * base.order
-    return AbelianCocycle(base, moduli, (row,) * base.order)
 
 
 def abelian_to_constant(mu: AbelianCocycle, cap: int = DEFAULT_FIBER_CAP) -> ConstantCocycle:

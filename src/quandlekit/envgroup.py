@@ -42,10 +42,6 @@ def free_reduce(word: Sequence[tuple[int, int]]) -> Word:
     return tuple(out)
 
 
-def word_inverse(word: Sequence[tuple[int, int]]) -> Word:
-    return tuple((g, -s) for g, s in reversed(word))
-
-
 def word_to_json(word: Sequence[tuple[int, int]]) -> list[int]:
     """Encode as 1-based signed integers, the on-disk word format."""
     return [g + 1 if s > 0 else -(g + 1) for g, s in word]
@@ -550,30 +546,6 @@ class ConcreteModel:
     inv: Callable[[Any], Any]
 
 
-def integer_model() -> ConcreteModel:
-    """The integers under addition."""
-    return ConcreteModel("Z", 0, lambda a, b: a + b, lambda a: -a)
-
-
-def semidirect_z_model(n: int) -> ConcreteModel:
-    """Z_n extended by Z acting by inversion; elements are pairs (a, m)."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
-
-    def mul(x, y):
-        a, m = x
-        b, k = y
-        sign = 1 if m % 2 == 0 else -1
-        return ((a + sign * b) % n, m + k)
-
-    def inv(x):
-        a, m = x
-        sign = 1 if m % 2 == 0 else -1
-        return ((-sign * a) % n, -m)
-
-    return ConcreteModel(f"Z{n}:Z", (0, 0), mul, inv)
-
-
 def permutation_model(n: int) -> ConcreteModel:
     """The symmetric group on n points, with Perm elements."""
     return ConcreteModel(
@@ -594,12 +566,11 @@ def verify_hom(
     model: ConcreteModel,
     images: Sequence,
     targets: Sequence = (),
-    max_length: int = 8,
 ) -> dict:
     """Check that generator images satisfy the relators; probe surjectivity.
 
     The probe multiplies images and their inverses breadth-first up to
-    max_length letters and reports which target elements were reached.
+    8 letters and reports which target elements were reached.
     Reaching every target does not prove surjectivity onto an infinite
     model; missing one at this depth does not disprove it.  The report
     carries raw outcomes and never raises.
@@ -619,7 +590,7 @@ def verify_hom(
         if target == model.identity:
             remaining.discard(t)
     depth = 0
-    while frontier and remaining and depth < max_length:
+    while frontier and remaining and depth < 8:
         depth += 1
         nxt = []
         for e in frontier:

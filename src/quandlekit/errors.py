@@ -1,11 +1,14 @@
 """Exception types shared across the package.
 
 Every error that signals bad input or a violated precondition derives from
-QuandleKitError, so callers (and the CLI) can catch one base class.  The
-`require_*` helpers at the end are the type checks the JSON readers share:
+QuandleKitError, so callers (and the CLI) can catch one base class.
+`_cap_flag` appends the command-line flag that raises a cap to the message
+of a CapExceeded.  The `require_*` helpers at the end are the type checks the JSON readers share:
 they raise ParseError, so a malformed document never reaches code that
 would fail on it with a traceback.
 """
+
+import contextlib
 
 
 class QuandleKitError(ValueError):
@@ -14,6 +17,15 @@ class QuandleKitError(ValueError):
 
 class CapExceeded(QuandleKitError):
     """Input is too large for the configured desk-scale cap."""
+
+
+@contextlib.contextmanager
+def _cap_flag(flag: str):
+    """Name the flag that raises the cap in a CapExceeded from a capped call."""
+    try:
+        yield
+    except CapExceeded as exc:
+        raise CapExceeded(f"{exc} (raise it with {flag})") from exc
 
 
 class ParseError(QuandleKitError):
@@ -27,10 +39,9 @@ class UnsupportedSpec(QuandleKitError):
 class NotASubgroup(QuandleKitError):
     """A set required to be a group is not closed under composition.
 
-    `stabilizer` names two fixing elements whose product does not fix;
-    `PermGroup.from_elements` names a member times one of its greedy
-    generators that falls outside the set, or a member whose powers reach
-    the missing identity."""
+    `PermGroup.from_elements`, and `cocycle_stabilizer` through it, name a
+    member times one of the greedy generators that falls outside the set,
+    or a member whose powers reach the missing identity."""
 
 
 class NotAHomomorphism(QuandleKitError):

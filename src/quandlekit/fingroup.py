@@ -270,29 +270,29 @@ def make_group(spec: str, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     return group
 
 
-def automorphism_group(group: FiniteGroup, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
+def automorphism_group(group: FiniteGroup) -> PermGroup:
     """All table automorphisms, as a permutation group on element indices.
 
     The search is `quandle._automorphisms`, which needs only a table with
     bijective columns.
     """
-    if group.order > cap:
-        raise CapExceeded(f"group order {group.order} exceeds cap {cap}")
-    return _automorphisms(group.table, cap)
+    if group.order > DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"group order {group.order} exceeds cap {DEFAULT_GROUP_CAP}")
+    return _automorphisms(group.table, DEFAULT_GROUP_CAP)
 
 
-def find_isomorphism(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_GROUP_CAP) -> list[int] | None:
+def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> list[int] | None:
     """An index map realizing a == b, or None; the search is `quandle._iso_images`."""
     if a.order != b.order:
         return None
-    if a.order > cap:
-        raise CapExceeded(f"group order {a.order} exceeds cap {cap}")
+    if a.order > DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"group order {a.order} exceeds cap {DEFAULT_GROUP_CAP}")
     images = _iso_images(a.table, b.table, a.order)
     return None if images is None else list(images)
 
 
-def is_isomorphic(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_GROUP_CAP) -> bool:
-    return find_isomorphism(a, b, cap=cap) is not None
+def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
+    return find_isomorphism(a, b) is not None
 
 
 def from_permgroup(group: PermGroup) -> FiniteGroup:

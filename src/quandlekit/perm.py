@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded, NotASubgroup
 
@@ -464,11 +464,6 @@ def _orbits(neighbours) -> list[list[int]]:
     return orbits
 
 
-def orbit_partition(generators: Sequence[Perm], degree: int) -> list[list[int]]:
-    """Orbits of the generated group on points, each sorted, listed by minimum."""
-    return _orbits([[g.images[x] for g in generators] for x in range(degree)])
-
-
 def is_k_transitive(group: PermGroup, k: int) -> bool:
     """Whether the group moves any ordered k-tuple of distinct points to any other.
 
@@ -483,44 +478,3 @@ def is_k_transitive(group: PermGroup, k: int) -> bool:
     orbit = _orbit(tuple(range(k)), lambda t: [tuple([g[x] for x in t]) for g in gens])
     return len(orbit) == math.perm(n, k)
 
-
-def stabilizer(
-    group: PermGroup,
-    action: Callable[[Perm, Hashable], Hashable],
-    point: Hashable,
-) -> list[Perm]:
-    """Elements fixing `point` under an arbitrary action, verified to be a subgroup.
-
-    `action(g, x)` must implement a group action of the materialized group on
-    whatever set `point` lives in.  If the fixing set is not closed under
-    composition the action was not one, and NotASubgroup reports a witness.
-    """
-    fixing = [g for g in group.elements if action(g, point) == point]
-    members = set(fixing)
-    for a in fixing:
-        for b in fixing:
-            if a * b not in members:
-                raise NotASubgroup(f"stabilizer not closed: {a!r} * {b!r}")
-    assert group.order % max(len(fixing), 1) == 0, "orbit-stabilizer violated"
-    return fixing
-
-
-def symmetric_group(n: int, cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
-    """The full symmetric group on n points."""
-    gens = []
-    if n > 1:
-        gens.append(Perm.transposition(n, 0, 1))
-    if n > 2:
-        gens.append(Perm.cycle(n, tuple(range(n))))
-    return closure(gens, cap=cap, degree=n)
-
-
-def direct_product(left: PermGroup, right: PermGroup, cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
-    """Product group acting on the disjoint union of the two point sets."""
-    n, m = left.degree, right.degree
-    gens = []
-    for g in left.generators:
-        gens.append(Perm(tuple(g.images) + tuple(n + i for i in range(m))))
-    for h in right.generators:
-        gens.append(Perm(tuple(range(n)) + tuple(n + h(i) for i in range(m))))
-    return closure(gens, cap=cap, degree=n + m)

@@ -8,7 +8,6 @@ bijective columns, self-distributivity) with witnesses on failure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
@@ -18,12 +17,10 @@ from .errors import (
     Axiom3Violation,
     CapExceeded,
     HypothesisViolated,
-    NotAHomomorphism,
     NotAutomorphism,
     ParseError,
 )
 from .perm import (
-    DEFAULT_ORDER_CAP,
     Perm,
     PermGroup,
     _cycle_type,
@@ -82,9 +79,6 @@ class Quandle:
     def __repr__(self) -> str:
         return f"Quandle(order={self.order})"
 
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     def to_json(self) -> dict:
         doc: dict = {
             "kind": "quandle",
@@ -139,28 +133,6 @@ def _require_automorphism(table, p: Perm, what: str = "map") -> None:
     pair = _first_unpreserved(table, table, p.images)
     if pair is not None:
         raise NotAutomorphism(f"{what} breaks the product at {pair}")
-
-
-@dataclass(frozen=True)
-class QuandleMap:
-    """A quandle homomorphism given by its images, verified on construction."""
-
-    source: Quandle
-    target: Quandle
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.source.order:
-            raise NotAHomomorphism("image list has the wrong length")
-        pair = _first_unpreserved(self.source.table, self.target.table, self.images)
-        if pair is not None:
-            raise NotAHomomorphism(f"operation not preserved at {pair}")
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def is_bijective(self) -> bool:
-        return len(set(self.images)) == self.target.order == self.source.order
 
 
 def build(kind: str, n: int) -> Quandle:
@@ -218,10 +190,10 @@ def inner_generators(q: Quandle) -> list[tuple[int, Perm]]:
     return out
 
 
-def inn(q: Quandle, cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
+def inn(q: Quandle) -> PermGroup:
     """Group generated by the right translations."""
     gens = [p for _, p in inner_generators(q)]
-    return closure(gens, cap=cap, degree=q.order)
+    return closure(gens, degree=q.order)
 
 
 def orbit_partition(q: Quandle) -> list[list[int]]:
@@ -243,20 +215,17 @@ def _search_order(inv):
     return sorted(range(len(inv)), key=lambda x: (-inv[x][0], x))
 
 
-def _iso_images(t1, t2, n, pairs=(), inv1=None, inv2=None):
+def _iso_images(t1, t2, n):
     """The first table isomorphism t1 -> t2 found by backtracking, or None.
 
-    Each `(x, v)` in `pairs` is assigned x -> v before the search starts.
     Candidates are filtered by per-element invariants (row fixedness,
-    column cycle type), which may be passed in precomputed; see `_iso_search`.
+    column cycle type); see `_iso_search`.
     """
-    if inv1 is None:
-        inv1 = _element_invariants(t1, n)
-    if inv2 is None:
-        inv2 = _element_invariants(t2, n)
+    inv1 = _element_invariants(t1, n)
+    inv2 = _element_invariants(t2, n)
     if sorted(inv1) != sorted(inv2):
         return None
-    return _iso_search(t1, t2, n, inv1, inv2)(pairs)
+    return _iso_search(t1, t2, n, inv1, inv2)(())
 
 
 def _iso_search(t1, t2, n, inv1, inv2):

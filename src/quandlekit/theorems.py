@@ -28,6 +28,7 @@ from .errors import (
     NotInvolutory,
     QuandleKitError,
     UnsupportedSpec,
+    _cap_flag,
 )
 from .perm import Perm, closure, is_k_transitive
 from .quandle import _first_unpreserved
@@ -79,10 +80,11 @@ def _catalog_groups(options):
     cap_group = _opt(options, "cap_group", fingroup.DEFAULT_GROUP_CAP)
     specs = GROUP_CATALOG + (LARGER_GROUP_CATALOG if max_order > 8 else ())
     picked = []
-    for spec in specs:
-        group = fingroup.make_group(spec, cap=cap_group)
-        if group.order <= max_order:
-            picked.append((spec, group))
+    with _cap_flag("--cap-group"):
+        for spec in specs:
+            group = fingroup.make_group(spec, cap=cap_group)
+            if group.order <= max_order:
+                picked.append((spec, group))
     picked.sort(key=lambda item: (item[1].order, item[0]))
     return picked
 
@@ -92,8 +94,8 @@ def _check_cap_group(options, orders) -> None:
     cap = _opt(options, "cap_group", fingroup.DEFAULT_GROUP_CAP)
     over = next((m for m in orders if m > cap), None)
     if over is not None:
-        raise CapExceeded(f"quandle order {over} exceeds the construction cap {cap}"
-                          " (raise it with --cap-group)")
+        with _cap_flag("--cap-group"):
+            raise CapExceeded(f"quandle order {over} exceeds the construction cap {cap}")
 
 
 def _finish(tid: str, options_used: dict, cases: list) -> dict:
@@ -230,6 +232,8 @@ def _conj_survey(options):
     for spec, group in _catalog_groups(options):
         cap_order = _opt(options, "cap_order", max(quandlemod.DEFAULT_AUT_CAP, group.order))
         q = fingroup.conj_quandle(group)
+        with _cap_flag("--cap-order"):
+            aut_conj_order = quandlemod.aut(q, cap=cap_order).order
         rows.append(
             {
                 "spec": spec,
@@ -237,7 +241,7 @@ def _conj_survey(options):
                 "quandle": q,
                 "center": fingroup.center(group),
                 "aut_group_order": fingroup.automorphism_group(group).order,
-                "aut_conj_order": quandlemod.aut(q, cap=cap_order).order,
+                "aut_conj_order": aut_conj_order,
             }
         )
     return rows
@@ -361,7 +365,8 @@ def _suite_core_subgroup(options: dict) -> dict:
         gens = list(autg.generators) + [p for _, p in translations]
         sub = closure(gens, degree=group.order)
         expected = len(translations) * autg.order
-        total = quandlemod.aut(core, cap=cap_order).order
+        with _cap_flag("--cap-order"):
+            total = quandlemod.aut(core, cap=cap_order).order
         cases.append(
             {
                 "case": spec,
@@ -401,7 +406,8 @@ def _suite_odd_takasaki(options: dict) -> dict:
             group = fingroup.direct_product_group(group, fingroup.cyclic_group(c))
         q = quandlemod.takasaki_quandle(components)
         autg = fingroup.automorphism_group(group)
-        aut_q = quandlemod.aut(q, cap=max(cap_order, 0))
+        with _cap_flag("--cap-order"):
+            aut_q = quandlemod.aut(q, cap=max(cap_order, 0))
         inn_q = quandlemod.inn(q)
 
         acting = fingroup.from_permgroup(autg)

@@ -177,9 +177,16 @@ def test_06_two_generator_envelope():
     index = envgroup.todd_coxeter(
         braid, subgroup_words=[((0, 1), (0, 1))], max_cosets=5000
     )
+    # Z3 extended by Z on pairs (a, m), where m acts on Z3 by inversion when it is odd
+    z3_by_z = envgroup.ConcreteModel(
+        "Z3:Z",
+        (0, 0),
+        lambda x, y: ((x[0] + (-1) ** (x[1] % 2) * y[0]) % 3, x[1] + y[1]),
+        lambda x: (-(-1) ** (x[1] % 2) * x[0] % 3, -x[1]),
+    )
     twisted = envgroup.verify_hom(
         braid,
-        envgroup.semidirect_z_model(3),
+        z3_by_z,
         [(0, 1), (1, 1)],
         targets=[(1, 0), (0, 1)],
     )

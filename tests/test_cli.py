@@ -201,7 +201,7 @@ def test_extend_constant_cocycle(tmp_path, capsys):
 
 
 def test_extend_abelian_cocycle(tmp_path, capsys):
-    mu = cocycle.zero_abelian_cocycle(quandle.build("dihedral", 3), (2,))
+    mu = cocycle.validate_abelian(quandle.build("dihedral", 3), (2,), [[(0,)] * 3] * 3)
     path = tmp_path / "mu.json"
     path.write_text(json.dumps(mu.to_json()))
     code, report = report_of(["extend", str(path)], capsys)
@@ -284,6 +284,22 @@ def test_suite_sweeps_are_capped_before_building(capsys, monkeypatch, argv, orde
     assert captured.out == ""
     assert f"quandle order {order} exceeds the construction cap 200" in captured.err
     assert captured.err.rstrip().endswith("(raise it with --cap-group)")
+
+
+@pytest.mark.parametrize(
+    "argv, message, flag",
+    [(["4.4", "--cap-order", "5"], "order 6 exceeds automorphism cap 5", "--cap-order"),
+     (["5.1", "--max-order", "30", "--cap-group", "10"], "group order 12 exceeds cap 10",
+      "--cap-group"),
+     (["5.2", "--cap-order", "5"], "order 7 exceeds automorphism cap 5", "--cap-order")],
+    ids=["4.4", "5.1", "5.2"],
+)
+def test_suite_cap_errors_end_with_their_flag(capsys, argv, message, flag):
+    code, captured = invoke(["theorem", *argv], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert captured.err.rstrip().endswith(f"(raise it with {flag})")
 
 
 def test_suite_cap_is_raised_by_cap_group(capsys):

@@ -17,13 +17,11 @@ from quandlekit.cocycle import (
     are_cohomologous,
     cocycle_stabilizer,
     compute_h2,
-    constant_cocycle_classes,
     embed,
     extend,
     trivial_cocycle,
     validate_abelian,
     validate_constant,
-    zero_abelian_cocycle,
 )
 from quandlekit.errors import (
     CapExceeded,
@@ -33,7 +31,7 @@ from quandlekit.errors import (
     NotInStabilizer,
 )
 from quandlekit.perm import Perm
-from quandlekit.quandle import QuandleMap, aut, build, inn, is_isomorphic
+from quandlekit.quandle import _first_unpreserved, aut, build, inn, is_isomorphic
 
 T2 = build("trivial", 2)
 R3 = build("dihedral", 3)
@@ -88,8 +86,9 @@ def test_extend_sizes_and_projection():
     a = trivial_cocycle(R3, 2)
     ext = extend(a)
     assert ext.order == 6
-    proj = QuandleMap(ext, R3, tuple(i // 2 for i in range(6)))
-    assert set(proj.images) == {0, 1, 2}
+    images = tuple(i // 2 for i in range(6))
+    assert _first_unpreserved(ext.table, R3.table, images) is None
+    assert set(images) == {0, 1, 2}
 
 
 def test_extend_fibers_are_trivial_subquandles():
@@ -280,7 +279,17 @@ def test_all_constant_cocycles_cap():
 
 def test_constant_classes_over_trivial_base():
     # conjugation by lambda cannot change anything inside an abelian fiber group
-    assert len(constant_cocycle_classes(T2, 2)) == 4
+    classes = []
+    for alpha in all_constant_cocycles(T2, 2):
+        if all(are_cohomologous(alpha, rep) is None for rep in classes):
+            classes.append(alpha)
+    assert len(classes) == 4
+
+
+def zero_abelian(base, moduli):
+    """The zero cocycle with these moduli, built by validate_abelian."""
+    zero = (0,) * len(moduli)
+    return validate_abelian(base, moduli, [[zero] * base.order] * base.order)
 
 
 def test_abelian_validation_and_json():
@@ -303,11 +312,11 @@ def test_abelian_to_constant_translations():
 
 
 def test_abelian_to_constant_caps_the_fiber():
-    mu = zero_abelian_cocycle(T2, (8, 9))
+    mu = zero_abelian(T2, (8, 9))
     with pytest.raises(CapExceeded, match="order 72 exceeds the fiber cap 64"):
         abelian_to_constant(mu)
     assert abelian_to_constant(mu, cap=72).fiber_size == 72
-    assert abelian_to_constant(zero_abelian_cocycle(T2, (8, 8))).fiber_size == 64
+    assert abelian_to_constant(zero_abelian(T2, (8, 8))).fiber_size == 64
 
 
 def test_abelian_extension_matches_direct_formula():
@@ -433,7 +442,7 @@ def test_h2_known_values():
 
 
 def test_h2_zero_class_extension_is_product():
-    mu = zero_abelian_cocycle(R3, (2,))
+    mu = zero_abelian(R3, (2,))
     assert extend(abelian_to_constant(mu)).table == extend(trivial_cocycle(R3, 2)).table
 
 

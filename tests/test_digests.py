@@ -310,3 +310,22 @@ def test_smith_normal_form_transforms_are_pinned(monkeypatch):
     forms = [smith_normal_form(mat) for mat in mats]
     doc = json.dumps([[s.d, s.u, s.v] for s in forms], separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == SNF_TRANSFORMS_DIGEST
+
+
+# Recorded while `cocycle_stabilizer` checked its pairs for the identity and
+# for closure by multiplying every pair by every pair, before it certified
+# them with `PermGroup.from_elements`.
+STABILIZER_DIGEST = "cf725549a98078355a8209399d0fb01735263271f86380d565f2cc041fdc58f4"
+
+
+def test_cocycle_stabilizers_are_pinned():
+    """The stabilizer of every cocycle of suite 7.3's corpus, in search order."""
+    doc = []
+    for kind, n in (("trivial", 2), ("dihedral", 3)):
+        for s in (2, 3):
+            for alpha in cocycle.all_constant_cocycles(build(kind, n), s):
+                stab = cocycle.cocycle_stabilizer(alpha)
+                doc.append([[list(phi.images), list(theta.images)] for phi, theta in stab])
+    assert len(doc) == 80
+    text = json.dumps(doc, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == STABILIZER_DIGEST

@@ -11,16 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quandlekit.errors import CapExceeded, NotASubgroup
-from quandlekit.perm import (
-    Perm,
-    PermGroup,
-    closure,
-    direct_product,
-    is_k_transitive,
-    orbit_partition,
-    stabilizer,
-    symmetric_group,
-)
+from quandlekit.perm import Perm, PermGroup, _orbits, closure, is_k_transitive
 
 
 def naive_closure(gens, degree):
@@ -31,6 +22,16 @@ def naive_closure(gens, degree):
         if nxt == current:
             return current
         current = nxt
+
+
+def symmetric_group(n):
+    """S_n for n >= 3, generated by a transposition and an n-cycle."""
+    return closure([Perm.transposition(n, 0, 1), Perm.cycle(n, tuple(range(n)))])
+
+
+def steps(gens, degree):
+    """The neighbour lists `_orbits` walks: x -> g(x) for each generator g."""
+    return [[g(x) for g in gens] for x in range(degree)]
 
 
 def test_compose_is_function_composition():
@@ -128,9 +129,9 @@ def test_dihedral_r6_translation_closure_matches_oracle():
 
 
 def test_orbit_partition_basic():
-    assert orbit_partition([], 3) == [[0], [1], [2]]
-    assert orbit_partition([Perm.transposition(4, 1, 2)], 4) == [[0], [1, 2], [3]]
-    assert orbit_partition([Perm.cycle(4, (0, 1)), Perm.cycle(4, (2, 3))], 4) == [[0, 1], [2, 3]]
+    assert _orbits(steps([], 3)) == [[0], [1], [2]]
+    assert _orbits(steps([Perm.transposition(4, 1, 2)], 4)) == [[0], [1, 2], [3]]
+    assert _orbits(steps([Perm.cycle(4, (0, 1)), Perm.cycle(4, (2, 3))], 4)) == [[0, 1], [2, 3]]
 
 
 def test_orbit_partition_matches_naive_reachability():
@@ -155,7 +156,7 @@ def test_orbit_partition_matches_naive_reachability():
                 orbit = grown
             orbits.append(sorted(orbit))
             remaining -= orbit
-        assert orbit_partition(gens, degree) == orbits
+        assert _orbits(steps(gens, degree)) == orbits
 
 
 def test_k_transitivity_of_symmetric_group():
@@ -186,31 +187,6 @@ def test_k_transitivity_against_naive_definition():
                 for dst in tuples
             )
             assert is_k_transitive(group, k) == naive
-
-
-def test_stabilizer_of_point():
-    s3 = symmetric_group(3)
-    fixing = stabilizer(s3, lambda g, x: g(x), 2)
-    assert len(fixing) == 2
-    assert all(g(2) == 2 for g in fixing)
-
-
-def test_stabilizer_rejects_non_action():
-    s3 = symmetric_group(3)
-
-    def bogus(g, x):
-        # not an action: fixes a set that is not closed under composition
-        return x if g.images in ((0, 1, 2), (1, 0, 2), (2, 1, 0)) else x + 1
-
-    with pytest.raises(NotASubgroup):
-        stabilizer(s3, bogus, 0)
-
-
-def test_stabilizer_under_conjugation_action():
-    s4 = symmetric_group(4)
-    target = Perm((1, 0, 3, 2))
-    fixing = stabilizer(s4, lambda g, p: g * p * g.inverse(), target)
-    assert len(fixing) == 8  # centralizer of a double transposition in S4
 
 
 def test_from_elements_reduces_generators():
@@ -341,10 +317,3 @@ def test_from_elements_names_a_product_outside_a_punctured_group(case, data):
     product = tuple(a[x] for x in s)
     assert product not in members and product == removed
 
-
-def test_direct_product_order_and_degree():
-    prod = direct_product(symmetric_group(3), symmetric_group(2))
-    assert prod.degree == 5
-    assert prod.order == 12
-    # the two factors act on disjoint blocks
-    assert orbit_partition(list(prod.generators), 5) == [[0, 1, 2], [3, 4]]

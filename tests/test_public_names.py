@@ -1,0 +1,63 @@
+"""Every public function and class of the package is used by the package itself.
+
+A public name that only tests call is API kept alive by its own tests; this
+audit reads the source with `ast` and names each one.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "quandlekit"
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _public_definitions(modules):
+    return {
+        (name, node.name)
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def _references(modules):
+    """(module, name) pairs used somewhere in the package, outside the name's own definition.
+
+    A bare name refers to the module it was imported from, else to the
+    module it appears in; `mod.name` refers to the module bound to `mod` by
+    `from . import mod`.
+    """
+    refs = set()
+    for here, tree in modules.items():
+        packages, imported = {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        packages[local] = alias.name
+                    else:
+                        imported[local] = (node.module, alias.name)
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    refs.add(imported.get(node.id, (here, node.id)))
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in packages
+                ):
+                    refs.add((packages[node.value.id], node.attr))
+    return refs
+
+
+def test_every_public_name_is_used_by_the_package():
+    modules = _modules()
+    unused = sorted(_public_definitions(modules) - _references(modules))
+    assert unused == [], "public names only tests use: " + ", ".join(
+        f"{module}.{name}" for module, name in unused
+    )
