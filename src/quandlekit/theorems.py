@@ -1,9 +1,13 @@
 """Named check suites that bundle the library's facts into reports.
 
-Every suite function takes an options dict and returns a JSON-ready report:
-the suite id, the effective options, a deterministically ordered list of
-per-case dicts, and an overall "passed" flag.  Equal options always produce
-equal reports, so the command line can digest them byte for byte.
+Each `CATALOG` entry declares a suite: the function that lists its cases
+and the options its report names, with their defaults.  `run_suite` fills
+in the defaults and returns a JSON-ready report: the suite id, the
+effective options, a deterministically ordered list of per-case dicts, and
+an overall "passed" flag.  Equal options always produce equal reports, so
+the command line can digest them byte for byte.  A suite whose cases share
+one shape is a `_sweep`: a list of (case name, input) pairs and one check
+per input.
 
 Suites check exact statements where the statement is exact, and run in
 report mode where a known discrepancy exists (the reflection-group suites
@@ -57,17 +61,13 @@ LARGER_GROUP_CATALOG = (
 DEFAULT_SEED = 20260814
 
 
-def _opt(options, key, default):
-    value = options.get(key)
-    return default if value is None else value
+def _sweep(items, check):
+    """A suite with one case per (name, input) pair of `items(options)`; `check` makes the rest."""
+    return lambda options: [{"case": name, **check(value, options)} for name, value in items(options)]
 
 
-def _trials(options, default):
-    """The trial count of a randomized suite; one with no trials would check nothing."""
-    trials = _opt(options, "trials", default)
-    if trials < 1:
-        raise QuandleKitError(f"--trials {trials} is below the floor of 1 trial")
-    return trials
+def _cyclic_sum_name(components) -> str:
+    return "x".join(f"Z{c}" for c in components)
 
 
 def _preserves(table, p: Perm) -> bool:
@@ -75,9 +75,9 @@ def _preserves(table, p: Perm) -> bool:
 
 
 def _catalog_groups(options):
-    """Catalog groups within the order bound, sorted by (order, spec)."""
-    max_order = _opt(options, "max_order", 8)
-    cap_group = _opt(options, "cap_group", fingroup.DEFAULT_GROUP_CAP)
+    """Items (spec, group) for the catalog groups within the order bound, sorted by (order, spec)."""
+    max_order = options["max_order"]
+    cap_group = options.get("cap_group", fingroup.DEFAULT_GROUP_CAP)
     specs = GROUP_CATALOG + (LARGER_GROUP_CATALOG if max_order > 8 else ())
     picked = []
     with _cap_flag("--cap-group"):
@@ -91,24 +91,20 @@ def _catalog_groups(options):
 
 def _check_cap_group(options, orders) -> None:
     """Refuse a sweep before it builds anything if one of its ascending orders exceeds the cap."""
-    cap = _opt(options, "cap_group", fingroup.DEFAULT_GROUP_CAP)
+    cap = options.get("cap_group", fingroup.DEFAULT_GROUP_CAP)
     over = next((m for m in orders if m > cap), None)
     if over is not None:
         with _cap_flag("--cap-group"):
             raise CapExceeded(f"quandle order {over} exceeds the construction cap {cap}")
 
 
-def _finish(tid: str, options_used: dict, cases: list) -> dict:
-    """The suite report; a sweep its options leave empty is an error, not a pass."""
-    options = dict(sorted(options_used.items()))
-    if not cases:
-        raise QuandleKitError(f"suite {tid} has no cases with options {options}")
-    return {
-        "id": tid,
-        "options": options,
-        "cases": cases,
-        "passed": all(c.get("passed", False) for c in cases),
-    }
+def _dihedral_orders(first: int, name_format: str):
+    """Items (name, m) for the dihedral quandles of orders m = first, first + 2, ... up to `--max-order`."""
+    def items(options):
+        orders = range(first, options["max_order"] + 1, 2)
+        _check_cap_group(options, orders)
+        return [(name_format.format(m), m) for m in orders]
+    return items
 
 
 # --- enveloping groups -----------------------------------------------------
@@ -122,7 +118,7 @@ _BRAID_STYLE = envgroup.Presentation(
 )
 
 
-def _suite_two_generator_envelope(options: dict) -> dict:
+def _suite_two_generator_envelope(options: dict) -> list:
     """The order-3 dihedral quandle's enveloping group, in two presentations.
 
     The three-generator presentation read off the quandle table and the
@@ -130,7 +126,7 @@ def _suite_two_generator_envelope(options: dict) -> dict:
     abelianization, on the index of the central-square subgroup, and both
     must map onto the symmetric group on 3 points.
     """
-    max_cosets = _opt(options, "cap_order", 10_000)
+    max_cosets = options["cap_order"]
     r3 = quandlemod.build("dihedral", 3)
     from_table = envgroup.presentation_of(r3)
     cases = []
@@ -196,86 +192,75 @@ def _suite_two_generator_envelope(options: dict) -> dict:
             and report["elements_explored"] == 6,
         }
     )
-    return _finish("3.1", {"cap_order": max_cosets}, cases)
+    return cases
 
 
-def _suite_abelianization(options: dict) -> dict:
-    """Abelianized enveloping groups are free of rank the orbit count."""
-    max_order = _opt(options, "max_order", 5)
-    cases = []
-    for n in range(1, max_order + 1):
+def _classes(options):
+    """Items (name, quandle) for every isomorphism class of order 1 to `--max-order`."""
+    for n in range(1, options["max_order"] + 1):
         for idx, q in enumerate(quandlemod.enumerate_quandles(n)):
-            orbits = len(quandlemod.orbit_partition(q))
-            free_rank, torsion = envgroup.abelianization(envgroup.presentation_of(q))
-            commutators = envgroup.commutator_generators(q)
-            cases.append(
-                {
-                    "case": f"order{n}.class{idx}",
-                    "orbits": orbits,
-                    "free_rank": free_rank,
-                    "torsion": list(torsion),
-                    "commutator_generators": len(commutators),
-                    "passed": free_rank == orbits
-                    and not torsion
-                    and len(commutators) <= n * n,
-                }
-            )
-    return _finish("3.3", {"max_order": max_order}, cases)
+            yield f"order{n}.class{idx}", q
+
+
+def _abelianization_case(q, options) -> dict:
+    """Abelianized enveloping groups are free of rank the orbit count."""
+    orbits = len(quandlemod.orbit_partition(q))
+    free_rank, torsion = envgroup.abelianization(envgroup.presentation_of(q))
+    commutators = envgroup.commutator_generators(q)
+    return {
+        "orbits": orbits,
+        "free_rank": free_rank,
+        "torsion": list(torsion),
+        "commutator_generators": len(commutators),
+        "passed": free_rank == orbits
+        and not torsion
+        and len(commutators) <= q.order * q.order,
+    }
 
 
 # --- conjugation quandles --------------------------------------------------
 
 
 def _conj_survey(options):
-    """Shared sweep data: aut orders of group and conjugation quandle."""
-    rows = []
+    """Items (spec, row) per catalog group: aut orders of group and conjugation quandle."""
     for spec, group in _catalog_groups(options):
-        cap_order = _opt(options, "cap_order", max(quandlemod.DEFAULT_AUT_CAP, group.order))
+        cap_order = options.get("cap_order", max(quandlemod.DEFAULT_AUT_CAP, group.order))
         q = fingroup.conj_quandle(group)
         with _cap_flag("--cap-order"):
             aut_conj_order = quandlemod.aut(q, cap=cap_order).order
-        rows.append(
-            {
-                "spec": spec,
-                "group": group,
-                "quandle": q,
-                "center": fingroup.center(group),
-                "aut_group_order": fingroup.automorphism_group(group).order,
-                "aut_conj_order": aut_conj_order,
-            }
-        )
-    return rows
+        yield spec, {
+            "group": group,
+            "quandle": q,
+            "center": fingroup.center(group),
+            "aut_group_order": fingroup.automorphism_group(group).order,
+            "aut_conj_order": aut_conj_order,
+        }
 
 
-def _suite_center_swap(options: dict) -> dict:
+def _center_swap_case(row, options) -> dict:
     """A nontrivial center forces extra conjugation-quandle automorphisms.
 
     Swapping the identity with a central element while fixing the rest is
     an automorphism of the conjugation quandle, never of the group, so the
     two automorphism groups differ whenever the center is nontrivial.
     """
-    cases = []
-    for row in _conj_survey(options):
-        group, q = row["group"], row["quandle"]
-        nontrivial = len(row["center"]) > 1
-        case = {
-            "case": row["spec"],
-            "center_order": len(row["center"]),
-            "aut_group_order": row["aut_group_order"],
-            "aut_conj_order": row["aut_conj_order"],
-            "hypothesis_holds": nontrivial,
-        }
-        if not nontrivial:
-            case["passed"] = True
-        else:
-            e = group.identity
-            a = min(x for x in row["center"] if x != e)
-            swap = Perm.transposition(group.order, e, a)
-            swap_ok = _preserves(q.table, swap)
-            case["swap_is_automorphism"] = swap_ok
-            case["passed"] = swap_ok and row["aut_conj_order"] > row["aut_group_order"]
-        cases.append(case)
-    return _finish("4.3", {"max_order": _opt(options, "max_order", 8)}, cases)
+    group, q = row["group"], row["quandle"]
+    nontrivial = len(row["center"]) > 1
+    case = {
+        "center_order": len(row["center"]),
+        "aut_group_order": row["aut_group_order"],
+        "aut_conj_order": row["aut_conj_order"],
+        "hypothesis_holds": nontrivial,
+    }
+    if not nontrivial:
+        case["passed"] = True
+    else:
+        e = group.identity
+        a = min(x for x in row["center"] if x != e)
+        swap_ok = _preserves(q.table, Perm.transposition(group.order, e, a))
+        case["swap_is_automorphism"] = swap_ok
+        case["passed"] = swap_ok and row["aut_conj_order"] > row["aut_group_order"]
+    return case
 
 
 # Suites 4.4-4.6 compare |Aut(Conj(G))| with a bound made of |Aut(G)| and
@@ -298,35 +283,29 @@ _CONJ_BOUNDS = {
 }
 
 
-def _conj_bound_sweep(tid: str, options: dict) -> dict:
+def _conj_bound_case(tid: str, row, options) -> dict:
     """When |Aut(Conj(G))| equals a bound made of |Aut(G)| and |Z(G)|, per `_CONJ_BOUNDS`.
 
     Every catalog group must meet its suite's bound exactly when the
     expectation says so.
     """
     bound_key, shown, bound_of, expected_of = _CONJ_BOUNDS[tid]
-    cases = []
-    for row in _conj_survey(options):
-        z = len(row["center"])
-        bound = bound_of(row["aut_group_order"], z)
-        equal = row["aut_conj_order"] == bound
-        expected = expected_of(row["group"], z)
-        values = {
-            "center_order": z,
-            "aut_group_order": row["aut_group_order"],
-            "aut_conj_order": row["aut_conj_order"],
-            bound_key: bound,
-        }
-        cases.append(
-            {
-                "case": row["spec"],
-                **{key: values[key] for key in shown},
-                "equality_observed": equal,
-                "equality_expected": expected,
-                "passed": equal == expected,
-            }
-        )
-    return _finish(tid, {"max_order": _opt(options, "max_order", 8)}, cases)
+    z = len(row["center"])
+    bound = bound_of(row["aut_group_order"], z)
+    equal = row["aut_conj_order"] == bound
+    expected = expected_of(row["group"], z)
+    values = {
+        "center_order": z,
+        "aut_group_order": row["aut_group_order"],
+        "aut_conj_order": row["aut_conj_order"],
+        bound_key: bound,
+    }
+    return {
+        **{key: values[key] for key in shown},
+        "equality_observed": equal,
+        "equality_expected": expected,
+        "passed": equal == expected,
+    }
 
 
 # --- core and doubled-cyclic quandles --------------------------------------
@@ -339,7 +318,7 @@ def _central_translations(group):
     ]
 
 
-def _suite_core_subgroup(options: dict) -> dict:
+def _core_subgroup_case(group, options) -> dict:
     """Central translations and group automorphisms act on the core quandle.
 
     Together they generate a subgroup of the expected product order inside
@@ -348,149 +327,135 @@ def _suite_core_subgroup(options: dict) -> dict:
     table and phi p_a phi^-1 = p_phi(a) both hold for a product when they
     hold for its factors, so they are checked on generators of Aut(G).
     """
-    cases = []
-    for spec, group in _catalog_groups(options):
-        cap_order = _opt(options, "cap_order", max(quandlemod.DEFAULT_AUT_CAP, group.order))
-        core = fingroup.core_quandle(group)
-        autg = fingroup.automorphism_group(group)
-        translations = _central_translations(group)
-        members_ok = all(_preserves(core.table, p) for p in autg.generators) and all(
-            _preserves(core.table, p) for _, p in translations
-        )
-        transported = all(
-            phi * p * phi.inverse() == Perm(tuple(group.table[phi(a)][x] for x in range(group.order)))
-            for phi in autg.generators
-            for a, p in translations
-        )
-        gens = list(autg.generators) + [p for _, p in translations]
-        sub = closure(gens, degree=group.order)
-        expected = len(translations) * autg.order
-        with _cap_flag("--cap-order"):
-            total = quandlemod.aut(core, cap=cap_order).order
-        cases.append(
-            {
-                "case": spec,
-                "center_order": len(translations),
-                "aut_group_order": autg.order,
-                "subgroup_order": sub.order,
-                "aut_core_order": total,
-                "passed": members_ok
-                and transported
-                and sub.order == expected
-                and total % sub.order == 0,
-            }
-        )
-    return _finish("5.1", {"max_order": _opt(options, "max_order", 8)}, cases)
+    cap_order = options.get("cap_order", max(quandlemod.DEFAULT_AUT_CAP, group.order))
+    core = fingroup.core_quandle(group)
+    autg = fingroup.automorphism_group(group)
+    translations = _central_translations(group)
+    members_ok = all(_preserves(core.table, p) for p in autg.generators) and all(
+        _preserves(core.table, p) for _, p in translations
+    )
+    transported = all(
+        phi * p * phi.inverse() == Perm(tuple(group.table[phi(a)][x] for x in range(group.order)))
+        for phi in autg.generators
+        for a, p in translations
+    )
+    gens = list(autg.generators) + [p for _, p in translations]
+    sub = closure(gens, degree=group.order)
+    expected = len(translations) * autg.order
+    with _cap_flag("--cap-order"):
+        total = quandlemod.aut(core, cap=cap_order).order
+    return {
+        "center_order": len(translations),
+        "aut_group_order": autg.order,
+        "subgroup_order": sub.order,
+        "aut_core_order": total,
+        "passed": members_ok
+        and transported
+        and sub.order == expected
+        and total % sub.order == 0,
+    }
 
 
 def _odd_components(options):
-    max_order = _opt(options, "max_order", 8)
+    """Items (name, components) for the odd cyclic sums of order up to `--max-order`."""
     specs = [(3,), (5,), (7,), (9,), (3, 3)]
-    picked = [c for c in specs if math.prod(c) <= max_order]
+    picked = [c for c in specs if math.prod(c) <= options["max_order"]]
     picked.sort(key=lambda c: (math.prod(c), c))
-    return picked
+    return [(_cyclic_sum_name(c), c) for c in picked]
 
 
-def _suite_odd_takasaki(options: dict) -> dict:
+def _odd_takasaki_case(components, options) -> dict:
     """Structure of 2y - x quandles over odd cyclic sums.
 
     The automorphism group is carrier-by-automorphisms as a semidirect
     product and the inner group is the carrier extended by negation; both
     are checked by explicit isomorphism, not just by order.
     """
-    cap_order = _opt(options, "cap_order", quandlemod.DEFAULT_AUT_CAP)
-    cases = []
-    for components in _odd_components(options):
-        group = fingroup.cyclic_group(components[0])
-        for c in components[1:]:
-            group = fingroup.direct_product_group(group, fingroup.cyclic_group(c))
-        q = quandlemod.takasaki_quandle(components)
-        autg = fingroup.automorphism_group(group)
-        with _cap_flag("--cap-order"):
-            aut_q = quandlemod.aut(q, cap=max(cap_order, 0))
-        inn_q = quandlemod.inn(q)
+    group = fingroup.cyclic_group(components[0])
+    for c in components[1:]:
+        group = fingroup.direct_product_group(group, fingroup.cyclic_group(c))
+    q = quandlemod.takasaki_quandle(components)
+    autg = fingroup.automorphism_group(group)
+    with _cap_flag("--cap-order"):
+        aut_q = quandlemod.aut(q, cap=max(options["cap_order"], 0))
+    inn_q = quandlemod.inn(q)
 
-        acting = fingroup.from_permgroup(autg)
-        semidirect_full = fingroup.semidirect(group, acting, list(autg.elements))
-        aut_match = fingroup.is_isomorphic(
-            fingroup.from_permgroup(aut_q), semidirect_full
-        )
-
-        negation = Perm(tuple(group.inv(x) for x in range(group.order)))
-        semidirect_inner = fingroup.semidirect(
-            group,
-            fingroup.cyclic_group(2),
-            [Perm.identity(group.order), negation],
-        )
-        inn_match = fingroup.is_isomorphic(
-            fingroup.from_permgroup(inn_q), semidirect_inner
-        )
-        cases.append(
-            {
-                "case": "x".join(f"Z{c}" for c in components),
-                "aut_order": aut_q.order,
-                "expected_aut_order": group.order * autg.order,
-                "inn_order": inn_q.order,
-                "expected_inn_order": 2 * group.order,
-                "aut_isomorphic_to_semidirect": aut_match,
-                "inn_isomorphic_to_semidirect": inn_match,
-                "passed": aut_q.order == group.order * autg.order
-                and inn_q.order == 2 * group.order
-                and aut_match
-                and inn_match,
-            }
-        )
-    return _finish(
-        "5.2",
-        {"max_order": _opt(options, "max_order", 8), "cap_order": cap_order},
-        cases,
+    acting = fingroup.from_permgroup(autg)
+    semidirect_full = fingroup.semidirect(group, acting, list(autg.elements))
+    aut_match = fingroup.is_isomorphic(
+        fingroup.from_permgroup(aut_q), semidirect_full
     )
+
+    negation = Perm(tuple(group.inv(x) for x in range(group.order)))
+    semidirect_inner = fingroup.semidirect(
+        group,
+        fingroup.cyclic_group(2),
+        [Perm.identity(group.order), negation],
+    )
+    inn_match = fingroup.is_isomorphic(
+        fingroup.from_permgroup(inn_q), semidirect_inner
+    )
+    return {
+        "aut_order": aut_q.order,
+        "expected_aut_order": group.order * autg.order,
+        "inn_order": inn_q.order,
+        "expected_inn_order": 2 * group.order,
+        "aut_isomorphic_to_semidirect": aut_match,
+        "inn_isomorphic_to_semidirect": inn_match,
+        "passed": aut_q.order == group.order * autg.order
+        and inn_q.order == 2 * group.order
+        and aut_match
+        and inn_match,
+    }
 
 
 _REFLECTION_SPECS = ((4,), (6,), (8,), (2, 4), (3, 4))
 
 
-def _reflection_case(components) -> dict:
-    report = quandlemod.coxeter_report(components)
-    case = dict(report)
-    case["case"] = "x".join(f"Z{c}" for c in components)
-    case["passed"] = report["relations_pass"] and report["doubling_rule_matches"]
-    return case
+def _reflection_case(report: dict) -> dict:
+    return {**report, "passed": report["relations_pass"] and report["doubling_rule_matches"]}
 
 
-def _suite_reflection_report(options: dict) -> dict:
+def _suite_reflection_report(options: dict) -> list:
     """Report-mode comparison of inner groups with reflection groups.
 
     Involution and braid-style relations plus the translation-count rules
     must hold; order mismatches with the comparison group are recorded via
     the mismatch flag and do not fail the suite.
     """
-    cases = [_reflection_case(c) for c in _REFLECTION_SPECS]
-    return _finish("5.3", {}, cases)
+    return [
+        {"case": _cyclic_sum_name(c), **_reflection_case(quandlemod.coxeter_report(c))}
+        for c in _REFLECTION_SPECS
+    ]
 
 
-def _suite_even_dihedral_reflection(options: dict) -> dict:
+def _even_dihedral_case(m, options) -> dict:
     """The doubled-cyclic special case of the reflection-group report.
 
     For the 2n-element dihedral quandle the report must count n distinct
     translations with relation exponent n; order comparisons stay report
     mode for the same reason as the general suite.
     """
-    max_order = _opt(options, "max_order", 10)
-    cases = []
-    for n in range(3, max_order // 2 + 1):
-        case = _reflection_case((2 * n,))
-        case["expected_generators"] = n
-        case["passed"] = (
-            case["passed"]
-            and case["distinct_translations"] == n
-            and case["relation_exponent"] == n
-        )
-        cases.append(case)
-    return _finish("5.4", {"max_order": max_order}, cases)
+    n = m // 2
+    cap = options.get("cap_group", fingroup.DEFAULT_GROUP_CAP)
+    case = _reflection_case(quandlemod.coxeter_report((m,), cap))
+    return {
+        **case,
+        "expected_generators": n,
+        "passed": case["passed"]
+        and case["distinct_translations"] == n
+        and case["relation_exponent"] == n,
+    }
 
 
-def _suite_elementary_inner(options: dict) -> dict:
+def _elementary_powers(options):
+    """Items (name, k) for the k-fold powers of Z4, k up to `--max-order`."""
+    ks = range(1, options["max_order"] + 1)
+    _check_cap_group(options, (4**k for k in ks))
+    return [(f"k{k}", k) for k in ks]
+
+
+def _elementary_inner_case(k, options) -> dict:
     """Inner groups of order-4 cyclic powers are elementary abelian.
 
     For k components the quandle has 2^k distinct translations, all
@@ -499,35 +464,27 @@ def _suite_elementary_inner(options: dict) -> dict:
     four generators multiply out to the identity and the inner group is a
     proper quotient, so the order comparison stays report mode.
     """
-    max_k = _opt(options, "max_order", 2)
-    _check_cap_group(options, (4**k for k in range(1, max_k + 1)))
-    cases = []
-    for k in range(1, max_k + 1):
-        q = quandlemod.takasaki_quandle((4,) * k)
-        gens = quandlemod.inner_generators(q)
-        involutions = all((p * p).is_identity() for _, p in gens)
-        commuting = all(
-            p1 * p2 == p2 * p1 for _, p1 in gens for _, p2 in gens
-        )
-        order = quandlemod.inn(q).order
-        elementary = involutions and commuting
-        cases.append(
-            {
-                "case": f"k{k}",
-                "distinct_translations": len(gens),
-                "inn_order": order,
-                "all_involutions": involutions,
-                "all_commute": commuting,
-                "comparison_order": 2 ** (2**k),
-                "orders_match": order == 2 ** (2**k),
-                "mismatch_flag": order != 2 ** (2**k),
-                "passed": len(gens) == 2**k and elementary,
-            }
-        )
-    return _finish("5.5", {"max_order": max_k}, cases)
+    q = quandlemod.takasaki_quandle((4,) * k)
+    gens = quandlemod.inner_generators(q)
+    involutions = all((p * p).is_identity() for _, p in gens)
+    commuting = all(
+        p1 * p2 == p2 * p1 for _, p1 in gens for _, p2 in gens
+    )
+    order = quandlemod.inn(q).order
+    elementary = involutions and commuting
+    return {
+        "distinct_translations": len(gens),
+        "inn_order": order,
+        "all_involutions": involutions,
+        "all_commute": commuting,
+        "comparison_order": 2 ** (2**k),
+        "orders_match": order == 2 ** (2**k),
+        "mismatch_flag": order != 2 ** (2**k),
+        "passed": len(gens) == 2**k and elementary,
+    }
 
 
-def _suite_r4_aut_structure(options: dict) -> dict:
+def _suite_r4_aut_structure(options: dict) -> list:
     """The 4-element dihedral quandle's automorphism group, pinned exactly.
 
     It has order 8, is the Klein four-group extended by a component swap,
@@ -549,7 +506,7 @@ def _suite_r4_aut_structure(options: dict) -> dict:
     phi = Perm((1, 0, 3, 2))
     s0 = Perm(tuple(q.table[x][0] for x in range(4)))
     s1 = Perm(tuple(q.table[x][1] for x in range(4)))
-    cases = [
+    return [
         {
             "case": "aut_order",
             "aut_order": aut_q.order,
@@ -570,42 +527,32 @@ def _suite_r4_aut_structure(options: dict) -> dict:
             "passed": phi * s0 * phi.inverse() == s1,
         },
     ]
-    return _finish("5.6", {}, cases)
 
 
-def _suite_orbit_swap(options: dict) -> dict:
+def _orbit_swap_case(m, options) -> dict:
     """Swapping the two orbits of an even dihedral quandle pairwise.
 
     The map a(2i) <-> a(2i+1) is an automorphism exactly for carriers of
     size 2 and 4; larger even dihedral quandles reject it, so permuting
     orbits is not automatically an automorphism.
     """
-    max_n = _opt(options, "max_order", 10)
-    _check_cap_group(options, range(2, max_n + 1, 2))
-    cases = []
-    for n in range(1, max_n // 2 + 1):
-        q = quandlemod.build("dihedral", 2 * n)
-        images = []
-        for i in range(0, 2 * n, 2):
-            images.extend((i + 1, i))
-        swap = Perm(images)
-        observed = _preserves(q.table, swap)
-        expected = n <= 2
-        cases.append(
-            {
-                "case": f"order{2 * n}",
-                "swap_is_automorphism": observed,
-                "expected": expected,
-                "passed": observed == expected,
-            }
-        )
-    return _finish("5.7", {"max_order": max_n}, cases)
+    q = quandlemod.build("dihedral", m)
+    images = []
+    for i in range(0, m, 2):
+        images.extend((i + 1, i))
+    observed = _preserves(q.table, Perm(images))
+    expected = m <= 4
+    return {
+        "swap_is_automorphism": observed,
+        "expected": expected,
+        "passed": observed == expected,
+    }
 
 
 # --- transitivity ----------------------------------------------------------
 
 
-def _suite_three_transitive(options: dict) -> dict:
+def _suite_three_transitive(options: dict) -> list:
     """Quandles whose automorphism group is 3-transitive, by exhaustion.
 
     Over all isomorphism classes up to the order bound, 3-transitivity,
@@ -613,12 +560,14 @@ def _suite_three_transitive(options: dict) -> dict:
     the 3-element dihedral quandle are one and the same condition.  The
     inner group is additionally never 3-transitive from order 4 on.
     """
-    max_order = _opt(options, "max_order", 5)
-    inner_max = _opt(options, "cap_order", 6)
+    max_order, inner_max = options["max_order"], options["cap_order"]
+    classes = {
+        n: quandlemod.enumerate_quandles(n) for n in range(1, max(max_order, inner_max) + 1)
+    }
     r3 = quandlemod.build("dihedral", 3)
     cases = []
     for n in range(1, max_order + 1):
-        for idx, q in enumerate(quandlemod.enumerate_quandles(n)):
+        for idx, q in enumerate(classes[n]):
             trivial = all(q.table[x][y] == x for x in range(n) for y in range(n))
             named = trivial or quandlemod.is_isomorphic(q, r3)
             aut_q = quandlemod.aut(q)
@@ -634,23 +583,16 @@ def _suite_three_transitive(options: dict) -> dict:
                 }
             )
     for n in range(4, inner_max + 1):
-        bad = 0
-        total = 0
-        for q in quandlemod.enumerate_quandles(n):
-            total += 1
-            if is_k_transitive(quandlemod.inn(q), 3):
-                bad += 1
+        bad = sum(is_k_transitive(quandlemod.inn(q), 3) for q in classes[n])
         cases.append(
             {
                 "case": f"inner_order{n}",
-                "classes": total,
+                "classes": len(classes[n]),
                 "inner_three_transitive": bad,
                 "passed": bad == 0,
             }
         )
-    return _finish(
-        "6.3", {"max_order": max_order, "cap_order": inner_max}, cases
-    )
+    return cases
 
 
 # --- extensions ------------------------------------------------------------
@@ -696,16 +638,15 @@ def _twist(alpha, lam):
     return cocyclemod.validate_constant(alpha.base, alpha.fiber_size, table)
 
 
-def _suite_cohomologous_extensions(options: dict) -> dict:
+def _suite_cohomologous_extensions(options: dict) -> list:
     """Cohomologous cocycles give isomorphic extensions, with the map shown.
 
     Each trial twists a valid cocycle by a random per-element fiber
     permutation, asks the search for a witness, and verifies the explicit
     isomorphism (x, t) -> (x, lambda_x(t)) entry by entry.
     """
-    trials = _trials(options, 120)
-    seed = _opt(options, "seed", DEFAULT_SEED)
-    rng = random.Random(seed)
+    trials = options["trials"]
+    rng = random.Random(options["seed"])
     bases = _extension_bases()
     fiber_perms = {s: [Perm(p) for p in itertools.permutations(range(s))] for s in (2, 3)}
     pools = {
@@ -742,7 +683,7 @@ def _suite_cohomologous_extensions(options: dict) -> dict:
             failures.append(
                 {"trial": trial, "base": name, "fiber": s, "witness_found": witness is not None}
             )
-    cases = [
+    return [
         {
             "case": "randomized_twists",
             "trials": trials,
@@ -750,17 +691,18 @@ def _suite_cohomologous_extensions(options: dict) -> dict:
             "passed": not failures,
         }
     ]
-    return _finish("7.1", {"trials": trials, "seed": seed}, cases)
 
 
-def _suite_stabilizer_embedding(options: dict) -> dict:
+def _suite_stabilizer_embedding(options: dict) -> list:
     """Stabilizer pairs embed into the extension's automorphism group.
 
     For every valid cocycle up to the cap, the pairwise map is injective
     and multiplicative, and a coordinate-shaped bijection is an extension
     automorphism exactly when its pair fixes the cocycle.
     """
-    max_cocycles = _opt(options, "cap_order", 40)
+    max_cocycles = options["cap_order"]
+    if max_cocycles < 1:
+        raise QuandleKitError(f"--cap-order {max_cocycles} is below the floor of 1 cocycle")
     corpus = [
         ("trivial2", quandlemod.build("trivial", 2)),
         ("dihedral3", quandlemod.build("dihedral", 3)),
@@ -808,58 +750,44 @@ def _suite_stabilizer_embedding(options: dict) -> dict:
                     "passed": injective and multiplicative and converse,
                 }
             )
-    return _finish("7.3", {"cap_order": max_cocycles}, cases)
+    return cases
 
 
 # --- quasi-inner automorphisms ----------------------------------------------
 
 
-def _suite_connected_quasi_inner(options: dict) -> dict:
+def _connected_classes(options):
+    return ((name, q) for name, q in _classes(options) if quandlemod.is_connected(q))
+
+
+def _connected_quasi_inner_case(q, options) -> dict:
     """On connected quandles every automorphism is quasi-inner."""
-    max_order = _opt(options, "max_order", 5)
-    cases = []
-    for n in range(1, max_order + 1):
-        for idx, q in enumerate(quandlemod.enumerate_quandles(n)):
-            if not quandlemod.is_connected(q):
-                continue
-            aut_q = quandlemod.aut(q)
-            qinn_q = quandlemod.qinn(q)
-            cases.append(
-                {
-                    "case": f"order{n}.class{idx}",
-                    "aut_order": aut_q.order,
-                    "qinn_order": qinn_q.order,
-                    "passed": qinn_q.order == aut_q.order,
-                }
-            )
-    return _finish("8.2", {"max_order": max_order}, cases)
+    aut_q = quandlemod.aut(q)
+    qinn_q = quandlemod.qinn(q)
+    return {
+        "aut_order": aut_q.order,
+        "qinn_order": qinn_q.order,
+        "passed": qinn_q.order == aut_q.order,
+    }
 
 
-def _suite_quasi_inner_gap(options: dict) -> dict:
+def _quasi_inner_gap_case(n, options) -> dict:
     """Odd dihedral quandles from order 5 have non-inner quasi-inner maps."""
-    max_order = _opt(options, "max_order", 7)
-    _check_cap_group(options, range(5, max_order + 1, 2))
-    cases = []
-    for n in range(5, max_order + 1, 2):
-        q = quandlemod.build("dihedral", n)
-        inn_q = quandlemod.inn(q)
-        aut_q = quandlemod.aut(q, cap=max(quandlemod.DEFAULT_AUT_CAP, n))
-        qinn_q = quandlemod.qinn(q, cap=max(quandlemod.DEFAULT_AUT_CAP, n))
-        cases.append(
-            {
-                "case": f"order{n}",
-                "inn_order": inn_q.order,
-                "qinn_order": qinn_q.order,
-                "aut_order": aut_q.order,
-                "passed": inn_q.order == 2 * n
-                and qinn_q.order == aut_q.order
-                and inn_q.order < qinn_q.order,
-            }
-        )
-    return _finish("8.3", {"max_order": max_order}, cases)
+    q = quandlemod.build("dihedral", n)
+    inn_q = quandlemod.inn(q)
+    aut_q = quandlemod.aut(q, cap=max(quandlemod.DEFAULT_AUT_CAP, n))
+    qinn_q = quandlemod.qinn(q, cap=max(quandlemod.DEFAULT_AUT_CAP, n))
+    return {
+        "inn_order": inn_q.order,
+        "qinn_order": qinn_q.order,
+        "aut_order": aut_q.order,
+        "passed": inn_q.order == 2 * n
+        and qinn_q.order == aut_q.order
+        and inn_q.order < qinn_q.order,
+    }
 
 
-def _suite_r4_quasi_inner(options: dict) -> dict:
+def _suite_r4_quasi_inner(options: dict) -> list:
     """For the 4-element dihedral quandle quasi-inner means inner.
 
     The outer pairwise swap is an automorphism but fails both quasi-inner
@@ -871,7 +799,7 @@ def _suite_r4_quasi_inner(options: dict) -> dict:
     qinn_q = quandlemod.qinn(q)
     phi = Perm((1, 0, 3, 2))
     same = qinn_q == inn_q
-    cases = [
+    return [
         {
             "case": "groups_coincide",
             "inn_order": inn_q.order,
@@ -888,13 +816,33 @@ def _suite_r4_quasi_inner(options: dict) -> dict:
             and not quandlemod.is_quasi_inner_strong(q, phi),
         },
     ]
-    return _finish("8.4", {}, cases)
 
 
 # --- constructions ----------------------------------------------------------
 
 
-def _suite_compatible_maps(options: dict) -> dict:
+def _compatible_maps_case(group, options) -> dict:
+    """The identity and conjugation assignments give the trivial and conjugation quandles."""
+    n = group.order
+    identity = [Perm.identity(n)] * n
+    ok_id, _ = constructmod.is_compatible(group, identity)
+    from_id = constructmod.quandle_from_compatible(group, identity)
+    trivial_ok = all(from_id.table[x][y] == x for x in range(n) for y in range(n))
+
+    inner = constructmod.inner_assignment(group)
+    ok_inner, _ = constructmod.is_compatible(group, inner)
+    from_inner = constructmod.quandle_from_compatible(group, inner)
+    conj_ok = from_inner.table == fingroup.conj_quandle(group, -1).table
+    return {
+        "identity_compatible": ok_id,
+        "identity_gives_trivial": trivial_ok,
+        "inner_compatible": ok_inner,
+        "inner_gives_conjugation": conj_ok,
+        "passed": ok_id and trivial_ok and ok_inner and conj_ok,
+    }
+
+
+def _suite_compatible_maps(options: dict) -> list:
     """Quandles built from per-element automorphism assignments.
 
     The identity assignment reproduces the trivial quandle and the
@@ -902,29 +850,7 @@ def _suite_compatible_maps(options: dict) -> dict:
     catalog group; a compatible assignment without fixed points is
     rejected by the fixed-point check.
     """
-    cases = []
-    for spec, group in _catalog_groups(options):
-        n = group.order
-        identity = [Perm.identity(n)] * n
-        ok_id, _ = constructmod.is_compatible(group, identity)
-        from_id = constructmod.quandle_from_compatible(group, identity)
-        trivial_ok = all(from_id.table[x][y] == x for x in range(n) for y in range(n))
-
-        inner = constructmod.inner_assignment(group)
-        ok_inner, _ = constructmod.is_compatible(group, inner)
-        from_inner = constructmod.quandle_from_compatible(group, inner)
-        conj_ok = from_inner.table == fingroup.conj_quandle(group, -1).table
-        cases.append(
-            {
-                "case": spec,
-                "identity_compatible": ok_id,
-                "identity_gives_trivial": trivial_ok,
-                "inner_compatible": ok_inner,
-                "inner_gives_conjugation": conj_ok,
-                "passed": ok_id and trivial_ok and ok_inner and conj_ok,
-            }
-        )
-
+    cases = _sweep(_catalog_groups, _compatible_maps_case)(options)
     z3 = fingroup.cyclic_group(3)
     inversion = Perm((0, 2, 1))
     assignment = [Perm.identity(3), inversion, inversion]
@@ -942,13 +868,13 @@ def _suite_compatible_maps(options: dict) -> dict:
             "passed": compatible and rejected,
         }
     )
-    return _finish("9.1", {"max_order": _opt(options, "max_order", 8)}, cases)
+    return cases
 
 
 _JOYCE_TABLE = ((0, 2, 0), (1, 1, 1), (2, 0, 2))
 
 
-def _suite_union_gluing(options: dict) -> dict:
+def _suite_union_gluing(options: dict) -> list:
     """Gluing two quandles along automorphism maps, and what breaks it.
 
     The three-element example with a swap glue reproduces Joyce's table,
@@ -956,8 +882,7 @@ def _suite_union_gluing(options: dict) -> dict:
     carrier is rejected, and random bad glue data fails the distributivity
     axiom nearly always (accidental survivors are re-validated).
     """
-    trials = _trials(options, 200)
-    seed = _opt(options, "seed", DEFAULT_SEED)
+    trials = options["trials"]
     cases = []
 
     two = quandlemod.build("trivial", 2)
@@ -996,7 +921,7 @@ def _suite_union_gluing(options: dict) -> dict:
         rejected = True
     cases.append({"case": "non_involutory_rejected", "passed": rejected})
 
-    rng = random.Random(seed)
+    rng = random.Random(options["seed"])
     q1 = quandlemod.build("dihedral", 3)
     q2 = quandlemod.build("dihedral", 4)
     aut1 = quandlemod.aut(q1).elements
@@ -1031,37 +956,58 @@ def _suite_union_gluing(options: dict) -> dict:
             "passed": broken == 0 and axiom_failures >= math.ceil(0.95 * trials),
         }
     )
-    return _finish("9.2", {"trials": trials, "seed": seed}, cases)
+    return cases
 
 
+# Each suite: the function that lists its cases, and the options its report
+# names, with their defaults.
 CATALOG = {
-    "3.1": _suite_two_generator_envelope,
-    "3.3": _suite_abelianization,
-    "4.3": _suite_center_swap,
-    "4.4": functools.partial(_conj_bound_sweep, "4.4"),
-    "4.5": functools.partial(_conj_bound_sweep, "4.5"),
-    "4.6": functools.partial(_conj_bound_sweep, "4.6"),
-    "5.1": _suite_core_subgroup,
-    "5.2": _suite_odd_takasaki,
-    "5.3": _suite_reflection_report,
-    "5.4": _suite_even_dihedral_reflection,
-    "5.5": _suite_elementary_inner,
-    "5.6": _suite_r4_aut_structure,
-    "5.7": _suite_orbit_swap,
-    "6.3": _suite_three_transitive,
-    "7.1": _suite_cohomologous_extensions,
-    "7.3": _suite_stabilizer_embedding,
-    "8.2": _suite_connected_quasi_inner,
-    "8.3": _suite_quasi_inner_gap,
-    "8.4": _suite_r4_quasi_inner,
-    "9.1": _suite_compatible_maps,
-    "9.2": _suite_union_gluing,
+    "3.1": (_suite_two_generator_envelope, {"cap_order": 10_000}),
+    "3.3": (_sweep(_classes, _abelianization_case), {"max_order": 5}),
+    "4.3": (_sweep(_conj_survey, _center_swap_case), {"max_order": 8}),
+    **{
+        tid: (_sweep(_conj_survey, functools.partial(_conj_bound_case, tid)), {"max_order": 8})
+        for tid in _CONJ_BOUNDS
+    },
+    "5.1": (_sweep(_catalog_groups, _core_subgroup_case), {"max_order": 8}),
+    "5.2": (_sweep(_odd_components, _odd_takasaki_case),
+            {"max_order": 8, "cap_order": quandlemod.DEFAULT_AUT_CAP}),
+    "5.3": (_suite_reflection_report, {}),
+    "5.4": (_sweep(_dihedral_orders(6, "Z{}"), _even_dihedral_case), {"max_order": 10}),
+    "5.5": (_sweep(_elementary_powers, _elementary_inner_case), {"max_order": 2}),
+    "5.6": (_suite_r4_aut_structure, {}),
+    "5.7": (_sweep(_dihedral_orders(2, "order{}"), _orbit_swap_case), {"max_order": 10}),
+    "6.3": (_suite_three_transitive, {"max_order": 5, "cap_order": 6}),
+    "7.1": (_suite_cohomologous_extensions, {"trials": 120, "seed": DEFAULT_SEED}),
+    "7.3": (_suite_stabilizer_embedding, {"cap_order": 40}),
+    "8.2": (_sweep(_connected_classes, _connected_quasi_inner_case), {"max_order": 5}),
+    "8.3": (_sweep(_dihedral_orders(5, "order{}"), _quasi_inner_gap_case), {"max_order": 7}),
+    "8.4": (_suite_r4_quasi_inner, {}),
+    "9.1": (_suite_compatible_maps, {"max_order": 8}),
+    "9.2": (_suite_union_gluing, {"trials": 200, "seed": DEFAULT_SEED}),
 }
 
 
 def run_suite(tid: str, options: dict | None = None) -> dict:
-    """Run one catalog suite and return its report."""
+    """Run one catalog suite and return its report.
+
+    Options left out or None take their catalog defaults; a randomized suite
+    needs a trial, and a sweep its options leave empty is an error, not a pass.
+    """
     if tid not in CATALOG:
         known = ", ".join(sorted(CATALOG))
         raise UnsupportedSpec(f"unknown suite id {tid!r}; known ids: {known}")
-    return CATALOG[tid](options or {})
+    suite, defaults = CATALOG[tid]
+    given = {key: value for key, value in (options or {}).items() if value is not None}
+    used = {key: given.get(key, default) for key, default in sorted(defaults.items())}
+    if used.get("trials", 1) < 1:
+        raise QuandleKitError(f"--trials {used['trials']} is below the floor of 1 trial")
+    cases = suite({**given, **used})
+    if not cases:
+        raise QuandleKitError(f"suite {tid} has no cases with options {used}")
+    return {
+        "id": tid,
+        "options": used,
+        "cases": cases,
+        "passed": all(c.get("passed", False) for c in cases),
+    }

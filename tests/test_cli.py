@@ -270,8 +270,8 @@ def test_cap_errors_name_the_flag(capsys, argv):
 @pytest.mark.parametrize(
     "argv, order",
     [(["5.5", "--max-order", "5"], 256), (["5.7", "--max-order", "400"], 202),
-     (["8.3", "--max-order", "301"], 201)],
-    ids=["5.5", "5.7", "8.3"],
+     (["8.3", "--max-order", "301"], 201), (["5.4", "--max-order", "202"], 202)],
+    ids=["5.5", "5.7", "8.3", "5.4"],
 )
 def test_suite_sweeps_are_capped_before_building(capsys, monkeypatch, argv, order):
     def refuse(*args):
@@ -291,8 +291,10 @@ def test_suite_sweeps_are_capped_before_building(capsys, monkeypatch, argv, orde
     [(["4.4", "--cap-order", "5"], "order 6 exceeds automorphism cap 5", "--cap-order"),
      (["5.1", "--max-order", "30", "--cap-group", "10"], "group order 12 exceeds cap 10",
       "--cap-group"),
-     (["5.2", "--cap-order", "5"], "order 7 exceeds automorphism cap 5", "--cap-order")],
-    ids=["4.4", "5.1", "5.2"],
+     (["5.2", "--cap-order", "5"], "order 7 exceeds automorphism cap 5", "--cap-order"),
+     (["5.4", "--max-order", "12", "--cap-group", "10"],
+      "quandle order 12 exceeds the construction cap 10", "--cap-group")],
+    ids=["4.4", "5.1", "5.2", "5.4"],
 )
 def test_suite_cap_errors_end_with_their_flag(capsys, argv, message, flag):
     code, captured = invoke(["theorem", *argv], capsys)
@@ -310,6 +312,35 @@ def test_suite_cap_is_raised_by_cap_group(capsys):
     assert code == 0
     _, default = report_of(["theorem", "5.5", "--max-order", "3"], capsys)
     assert raised["results"] == default["results"]
+
+
+def test_reflection_sweep_passes_cap_group_to_the_report(capsys, monkeypatch):
+    caps = []
+    real = quandle.coxeter_report
+
+    def recording(components, cap=None):
+        caps.append(cap)
+        return real(components) if cap is None else real(components, cap)
+
+    monkeypatch.setattr(quandle, "coxeter_report", recording)
+    code, raised = report_of(["theorem", "5.4", "--cap-group", "150"], capsys)
+    assert code == 0
+    assert caps == [150, 150, 150]
+    caps.clear()
+    _, default = report_of(["theorem", "5.4"], capsys)
+    assert caps == [200, 200, 200]
+    assert raised["results"] == default["results"]
+    caps.clear()
+    assert report_of(["theorem", "5.3"], capsys)[0] == 0
+    assert caps == [None] * 5  # 5.3 keeps the report's own cap
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_stabilizer_suite_rejects_a_cocycle_cap_below_one(capsys, cap):
+    code, captured = invoke(["theorem", "7.3", "--cap-order", cap], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert f"--cap-order {cap} is below the floor of 1 cocycle" in captured.err
 
 
 def test_theorem_unknown_id(capsys):

@@ -239,6 +239,26 @@ def test_suite_digest_is_pinned(command, capsys):
     assert report["report_digest"] == SUITE_DIGESTS[command]
 
 
+# Recorded while each suite read its options through `_opt`, restated them
+# in its own report and built its cases in a loop of its own.  `--pretty`
+# prints the keys of each case in dict order, which the sorted-key digests
+# above cannot see.
+PRETTY_SUITE_IDS = (
+    "3.1", "3.3", "4.3", "4.4", "4.5", "4.6", "5.1", "5.2", "5.3", "5.4", "5.5",
+    "5.6", "5.7", "6.3", "7.1", "7.3", "8.2", "8.3", "8.4", "9.1", "9.2",
+)
+PRETTY_SUITES_DIGEST = "d58c39325551a9ca2b7fcfa154944e9c94d06f322fc5a11af3e6321fc6655428"
+
+
+def test_pretty_suite_output_is_pinned(capsys):
+    """One sha256 over the stdout of `theorem ID --pretty` for every default suite, in id order."""
+    text = ""
+    for tid in PRETTY_SUITE_IDS:
+        assert cli.run(["theorem", tid, "--pretty"]) == 0
+        text += capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == PRETTY_SUITES_DIGEST
+
+
 # Recorded while `aut` closed its generators by Dimino's algorithm, listed
 # all 9! elements and picked the generators greedily over the sorted list,
 # before the group became a stabilizer chain with lazy elements.

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import pytest
 
@@ -290,6 +291,36 @@ def test_union_gluing_cases(reports):
     bad = by_case(rep, "randomized_bad_glue")
     assert bad["inconsistent"] == 0
     assert bad["axiom_failures"] >= math.ceil(0.95 * bad["trials"])
+
+
+def test_reports_name_the_catalog_options(reports):
+    for tid, (_, defaults) in CATALOG.items():
+        assert reports[tid]["options"] == dict(sorted(defaults.items()))
+
+
+def test_readme_lists_the_catalog_options():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    listed = {}
+    for line in readme.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0] in CATALOG:
+            listed[cells[0]] = cells[1]
+    expected = {
+        tid: " ".join(f"--{key.replace('_', '-')} {value}" for key, value in defaults.items())
+        for tid, (_, defaults) in CATALOG.items()
+    }
+    assert listed == {tid: f"`{text}`" if text else "none" for tid, text in expected.items()}
+
+
+def test_three_transitive_suite_enumerates_each_order_once(monkeypatch):
+    orders = []
+    real = quandlemod.enumerate_quandles
+    monkeypatch.setattr(quandlemod, "enumerate_quandles", lambda n: orders.append(n) or real(n))
+    run_suite("6.3")
+    assert orders == [1, 2, 3, 4, 5, 6]
+    orders.clear()
+    run_suite("6.3", {"max_order": 6, "cap_order": 4})
+    assert orders == [1, 2, 3, 4, 5, 6]
 
 
 def test_empty_sweep_is_an_error():
