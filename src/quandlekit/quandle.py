@@ -441,28 +441,82 @@ def is_quasi_inner_strong(q: Quandle, phi: Perm) -> bool:
 def _canonical_table(table, n):
     """The lexicographically smallest relabeling of `table` over all of S_n.
 
-    Each candidate is built row by row and dropped at the first row that
-    compares greater than the same row of the best table so far.
+    An exact branch and bound: order[k] gets label k, and the relabeled
+    entries are settled in row-major order, each to the least value any
+    relabeling extending the labels so far gives it.  An unlabeled product
+    of labeled elements takes the next label.  An entry that needs a new
+    column (or row) element branches on the free elements giving the least
+    value: the label of a labeled product, the new label when the product
+    is the element itself, else the label after it, which the product takes.
+    A row whose free columns all hold one labeled product is settled
+    without labeling them.  A branch ends once its entries exceed the best
+    table's.  Label 0 goes only to an x with the most y such that
+    x * y = x, the zeros of row 0.  As sigma and sigma o alpha give the
+    same table for alpha in Aut(Q), a leaf equal to the best gives an
+    automorphism, and branches in one orbit of those found fixing the
+    labeled elements are tried once (McKay and Piperno, Practical graph
+    isomorphism II, 2014).
     """
-    best = None
-    for sinv in itertools.permutations(range(n)):
-        sigma = [0] * n
-        for i, s in enumerate(sinv):
-            sigma[s] = i
-        rows = []
-        smaller = best is None
-        for x in range(n):
-            src = table[sinv[x]]
-            row = tuple([sigma[src[s]] for s in sinv])
-            if not smaller:
-                if row > best[x]:
-                    break
-                smaller = row < best[x]
-            rows.append(row)
-        else:
-            if smaller:
-                best = tuple(rows)
-    return best
+    top = max(row.count(x) for x, row in enumerate(table))
+    sigma = [-1] * n
+    order: list[int] = []
+    flat: list[int] = []  # the entries settled so far, row-major
+    best = [n] * (n * n)  # above every table
+    best_sigma: list[int] = []
+    autos: list[list[int]] = []
+
+    def label(y):
+        sigma[y] = len(order)
+        order.append(y)
+
+    def orbit(y):
+        """The orbit of y under the automorphisms found that fix every labeled element."""
+        gens = [g for g in autos if all(g[z] == z for z in order)]
+        return _orbit(y, lambda x: [g[x] for g in gens]) if gens else set()
+
+    def search(start, mark):
+        """Settle the entries that follow; flat[start:] and order[mark:] are undone on return."""
+        i, c = divmod(len(flat), n)
+        while i < len(order) and c < len(order):
+            p = table[order[i]][order[c]]
+            if sigma[p] == -1:
+                label(p)
+            flat.append(sigma[p])
+            i, c = divmod(len(flat), n)
+        m = len(order)
+        if i == n and flat < best:
+            best[:], best_sigma[:] = flat, sigma
+        elif i == n and flat == best:
+            autos.append([order[best_sigma[x]] for x in range(n)])
+        elif i < n and flat <= best[: len(flat)]:
+            free = [y for y in range(n) if sigma[y] == -1]
+            prods = [table[order[i]][y] if i < m else table[y][order[c]] for y in free]
+            vals = [sigma[p] if sigma[p] != -1 else m + (p != y) for y, p in zip(free, prods)]
+            low = min(vals)
+            if i < m and low < m and vals.count(low) == len(free):
+                flat.extend([low] * (n - c))
+                search(len(flat), m)
+            else:
+                done: set[int] = set()
+                for y, p, v in zip(free, prods, vals):
+                    if v == low and y not in done:
+                        label(y)
+                        if sigma[p] == -1:
+                            label(p)
+                        flat.append(v)
+                        search(len(flat) - 1, m)
+                        done |= orbit(y)
+        for z in order[mark:]:
+            sigma[z] = -1
+        del order[mark:], flat[start:]
+
+    done: set[int] = set()
+    for x in range(n):
+        if table[x].count(x) == top and x not in done:
+            label(x)
+            search(0, 0)
+            done |= orbit(x)
+    return tuple(tuple(best[k : k + n]) for k in range(0, n * n, n))
 
 
 def _fingerprint(table, n):
@@ -479,16 +533,15 @@ def _labeled_quandle_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
     column by another must land on a column again, which both prunes and
     forces later columns during the search.
 
-    A labeling is kept only if its element invariants are non-decreasing in
-    label order.  The invariant of x is the cycle type of its column R_x,
-    ranked by decreasing sorted cycle lengths (the identity comes last, so
-    the most constraining columns are placed first), then the number of y
-    with x * y != x.  Relabeling by sigma puts sigma R_x sigma^-1 at sigma(x), so
-    both parts travel with their element, and sorting the elements of any
-    quandle by them gives a labeling that passes: every class survives.
-    The column part is checked whenever a column is chosen or forced, and
-    the first violation prunes the branch; the row part is known only at
-    the leaves.
+    The key of x is the rank of the cycle type of R_x (by decreasing sorted
+    cycle lengths, the identity last), then the number of y with
+    x * y != x; relabeling by sigma puts sigma R_x sigma^-1 at sigma(x), so
+    keys travel with their elements.  Label 0 goes to an element of least
+    key, and conjugating inside Sym(1..n-1) brings R_0 to the normal form of
+    its cycle type: cycles in decreasing length on consecutive labels, fixed
+    points last.  So R_0 ranges over normal forms, every column chosen has
+    rank at least rank(R_0) (a forced one is a conjugate of a placed one),
+    and a leaf is kept when no key is below the key of 0.
     """
     perms = list(itertools.permutations(range(n)))
     pindex = {p: i for i, p in enumerate(perms)}
@@ -498,18 +551,7 @@ def _labeled_quandle_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
     invp = [pindex[tuple(sorted(range(n), key=p.__getitem__))] for p in perms]
     fixing = [[i for i, p in enumerate(perms) if p[y] == y] for y in range(n)]
     known = [-1] * n
-    col_rank = [-1] * n
     out: list[tuple[tuple[int, ...], ...]] = []
-
-    def fits(w: int, r: int) -> bool:
-        """Whether a column of rank r at label w keeps the ranks sorted."""
-        for u in range(w):
-            if col_rank[u] > r:
-                return False
-        for u in range(w + 1, n):
-            if -1 != col_rank[u] < r:
-                return False
-        return True
 
     def propagate(queue: list[int], trail: list[int]) -> bool:
         qi = 0
@@ -520,66 +562,52 @@ def _labeled_quandle_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
                 if known[b] == -1 or b == a:
                     continue
                 for outer, inner in ((a, b), (b, a)):
-                    # R_w = R_outer R_inner R_outer^-1 at w = inner * outer,
-                    # so R_w has the cycle type of R_inner
+                    # R_w = R_outer R_inner R_outer^-1 at w = inner * outer
                     po = perms[known[outer]]
                     w = po[inner]
-                    r = col_rank[inner]
-                    if known[w] == -1:
-                        if not fits(w, r):
-                            return False
-                    elif col_rank[w] != r:
-                        return False
                     pi_ = perms[known[inner]]
                     conj = tuple([po[pi_[x]] for x in perms[invp[known[outer]]]])
                     if known[w] == -1:
                         known[w] = pindex[conj]
-                        col_rank[w] = r
                         trail.append(w)
                         queue.append(w)
                     elif perms[known[w]] != conj:
                         return False
         return True
 
-    def leaf():
-        table = tuple(tuple(perms[known[y]][x] for y in range(n)) for x in range(n))
-        inv = _element_invariants(table, n)
-        keys = [(col_rank[x], moved) for x, (moved, _) in enumerate(inv)]
-        if keys == sorted(keys):
-            out.append(table)
-
-    def rec(y: int):
+    def rec(y: int, allowed: list[list[int]]):
         while y < n and known[y] != -1:
             y += 1
         if y == n:
-            leaf()
+            table = tuple(tuple(perms[known[y]][x] for y in range(n)) for x in range(n))
+            keys = [(rank[known[x]], n - table[x].count(x)) for x in range(n)]
+            if min(keys) == keys[0]:
+                out.append(table)
             return
-        for pi in fixing[y]:
-            if not fits(y, rank[pi]):
-                continue
+        for pi in allowed[y]:
             trail = [y]
             known[y] = pi
-            col_rank[y] = rank[pi]
             if propagate([y], trail):
-                rec(y + 1)
+                rec(y + 1, allowed)
             for i in trail:
                 known[i] = -1
-                col_rank[i] = -1
 
-    rec(0)
+    for t in sorted({types[i] for i in fixing[0]}):
+        images = [0]
+        for length in reversed(t[1:]):  # t[0] is the fixed point 0
+            images += [len(images) + (k + 1) % length for k in range(length)]
+        known[0] = pindex[tuple(images)]
+        rec(1, [[pi for pi in fix if rank[pi] >= rank[known[0]]] for fix in fixing])
     return out
 
 
 def enumerate_quandles(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[Quandle]:
     """One canonical representative per isomorphism class of order-n quandles.
 
-    The labeled tables come from `_labeled_quandle_tables`, which keeps only
-    labelings whose element invariants are non-decreasing in label order;
-    every class has such a labeling, because relabeling carries invariants
-    along with their elements.  Tables are bucketed by fingerprint and
-    de-duplicated by isomorphism tests.  The canonical form is the
-    lexicographically smallest table over all relabelings; the output list
-    is sorted by table.
+    The labeled tables of `_labeled_quandle_tables` cover every class.  They
+    are bucketed by fingerprint and de-duplicated by isomorphism tests, and
+    each one kept is replaced by its canonical form, the lexicographically
+    smallest relabeling (`_canonical_table`).  The output is sorted by table.
     """
     if n < 1:
         raise ValueError("order must be positive")

@@ -28,6 +28,7 @@ from . import fingroup
 from . import quandle as quandlemod
 from .errors import (
     CapExceeded,
+    CosetLimitExceeded,
     FixedPointHypothesisViolated,
     NotInvolutory,
     QuandleKitError,
@@ -127,6 +128,10 @@ def _suite_two_generator_envelope(options: dict) -> list:
     must map onto the symmetric group on 3 points.
     """
     max_cosets = options["cap_order"]
+    if max_cosets < 1:
+        raise QuandleKitError(
+            f"coset cap {max_cosets} is below the floor of 1 (raise it with --cap-order)"
+        )
     r3 = quandlemod.build("dihedral", 3)
     from_table = envgroup.presentation_of(r3)
     cases = []
@@ -159,12 +164,16 @@ def _suite_two_generator_envelope(options: dict) -> list:
         }
     )
 
-    idx_two = envgroup.todd_coxeter(
-        _BRAID_STYLE, subgroup_words=[((0, 1), (0, 1))], max_cosets=max_cosets
-    )
-    idx_table = envgroup.todd_coxeter(
-        from_table, subgroup_words=[((0, 1), (0, 1))], max_cosets=max_cosets
-    )
+    try:
+        idx_two, idx_table = (
+            envgroup.todd_coxeter(p, subgroup_words=[((0, 1), (0, 1))], max_cosets=max_cosets)
+            for p in (_BRAID_STYLE, from_table)
+        )
+    except CosetLimitExceeded as exc:
+        raise CosetLimitExceeded(
+            f"coset enumeration exceeded the cap of {max_cosets} live cosets, which does not"
+            " prove the index infinite (raise it with --cap-order)"
+        ) from exc
     cases.append(
         {
             "case": "central_square_subgroup_index",

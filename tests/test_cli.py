@@ -293,8 +293,10 @@ def test_suite_sweeps_are_capped_before_building(capsys, monkeypatch, argv, orde
       "--cap-group"),
      (["5.2", "--cap-order", "5"], "order 7 exceeds automorphism cap 5", "--cap-order"),
      (["5.4", "--max-order", "12", "--cap-group", "10"],
-      "quandle order 12 exceeds the construction cap 10", "--cap-group")],
-    ids=["4.4", "5.1", "5.2", "5.4"],
+      "quandle order 12 exceeds the construction cap 10", "--cap-group"),
+     (["3.1", "--cap-order", "5"], "exceeded the cap of 5 live cosets", "--cap-order"),
+     (["3.1", "--cap-order", "0"], "coset cap 0 is below the floor of 1", "--cap-order")],
+    ids=["4.4", "5.1", "5.2", "5.4", "3.1", "3.1-floor"],
 )
 def test_suite_cap_errors_end_with_their_flag(capsys, argv, message, flag):
     code, captured = invoke(["theorem", *argv], capsys)

@@ -354,6 +354,18 @@ def test_enumeration_count_order_six():
     assert len(enumerate_quandles(6)) == 73
 
 
+@pytest.fixture(scope="module")
+def order_seven():
+    return enumerate_quandles(7, cap=7)
+
+
+def test_enumeration_matches_published_counts_through_order_seven(order_seven):
+    """OEIS A181769 (all quandles) and A181771 (connected ones); Vendramin (2012)."""
+    classes = [enumerate_quandles(n) for n in range(1, 7)] + [order_seven]
+    assert [len(qs) for qs in classes] == [1, 1, 3, 7, 22, 73, 298]
+    assert [sum(map(is_connected, qs)) for qs in classes] == [1, 0, 1, 1, 3, 2, 5]
+
+
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         enumerate_quandles(7)
@@ -535,3 +547,18 @@ def test_canonical_table_of_relabeled_order_five_class(index, sigma):
 def test_canonical_table_of_relabeled_order_six_class(table, sigma):
     relabeled = relabel(table, sigma)
     assert _canonical_table(relabeled, 6) == reference_canonical(relabeled) == table
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_canonical_table_of_relabeled_order_seven_class(order_seven, data):
+    table = data.draw(st.sampled_from(order_seven)).table
+    relabeled = relabel(table, data.draw(st.permutations(range(7))))
+    assert _canonical_table(relabeled, 7) == reference_canonical(relabeled) == table
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_first_columns_are_one_normal_form_per_cycle_type(n):
+    columns = {tuple(row[0] for row in t) for t in _labeled_quandle_tables(n)}
+    types = [Perm(column).cycle_type() for column in columns]
+    assert len(types) == len(set(types))
