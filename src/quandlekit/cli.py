@@ -76,7 +76,7 @@ class _Inputs:
         kind = doc.get("kind")
         if kind is None:
             raise QuandleKitError(f"{path}: missing the 'kind' field")
-        if kind not in _FILE_READERS:
+        if not isinstance(kind, str) or kind not in _FILE_READERS:
             raise QuandleKitError(f"{path}: unknown kind {kind!r}")
         if kind not in expected:
             raise QuandleKitError(
@@ -212,7 +212,8 @@ def _envelope(args, inputs):
     if not isinstance(words_doc, list):
         raise QuandleKitError("SUBGENS must be a JSON list of words")
     words = [envgroup.word_from_json(w) for w in words_doc]
-    index = envgroup.todd_coxeter(p, subgroup_words=words, max_cosets=args.max_cosets)
+    with _cap_flag("--max-cosets"):
+        index = envgroup.todd_coxeter(p, subgroup_words=words, max_cosets=args.max_cosets)
     return {
         "generators": p.ngens,
         "subgroup_words": words_doc,

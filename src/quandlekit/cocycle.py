@@ -5,9 +5,9 @@ permutation of a fiber set; the two validity conditions are exactly what
 makes the twisted product on pairs a quandle again.  This module validates
 cocycles, builds the extension quandles, searches for cohomologous
 witnesses, implements the automorphism-group action with its stabilizers
-and the induced embedding into the extension's automorphism group, and
-computes H^2 with finite abelian coefficients by exact integer linear
-algebra.
+and the lift of a base automorphism and fiber permutations to a bijection
+of the extension, and computes H^2 with finite abelian coefficients by
+exact integer linear algebra.
 
 Permutation products follow the package convention: (p*q)(x) = p(q(x)).
 """
@@ -23,19 +23,18 @@ from .errors import (
     CapExceeded,
     CocycleViolation,
     DiagonalViolation,
-    NotInStabilizer,
     require_field,
     require_int,
     require_ints,
     require_list,
 )
 from .perm import Perm, PermGroup
-from .quandle import Quandle, _first_unpreserved, _require_automorphism, aut, orbit_partition
+from .quandle import Quandle, _require_automorphism, aut, orbit_partition
 
 # Largest coefficient group whose translations abelian_to_constant builds.
 DEFAULT_FIBER_CAP = 64
 
-# Largest fiber, and least automorphism cap, of cocycle_stabilizer.
+# Largest fiber of cocycle_stabilizer; it caps the fiber only.
 _STABILIZER_CAP = 9
 
 # Largest search space, (fiber size)! ** (orbit count), of are_cohomologous.
@@ -142,6 +141,15 @@ def extend(alpha: ConstantCocycle) -> Quandle:
     return Quandle.from_table(table)
 
 
+def lift(phi: Perm, thetas, s: int) -> Perm:
+    """The map (x, t) -> (phi x, thetas[x] t) on the extension points x * s + t."""
+    return Perm(
+        phi.images[x] * s + theta.images[t]
+        for x, theta in enumerate(thetas)
+        for t in range(s)
+    )
+
+
 def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
     """Search for a lambda map linking two cocycles; None when there is none.
 
@@ -227,7 +235,7 @@ def cocycle_stabilizer(alpha: ConstantCocycle) -> list:
     s = alpha.fiber_size
     if s > _STABILIZER_CAP:
         raise CapExceeded(f"fiber size {s} exceeds cap {_STABILIZER_CAP}")
-    base_aut = aut(alpha.base, cap=max(_STABILIZER_CAP, n)).elements
+    base_aut = aut(alpha.base, cap=n).elements
     pairs = []
     for phi in base_aut:
         pinv = phi.inverse()
@@ -245,26 +253,6 @@ def cocycle_stabilizer(alpha: ConstantCocycle) -> list:
         [Perm(phi.images + tuple(n + t for t in theta.images)) for phi, theta in pairs]
     )
     return sorted(pairs)
-
-
-def embed(pair, alpha: ConstantCocycle) -> Perm:
-    """Automorphism (x,t) -> (phi x, theta t) of the extension quandle.
-
-    Works exactly when the pair stabilizes the cocycle; anything else
-    raises NotInStabilizer, which is the converse direction of the
-    stabilizer embedding.
-    """
-    phi, theta = pair
-    moved = act(phi, theta, alpha)
-    if moved.table != alpha.table:
-        raise NotInStabilizer("pair does not fix the cocycle")
-    n = alpha.base.order
-    s = alpha.fiber_size
-    gamma = Perm(tuple(phi(i // s) * s + theta(i % s) for i in range(n * s)))
-    ext = extend(alpha)
-    if _first_unpreserved(ext.table, ext.table, gamma.images) is not None:
-        raise AssertionError("stabilizing pair failed to act on the extension")
-    return gamma
 
 
 def all_constant_cocycles(base: Quandle, fiber_size: int, cap: int = 10**6) -> list:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .errors import (
+    CapExceeded,
     CosetLimitExceeded,
     ParseError,
     require_field,
@@ -399,8 +400,8 @@ class _CosetTable:
             self._lookahead()
             if self.nlive >= self.max_cosets:
                 raise CosetLimitExceeded(
-                    f"exceeded {self.max_cosets} live cosets; raise max_cosets "
-                    "(a blown limit does not prove the index infinite)"
+                    f"coset enumeration exceeded the cap of {self.max_cosets} live cosets,"
+                    " which does not prove the index infinite"
                 )
         d = self._new_coset()
         self.table[c][col] = d
@@ -467,12 +468,13 @@ def todd_coxeter(
 
     Completes only when the index is finite and fits under max_cosets live
     cosets; hitting the limit raises CosetLimitExceeded after one lookahead
-    pass tries to shrink the table.  A completed table is verified before
-    the index is returned: every column is a bijection on live cosets and
-    every relator traces to the identity everywhere.
+    pass tries to shrink the table, and a cap below 1 raises CapExceeded, so
+    a caller's `_cap_flag` names the flag for both.  A completed table is
+    verified before the index is returned: every column is a bijection on
+    live cosets and every relator traces to the identity everywhere.
     """
     if max_cosets < 1:
-        raise ValueError("max_cosets must be at least 1")
+        raise CapExceeded(f"coset cap {max_cosets} is below the floor of 1")
     relators = [free_reduce(w) for w in p.relators]
     subgroup = [free_reduce(w) for w in subgroup_words]
     for w in subgroup:

@@ -39,9 +39,11 @@ class UnsupportedSpec(QuandleKitError):
 class NotASubgroup(QuandleKitError):
     """A set required to be a group is not closed under composition.
 
-    `PermGroup.from_elements`, and `cocycle_stabilizer` through it, name a
-    member times one of the greedy generators that falls outside the set,
-    or a member whose powers reach the missing identity."""
+    `PermGroup.from_elements` raises it, and so does `cocycle_stabilizer`,
+    which certifies its pairs (phi, theta) through it as the permutations
+    phi + (n + theta) of degree n + s.  The message names a member times one
+    of the greedy generators that falls outside the set, or a member whose
+    powers reach the missing identity."""
 
 
 class NotAHomomorphism(QuandleKitError):
@@ -96,11 +98,7 @@ class CocycleViolation(QuandleKitError):
         self.triple = (x, y, z)
 
 
-class NotInStabilizer(QuandleKitError):
-    """The given pair does not fix the cocycle, so it induces no automorphism."""
-
-
-class CosetLimitExceeded(QuandleKitError):
+class CosetLimitExceeded(CapExceeded):
     """Coset enumeration hit the coset cap without completing.
 
     Hitting the cap says nothing about the index being infinite; retry with

@@ -28,7 +28,6 @@ from . import fingroup
 from . import quandle as quandlemod
 from .errors import (
     CapExceeded,
-    CosetLimitExceeded,
     FixedPointHypothesisViolated,
     NotInvolutory,
     QuandleKitError,
@@ -127,11 +126,6 @@ def _suite_two_generator_envelope(options: dict) -> list:
     abelianization, on the index of the central-square subgroup, and both
     must map onto the symmetric group on 3 points.
     """
-    max_cosets = options["cap_order"]
-    if max_cosets < 1:
-        raise QuandleKitError(
-            f"coset cap {max_cosets} is below the floor of 1 (raise it with --cap-order)"
-        )
     r3 = quandlemod.build("dihedral", 3)
     from_table = envgroup.presentation_of(r3)
     cases = []
@@ -155,7 +149,8 @@ def _suite_two_generator_envelope(options: dict) -> list:
         }
     )
 
-    braid_relator = envgroup.free_reduce(_BRAID_STYLE.relators[0])
+    a, b, a_inv, b_inv = ((0, 1),), ((1, 1),), ((0, -1),), ((1, -1),)
+    braid_relator = envgroup.free_reduce(b + a + b + a_inv + b_inv + a_inv)
     reduced = {envgroup.free_reduce(rel) for rel in _BRAID_STYLE.relators}
     cases.append(
         {
@@ -164,16 +159,11 @@ def _suite_two_generator_envelope(options: dict) -> list:
         }
     )
 
-    try:
+    with _cap_flag("--cap-order"):
         idx_two, idx_table = (
-            envgroup.todd_coxeter(p, subgroup_words=[((0, 1), (0, 1))], max_cosets=max_cosets)
+            envgroup.todd_coxeter(p, subgroup_words=[a + a], max_cosets=options["cap_order"])
             for p in (_BRAID_STYLE, from_table)
         )
-    except CosetLimitExceeded as exc:
-        raise CosetLimitExceeded(
-            f"coset enumeration exceeded the cap of {max_cosets} live cosets, which does not"
-            " prove the index infinite (raise it with --cap-order)"
-        ) from exc
     cases.append(
         {
             "case": "central_square_subgroup_index",
@@ -682,11 +672,7 @@ def _suite_cohomologous_extensions(options: dict) -> list:
         witness = cocyclemod.are_cohomologous(alpha, beta)
         ext_a = cocyclemod.extend(alpha)
         ext_b = cocyclemod.extend(beta)
-        f = Perm(
-            tuple(
-                (i // s) * s + lam[i // s](i % s) for i in range(base.order * s)
-            )
-        )
+        f = cocyclemod.lift(Perm.identity(base.order), lam, s)
         explicit_ok = _first_unpreserved(ext_a.table, ext_b.table, f.images) is None
         if witness is None or not explicit_ok:
             failures.append(
@@ -705,9 +691,10 @@ def _suite_cohomologous_extensions(options: dict) -> list:
 def _suite_stabilizer_embedding(options: dict) -> list:
     """Stabilizer pairs embed into the extension's automorphism group.
 
-    For every valid cocycle up to the cap, the pairwise map is injective
-    and multiplicative, and a coordinate-shaped bijection is an extension
-    automorphism exactly when its pair fixes the cocycle.
+    For every valid cocycle up to the cap, the lift (x, t) -> (phi x,
+    theta t) of a pair in Aut(base) x Sym(fiber) is an automorphism of the
+    extension exactly when the pair is in `cocycle_stabilizer`, and the
+    lifts of those pairs are injective and multiplicative.
     """
     max_cocycles = options["cap_order"]
     if max_cocycles < 1:
@@ -718,6 +705,7 @@ def _suite_stabilizer_embedding(options: dict) -> list:
     ]
     cases = []
     for name, base in corpus:
+        n = base.order
         base_aut = quandlemod.aut(base).elements
         for s in (2, 3):
             found = cocyclemod.all_constant_cocycles(base, s)
@@ -727,27 +715,21 @@ def _suite_stabilizer_embedding(options: dict) -> list:
             multiplicative = True
             converse = True
             for alpha in kept:
-                stab = cocyclemod.cocycle_stabilizer(alpha)
-                gammas = {pair: cocyclemod.embed(pair, alpha) for pair in stab}
-                if len(set(gammas.values())) != len(stab):
-                    injective = False
-                for p1 in stab:
-                    for p2 in stab:
-                        product = (p1[0] * p2[0], p1[1] * p2[1])
-                        if gammas[product] != gammas[p1] * gammas[p2]:
-                            multiplicative = False
                 ext = cocyclemod.extend(alpha)
-                members = set(stab)
+                lifts = {}
                 for phi in base_aut:
                     for theta in fiber_perms:
-                        gamma = Perm(
-                            tuple(
-                                phi(i // s) * s + theta(i % s)
-                                for i in range(base.order * s)
-                            )
-                        )
-                        if _preserves(ext.table, gamma) != ((phi, theta) in members):
-                            converse = False
+                        gamma = cocyclemod.lift(phi, (theta,) * n, s)
+                        if _preserves(ext.table, gamma):
+                            lifts[(phi, theta)] = gamma
+                if lifts.keys() != set(cocyclemod.cocycle_stabilizer(alpha)):
+                    converse = False
+                if len(set(lifts.values())) != len(lifts):
+                    injective = False
+                for (phi1, theta1), gamma1 in lifts.items():
+                    for (phi2, theta2), gamma2 in lifts.items():
+                        if lifts.get((phi1 * phi2, theta1 * theta2)) != gamma1 * gamma2:
+                            multiplicative = False
             cases.append(
                 {
                     "case": f"{name}.fiber{s}",

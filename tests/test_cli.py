@@ -5,9 +5,11 @@ the exit code, and the stability of the digests.
 """
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import json
+import random
 import sys
 
 import pytest
@@ -288,18 +290,27 @@ def test_suite_sweeps_are_capped_before_building(capsys, monkeypatch, argv, orde
 
 @pytest.mark.parametrize(
     "argv, message, flag",
-    [(["4.4", "--cap-order", "5"], "order 6 exceeds automorphism cap 5", "--cap-order"),
-     (["5.1", "--max-order", "30", "--cap-group", "10"], "group order 12 exceeds cap 10",
-      "--cap-group"),
-     (["5.2", "--cap-order", "5"], "order 7 exceeds automorphism cap 5", "--cap-order"),
-     (["5.4", "--max-order", "12", "--cap-group", "10"],
+    [(["theorem", "4.4", "--cap-order", "5"], "order 6 exceeds automorphism cap 5",
+      "--cap-order"),
+     (["theorem", "5.1", "--max-order", "30", "--cap-group", "10"],
+      "group order 12 exceeds cap 10", "--cap-group"),
+     (["theorem", "5.2", "--cap-order", "5"], "order 7 exceeds automorphism cap 5",
+      "--cap-order"),
+     (["theorem", "5.4", "--max-order", "12", "--cap-group", "10"],
       "quandle order 12 exceeds the construction cap 10", "--cap-group"),
-     (["3.1", "--cap-order", "5"], "exceeded the cap of 5 live cosets", "--cap-order"),
-     (["3.1", "--cap-order", "0"], "coset cap 0 is below the floor of 1", "--cap-order")],
-    ids=["4.4", "5.1", "5.2", "5.4", "3.1", "3.1-floor"],
+     (["theorem", "3.1", "--cap-order", "5"], "coset enumeration exceeded the cap of 5 live"
+      " cosets, which does not prove the index infinite (raise it with --cap-order)",
+      "--cap-order"),
+     (["theorem", "3.1", "--cap-order", "0"],
+      "coset cap 0 is below the floor of 1 (raise it with --cap-order)", "--cap-order"),
+     (["envelope", "--dihedral", "3", "--coset-enum", "[[1,1]]", "--max-cosets", "2"],
+      "exceeded the cap of 2 live cosets", "--max-cosets"),
+     (["envelope", "--dihedral", "3", "--coset-enum", "[[1,1]]", "--max-cosets", "0"],
+      "coset cap 0 is below the floor of 1", "--max-cosets")],
+    ids=["4.4", "5.1", "5.2", "5.4", "3.1", "3.1-floor", "envelope", "envelope-floor"],
 )
 def test_suite_cap_errors_end_with_their_flag(capsys, argv, message, flag):
-    code, captured = invoke(["theorem", *argv], capsys)
+    code, captured = invoke(argv, capsys)
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
@@ -558,6 +569,76 @@ def test_union_files_must_hold_integers(tmp_path, capsys, doc):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("quandlekit: error:")
+
+
+@pytest.mark.parametrize("kind", [[], {}], ids=["array", "object"])
+@pytest.mark.parametrize("command", ["invariants", "iso", "extend", "union"])
+def test_a_kind_that_is_not_a_string_exits_two(tmp_path, capsys, kind, command):
+    path = _write(tmp_path, {"kind": kind, "order": 3, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]})
+    argv = {"invariants": ["invariants", "--file", path], "iso": ["iso", path, path]}
+    code, captured = invoke(argv.get(command, [command, path]), capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"quandlekit: error: {path}: unknown kind")
+
+
+_FUZZ_VALUES = ([], {}, None, True, False, 0, 1, -1, 2, 3, 1.5, "x", "quandle", [0], [[]],
+                [[0]], [[0, 1], [1, 0]], [[True]], [[-1]], {"kind": []}, 10**12)
+
+
+def _fuzz_paths(value, path=()):
+    """Every path to a field or array entry inside a JSON value, the root excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _fuzz_paths(child, path + (key,))
+
+
+def _mutate(doc, rng):
+    """A deep copy of doc with one field or entry replaced, or one field deleted."""
+    doc = json.loads(json.dumps(doc))
+    path = rng.choice(list(_fuzz_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and rng.random() < 0.2:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = rng.choice(_FUZZ_VALUES)
+    return doc
+
+
+def test_mutated_documents_exit_cleanly(tmp_path, capsys):
+    """Seeded mutations of valid documents give exit 0, 1 or 2 and never a traceback.
+
+    Exit 1 means a failed check, and of these commands only `iso` has one.
+    The `kind: []` document is listed first, so it always runs.
+    """
+    rng = random.Random(14)
+    r3, t2 = quandle.build("dihedral", 3), quandle.build("trivial", 2)
+    swap, ident = Perm((1, 0)), Perm.identity(2)
+    valid = _write(tmp_path, r3.to_json())
+    documents = [
+        (r3.to_json(), [["invariants", "--file"], ["iso", valid]]),
+        (cocycle.validate_constant(t2, 2, [[ident, swap], [ident, ident]]).to_json(), [["extend"]]),
+        (cocycle.validate_abelian(r3, [2], [[[0]] * 3] * 3).to_json(), [["extend"]]),
+        (construct.make_union_spec(t2, quandle.build("trivial", 1), [Perm((0,))] * 2, [swap])
+         .to_json(), [["union"]]),
+    ]
+    mutated = [(dict(r3.to_json(), kind=[]), documents[0][1])]
+    mutated += [(_mutate(doc, rng), commands) for doc, commands in documents for _ in range(200)]
+    path = str(tmp_path / "mutated.json")
+    codes = collections.Counter()
+    for doc, commands in mutated:
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for command in commands:
+            code = cli.run(command + [path])
+            capsys.readouterr()
+            assert code in (0, 1, 2), (command, doc)
+            assert code != 1 or command[0] == "iso", (command, doc)
+            codes[code] += 1
+    assert codes[2] > codes[0] > 0
 
 
 @pytest.mark.parametrize("words", ["[[true]]", "[5]"], ids=["boolean-letter", "word-not-array"])

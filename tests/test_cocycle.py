@@ -17,8 +17,8 @@ from quandlekit.cocycle import (
     are_cohomologous,
     cocycle_stabilizer,
     compute_h2,
-    embed,
     extend,
+    lift,
     trivial_cocycle,
     validate_abelian,
     validate_constant,
@@ -28,7 +28,6 @@ from quandlekit.errors import (
     CocycleViolation,
     DiagonalViolation,
     NotAutomorphism,
-    NotInStabilizer,
 )
 from quandlekit.perm import Perm
 from quandlekit.quandle import _first_unpreserved, aut, build, inn, is_isomorphic
@@ -216,22 +215,25 @@ def test_stabilizer_size_divides_group_order():
         assert total % len(cocycle_stabilizer(a)) == 0
 
 
+# The stabilizer embeds into Aut(extend(a)) by (phi, theta) -> lift(phi, (theta,) * n, s).
+
+
 def test_embed_identity_pair():
-    a = spec_example()
-    g = embed((ID2, ID2), a)
-    assert g.is_identity()
+    assert lift(ID2, (ID2, ID2), 2).is_identity()
+
+
+def test_lift_numbers_points_as_extend_does():
+    # (x, t) -> (phi x, thetas[x] t) on the points x * s + t
+    assert lift(SWAP, (ID2, SWAP), 2) == Perm((2, 3, 1, 0))
+    assert lift(Perm.identity(3), (Perm((1, 2, 0)),) * 3, 3) == Perm((1, 2, 0, 4, 5, 3, 7, 8, 6))
 
 
 def test_embed_is_injective_homomorphism_into_aut():
     a = spec_example()
     stab = cocycle_stabilizer(a)
-    ext = extend(a)
-    full = set(aut(ext).elements)
-    images = {}
-    for pair in stab:
-        g = embed(pair, a)
-        assert g in full
-        images[pair] = g
+    full = set(aut(extend(a)).elements)
+    images = {pair: lift(pair[0], (pair[1],) * 2, 2) for pair in stab}
+    assert set(images.values()) <= full
     assert len(set(images.values())) == len(stab)
     for p1 in stab:
         for p2 in stab:
@@ -241,8 +243,10 @@ def test_embed_is_injective_homomorphism_into_aut():
 
 def test_embed_rejects_non_stabilizing_pair():
     a = spec_example()
-    with pytest.raises(NotInStabilizer):
-        embed((SWAP, ID2), a)
+    assert (SWAP, ID2) not in cocycle_stabilizer(a)
+    ext = extend(a)
+    gamma = lift(SWAP, (ID2, ID2), 2)
+    assert _first_unpreserved(ext.table, ext.table, gamma.images) is not None
 
 
 def naive_constant_cocycles(base, s):

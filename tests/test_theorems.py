@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 
@@ -5,7 +6,9 @@ import pytest
 
 from quandlekit.errors import QuandleKitError, UnsupportedSpec
 from quandlekit.fingroup import is_abelian, make_group
+from quandlekit.perm import Perm
 from quandlekit import cocycle as cocyclemod
+from quandlekit import envgroup, theorems
 from quandlekit import construct as constructmod
 from quandlekit import quandle as quandlemod
 from quandlekit.theorems import (
@@ -254,6 +257,41 @@ def test_stabilizer_embedding_corpus(reports):
         assert case["injective"]
         assert case["multiplicative"]
         assert case["shape_matches_stabilizer"]
+
+
+def _add_a_non_member(alpha, stab):
+    """The stabilizer plus the first pair of Aut(base) x Sym(fiber) outside it."""
+    s = alpha.fiber_size
+    pairs = itertools.product(
+        quandlemod.aut(alpha.base).elements,
+        (Perm(p) for p in itertools.permutations(range(s))),
+    )
+    return stab + [next((pair for pair in pairs if pair not in stab), stab[0])]
+
+
+@pytest.mark.parametrize(
+    "change", [_add_a_non_member, lambda alpha, stab: stab[1:]], ids=["extra-pair", "missing-pair"]
+)
+def test_stabilizer_suite_fails_when_the_stabilizer_is_wrong(monkeypatch, change):
+    real = cocyclemod.cocycle_stabilizer
+    monkeypatch.setattr(
+        cocyclemod, "cocycle_stabilizer", lambda alpha: change(alpha, real(alpha))
+    )
+    rep = run_suite("7.3")
+    assert not rep["passed"]
+    for case in rep["cases"]:
+        assert not case["shape_matches_stabilizer"]
+        assert not case["passed"]
+
+
+def test_braid_relator_case_fails_without_the_braid_relator(monkeypatch):
+    # (a b a)^-1 (b a b), a rotation of the braid relator: the same group, another word
+    rotated = ((0, -1), (1, -1), (0, -1), (1, 1), (0, 1), (1, 1))
+    relators = (rotated,) + theorems._BRAID_STYLE.relators[1:]
+    monkeypatch.setattr(theorems, "_BRAID_STYLE", envgroup.Presentation(2, relators))
+    rep = run_suite("3.1")
+    assert not by_case(rep, "braid_relator_present")["passed"]
+    assert [c["case"] for c in rep["cases"] if not c["passed"]] == ["braid_relator_present"]
 
 
 def test_connected_quasi_inner_cases(reports):
