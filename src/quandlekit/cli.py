@@ -224,10 +224,12 @@ def _envelope(args, inputs):
 
 def _extend(args, inputs):
     alpha = inputs.load_doc(args.cocyclefile, ("constant_cocycle", "abelian_cocycle"))
-    if isinstance(alpha, cocyclemod.AbelianCocycle):
-        cap = _cap_order(args, cocyclemod.DEFAULT_FIBER_CAP)
-        with _cap_flag("--cap-order"):
+    cap = _cap_order(args, cocyclemod.DEFAULT_FIBER_CAP)
+    with _cap_flag("--cap-order"):
+        if isinstance(alpha, cocyclemod.AbelianCocycle):
             alpha = cocyclemod.abelian_to_constant(alpha, cap=cap)
+        elif alpha.fiber_size > cap:
+            raise CapExceeded(f"fiber size {alpha.fiber_size} exceeds the fiber cap {cap}")
     ext = cocyclemod.extend(alpha)
     return {
         "base_order": alpha.base.order,

@@ -4,10 +4,10 @@ A constant cocycle decorates each ordered pair of quandle elements with a
 permutation of a fiber set; the two validity conditions are exactly what
 makes the twisted product on pairs a quandle again.  This module validates
 cocycles, builds the extension quandles, searches for cohomologous
-witnesses, implements the automorphism-group action with its stabilizers
-and the lift of a base automorphism and fiber permutations to a bijection
-of the extension, and computes H^2 with finite abelian coefficients by
-exact integer linear algebra.
+witnesses, implements the gauge action of a base automorphism and fiber
+permutations with its stabilizers and the lift that realizes it on the
+extensions, and computes H^2 with finite abelian coefficients by exact
+integer linear algebra.
 
 Permutation products follow the package convention: (p*q)(x) = p(q(x)).
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 from .envgroup import smith_normal_form
 from .errors import (
@@ -37,7 +37,8 @@ DEFAULT_FIBER_CAP = 64
 # Largest fiber of cocycle_stabilizer; it caps the fiber only.
 _STABILIZER_CAP = 9
 
-# Largest search space, (fiber size)! ** (orbit count), of are_cohomologous.
+# Largest work bound of are_cohomologous: (fiber size)! candidates at one root
+# per orbit, each flood visiting at most |orbit| * n pairs, so s! * n**2 in all.
 _LAMBDA_SEARCH_CAP = 10**6
 
 
@@ -164,13 +165,12 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
     n = alpha.base.order
     s = alpha.fiber_size
     t = alpha.base.table
-    candidates = [Perm(p) for p in itertools.permutations(range(s))]
-    orbits = orbit_partition(alpha.base)
-    if len(candidates) ** len(orbits) > _LAMBDA_SEARCH_CAP:
+    if factorial(s) * n * n > _LAMBDA_SEARCH_CAP:
         raise CapExceeded(
-            f"lambda search space {len(candidates)}**{len(orbits)}"
+            f"lambda search work {s}! * {n}**2 (fiber permutations times pairs)"
             f" exceeds cap {_LAMBDA_SEARCH_CAP}"
         )
+    candidates = [Perm(p) for p in itertools.permutations(range(s))]
 
     lam: list = [None] * n
 
@@ -198,36 +198,45 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
                 return True
         return False
 
-    for block in orbits:
+    for block in orbit_partition(alpha.base):
         if not settle_orbit(block):
             return None
     witness = tuple(lam)
-    for x in range(n):
-        for y in range(n):
-            if alpha.table[x][y] != witness[t[x][y]].inverse() * beta.table[x][y] * witness[x]:
-                raise AssertionError("lambda witness failed re-verification")
+    if _transport(Perm.identity(n), witness, alpha) != beta.table:
+        raise AssertionError("lambda witness failed re-verification")
     return witness
 
 
-def act(phi: Perm, theta: Perm, alpha: ConstantCocycle) -> ConstantCocycle:
-    """Transport a cocycle along a base automorphism and a fiber permutation."""
-    _require_automorphism(alpha.base.table, phi)
-    if len(theta.images) != alpha.fiber_size:
-        raise ValueError("theta must permute the fiber")
-    n = alpha.base.order
-    pinv = phi.inverse()
-    tinv = theta.inverse()
-    table = tuple(
-        tuple(theta * alpha.table[pinv(x)][pinv(y)] * tinv for y in range(n))
-        for x in range(n)
+def _transport(phi: Perm, thetas, alpha: ConstantCocycle) -> tuple:
+    """The table beta(phi x, phi y) = thetas[x*y] alpha(x, y) thetas[x]^-1, unvalidated."""
+    t = alpha.base.table
+    pinv = phi.inverse().images
+    inverses = [theta.inverse() for theta in thetas]
+    return tuple(
+        tuple(thetas[t[x][y]] * alpha.table[x][y] * inverses[x] for y in pinv) for x in pinv
     )
-    return validate_constant(alpha.base, alpha.fiber_size, table)
+
+
+def act(phi: Perm, thetas, alpha: ConstantCocycle) -> ConstantCocycle:
+    """The gauge action of phi in Aut(base) and thetas, one fiber permutation per base element.
+
+    Returns the validated beta(phi x, phi y) = thetas[x*y] alpha(x, y) thetas[x]^-1;
+    lift(phi, thetas, s) maps extend(alpha) onto extend(beta).
+    """
+    _require_automorphism(alpha.base.table, phi)
+    if len(thetas) != alpha.base.order:
+        raise ValueError(f"need one fiber permutation per base element, got {len(thetas)}")
+    if any(len(theta.images) != alpha.fiber_size for theta in thetas):
+        raise ValueError("every theta must permute the fiber")
+    return validate_constant(alpha.base, alpha.fiber_size, _transport(phi, thetas, alpha))
 
 
 def cocycle_stabilizer(alpha: ConstantCocycle) -> list:
     """All pairs (phi, theta) whose action fixes the cocycle table.
 
-    Returns a subgroup of Aut(base) x Sym(fiber) as a sorted list of
+    (phi, theta) is a member exactly when act(phi, (theta,) * n, alpha) ==
+    alpha; the table lookup below decides it without transporting the whole
+    table.  Returns a subgroup of Aut(base) x Sym(fiber) as a sorted list of
     permutation pairs.  `PermGroup.from_elements` certifies that the pairs
     form a group, as the permutations phi + (n + theta) of degree n + s.
     """
@@ -389,8 +398,9 @@ def abelian_to_constant(mu: AbelianCocycle, cap: int = DEFAULT_FIBER_CAP) -> Con
 
 
 def _h2_single(q: Quandle, m: int) -> list:
-    """Cyclic decomposition of H^2(Q, Z_m): list of (order, table) pairs.
+    """Cyclic decomposition of H^2(Q, Z_m): list of (order, flat) pairs.
 
+    Each flat is a representative's n^2 residues at the positions x*n + y.
     Solves the cocycle conditions as a sublattice of Z^(n^2), rewrites the
     coboundary plus m-multiple subgroup in a basis of that lattice, and
     reads the quotient off a second Smith normal form.
@@ -399,13 +409,10 @@ def _h2_single(q: Quandle, m: int) -> list:
     t = q.table
     big = n * n
 
-    def pos(x, y):
-        return x * n + y
-
     rows = []
     for x in range(n):
         row = [0] * big
-        row[pos(x, x)] = 1
+        row[x * n + x] = 1
         rows.append(row)
     for _, positions in _conditions(t):
         row = [0] * big
@@ -430,16 +437,13 @@ def _h2_single(q: Quandle, m: int) -> list:
             out.append(val // e)
         return out
 
-    gen_rows = []
-    for u in range(n):
-        vec = [0] * big
-        for x in range(n):
-            for y in range(n):
-                if x == u:
-                    vec[pos(x, y)] += 1
-                if t[x][y] == u:
-                    vec[pos(x, y)] -= 1
-        gen_rows.append(to_lattice_coords(vec))
+    # the coboundary of the indicator of u: +1 in row u, -1 where x*y = u
+    coboundaries = [[0] * big for _ in range(n)]
+    for x, tx in enumerate(t):
+        for y, xy in enumerate(tx):
+            coboundaries[x][x * n + y] += 1
+            coboundaries[xy][x * n + y] -= 1
+    gen_rows = [to_lattice_coords(vec) for vec in coboundaries]
     for j in range(big):
         vec = [0] * big
         vec[j] = m
@@ -454,32 +458,12 @@ def _h2_single(q: Quandle, m: int) -> list:
         if d <= 1:
             continue
         coords = quot.v_inv[i]
-        ambient = [
+        flat = [
             sum(v[r][k] * scale[k] * coords[k] for k in range(big)) % m
             for r in range(big)
         ]
-        table = tuple(
-            tuple((ambient[pos(x, y)],) for y in range(n)) for x in range(n)
-        )
-        pieces.append((d, table))
+        pieces.append((d, flat))
     return pieces
-
-
-def _scale_table(table, k: int, moduli) -> tuple:
-    return tuple(
-        tuple(tuple((k * c) % m for c, m in zip(v, moduli)) for v in row)
-        for row in table
-    )
-
-
-def _add_tables(a, b, moduli) -> tuple:
-    return tuple(
-        tuple(
-            tuple((c + d) % m for c, d, m in zip(u, v, moduli))
-            for u, v in zip(ra, rb)
-        )
-        for ra, rb in zip(a, b)
-    )
 
 
 def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
@@ -497,52 +481,43 @@ def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
     r = len(moduli)
     n = q.order
 
-    def widen(table, c: int) -> tuple:
-        return tuple(
-            tuple(
-                tuple(v[0] if k == c else 0 for k in range(r)) for v in row
-            )
-            for row in table
-        )
-
-    pieces = []
+    # prime-power parts (power, coordinate, flat residues) of each cyclic piece
+    prime_buckets: dict = {}
     for c, m in enumerate(moduli):
         if m == 1:
             continue
-        for order, table in _h2_single(q, m):
-            pieces.append((order, widen(table, c)))
-
-    prime_buckets: dict = {}
-    for order, table in pieces:
-        rest = order
-        p = 2
-        while rest > 1:
-            if rest % p == 0:
-                power = 1
-                while rest % p == 0:
-                    rest //= p
-                    power *= p
-                prime_buckets.setdefault(p, []).append(
-                    (power, _scale_table(table, order // power, moduli))
-                )
-            p += 1 if p == 2 else 2
+        for order, flat in _h2_single(q, m):
+            rest = order
+            p = 2
+            while rest > 1:
+                if rest % p == 0:
+                    power = 1
+                    while rest % p == 0:
+                        rest //= p
+                        power *= p
+                    k = order // power
+                    prime_buckets.setdefault(p, []).append(
+                        (power, c, [k * v % m for v in flat])
+                    )
+                p += 1 if p == 2 else 2
 
     for bucket in prime_buckets.values():
-        bucket.sort(key=lambda pair: -pair[0])
+        bucket.sort(key=lambda part: -part[0])
 
     depth = max((len(b) for b in prime_buckets.values()), default=0)
-    zero_table = tuple(tuple((0,) * r for _ in range(n)) for _ in range(n))
     factors = []
     reps = []
     for i in range(depth):
         order = 1
-        table = zero_table
+        cells = [[0] * r for _ in range(n * n)]
         for bucket in prime_buckets.values():
             if i < len(bucket):
-                order *= bucket[i][0]
-                table = _add_tables(table, bucket[i][1], moduli)
+                power, c, flat = bucket[i]
+                order *= power
+                for cell, value in zip(cells, flat):
+                    cell[c] += value
         factors.append(order)
-        reps.append(validate_abelian(q, moduli, table))
+        reps.append(validate_abelian(q, moduli, [cells[x * n:(x + 1) * n] for x in range(n)]))
     factors.reverse()
     reps.reverse()
     return tuple(factors), reps

@@ -72,14 +72,6 @@ class Perm:
         images[a], images[b] = images[b], images[a]
         return cls(images)
 
-    @classmethod
-    def cycle(cls, n: int, points: Sequence[int]) -> "Perm":
-        """Cyclic rotation of the listed points, identity elsewhere."""
-        images = list(range(n))
-        for a, b in zip(points, points[1:] + type(points)((points[0],))):
-            images[a] = b
-        return cls(images)
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -117,9 +109,6 @@ class Perm:
             p = p * self
             k += 1
         return k
-
-    def cycle_type(self) -> tuple[int, ...]:
-        return _cycle_type(self.images)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images

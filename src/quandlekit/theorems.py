@@ -626,23 +626,13 @@ def _cocycle_pool(base, fiber_size):
     return pool
 
 
-def _twist(alpha, lam):
-    """The cocycle obtained by sliding alpha along a fiber-permutation map."""
-    n = alpha.base.order
-    t = alpha.base.table
-    table = tuple(
-        tuple(lam[t[x][y]] * alpha.table[x][y] * lam[x].inverse() for y in range(n))
-        for x in range(n)
-    )
-    return cocyclemod.validate_constant(alpha.base, alpha.fiber_size, table)
-
-
 def _suite_cohomologous_extensions(options: dict) -> list:
     """Cohomologous cocycles give isomorphic extensions, with the map shown.
 
-    Each trial twists a valid cocycle by a random per-element fiber
-    permutation, asks the search for a witness, and verifies the explicit
-    isomorphism (x, t) -> (x, lambda_x(t)) entry by entry.
+    Each trial moves a valid cocycle by a random pair in Aut(base) x
+    Sym(fiber), twists it by a random per-element fiber permutation (both
+    through `cocycle.act`), asks the search for a witness, and verifies the
+    explicit isomorphism (x, t) -> (x, lambda_x(t)) entry by entry.
     """
     trials = options["trials"]
     rng = random.Random(options["seed"])
@@ -659,20 +649,21 @@ def _suite_cohomologous_extensions(options: dict) -> list:
         pool = pools[(name, s)]
         alpha = pool[rng.randrange(len(pool))]
         auts = base_auts[name]
+        identity = Perm.identity(base.order)
         alpha = cocyclemod.act(
             auts[rng.randrange(len(auts))],
-            fiber_perms[s][rng.randrange(len(fiber_perms[s]))],
+            (fiber_perms[s][rng.randrange(len(fiber_perms[s]))],) * base.order,
             alpha,
         )
         lam = tuple(
             fiber_perms[s][rng.randrange(len(fiber_perms[s]))]
             for _ in range(base.order)
         )
-        beta = _twist(alpha, lam)
+        beta = cocyclemod.act(identity, lam, alpha)
         witness = cocyclemod.are_cohomologous(alpha, beta)
         ext_a = cocyclemod.extend(alpha)
         ext_b = cocyclemod.extend(beta)
-        f = cocyclemod.lift(Perm.identity(base.order), lam, s)
+        f = cocyclemod.lift(identity, lam, s)
         explicit_ok = _first_unpreserved(ext_a.table, ext_b.table, f.images) is None
         if witness is None or not explicit_ok:
             failures.append(

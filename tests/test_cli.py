@@ -663,11 +663,23 @@ def test_extend_caps_the_abelian_fiber_before_building_it(tmp_path, capsys, modu
     assert "--cap-order" in captured.err
 
 
+FIBER65_CONSTANT = {"kind": "constant_cocycle", "base": BASE1, "fiber": 65,
+                    "table": [[list(range(65))]]}
+
+
+def test_extend_caps_the_constant_fiber_before_building_it(tmp_path, capsys):
+    code, captured = invoke(["extend", _write(tmp_path, FIBER65_CONSTANT)], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert "fiber size 65 exceeds the fiber cap 64 (raise it with --cap-order)" in captured.err
+
+
 def test_extend_fiber_cap_is_raised_by_cap_order(tmp_path, capsys):
-    doc = {"kind": "abelian_cocycle", "base": BASE1, "moduli": [5, 13], "table": [[[0, 0]]]}
-    code, report = report_of(["extend", _write(tmp_path, doc), "--cap-order", "65"], capsys)
-    assert code == 0
-    assert report["results"]["fiber"] == 65
+    abelian = {"kind": "abelian_cocycle", "base": BASE1, "moduli": [5, 13], "table": [[[0, 0]]]}
+    for doc in (abelian, FIBER65_CONSTANT):
+        code, report = report_of(["extend", _write(tmp_path, doc), "--cap-order", "65"], capsys)
+        assert code == 0
+        assert report["results"]["fiber"] == 65
 
 
 # Help and usage text, pinned as (exit code, sha256 of stdout, sha256 of

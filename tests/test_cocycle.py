@@ -155,18 +155,18 @@ def test_cohomologous_witness_gives_extension_isomorphism():
 
 def test_act_identity_fixes():
     a = spec_example()
-    assert act(ID2, ID2, a).table == a.table
+    assert act(ID2, (ID2,) * 2, a).table == a.table
 
 
 def test_act_commuting_theta_fixes_spec_example():
     a = spec_example()
-    assert act(ID2, SWAP, a).table == a.table
+    assert act(ID2, (SWAP,) * 2, a).table == a.table
 
 
 def test_act_rejects_non_automorphism():
     a = trivial_cocycle(build("dihedral", 4), 2)
     with pytest.raises(NotAutomorphism):
-        act(Perm((1, 0, 2, 3)), ID2, a)
+        act(Perm((1, 0, 2, 3)), (ID2,) * 4, a)
 
 
 def test_act_is_a_left_action():
@@ -175,8 +175,8 @@ def test_act_is_a_left_action():
     fiber_perms = [Perm(p) for p in itertools.permutations(range(2))]
     for p1 in itertools.product(base_auts, fiber_perms):
         for p2 in itertools.product(base_auts, fiber_perms):
-            lhs = act(p1[0], p1[1], act(p2[0], p2[1], a))
-            rhs = act(p1[0] * p2[0], p1[1] * p2[1], a)
+            lhs = act(p1[0], (p1[1],) * 2, act(p2[0], (p2[1],) * 2, a))
+            rhs = act(p1[0] * p2[0], (p1[1] * p2[1],) * 2, a)
             assert lhs.table == rhs.table
 
 
@@ -188,8 +188,8 @@ def test_act_preserves_cohomologous_pairs():
     beta = push_through_lambda(alpha, lam)
     for phi in aut(R3).elements:
         for theta in (ID2, SWAP):
-            ta = act(phi, theta, alpha)
-            tb = act(phi, theta, beta)
+            ta = act(phi, (theta,) * 3, alpha)
+            tb = act(phi, (theta,) * 3, beta)
             pinv = phi.inverse()
             moved = tuple(theta * lam[pinv(x)] * theta.inverse() for x in range(3))
             rebuilt = push_through_lambda(ta, moved)
@@ -499,3 +499,78 @@ def test_one_changed_cell_fails_at_the_first_broken_triple(alpha, data):
         with pytest.raises(CocycleViolation) as e:
             validate_constant(alpha.base, s, table)
         assert e.value.triple == expected
+
+
+def off_diagonal_cocycles(base, s):
+    """The valid cocycles equal to one fiber permutation c off the diagonal."""
+    n = base.order
+    ident = Perm.identity(s)
+    found = []
+    for images in itertools.permutations(range(s)):
+        c = Perm(images)
+        table = [[ident if x == y else c for y in range(n)] for x in range(n)]
+        try:
+            found.append(validate_constant(base, s, table))
+        except CocycleViolation:
+            continue
+    return found
+
+
+# Seeds for the gauge action over trivial 2-3 and dihedral 3-4 with fibers 2-3:
+# every cocycle where the search is cheap, else the off-diagonal ones.
+GAUGE_SEEDS = VALID_COCYCLES + [
+    alpha
+    for base, s, find in (
+        (T2, 2, all_constant_cocycles),
+        (R3, 3, all_constant_cocycles),
+        (build("trivial", 3), 3, off_diagonal_cocycles),
+        (build("dihedral", 4), 3, off_diagonal_cocycles),
+    )
+    for alpha in find(base, s)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GAUGE_SEEDS), st.randoms(use_true_random=False))
+def test_act_is_the_gauge_action_that_lift_realizes(seed, rng):
+    n, s = seed.base.order, seed.fiber_size
+    alpha = push_through_lambda(seed, random_lambda(rng, n, s))
+    auts = aut(alpha.base).elements
+    phi1, phi2 = rng.choice(auts), rng.choice(auts)
+    thetas1, thetas2 = random_lambda(rng, n, s), random_lambda(rng, n, s)
+    beta = act(phi2, thetas2, alpha)
+    gamma = lift(phi2, thetas2, s)
+    assert _first_unpreserved(extend(alpha).table, extend(beta).table, gamma.images) is None
+    # act(phi1, thetas1) after act(phi2, thetas2) is act(phi1 phi2, x -> thetas1[phi2 x] thetas2[x])
+    composite = tuple(thetas1[phi2(x)] * thetas2[x] for x in range(n))
+    assert act(phi1, thetas1, beta).table == act(phi1 * phi2, composite, alpha).table
+    assert lift(phi1, thetas1, s) * gamma == lift(phi1 * phi2, composite, s)
+
+
+def test_act_refuses_thetas_of_the_wrong_count_or_degree():
+    a = spec_example()
+    with pytest.raises(ValueError, match="one fiber permutation per base element"):
+        act(ID2, (ID2,), a)
+    with pytest.raises(ValueError, match="one fiber permutation per base element"):
+        act(ID2, (ID2,) * 3, a)
+    with pytest.raises(ValueError, match="permute the fiber"):
+        act(ID2, (ID2, Perm.identity(3)), a)
+
+
+@pytest.mark.parametrize(
+    "base,s",
+    [(build("trivial", 8), 3), (build("trivial", 6), 4), (build("trivial", 4), 5),
+     (build("trivial", 3), 6)],
+)
+def test_are_cohomologous_caps_the_work_not_the_product_over_orbits(base, s):
+    # s! * n**2 stays under the cap although s! ** (orbit count) does not
+    alpha = trivial_cocycle(base, s)
+    lam = random_lambda(random.Random(s), base.order, s)
+    w = are_cohomologous(alpha, push_through_lambda(alpha, lam))
+    assert w is not None
+
+
+def test_are_cohomologous_cap_counts_permutations_times_pairs():
+    alpha = trivial_cocycle(build("trivial", 3), 9)
+    with pytest.raises(CapExceeded, match=r"9! \* 3\*\*2"):
+        are_cohomologous(alpha, alpha)

@@ -31,7 +31,7 @@ import pytest
 
 from quandlekit import cli, cocycle
 from quandlekit.envgroup import smith_normal_form
-from quandlekit.fingroup import automorphism_group, make_group
+from quandlekit.fingroup import automorphism_group, conj_quandle, make_group
 from quandlekit.quandle import build, enumerate_quandles
 
 DIGESTS = {
@@ -331,6 +331,25 @@ def test_smith_normal_form_transforms_are_pinned(monkeypatch):
     forms = [smith_normal_form(mat) for mat in mats]
     doc = json.dumps([[s.d, s.u, s.v] for s in forms], separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == SNF_TRANSFORMS_DIGEST
+
+
+# Recorded while `compute_h2` widened each cyclic piece to a table over all
+# coordinates and recombined the pieces by scaling and adding whole tables.
+H2_MULTI_FACTOR_COEFFICIENTS = ((4, 2), (2, 2, 3), (6, 4), (8, 12), (9, 3))
+H2_MULTI_FACTOR_DIGEST = "a2fdac1b74d106551164c28f4905a13c9607751b746a1d39327cfdd338467b3a"
+
+
+def test_h2_over_multi_factor_coefficients_is_pinned():
+    """Invariant factors and representative tables over five multi-factor coefficient groups."""
+    bases = [build("trivial", 2), build("trivial", 3), build("dihedral", 3),
+             build("dihedral", 4), build("dihedral", 5), conj_quandle(make_group("S3"))]
+    doc = []
+    for q in bases:
+        for moduli in H2_MULTI_FACTOR_COEFFICIENTS:
+            factors, reps = cocycle.compute_h2(q, moduli)
+            doc.append([list(factors), [[[list(v) for v in row] for row in r.table] for r in reps]])
+    text = json.dumps(doc, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == H2_MULTI_FACTOR_DIGEST
 
 
 # Recorded while `cocycle_stabilizer` checked its pairs for the identity and

@@ -1,4 +1,4 @@
-"""Every public function and class of the package is used by the package itself.
+"""Every public function, class and method of the package is used by the package itself.
 
 A public name that only tests call is API kept alive by its own tests; this
 audit reads the source with `ast` and names each one.
@@ -61,3 +61,30 @@ def test_every_public_name_is_used_by_the_package():
     assert unused == [], "public names only tests use: " + ", ".join(
         f"{module}.{name}" for module, name in unused
     )
+
+
+def test_every_public_method_is_used_by_the_package():
+    """Each public method of a top-level class is read as an attribute somewhere in the package.
+
+    The audit is by name only: `obj.name` anywhere in the source counts as a
+    use of every method called `name`, so a method that shares its name
+    with one the package does use passes although nothing calls it.
+    """
+    modules = _modules()
+    attributes = {
+        node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unused = sorted(
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in attributes
+    )
+    assert unused == [], "public methods only tests use: " + ", ".join(unused)
