@@ -232,49 +232,41 @@ def act(phi: Perm, thetas, alpha: ConstantCocycle) -> ConstantCocycle:
 
 
 def cocycle_stabilizer(alpha: ConstantCocycle) -> list:
-    """All pairs (phi, theta) whose action fixes the cocycle table.
+    """All pairs (phi, theta) whose gauge action fixes the cocycle table.
 
     (phi, theta) is a member exactly when act(phi, (theta,) * n, alpha) ==
-    alpha; the table lookup below decides it without transporting the whole
-    table.  Returns a subgroup of Aut(base) x Sym(fiber) as a sorted list of
-    permutation pairs.  `PermGroup.from_elements` certifies that the pairs
-    form a group, as the permutations phi + (n + theta) of degree n + s.
+    alpha.  Returns a subgroup of Aut(base) x Sym(fiber) as a list of
+    permutation pairs, sorted since phi and theta are walked in order.  The
+    chain the pairs generate as phi + (n + theta), of degree n + s, certifies
+    them as a group by its order.
     """
     n = alpha.base.order
     s = alpha.fiber_size
     if s > _STABILIZER_CAP:
         raise CapExceeded(f"fiber size {s} exceeds cap {_STABILIZER_CAP}")
-    base_aut = aut(alpha.base, cap=n).elements
-    pairs = []
-    for phi in base_aut:
-        pinv = phi.inverse()
-        moved = [[alpha.table[pinv(x)][pinv(y)] for y in range(n)] for x in range(n)]
-        for images in itertools.permutations(range(s)):
-            theta = Perm(images)
-            tinv = theta.inverse()
-            if all(
-                theta * moved[x][y] * tinv == alpha.table[x][y]
-                for x in range(n)
-                for y in range(n)
-            ):
-                pairs.append((phi, theta))
-    PermGroup.from_elements(
-        [Perm(phi.images + tuple(n + t for t in theta.images)) for phi, theta in pairs]
-    )
-    return sorted(pairs)
+    fiber_perms = [Perm(p) for p in itertools.permutations(range(s))]
+    pairs = [
+        (phi, theta)
+        for phi in aut(alpha.base, cap=n).elements
+        for theta in fiber_perms
+        if _transport(phi, (theta,) * n, alpha) == alpha.table
+    ]
+    joined = [phi.images + tuple(n + t for t in theta.images) for phi, theta in pairs]
+    if PermGroup.generated(n + s, joined).order != len(pairs):
+        raise AssertionError("stabilizer pairs do not form a group")
+    return pairs
 
 
 def all_constant_cocycles(base: Quandle, fiber_size: int, cap: int = 10**6) -> list:
-    """Every valid cocycle table, by backtracking over off-diagonal pairs."""
+    """Every valid cocycle table, by backtracking over off-diagonal pairs.
+
+    `cap` bounds the candidate entries tried, not the unpruned space.
+    """
     n = base.order
     t = base.table
     candidates = [Perm(p) for p in itertools.permutations(range(fiber_size))]
     # the off-diagonal pairs, as positions x*n + y of the flattened table
     free = [x * n + y for x in range(n) for y in range(n) if x != y]
-    if len(candidates) ** len(free) > cap:
-        raise CapExceeded(
-            f"cocycle space {len(candidates)}**{len(free)} exceeds cap {cap}"
-        )
     slot = {pos: i for i, pos in enumerate(free)}
 
     # a condition becomes checkable once its last off-diagonal pair is assigned
@@ -287,12 +279,17 @@ def all_constant_cocycles(base: Quandle, fiber_size: int, cap: int = 10**6) -> l
     ident = Perm.identity(fiber_size)
     entries = [ident] * (n * n)
     out = []
+    tried = 0
 
     def rec(k: int):
+        nonlocal tried
         if k == len(free):
             rows = tuple(tuple(entries[x * n:(x + 1) * n]) for x in range(n))
             out.append(validate_constant(base, fiber_size, rows))
             return
+        tried += len(candidates)
+        if tried > cap:
+            raise CapExceeded(f"cocycle search tried {tried} candidate entries, over cap {cap}")
         for p in candidates:
             entries[free[k]] = p
             if all(entries[i] * entries[j] == entries[u] * entries[v] for i, j, u, v in due[k]):

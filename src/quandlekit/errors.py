@@ -36,16 +36,6 @@ class UnsupportedSpec(QuandleKitError):
     """The group spec names a constructor outside the built-in catalog."""
 
 
-class NotASubgroup(QuandleKitError):
-    """A set required to be a group is not closed under composition.
-
-    `PermGroup.from_elements` raises it, and so does `cocycle_stabilizer`,
-    which certifies its pairs (phi, theta) through it as the permutations
-    phi + (n + theta) of degree n + s.  The message names a member times one
-    of the greedy generators that falls outside the set, or a member whose
-    powers reach the missing identity."""
-
-
 class NotAHomomorphism(QuandleKitError):
     """A map that was required to be a homomorphism is not one."""
 

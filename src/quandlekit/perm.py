@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, NotASubgroup
+from .errors import CapExceeded
 
 DEFAULT_ORDER_CAP = 10**6
 
@@ -41,7 +41,8 @@ def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
 class Perm:
     """A permutation stored as its tuple of images.
 
-    Composition is function composition: (p * q)(x) == p(q(x)).
+    Composition is function composition: (p * q)(x) == p(q(x)).  The
+    constructor checks the images; products and inverses need no check.
     """
 
     __slots__ = ("images",)
@@ -80,11 +81,11 @@ class Perm:
         return self.images[x]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        oi = other.images
         si = self.images
-        return Perm(si[oi[x]] for x in range(len(si)))
+        oi = other.images
+        if len(si) != len(oi):
+            raise ValueError("degree mismatch")
+        return Perm._trusted(tuple([si[x] for x in oi]))
 
     def __pow__(self, k: int) -> "Perm":
         base = self if k >= 0 else self.inverse()
@@ -97,18 +98,10 @@ class Perm:
         inv = [0] * len(self.images)
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(i == x for x, i in enumerate(self.images))
-
-    def order(self) -> int:
-        k = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            k += 1
-        return k
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
@@ -132,22 +125,16 @@ class PermGroup:
     The order comes from the chain, membership is a sift, and two groups of
     equal order are equal when one's level-0 generators sift through the
     other's chain.  The elements, sorted lexicographically by image tuple,
-    and the greedy generators, as `from_elements` picks them, are computed
-    only when read, unless the constructor was given them.
+    are computed only when read.  So are the greedy generators, unless the
+    constructor was given generators: walk the sorted elements and keep each
+    one outside the span of those kept before.
     """
 
-    def __init__(
-        self,
-        chain: "_Chain",
-        generators: Sequence[Perm] | None = None,
-        elements: Sequence[Perm] | None = None,
-    ):
+    def __init__(self, chain: "_Chain", generators: Sequence[Perm] | None = None):
         self.degree = chain.degree
         self._chain = chain
         if generators is not None:
             self.generators = tuple(generators)
-        if elements is not None:
-            self.elements = tuple(elements)
 
     @classmethod
     def generated(cls, degree: int, generators: Iterable[tuple[int, ...]]) -> "PermGroup":
@@ -180,7 +167,7 @@ class PermGroup:
 
     @cached_property
     def generators(self) -> tuple[Perm, ...]:
-        """Greedy generators, as `from_elements` picks them."""
+        """Greedy generators: each sorted element outside the span of those kept before."""
         return tuple(map(Perm._trusted, self._chain.greedy_generators()))
 
     def __contains__(self, p) -> bool:
@@ -206,43 +193,6 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[Perm], degree: int | None = None) -> "PermGroup":
-        """Wrap a set closed under composition, picking a small generating set.
-
-        The generating set is found greedily: walk the sorted elements and
-        keep each one that does not sift through the chain of the ones kept
-        before.  Every element then lies in the group H of the kept ones, so
-        the set is H exactly when it has |H| elements.  Otherwise the set is
-        not closed under right multiplication by the kept ones, since a set
-        that holds the identity and is so closed contains H; NotASubgroup
-        names the first product a * s, a a member and s a kept element, that
-        falls outside it.
-        """
-        by_images = {p.images: p for p in elements}
-        if not by_images:
-            raise ValueError("empty element set")
-        elements = sorted(by_images.values(), key=attrgetter("images"))
-        if degree is None:
-            degree = elements[0].degree
-        if set(map(len, by_images)) != {degree}:
-            raise ValueError(f"elements are not all of degree {degree}")
-        if tuple(range(degree)) not in by_images:
-            p = elements[0]
-            raise NotASubgroup(f"not closed: {p!r}**{p.order()} is the identity, not in the set")
-        chain = _Chain(degree)
-        kept = []
-        for p in elements:
-            if not chain.contains(p.images):
-                kept.append(p)
-                chain.add(p.images)
-        if chain.order() != len(elements):
-            left, right = next(
-                (a, s) for a in elements for s in kept if (a * s).images not in by_images
-            )
-            raise NotASubgroup(f"not closed: {left!r} * {right!r} is not in the set")
-        return cls(chain, kept, elements)
 
 
 def _compose(p, q):
@@ -374,7 +324,7 @@ class _Chain:
         return g
 
     def greedy_generators(self) -> list[tuple[int, ...]]:
-        """The generators `PermGroup.from_elements` keeps, found without the element list.
+        """The sorted elements each outside the span of those before, found without listing G.
 
         The next greedy generator is the least element of G outside the span
         H of the ones before it.  Let k be least with G^(k) <= H, which holds

@@ -400,9 +400,9 @@ def aut(q: Quandle, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
     """Full automorphism group, as a stabilizer chain on generators found by a search.
 
     See `_automorphisms`.  The order and membership come from the chain;
-    the sorted elements and the reported generators, picked greedily over
-    the sorted elements as in `PermGroup.from_elements`, are computed only
-    when read.
+    the sorted elements and the reported generators are computed only when
+    read.  The generators are greedy: walk the sorted elements and keep each
+    one outside the span of those kept before.
     """
     return _automorphisms(q.table, cap)
 

@@ -973,14 +973,20 @@ CATALOG = {
 def run_suite(tid: str, options: dict | None = None) -> dict:
     """Run one catalog suite and return its report.
 
-    Options left out or None take their catalog defaults; a randomized suite
-    needs a trial, and a sweep its options leave empty is an error, not a pass.
+    Options left out or None take their catalog defaults, and an option the
+    suite does not declare is an error; only the caps `cap_order` and
+    `cap_group` are taken by every suite.  A randomized suite needs a trial,
+    and a sweep its options leave empty is an error, not a pass.
     """
     if tid not in CATALOG:
         known = ", ".join(sorted(CATALOG))
         raise UnsupportedSpec(f"unknown suite id {tid!r}; known ids: {known}")
     suite, defaults = CATALOG[tid]
     given = {key: value for key, value in (options or {}).items() if value is not None}
+    undeclared = sorted(given.keys() - defaults.keys() - {"cap_order", "cap_group"})
+    if undeclared:
+        flags = ", ".join("--" + key.replace("_", "-") for key in undeclared)
+        raise QuandleKitError(f"suite {tid} does not take {flags}")
     used = {key: given.get(key, default) for key, default in sorted(defaults.items())}
     if used.get("trials", 1) < 1:
         raise QuandleKitError(f"--trials {used['trials']} is below the floor of 1 trial")

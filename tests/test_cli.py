@@ -356,6 +356,30 @@ def test_stabilizer_suite_rejects_a_cocycle_cap_below_one(capsys, cap):
     assert f"--cap-order {cap} is below the floor of 1 cocycle" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [(["5.6", "--trials", "3"], "--trials"),
+     (["3.1", "--seed", "4", "--max-order", "2"], "--max-order, --seed"),
+     (["7.3", "--max-order", "5"], "--max-order"),
+     (["4.6", "--trials", "2", "--seed", "1"], "--seed, --trials")],
+    ids=["5.6", "3.1", "7.3", "4.6"],
+)
+def test_theorem_refuses_a_flag_its_suite_does_not_take(capsys, argv, flags):
+    code, captured = invoke(["theorem", *argv], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert f"suite {argv[0]} does not take {flags}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["5.6", "--cap-order", "100"], ["7.1", "--cap-group", "200", "--trials", "2"]],
+    ids=["5.6-cap-order", "7.1-cap-group"],
+)
+def test_theorem_takes_the_caps_on_every_suite(capsys, argv):
+    assert invoke(["theorem", *argv], capsys)[0] == 0
+
+
 def test_theorem_unknown_id(capsys):
     code, captured = invoke(["theorem", "99.9"], capsys)
     assert code == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandlekit import cocycle as cocyclemod
 from quandlekit.cocycle import (
     AbelianCocycle,
     ConstantCocycle,
@@ -209,6 +210,18 @@ def test_stabilizer_of_spec_example():
     assert (ID2, SWAP) in stab
 
 
+def test_stabilizer_certificate_rejects_pairs_that_are_not_a_group(monkeypatch):
+    # fixing exactly the thetas {identity, one 3-cycle} is not closed under products
+    kept = {Perm.identity(3), Perm((1, 2, 0))}
+
+    def transport(phi, thetas, alpha):
+        return alpha.table if thetas[0] in kept else None
+
+    monkeypatch.setattr(cocyclemod, "_transport", transport)
+    with pytest.raises(AssertionError, match="do not form a group"):
+        cocycle_stabilizer(trivial_cocycle(T2, 3))
+
+
 def test_stabilizer_size_divides_group_order():
     for a in (spec_example(), trivial_cocycle(R3, 2)):
         total = aut(a.base).order * len(list(itertools.permutations(range(a.fiber_size))))
@@ -277,8 +290,26 @@ def test_all_constant_cocycles_matches_naive_filter():
 
 
 def test_all_constant_cocycles_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="tried 24 candidate entries, over cap 10"):
         all_constant_cocycles(build("trivial", 4), 4, cap=10)
+
+
+def test_all_constant_cocycles_over_s2_are_the_z2_coboundaries_of_r5():
+    # S_2 is Z_2, so the cocycles are Z_2 2-cocycles; H^2(R_5; Z_2) = 0 leaves
+    # exactly the coboundaries (x, y) -> f(x) - f(x*y) of the 2**5 maps f
+    r5 = build("dihedral", 5)
+    assert compute_h2(r5, (2,))[0] == ()
+    coboundaries = {
+        tuple(
+            tuple(SWAP if f[x] != f[r5.table[x][y]] else ID2 for y in range(5))
+            for x in range(5)
+        )
+        for f in itertools.product((0, 1), repeat=5)
+    }
+    assert len(coboundaries) == 16
+    found = all_constant_cocycles(r5, 2)  # its unpruned space 2**20 is over the cap
+    assert len(found) == 16
+    assert {a.table for a in found} == coboundaries
 
 
 def test_constant_classes_over_trivial_base():

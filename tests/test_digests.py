@@ -354,7 +354,7 @@ def test_h2_over_multi_factor_coefficients_is_pinned():
 
 # Recorded while `cocycle_stabilizer` checked its pairs for the identity and
 # for closure by multiplying every pair by every pair, before it certified
-# them with `PermGroup.from_elements`.
+# them by the order of the stabilizer chain they generate.
 STABILIZER_DIGEST = "cf725549a98078355a8209399d0fb01735263271f86380d565f2cc041fdc58f4"
 
 

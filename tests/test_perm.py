@@ -1,16 +1,14 @@
 """Tests for the permutation layer."""
 
-import ast
 import itertools
 import random
-import re
 from math import perm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.errors import CapExceeded, NotASubgroup
+from quandlekit.errors import CapExceeded
 from quandlekit.perm import Perm, PermGroup, _cycle_type, _orbits, closure, is_k_transitive
 
 
@@ -54,6 +52,33 @@ def test_inverse_and_identity():
 def test_perm_rejects_non_rearrangement():
     with pytest.raises(ValueError):
         Perm((0, 0, 1))
+
+
+def test_product_across_degrees_is_refused():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        Perm((1, 0)) * Perm((0, 2, 1))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        Perm.identity(3) * Perm.identity(2)
+
+
+@st.composite
+def perm_pairs(draw):
+    degree = draw(st.integers(0, 7))
+    return tuple(tuple(draw(st.permutations(range(degree)))) for _ in range(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(perm_pairs())
+def test_products_and_inverses_equal_checked_perms(images):
+    # the oracle composes and inverts image tuples directly
+    p, q = images
+    degree = len(p)
+    composed = Perm(tuple(p[q[x]] for x in range(degree)))
+    inverted = Perm(tuple(sorted(range(degree), key=p.__getitem__)))
+    for built, checked in ((Perm(p) * Perm(q), composed), (Perm(p).inverse(), inverted)):
+        assert built == checked and checked == built
+        assert hash(built) == hash(checked)
+        assert type(built.images) is tuple and built.images == checked.images
 
 
 def test_pow_matches_repeated_product():
@@ -191,21 +216,12 @@ def test_k_transitivity_against_naive_definition():
 
 def test_from_elements_reduces_generators():
     s3 = symmetric_group(3)
-    rebuilt = PermGroup.from_elements(s3.elements)
+    shuffled = [p.images for p in reversed(s3.elements)]
+    rebuilt = PermGroup.generated(3, shuffled)
     assert rebuilt == s3
+    assert rebuilt.order == len(shuffled)
     assert len(rebuilt.generators) <= 2
     assert closure(rebuilt.generators, degree=3) == s3
-
-
-def test_from_elements_rejects_a_set_not_closed_under_composition():
-    identity, rotation = Perm.identity(3), Perm((1, 2, 0))
-    with pytest.raises(NotASubgroup, match=r"Perm\(1, 2, 0\) \* Perm\(1, 2, 0\) is not in the set"):
-        PermGroup.from_elements([identity, rotation])
-    with pytest.raises(NotASubgroup, match="identity"):
-        PermGroup.from_elements([Perm((1, 0))])
-    s3 = symmetric_group(3).elements
-    with pytest.raises(NotASubgroup):
-        PermGroup.from_elements([p for p in s3 if p != Perm((2, 0, 1))])
 
 
 def test_closure_cap_is_exact():
@@ -266,7 +282,8 @@ def test_from_elements_matches_greedy_reference(case, rng):
     kept = _greedy_generators(elements, degree)
     shuffled = [Perm(p) for p in elements]
     rng.shuffle(shuffled)
-    group = PermGroup.from_elements(shuffled, degree=degree)
+    group = PermGroup.generated(degree, [p.images for p in shuffled])
+    assert group.order == len(elements)
     assert [p.images for p in group.generators] == kept
     assert [p.images for p in group.elements] == elements
 
@@ -297,23 +314,3 @@ def test_stabilizer_chain_agrees_with_the_closure(case):
     for k in range(1, min(degree, 3) + 1):
         tuples = {p[:k] for p in span}
         assert is_k_transitive(chained, k) == (len(tuples) == perm(degree, k))
-
-
-@settings(max_examples=100, deadline=None)
-@given(generator_sets(), st.data())
-def test_from_elements_names_a_product_outside_a_punctured_group(case, data):
-    # a group of order at least 3 less one non-identity element is not a group
-    degree, gens = case
-    span = _bfs_span(gens, degree)
-    assume(len(span) > 2)
-    elements = sorted(span)[1:]  # the identity sorts first
-    removed = elements.pop(data.draw(st.integers(0, len(elements) - 1)))
-    members = {tuple(range(degree))} | set(elements)
-    with pytest.raises(NotASubgroup) as info:
-        PermGroup.from_elements([Perm(p) for p in members], degree=degree)
-    named = re.search(r"Perm(\(.*?\)) \* Perm(\(.*?\)) is not in the set", str(info.value))
-    a, s = (ast.literal_eval(t) for t in named.groups())
-    assert a in members and s in members
-    product = tuple(a[x] for x in s)
-    assert product not in members and product == removed
-

@@ -180,7 +180,8 @@ def assert_aut_is_brute_force_group(q):
     orbits = naive_orbits(q)
     quasi_inner = [p for p in automorphisms if all(p[x] in orbits[x] for x in range(q.order))]
     for found, brute in ((aut(q), automorphisms), (qinn(q), quasi_inner)):
-        expected = PermGroup.from_elements([Perm(p) for p in brute], degree=q.order)
+        expected = PermGroup.generated(q.order, brute)
+        assert expected.order == len(brute)
         assert found.elements == expected.elements
         assert found.generators == expected.generators
 
