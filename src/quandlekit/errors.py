@@ -36,10 +36,6 @@ class UnsupportedSpec(QuandleKitError):
     """The group spec names a constructor outside the built-in catalog."""
 
 
-class NotAHomomorphism(QuandleKitError):
-    """A map that was required to be a homomorphism is not one."""
-
-
 class NotAbelian(QuandleKitError):
     """An abelian group was required."""
 

@@ -2,8 +2,9 @@
 
 Tables are indexed by 0..n-1 and validated in full on construction (Latin
 square plus associativity).  A small catalog of named groups is exposed via
-a one-line spec grammar: atoms Z<n>, S<n>, D<n>, Q8 joined by "x" for direct
-products, e.g. "Z2xZ4".
+a one-line spec grammar: atoms Z<n>, S<n> (n <= 5), D<n> (the dihedral
+group of order 2n), Q8 joined by "x" for direct products, e.g. "Z2xZ4".
+Automorphism groups come from `quandle`'s table search.
 """
 
 from __future__ import annotations
@@ -13,15 +14,9 @@ import re
 from math import gcd
 from typing import Sequence
 
-from .errors import (
-    CapExceeded,
-    NotAbelian,
-    NotAHomomorphism,
-    ParseError,
-    UnsupportedSpec,
-)
+from .errors import CapExceeded, NotAbelian, ParseError, UnsupportedSpec
 from .perm import Perm, PermGroup
-from .quandle import Quandle, _automorphisms, _iso_images, _require_automorphism
+from .quandle import Quandle, _automorphisms, _require_automorphism
 
 DEFAULT_GROUP_CAP = 200
 
@@ -185,50 +180,18 @@ def direct_product_group(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, labels=labels)
 
 
-def semidirect(
-    normal: FiniteGroup,
-    acting: FiniteGroup,
-    action: Sequence[Perm | Sequence[int]],
-) -> FiniteGroup:
-    """Semidirect product on pairs (n, h) with index n * |acting| + h.
-
-    `action[h]` must be an automorphism of `normal` for each h, and h ->
-    action[h] must be a homomorphism into Aut(normal) under composition.
-    The product rule is (n1, h1)(n2, h2) = (n1 * action[h1](n2), h1 * h2).
-    """
-    if len(action) != acting.order:
-        raise NotAHomomorphism("action must assign one map per acting element")
-    maps = []
-    for h, a in enumerate(action):
-        p = a if isinstance(a, Perm) else Perm(a)
-        if p.degree != normal.order:
-            raise NotAHomomorphism(f"action[{h}] has wrong degree")
-        _require_automorphism(normal.table, p, f"action[{h}]")
-        maps.append(p)
-    for h1 in range(acting.order):
-        for h2 in range(acting.order):
-            if maps[acting.table[h1][h2]] != maps[h1] * maps[h2]:
-                raise NotAHomomorphism("action is not a homomorphism into Aut(N)")
-    n, m = normal.order, acting.order
-    table = [
-        [normal.table[x1][maps[h1](x2)] * m + acting.table[h1][h2]
-         for x2 in range(n) for h2 in range(m)]
-        for x1 in range(n)
-        for h1 in range(m)
-    ]
-    return FiniteGroup(table)
-
-
 def dihedral_group(n: int) -> FiniteGroup:
-    """Symmetries of the regular n-gon as Z_n with an inverting flip adjoined."""
-    zn = cyclic_group(n)
-    inversion = Perm(tuple((-i) % n for i in range(n)))
-    group = semidirect(zn, cyclic_group(2), [Perm.identity(n), inversion])
-    labels = []
-    for a in range(n):
-        for f in range(2):
-            labels.append(f"r{a}" if f == 0 else f"r{a}s")
-    return FiniteGroup(group.table, labels=labels)
+    """Symmetries of the regular n-gon: pairs (a, f) of Z_n x Z_2 at index 2a + f.
+
+    The flip inverts rotations: (a1, f1)(a2, f2) = (a1 + (-1)^f1 a2, f1 + f2).
+    """
+    table = [
+        [2 * ((a1 + (-1) ** f1 * a2) % n) + (f1 ^ f2) for a2 in range(n) for f2 in range(2)]
+        for a1 in range(n)
+        for f1 in range(2)
+    ]
+    labels = [f"r{a}" if f == 0 else f"r{a}s" for a in range(n) for f in range(2)]
+    return FiniteGroup(table, labels=labels)
 
 
 def _parse_atom(token: str, cap: int) -> FiniteGroup:
@@ -249,8 +212,10 @@ def _parse_atom(token: str, cap: int) -> FiniteGroup:
         if not 1 <= n <= 5:
             raise UnsupportedSpec("S atoms are built in only for n <= 5")
         return symmetric_group_table(n)
-    if not 1 <= n <= 6:
-        raise UnsupportedSpec("D atoms are built in only for n <= 6")
+    if n < 1:
+        raise UnsupportedSpec("D atoms need n >= 1")
+    if 2 * n > cap:
+        raise CapExceeded(f"D{n}: group order {2 * n} exceeds cap {cap}")
     return dihedral_group(n)
 
 
@@ -279,30 +244,6 @@ def automorphism_group(group: FiniteGroup) -> PermGroup:
     if group.order > DEFAULT_GROUP_CAP:
         raise CapExceeded(f"group order {group.order} exceeds cap {DEFAULT_GROUP_CAP}")
     return _automorphisms(group.table, DEFAULT_GROUP_CAP)
-
-
-def find_isomorphism(a: FiniteGroup, b: FiniteGroup) -> list[int] | None:
-    """An index map realizing a == b, or None; the search is `quandle._iso_images`."""
-    if a.order != b.order:
-        return None
-    if a.order > DEFAULT_GROUP_CAP:
-        raise CapExceeded(f"group order {a.order} exceeds cap {DEFAULT_GROUP_CAP}")
-    images = _iso_images(a.table, b.table, a.order)
-    return None if images is None else list(images)
-
-
-def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
-    return find_isomorphism(a, b) is not None
-
-
-def from_permgroup(group: PermGroup) -> FiniteGroup:
-    """Abstract multiplication table of a materialized permutation group."""
-    index = {p: i for i, p in enumerate(group.elements)}
-    table = [
-        [index[p * q] for q in group.elements]
-        for p in group.elements
-    ]
-    return FiniteGroup(table)
 
 
 def conj_quandle(group: FiniteGroup, n: int = 1) -> Quandle:

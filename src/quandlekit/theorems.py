@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedSpec,
     _cap_flag,
 )
-from .perm import Perm, closure, is_k_transitive
+from .perm import Perm, PermGroup, closure, is_k_transitive
 from .quandle import _first_unpreserved
 
 GROUP_CATALOG = (
@@ -356,8 +356,11 @@ def _core_subgroup_case(group, options) -> dict:
 
 
 def _odd_components(options):
-    """Items (name, components) for the odd cyclic sums of order up to `--max-order`."""
-    specs = [(3,), (5,), (7,), (9,), (3, 3)]
+    """Items (name, components) for the odd abelian groups of order up to `--max-order`, at most 27."""
+    specs = [
+        (3,), (5,), (7,), (9,), (3, 3), (11,), (13,), (15,), (17,), (19,), (21,), (23,),
+        (25,), (5, 5), (27,), (3, 9), (3, 3, 3),
+    ]
     picked = [c for c in specs if math.prod(c) <= options["max_order"]]
     picked.sort(key=lambda c: (math.prod(c), c))
     return [(_cyclic_sum_name(c), c) for c in picked]
@@ -366,9 +369,13 @@ def _odd_components(options):
 def _odd_takasaki_case(components, options) -> dict:
     """Structure of 2y - x quandles over odd cyclic sums.
 
-    The automorphism group is carrier-by-automorphisms as a semidirect
-    product and the inner group is the carrier extended by negation; both
-    are checked by explicit isomorphism, not just by order.
+    The automorphism group must equal the affine group x -> phi(x) + a,
+    generated by the translations (the rows of the group table, since the
+    quandle and the group list their elements in the same order) and
+    Aut(G); the inner group must equal the translations extended by
+    negation.  Equality proves the semidirect products: the translations
+    form a normal subgroup isomorphic to G, and Aut(G) (or {1, -1}) fixes
+    0, so it meets them trivially and is a complement.
     """
     group = fingroup.cyclic_group(components[0])
     for c in components[1:]:
@@ -378,22 +385,11 @@ def _odd_takasaki_case(components, options) -> dict:
     with _cap_flag("--cap-order"):
         aut_q = quandlemod.aut(q, cap=max(options["cap_order"], 0))
     inn_q = quandlemod.inn(q)
-
-    acting = fingroup.from_permgroup(autg)
-    semidirect_full = fingroup.semidirect(group, acting, list(autg.elements))
-    aut_match = fingroup.is_isomorphic(
-        fingroup.from_permgroup(aut_q), semidirect_full
-    )
-
-    negation = Perm(tuple(group.inv(x) for x in range(group.order)))
-    semidirect_inner = fingroup.semidirect(
-        group,
-        fingroup.cyclic_group(2),
-        [Perm.identity(group.order), negation],
-    )
-    inn_match = fingroup.is_isomorphic(
-        fingroup.from_permgroup(inn_q), semidirect_inner
-    )
+    n = group.order
+    translations = list(group.table)
+    negation = tuple(group.inv(x) for x in range(n))
+    aut_match = aut_q == PermGroup.generated(n, translations + [g.images for g in autg.generators])
+    inn_match = inn_q == PermGroup.generated(n, translations + [negation])
     return {
         "aut_order": aut_q.order,
         "expected_aut_order": group.order * autg.order,
@@ -488,23 +484,27 @@ def _suite_r4_aut_structure(options: dict) -> list:
 
     It has order 8, is the Klein four-group extended by a component swap,
     and the explicit pairwise swap is an outer automorphism conjugating one
-    translation generator to the other.
+    translation generator to the other.  The extension is checked as an
+    equality: s0 and s1 commute, s0 is an involution and the involution phi
+    outside K = <s0, s1> (of order 4) conjugates s0 to s1, so <s0, s1, phi>
+    is K extended by the swap of its generators, and it must equal Aut.
     """
     q = quandlemod.build("dihedral", 4)
     aut_q = quandlemod.aut(q)
     inn_q = quandlemod.inn(q)
-    klein = fingroup.direct_product_group(
-        fingroup.cyclic_group(2), fingroup.cyclic_group(2)
-    )
-    swap_components = Perm((0, 2, 1, 3))
-    model = fingroup.semidirect(
-        klein, fingroup.cyclic_group(2), [Perm.identity(4), swap_components]
-    )
-    iso = fingroup.is_isomorphic(fingroup.from_permgroup(aut_q), model)
-
     phi = Perm((1, 0, 3, 2))
     s0 = Perm(tuple(q.table[x][0] for x in range(4)))
     s1 = Perm(tuple(q.table[x][1] for x in range(4)))
+    klein = PermGroup.generated(4, [s0.images, s1.images])
+    iso = (
+        klein.order == 4
+        and s0 * s1 == s1 * s0
+        and (s0 * s0).is_identity()
+        and (phi * phi).is_identity()
+        and phi not in klein
+        and phi * s0 * phi.inverse() == s1
+        and PermGroup.generated(4, [s0.images, s1.images, phi.images]) == aut_q
+    )
     return [
         {
             "case": "aut_order",

@@ -803,6 +803,22 @@ def test_flag_sources_are_capped_before_building(source, capsys):
     assert "--cap-group" in captured.err
 
 
+def test_dihedral_group_spec_names_cap_group(capsys):
+    code, captured = invoke(["build", "--conj", "D101"], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert "D101: group order 202 exceeds cap 200" in captured.err
+    assert captured.err.rstrip().endswith("(raise it with --cap-group)")
+
+
+def test_odd_takasaki_suite_runs_past_order_eight(capsys):
+    code, report = report_of(["theorem", "5.2", "--max-order", "9", "--cap-order", "9"], capsys)
+    assert code == 0 and report["passed"]
+    cases = {c["case"]: c for c in report["results"]["cases"]}
+    assert (cases["Z9"]["aut_order"], cases["Z9"]["inn_order"]) == (54, 18)
+    assert cases["Z3xZ3"]["aut_order"] == 432
+
+
 def test_source_cap_is_raised_by_cap_group(capsys):
     code, report = report_of(["build", "--trivial", "201", "--cap-group", "201"], capsys)
     assert code == 0

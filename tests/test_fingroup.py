@@ -1,6 +1,7 @@
 """Tests for finite group tables, automorphisms, and group-based quandles."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from quandlekit.errors import (
     CapExceeded,
     NotAbelian,
-    NotAHomomorphism,
     NotAutomorphism,
     ParseError,
     UnsupportedSpec,
@@ -26,19 +26,20 @@ from quandlekit.fingroup import (
     direct_product_group,
     element_order,
     exponent,
-    find_isomorphism,
-    from_permgroup,
     is_abelian,
-    is_isomorphic,
     make_group,
     power,
     quaternion_group,
-    semidirect,
     symmetric_group_table,
 )
-from quandlekit.quandle import Quandle, build, inn
+from quandlekit.quandle import _iso_images, build
 from quandlekit.quandle import is_isomorphic as quandle_isomorphic
 from quandlekit.theorems import GROUP_CATALOG, LARGER_GROUP_CATALOG
+
+
+def group_iso(a, b):
+    """The images of a table isomorphism between groups of equal order, or None."""
+    return _iso_images(a.table, b.table, a.order)
 
 
 def naive_automorphisms(g):
@@ -110,10 +111,10 @@ def test_dihedral_group():
 
 def test_direct_product_group():
     g = direct_product_group(cyclic_group(2), cyclic_group(3))
-    assert is_isomorphic(g, cyclic_group(6))
+    assert group_iso(g, cyclic_group(6)) is not None
     v4 = direct_product_group(cyclic_group(2), cyclic_group(2))
     assert exponent(v4) == 2
-    assert not is_isomorphic(v4, cyclic_group(4))
+    assert group_iso(v4, cyclic_group(4)) is None
 
 
 def test_make_group_parsing():
@@ -122,7 +123,7 @@ def test_make_group_parsing():
     assert make_group("S3").order == 6
     assert make_group("D4").order == 8
     assert make_group("Q8").order == 8
-    assert is_isomorphic(make_group("Z2xZ3"), make_group("Z6"))
+    assert group_iso(make_group("Z2xZ3"), make_group("Z6")) is not None
     with pytest.raises(ParseError):
         make_group("Z")
     with pytest.raises(ParseError):
@@ -133,24 +134,31 @@ def test_make_group_parsing():
         make_group("Z1000", cap=200)
 
 
-def test_semidirect_swap_action_gives_dihedral():
-    v4 = direct_product_group(cyclic_group(2), cyclic_group(2))
-    # automorphism of V4 swapping the two factors: index is 2a + b
-    swap_images = tuple(2 * (i % 2) + i // 2 for i in range(4))
-    g = semidirect(v4, cyclic_group(2), [tuple(range(4)), swap_images])
-    assert g.order == 8
-    assert is_isomorphic(g, dihedral_group(4))
+def test_dihedral_atoms_of_any_order():
+    assert make_group("D7").order == 14
+    assert make_group("D1").order == 2
+    with pytest.raises(UnsupportedSpec):
+        make_group("D0")
 
 
-def test_semidirect_rejects_non_action():
-    v4 = direct_product_group(cyclic_group(2), cyclic_group(2))
-    not_auto = (1, 0, 2, 3)  # moves the identity
-    with pytest.raises(NotAutomorphism):
-        semidirect(v4, cyclic_group(2), [tuple(range(4)), not_auto])
-    # each map is an automorphism but the assignment is not a homomorphism
-    three_cycle = (0, 2, 3, 1)
-    with pytest.raises(NotAHomomorphism):
-        semidirect(v4, cyclic_group(2), [tuple(range(4)), three_cycle])
+def test_dihedral_atoms_are_capped_before_building(monkeypatch):
+    import quandlekit.fingroup as fingroup
+
+    def refuse(n):
+        raise AssertionError("a dihedral group was built")
+
+    monkeypatch.setattr(fingroup, "dihedral_group", refuse)
+    with pytest.raises(CapExceeded, match=r"^D101: group order 202 exceeds cap 200$"):
+        make_group("D101")
+    with pytest.raises(CapExceeded):
+        make_group("D6", cap=11)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_dihedral_automorphism_orders_are_n_phi_n(n):
+    # Aut(D_n) is the affine group of Z_n, of order n * phi(n), for n >= 3
+    phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    assert automorphism_group(make_group(f"D{n}")).order == n * phi
 
 
 def test_automorphism_group_orders():
@@ -174,12 +182,12 @@ def test_automorphism_group_matches_naive_filter():
 def test_find_isomorphism_returns_checked_witness():
     a = make_group("Z2xZ3")
     b = cyclic_group(6)
-    f = find_isomorphism(a, b)
+    f = group_iso(a, b)
     assert f is not None
     assert all(
         f[a.mul(x, y)] == b.mul(f[x], f[y]) for x in range(6) for y in range(6)
     )
-    assert find_isomorphism(make_group("D4"), make_group("Q8")) is None
+    assert group_iso(make_group("D4"), make_group("Q8")) is None
 
 
 def test_search_separates_groups_with_equal_element_orders():
@@ -189,7 +197,7 @@ def test_search_separates_groups_with_equal_element_orders():
         return sorted(element_order(g, x) for x in range(g.order))
 
     assert orders(a) == orders(b)
-    assert find_isomorphism(a, b) is None
+    assert group_iso(a, b) is None
 
 
 def relabel_group(g, sigma):
@@ -208,7 +216,7 @@ def test_relabeled_catalog_group_is_isomorphic_to_it(spec, data):
     g = make_group(spec)
     n = g.order
     h = relabel_group(g, data.draw(st.permutations(range(n))))
-    f = find_isomorphism(g, h)
+    f = group_iso(g, h)
     assert f is not None
     assert sorted(f) == list(range(n))
     assert all(f[g.mul(x, y)] == h.mul(f[x], f[y]) for x in range(n) for y in range(n))
@@ -224,12 +232,6 @@ def test_power_matches_repeated_products():
             for _ in range(abs(k)):
                 expected = g.mul(expected, step)
             assert power(g, x, k) == expected
-
-
-def test_from_permgroup_recovers_abstract_table():
-    g = inn(build("dihedral", 3))
-    table = from_permgroup(g)
-    assert is_isomorphic(table, symmetric_group_table(3))
 
 
 def test_conj_quandle_of_abelian_group_is_trivial():
@@ -288,10 +290,6 @@ def test_automorphism_checks_name_the_map_and_the_witness():
         alexander_quandle(g, (0, 1, 2, 3))
     with pytest.raises(NotAutomorphism, match=r"^phi breaks the product at \(0, 0\)$"):
         alexander_quandle(g, (1, 0, 2, 3, 4))
-    with pytest.raises(NotAutomorphism, match=r"^action\[1\] breaks the product at"):
-        semidirect(g, cyclic_group(2), [tuple(range(5)), (1, 0, 2, 3, 4)])
-    with pytest.raises(NotAHomomorphism, match=r"action\[1\] has wrong degree"):
-        semidirect(g, cyclic_group(2), [tuple(range(5)), (0, 1, 2)])
 
 
 def test_alexander_with_identity_map_is_trivial():

@@ -6,9 +6,9 @@ import pytest
 
 from quandlekit.errors import QuandleKitError, UnsupportedSpec
 from quandlekit.fingroup import is_abelian, make_group
-from quandlekit.perm import Perm
+from quandlekit.perm import Perm, PermGroup
 from quandlekit import cocycle as cocyclemod
-from quandlekit import envgroup, theorems
+from quandlekit import envgroup, fingroup, theorems
 from quandlekit import construct as constructmod
 from quandlekit import quandle as quandlemod
 from quandlekit.theorems import (
@@ -186,6 +186,43 @@ def test_odd_takasaki_structure(reports):
     assert z5["aut_order"] == 20 and z5["inn_order"] == 10
     assert z5["aut_isomorphic_to_semidirect"]
     assert z5["inn_isomorphic_to_semidirect"]
+
+
+# |Aut(G)| for the odd abelian groups of order at most 27 (Euler's phi for
+# the cyclic ones): |GL(2,3)| = 48, |GL(2,5)| = 480, |Aut(Z3xZ9)| = 108 and
+# |GL(3,3)| = 11232.
+ODD_ABELIAN_AUT_ORDERS = {
+    "Z3": 2, "Z5": 4, "Z7": 6, "Z9": 6, "Z3xZ3": 48, "Z11": 10, "Z13": 12, "Z15": 8,
+    "Z17": 16, "Z19": 18, "Z21": 12, "Z23": 22, "Z25": 20, "Z5xZ5": 480, "Z27": 18,
+    "Z3xZ9": 108, "Z3xZ3xZ3": 11232,
+}
+
+
+def test_odd_takasaki_sweep_matches_published_aut_orders():
+    rep = run_suite("5.2", {"max_order": 27, "cap_order": 27})
+    assert rep["passed"]
+    assert {c["case"] for c in rep["cases"]} == set(ODD_ABELIAN_AUT_ORDERS)
+    for case in rep["cases"]:
+        size = make_group(case["case"]).order
+        assert case["aut_order"] == size * ODD_ABELIAN_AUT_ORDERS[case["case"]]
+        assert case["inn_order"] == 2 * size
+    assert [by_case(rep, name)["aut_order"] for name in ("Z5xZ5", "Z3xZ9", "Z3xZ3xZ3")] == [
+        12000, 2916, 303264,
+    ]
+
+
+def test_odd_takasaki_certificates_fail_with_the_wrong_aut_group(monkeypatch):
+    monkeypatch.setattr(fingroup, "automorphism_group", lambda g: PermGroup.generated(g.order, []))
+    rep = run_suite("5.2")
+    assert not rep["passed"]
+    for case in rep["cases"]:
+        assert not case["aut_isomorphic_to_semidirect"] and not case["passed"]
+
+
+def test_r4_extension_certificate_fails_when_aut_is_inn(monkeypatch):
+    monkeypatch.setattr(quandlemod, "aut", lambda q, cap=None: quandlemod.inn(q))
+    rep = run_suite("5.6")
+    assert not by_case(rep, "isomorphic_to_wreath_style_product")["passed"]
 
 
 def test_reflection_report_flags(reports):
