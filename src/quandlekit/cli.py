@@ -65,7 +65,7 @@ class _Inputs:
         self.files[path] = hashlib.sha256(raw).hexdigest()
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise QuandleKitError(f"{path} is not valid JSON: {exc}") from exc
 
     def load_doc(self, path: str, expected: tuple):
@@ -207,7 +207,7 @@ def _envelope(args, inputs):
         raise _UsageError("quandlekit: error: --coset-enum requires --max-cosets")
     try:
         words_doc = json.loads(args.coset_enum)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise QuandleKitError(f"bad SUBGENS value: {exc}") from exc
     if not isinstance(words_doc, list):
         raise QuandleKitError("SUBGENS must be a JSON list of words")

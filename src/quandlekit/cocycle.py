@@ -94,6 +94,17 @@ def _conditions(t):
                 yield (x, y, z), (xy * n + z, x * n + y, tx[z] * n + ty[z], x * n + z)
 
 
+def _check_conditions(base: Quandle, table, zero, product) -> None:
+    """Raise the first diagonal entry other than `zero`, then the first failed triple."""
+    for x in range(base.order):
+        if table[x][x] != zero:
+            raise DiagonalViolation(x)
+    flat = [v for row in table for v in row]
+    for triple, (i, j, k, l) in _conditions(base.table):
+        if product(flat[i], flat[j]) != product(flat[k], flat[l]):
+            raise CocycleViolation(*triple)
+
+
 def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
     """Check the diagonal and pair-coherence conditions, with witnesses."""
     if require_int(fiber_size, "cocycle fiber") < 1:
@@ -109,15 +120,9 @@ def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
         )
         for row in rows
     )
-    flat = [p for row in a for p in row]
-    if any(len(p.images) != fiber_size for p in flat):
+    if any(len(p.images) != fiber_size for row in a for p in row):
         raise ValueError("cocycle entries must permute the fiber")
-    for x in range(n):
-        if not a[x][x].is_identity():
-            raise DiagonalViolation(x)
-    for triple, (i, j, k, l) in _conditions(base.table):
-        if flat[i] * flat[j] != flat[k] * flat[l]:
-            raise CocycleViolation(*triple)
+    _check_conditions(base, a, Perm.identity(fiber_size), Perm.__mul__)
     return ConstantCocycle(base, fiber_size, a)
 
 
@@ -236,21 +241,23 @@ def cocycle_stabilizer(alpha: ConstantCocycle) -> list:
 
     (phi, theta) is a member exactly when act(phi, (theta,) * n, alpha) ==
     alpha.  Returns a subgroup of Aut(base) x Sym(fiber) as a list of
-    permutation pairs, sorted since phi and theta are walked in order.  The
-    chain the pairs generate as phi + (n + theta), of degree n + s, certifies
-    them as a group by its order.
+    permutation pairs, sorted since phi and theta are walked in order.  phi
+    only relabels the gauge by theta, so each theta is gauged once and
+    compared with alpha(phi x, phi y).  The chain the pairs generate as
+    phi + (n + theta), of degree n + s, certifies them as a group by its order.
     """
     n = alpha.base.order
     s = alpha.fiber_size
     if s > _STABILIZER_CAP:
         raise CapExceeded(f"fiber size {s} exceeds cap {_STABILIZER_CAP}")
-    fiber_perms = [Perm(p) for p in itertools.permutations(range(s))]
-    pairs = [
-        (phi, theta)
-        for phi in aut(alpha.base, cap=n).elements
-        for theta in fiber_perms
-        if _transport(phi, (theta,) * n, alpha) == alpha.table
+    gauged = [
+        (theta, _transport(Perm.identity(n), (theta,) * n, alpha))
+        for theta in map(Perm, itertools.permutations(range(s)))
     ]
+    pairs = []
+    for phi in aut(alpha.base, cap=n).elements:
+        pulled = tuple(tuple(alpha.table[x][y] for y in phi.images) for x in phi.images)
+        pairs += [(phi, theta) for theta, table in gauged if table == pulled]
     joined = [phi.images + tuple(n + t for t in theta.images) for phi, theta in pairs]
     if PermGroup.generated(n + s, joined).order != len(pairs):
         raise AssertionError("stabilizer pairs do not form a group")
@@ -349,18 +356,11 @@ def validate_abelian(base: Quandle, moduli, table) -> AbelianCocycle:
         return tuple(c % m for c, m in zip(v, moduli))
 
     a = tuple(tuple(reduce(v) for v in row) for row in rows)
-    zero = (0,) * r
-    for x in range(n):
-        if a[x][x] != zero:
-            raise DiagonalViolation(x)
 
     def add(u, v):
         return tuple((c + d) % m for c, d, m in zip(u, v, moduli))
 
-    flat = [v for row in a for v in row]
-    for triple, (i, j, k, l) in _conditions(base.table):
-        if add(flat[i], flat[j]) != add(flat[k], flat[l]):
-            raise CocycleViolation(*triple)
+    _check_conditions(base, a, (0,) * r, add)
     return AbelianCocycle(base, moduli, a)
 
 

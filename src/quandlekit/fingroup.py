@@ -139,31 +139,22 @@ def symmetric_group_table(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    """The eight quaternion units 1, -1, i, -i, j, -j, k, -k in that order."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    sign = {name: (1 if not name.startswith("-") else -1) for name in names}
-    axis = {name: name.lstrip("-") for name in names}
-    mul_axis = {
-        ("1", "1"): ("1", 1),
-        ("1", "i"): ("i", 1), ("i", "1"): ("i", 1),
-        ("1", "j"): ("j", 1), ("j", "1"): ("j", 1),
-        ("1", "k"): ("k", 1), ("k", "1"): ("k", 1),
-        ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
-        ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
-        ("j", "k"): ("i", 1), ("k", "j"): ("i", -1),
-        ("k", "i"): ("j", 1), ("i", "k"): ("j", -1),
-    }
-    index = {name: pos for pos, name in enumerate(names)}
-    table = []
-    for a in names:
-        row = []
-        for b in names:
-            ax, s = mul_axis[(axis[a], axis[b])]
-            s *= sign[a] * sign[b]
-            name = ax if s == 1 else ("-1" if ax == "1" else "-" + ax)
-            row.append(index[name])
-        table.append(row)
-    return FiniteGroup(table, labels=names)
+    """The units 1, -1, i, -i, j, -j, k, -k as signed basis 4-vectors, by Hamilton's product."""
+    units = [tuple(sign * (axis == a) for a in range(4)) for axis in range(4) for sign in (1, -1)]
+    index = {u: pos for pos, u in enumerate(units)}
+
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
+
+    table = [[index[hamilton(p, q)] for q in units] for p in units]
+    return FiniteGroup(table, labels=["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
 
 
 def direct_product_group(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:

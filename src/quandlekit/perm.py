@@ -73,10 +73,6 @@ class Perm:
         images[a], images[b] = images[b], images[a]
         return cls(images)
 
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
     def __call__(self, x: int) -> int:
         return self.images[x]
 
@@ -87,18 +83,8 @@ class Perm:
             raise ValueError("degree mismatch")
         return Perm._trusted(tuple([si[x] for x in oi]))
 
-    def __pow__(self, k: int) -> "Perm":
-        base = self if k >= 0 else self.inverse()
-        result = Perm.identity(self.degree)
-        for _ in range(abs(k)):
-            result = result * base
-        return result
-
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Perm._trusted(tuple(inv))
+        return Perm._trusted(_invert(self.images))
 
     def is_identity(self) -> bool:
         return all(i == x for x, i in enumerate(self.images))
@@ -108,9 +94,6 @@ class Perm:
 
     def __lt__(self, other: "Perm") -> bool:
         return self.images < other.images
-
-    def __le__(self, other: "Perm") -> bool:
-        return self.images <= other.images
 
     def __hash__(self) -> int:
         return hash(self.images)
@@ -365,8 +348,8 @@ def closure(
     if degree is None:
         if not generators:
             raise ValueError("need generators or an explicit degree")
-        degree = generators[0].degree
-    if any(g.degree != degree for g in generators):
+        degree = len(generators[0].images)
+    if any(len(g.images) != degree for g in generators):
         raise ValueError("generators have mixed degrees")
     group = PermGroup(_Chain(degree, [g.images for g in generators]), generators)
     if group.order > cap:

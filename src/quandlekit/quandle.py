@@ -519,13 +519,6 @@ def _canonical_table(table, n):
     return tuple(tuple(best[k : k + n]) for k in range(0, n * n, n))
 
 
-def _fingerprint(table, n):
-    inv = _element_invariants(table, n)
-    orbit_sizes = tuple(sorted(map(len, _orbits(table))))
-    centre = sum(1 for x in range(n) if inv[x][0] == 0)
-    return (tuple(sorted(inv)), orbit_sizes, centre)
-
-
 def _labeled_quandle_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """At least one quandle table on 0..n-1 per isomorphism class.
 
@@ -605,9 +598,10 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[Quandle]:
     """One canonical representative per isomorphism class of order-n quandles.
 
     The labeled tables of `_labeled_quandle_tables` cover every class.  They
-    are bucketed by fingerprint and de-duplicated by isomorphism tests, and
-    each one kept is replaced by its canonical form, the lexicographically
-    smallest relabeling (`_canonical_table`).  The output is sorted by table.
+    are bucketed by their sorted element invariants, which `_iso_images`
+    compares first, and de-duplicated by isomorphism tests, and each one
+    kept is replaced by its canonical form, the lexicographically smallest
+    relabeling (`_canonical_table`).  The output is sorted by table.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -617,8 +611,7 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[Quandle]:
     buckets: dict[object, list] = {}
     reps = []
     for t in tables:
-        fp = _fingerprint(t, n)
-        bucket = buckets.setdefault(fp, [])
+        bucket = buckets.setdefault(tuple(sorted(_element_invariants(t, n))), [])
         for rep in bucket:
             if _iso_images(t, rep, n) is not None:
                 break
@@ -673,8 +666,9 @@ def coxeter_report(components: Sequence[int], cap: int = 64) -> dict:
     elems = list(itertools.product(*[range(c) for c in components]))
     doubled = {tuple((2 * e[t]) % components[t] for t in range(len(components))) for e in elems}
     involutions_ok = all((p * p).is_identity() for _, p in gens)
+    # (p1 p2)^m = 1 exactly when the order of p1 p2 divides m
     braid_ok = all(
-        ((p1 * p2) ** m).is_identity() for _, p1 in gens for _, p2 in gens
+        m % lcm(*_cycle_type((p1 * p2).images)) == 0 for _, p1 in gens for _, p2 in gens
     )
     inn_order = inn(q).order
     coxeter_order = _coxeter_group_order(n_counted, m)

@@ -560,6 +560,8 @@ def _suite_three_transitive(options: dict) -> list:
     inner group is additionally never 3-transitive from order 4 on.
     """
     max_order, inner_max = options["max_order"], options["cap_order"]
+    if max_order < 1:
+        raise QuandleKitError(f"--max-order {max_order} is below the floor of order 1")
     classes = {
         n: quandlemod.enumerate_quandles(n) for n in range(1, max(max_order, inner_max) + 1)
     }

@@ -823,3 +823,44 @@ def test_source_cap_is_raised_by_cap_group(capsys):
     code, report = report_of(["build", "--trivial", "201", "--cap-group", "201"], capsys)
     assert code == 0
     assert report["results"]["order"] == 201
+
+
+
+_DEEP = "[" * 100_000
+_HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["invariants", "--file", "DEEP"], "is not valid JSON"),
+        (["envelope", "--dihedral", "3", "--coset-enum", _DEEP, "--max-cosets", "10"],
+         "bad SUBGENS value"),
+        (["theorem", "6.3", "--max-order", "0"], "--max-order 0 is below the floor of order 1"),
+        (["enumerate", "0"], None),
+        (["h2", "--dihedral", "3", "--coeff", "Z0"], None),
+        (["h2", "--dihedral", "3", "--coeff", "Z2x"], None),
+        (["h2", "--dihedral", "3", "--coeff", "Z" + "9" * 20], None),
+        (["invariants", "--conj", "S3", "--power", "-" + _HUGE], None),
+        (["theorem", "5.4", "--max-order", _HUGE], None),
+        (["envelope", "--dihedral", "3", "--coset-enum", "[[1]]", "--max-cosets", "-1"], None),
+        (["theorem", "7.3", "--cap-order", _HUGE], None),
+        (["theorem", "3.3", "--max-order", "-1"], None),
+    ],
+    ids=["deep-json-file", "deep-json-words", "6.3-max-order-0", "enumerate-0", "coeff-Z0",
+         "coeff-trailing-x", "coeff-huge", "power-huge", "5.4-max-order-huge",
+         "max-cosets-negative", "7.3-cap-order-huge", "3.3-max-order-negative"],
+)
+def test_flag_edge_values_exit_cleanly(tmp_path, capsys, argv, refusal):
+    """Edge values of flags give exit 0, 1 or 2 and never a traceback.
+
+    A row with a refusal message must exit 2 with that message.
+    """
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP)
+    code, captured = invoke([str(deep) if a == "DEEP" else a for a in argv], capsys)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if refusal is not None:
+        assert code == 2 and captured.out == ""
+        assert refusal in captured.err

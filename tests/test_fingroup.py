@@ -100,6 +100,18 @@ def test_quaternion_group():
     assert exponent(q8) == 4
 
 
+def test_quaternion_labels_follow_hamiltons_rule():
+    q8 = quaternion_group()
+    at = {name: x for x, name in enumerate(q8.labels)}
+
+    def times(a, b):
+        return q8.labels[q8.mul(at[a], at[b])]
+
+    assert (times("i", "j"), times("j", "k"), times("k", "i")) == ("k", "i", "j")
+    assert times("i", "i") == times("j", "j") == times("k", "k") == "-1"
+    assert times("j", "i") == "-k"
+
+
 def test_dihedral_group():
     d4 = dihedral_group(4)
     assert d4.order == 8

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import perm
+from math import lcm, perm
 
 import pytest
 from hypothesis import given, settings
@@ -81,11 +81,15 @@ def test_products_and_inverses_equal_checked_perms(images):
         assert type(built.images) is tuple and built.images == checked.images
 
 
-def test_pow_matches_repeated_product():
-    p = Perm((1, 2, 3, 0))
-    assert p**2 == p * p
-    assert p**-1 == p.inverse()
-    assert (p**4).is_identity()
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.permutations(range(n))), st.integers(1, 12))
+def test_order_from_cycle_type_divides_exactly_the_identity_powers(images, m):
+    # the oracle multiplies p by itself m times
+    p = Perm(images)
+    power = Perm.identity(len(images))
+    for _ in range(m):
+        power = power * p
+    assert (m % lcm(*_cycle_type(p.images)) == 0) == power.is_identity()
 
 
 def test_cycle_and_transposition_helpers():
