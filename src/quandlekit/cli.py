@@ -46,7 +46,6 @@ _FILE_READERS = {
     "constant_cocycle": cocyclemod.ConstantCocycle.from_json,
     "abelian_cocycle": cocyclemod.AbelianCocycle.from_json,
     "union_spec": constructmod.UnionSpec.from_json,
-    "presentation": envgroup.Presentation.from_json,
 }
 
 
@@ -323,17 +322,19 @@ def _add_arguments(target, specs) -> None:
             target.add_argument(*names, **kwargs)
 
 
-def _build_parser(names) -> _Parser:
-    """The top-level parser with a subparser for each named command."""
+def _build_parser() -> _Parser:
+    """The top-level parser with a subparser for each command."""
     parser = _Parser(prog="quandlekit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
-    for name in names:
-        command = _COMMANDS[name]
+    for command in _COMMANDS.values():
         _add_arguments(
-            sub.add_parser(name, help=command.help),
+            sub.add_parser(command.name, help=command.help),
             _COMMON_ARGS + (_SOURCE_ARGS if command.source else ()) + command.arguments,
         )
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _pretty_rows(table) -> list:
@@ -398,13 +399,11 @@ def _emit(report: dict, pretty: bool) -> None:
 def run(argv) -> int:
     """Parse argv, execute, print one report; returns the exit code."""
     argv = list(argv)
-    # Build only the subcommand that runs; help and bad commands list them all.
-    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     started = time.monotonic()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.subcommand is None:
-            parser.error("a subcommand is required")
+            _PARSER.error("a subcommand is required")
         inputs = _Inputs()
         results, checks = _COMMANDS[args.subcommand].handler(args, inputs)
     except _UsageError as exc:

@@ -4,8 +4,7 @@ A quandle embeds its structure into a finitely presented group with one
 generator per element and one conjugation relator per ordered pair.  This
 module builds those presentations and answers the questions about them that
 stay decidable: abelianization through an exact Smith normal form,
-commutator-subgroup generators, coset enumeration (Todd-Coxeter), and
-relator checks for maps into concrete groups.
+commutator-subgroup generators, and coset enumeration (Todd-Coxeter).
 
 Everything runs on exact integers.  Python integers are unbounded, so the
 overflow failure mode that plagues fixed-width Smith normal form code cannot
@@ -15,17 +14,9 @@ occur here; certificates are still re-verified after every computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
-from .errors import (
-    CapExceeded,
-    CosetLimitExceeded,
-    ParseError,
-    require_field,
-    require_int,
-    require_list,
-)
-from .perm import Perm
+from .errors import CapExceeded, CosetLimitExceeded, ParseError, QuandleKitError
 from .quandle import Quandle
 
 # A word is a tuple of (generator, sign) letters with sign +1 or -1.
@@ -43,12 +34,8 @@ def free_reduce(word: Sequence[tuple[int, int]]) -> Word:
     return tuple(out)
 
 
-def word_to_json(word: Sequence[tuple[int, int]]) -> list[int]:
-    """Encode as 1-based signed integers, the on-disk word format."""
-    return [g + 1 if s > 0 else -(g + 1) for g, s in word]
-
-
 def word_from_json(letters: Sequence[int]) -> Word:
+    """Decode 1-based signed integers, the on-disk word format."""
     if not isinstance(letters, (list, tuple)):
         raise ParseError(f"a word is an array of letters, got {letters!r}")
     out = []
@@ -75,23 +62,6 @@ class Presentation:
                     raise ValueError(f"generator index {g} out of range")
                 if s not in (1, -1):
                     raise ValueError(f"letter sign must be +1 or -1, got {s}")
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "presentation",
-            "ngens": self.ngens,
-            "relators": [word_to_json(w) for w in self.relators],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Presentation":
-        if doc.get("kind", "presentation") != "presentation":
-            raise ValueError(f"expected a presentation, got kind {doc['kind']!r}")
-        relators = require_list(require_field(doc, "relators", "presentation"), "relators")
-        return cls(
-            ngens=require_int(require_field(doc, "ngens", "presentation"), "ngens"),
-            relators=tuple(word_from_json(w) for w in relators),
-        )
 
 
 def presentation_of(q: Quandle) -> Presentation:
@@ -331,6 +301,11 @@ def abelianization(p: Presentation) -> tuple[int, tuple]:
 # Todd-Coxeter coset enumeration
 # ---------------------------------------------------------------------------
 
+# Live cosets no enumeration exceeds, whatever cap its caller passes.  A table
+# on an infinite index grows until a bound stops it: on the three generators
+# of As(R3) this one stops it at about 185 MB after 25 s on a 2-CPU host.
+_COSET_CEILING = 1_000_000
+
 
 class _CosetTable:
     def __init__(self, ngens: int, max_cosets: int, relators):
@@ -396,13 +371,19 @@ class _CosetTable:
                     self.table[nu][self._inv_col(col)] = mu
 
     def define(self, c: int, col: int) -> None:
-        if self.nlive >= self.max_cosets:
+        limit = min(self.max_cosets, _COSET_CEILING)
+        if self.nlive >= limit:
             self._lookahead()
-            if self.nlive >= self.max_cosets:
-                raise CosetLimitExceeded(
-                    f"coset enumeration exceeded the cap of {self.max_cosets} live cosets,"
-                    " which does not prove the index infinite"
-                )
+        if self.nlive >= limit == _COSET_CEILING:
+            raise QuandleKitError(
+                f"coset enumeration reached the fixed ceiling of {limit} live cosets,"
+                " which does not prove the index infinite; no flag raises the ceiling"
+            )
+        if self.nlive >= limit:
+            raise CosetLimitExceeded(
+                f"coset enumeration exceeded the cap of {limit} live cosets,"
+                " which does not prove the index infinite"
+            )
         d = self._new_coset()
         self.table[c][col] = d
         self.table[d][self._inv_col(col)] = c
@@ -469,7 +450,9 @@ def todd_coxeter(
     Completes only when the index is finite and fits under max_cosets live
     cosets; hitting the limit raises CosetLimitExceeded after one lookahead
     pass tries to shrink the table, and a cap below 1 raises CapExceeded, so
-    a caller's `_cap_flag` names the flag for both.  A completed table is
+    a caller's `_cap_flag` names the flag for both.  A cap at or above
+    `_COSET_CEILING` stops at the ceiling instead, with a QuandleKitError
+    that names no flag, since none raises it.  A completed table is
     verified before the index is returned: every column is a bijection on
     live cosets and every relator traces to the identity everywhere.
     """
@@ -527,91 +510,3 @@ def todd_coxeter(
         if cur != start:
             raise AssertionError("subgroup generator moved its own coset")
     return len(live)
-
-
-# ---------------------------------------------------------------------------
-# Homomorphism checks against concrete groups
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConcreteModel:
-    """A group given by callables; the carrier may be infinite.
-
-    Elements must be hashable.  Only the elements actually touched during a
-    verification run are ever constructed.
-    """
-
-    name: str
-    identity: Any
-    mul: Callable[[Any, Any], Any]
-    inv: Callable[[Any], Any]
-
-
-def permutation_model(n: int) -> ConcreteModel:
-    """The symmetric group on n points, with Perm elements."""
-    return ConcreteModel(
-        f"Sym({n})", Perm.identity(n), lambda a, b: a * b, lambda a: a.inverse()
-    )
-
-
-def evaluate_word(model: ConcreteModel, images: Sequence, word) -> Any:
-    acc = model.identity
-    for g, s in word:
-        x = images[g] if s > 0 else model.inv(images[g])
-        acc = model.mul(acc, x)
-    return acc
-
-
-def verify_hom(
-    p: Presentation,
-    model: ConcreteModel,
-    images: Sequence,
-    targets: Sequence = (),
-) -> dict:
-    """Check that generator images satisfy the relators; probe surjectivity.
-
-    The probe multiplies images and their inverses breadth-first up to
-    8 letters and reports which target elements were reached.
-    Reaching every target does not prove surjectivity onto an infinite
-    model; missing one at this depth does not disprove it.  The report
-    carries raw outcomes and never raises.
-    """
-    if len(images) != p.ngens:
-        raise ValueError(f"expected {p.ngens} images, got {len(images)}")
-    failures = []
-    for idx, rel in enumerate(p.relators):
-        if evaluate_word(model, images, rel) != model.identity:
-            failures.append(idx)
-
-    moves = list(images) + [model.inv(x) for x in images]
-    visited = {model.identity}
-    frontier = [model.identity]
-    remaining = set(range(len(targets)))
-    for t, target in enumerate(targets):
-        if target == model.identity:
-            remaining.discard(t)
-    depth = 0
-    while frontier and remaining and depth < 8:
-        depth += 1
-        nxt = []
-        for e in frontier:
-            for mv in moves:
-                val = model.mul(e, mv)
-                if val not in visited:
-                    visited.add(val)
-                    nxt.append(val)
-                    for t in list(remaining):
-                        if targets[t] == val:
-                            remaining.discard(t)
-        frontier = nxt
-
-    reached = [t not in remaining for t in range(len(targets))]
-    return {
-        "model": model.name,
-        "relators_hold": not failures,
-        "failed_relators": failures,
-        "targets_reached": reached,
-        "all_targets_reached": all(reached),
-        "elements_explored": len(visited),
-    }

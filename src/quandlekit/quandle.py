@@ -178,22 +178,21 @@ def is_involutory(q: Quandle) -> bool:
     return all(t[t[x][y]][y] == x for x in range(q.order) for y in range(q.order))
 
 
-def inner_generators(q: Quandle) -> list[tuple[int, Perm]]:
-    """Distinct right translations, each tagged with its smallest representative."""
-    out: list[tuple[int, Perm]] = []
+def inner_generators(q: Quandle) -> list[Perm]:
+    """Distinct right translations, in order of their smallest representative."""
+    out: list[Perm] = []
     seen = set()
     for y in range(q.order):
         images = tuple(q.table[x][y] for x in range(q.order))
         if images not in seen:
             seen.add(images)
-            out.append((y, Perm(images)))
+            out.append(Perm(images))
     return out
 
 
 def inn(q: Quandle) -> PermGroup:
     """Group generated by the right translations."""
-    gens = [p for _, p in inner_generators(q)]
-    return closure(gens, degree=q.order)
+    return closure(inner_generators(q), degree=q.order)
 
 
 def orbit_partition(q: Quandle) -> list[list[int]]:
@@ -665,11 +664,9 @@ def coxeter_report(components: Sequence[int], cap: int = 64) -> dict:
         n_formula *= c if c % 2 else c // 2
     elems = list(itertools.product(*[range(c) for c in components]))
     doubled = {tuple((2 * e[t]) % components[t] for t in range(len(components))) for e in elems}
-    involutions_ok = all((p * p).is_identity() for _, p in gens)
+    involutions_ok = all((p * p).is_identity() for p in gens)
     # (p1 p2)^m = 1 exactly when the order of p1 p2 divides m
-    braid_ok = all(
-        m % lcm(*_cycle_type((p1 * p2).images)) == 0 for _, p1 in gens for _, p2 in gens
-    )
+    braid_ok = all(m % lcm(*_cycle_type((p1 * p2).images)) == 0 for p1 in gens for p2 in gens)
     inn_order = inn(q).order
     coxeter_order = _coxeter_group_order(n_counted, m)
     match = coxeter_order == inn_order

@@ -14,6 +14,7 @@ import pytest
 
 from quandlekit import cocycle, envgroup, quandle, theorems
 from quandlekit.errors import QuandleKitError
+from quandlekit.perm import Perm, closure
 
 
 def conclude(label, ok, detail=""):
@@ -177,34 +178,41 @@ def test_06_two_generator_envelope():
     index = envgroup.todd_coxeter(
         braid, subgroup_words=[((0, 1), (0, 1))], max_cosets=5000
     )
+
+    def evaluate(word, images, mul, inv, identity):
+        value = identity
+        for g, sign in word:
+            value = mul(value, images[g] if sign > 0 else inv(images[g]))
+        return value
+
     # Z3 extended by Z on pairs (a, m), where m acts on Z3 by inversion when it is odd
-    z3_by_z = envgroup.ConcreteModel(
-        "Z3:Z",
-        (0, 0),
+    z3_by_z = (
         lambda x, y: ((x[0] + (-1) ** (x[1] % 2) * y[0]) % 3, x[1] + y[1]),
         lambda x: (-(-1) ** (x[1] % 2) * x[0] % 3, -x[1]),
+        (0, 0),
     )
-    twisted = envgroup.verify_hom(
-        braid,
-        z3_by_z,
-        [(0, 1), (1, 1)],
-        targets=[(1, 0), (0, 1)],
+    twisted = [(0, 1), (1, 1)]
+    twisted_relators = all(
+        evaluate(rel, twisted, *z3_by_z) == (0, 0) for rel in braid.relators
     )
-    from quandlekit.perm import Perm
-
-    symmetric = envgroup.verify_hom(
-        braid,
-        envgroup.permutation_model(3),
-        [Perm((1, 0, 2)), Perm((0, 2, 1))],
-        targets=[Perm(p) for p in permutations(range(3))],
+    # the targets (1, 0) and (0, 1) are the images of b a^-1 and a
+    twisted_targets = [
+        evaluate(((1, 1), (0, -1)), twisted, *z3_by_z),
+        evaluate(((0, 1),), twisted, *z3_by_z),
+    ]
+    symmetric = [Perm((1, 0, 2)), Perm((0, 2, 1))]
+    symmetric_relators = all(
+        evaluate(rel, symmetric, Perm.__mul__, Perm.inverse, Perm.identity(3)).is_identity()
+        for rel in braid.relators
     )
+    symmetric_order = closure(symmetric).order
     elapsed = time.perf_counter() - started
     ok = (
         index == 6
-        and twisted["relators_hold"]
-        and all(twisted["targets_reached"])
-        and symmetric["relators_hold"]
-        and all(symmetric["targets_reached"])
+        and twisted_relators
+        and twisted_targets == [(1, 0), (0, 1)]
+        and symmetric_relators
+        and symmetric_order == 6
         and elapsed < 1.0
     )
     conclude(

@@ -13,8 +13,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quandlekit import cli, cocycle, construct, quandle
+from quandlekit import cli, cocycle, construct, envgroup, quandle
 from quandlekit.perm import Perm
 
 
@@ -110,6 +112,60 @@ def test_build_alexander(tmp_path, capsys):
 def test_build_from_file_roundtrip(r3_file, capsys):
     _, report = report_of(["build", "--file", r3_file], capsys)
     assert report["results"] == quandle.build("dihedral", 3).to_json()
+
+
+_SMALL_CLASSES = [q for n in range(1, 5) for q in quandle.enumerate_quandles(n)]
+
+
+@st.composite
+def _relabeled_quandles(draw, involutory=False):
+    classes = [q for q in _SMALL_CLASSES if quandle.is_involutory(q) or not involutory]
+    table = draw(st.sampled_from(classes)).table
+    n = len(table)
+    sigma = draw(st.permutations(range(n)))
+    relabeled = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            relabeled[sigma[x]][sigma[y]] = sigma[table[x][y]]
+    labels = draw(st.none() | st.lists(st.text(max_size=3), min_size=n, max_size=n))
+    return quandle.Quandle.from_table(relabeled, labels=labels)
+
+
+def _union_spec_like_involutory_double(q):
+    cols = [Perm(tuple(q.table[z][x] for z in range(q.order))) for x in range(q.order)]
+    return construct.make_union_spec(q, q, cols, cols)
+
+
+_DOCUMENTS = {
+    "quandle": _relabeled_quandles(),
+    "constant_cocycle": st.sampled_from([
+        alpha
+        for base in (quandle.build("dihedral", 3), quandle.build("trivial", 2))
+        for s in (2, 3)
+        for alpha in cocycle.all_constant_cocycles(base, s)
+    ]),
+    "abelian_cocycle": st.sampled_from([
+        rep
+        for base, moduli in [(quandle.build("trivial", 2), (2, 4)),
+                             (quandle.build("dihedral", 4), (2,)),
+                             (quandle.build("trivial", 3), (3,))]
+        for rep in cocycle.compute_h2(base, moduli)[1]
+    ]),
+    "union_spec": _relabeled_quandles(involutory=True).map(_union_spec_like_involutory_double),
+}
+
+
+def test_round_trips_cover_every_document_kind():
+    assert set(_DOCUMENTS) == set(cli._FILE_READERS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_DOCUMENTS)).flatmap(lambda kind: _DOCUMENTS[kind]))
+def test_every_document_kind_round_trips_through_its_reader(x):
+    doc = json.loads(json.dumps(x.to_json()))
+    back = cli._FILE_READERS[doc["kind"]](doc)
+    assert back == x
+    assert back.to_json() == doc
 
 
 def test_iso_exit_codes(r3_file, tmp_path, capsys):
@@ -772,11 +828,8 @@ def test_help_and_usage_text_is_pinned(argv, capsys, monkeypatch):
     assert (code, digest(captured.out), digest(captured.err)) == CLI_TEXT_PINS[argv]
 
 
-@pytest.mark.parametrize(
-    "argv, built",
-    [(["inn", "--dihedral", "3"], 1), (["--help"], 12), ([], 12), (["frobnicate"], 12)],
-)
-def test_a_query_builds_only_its_own_subparser(argv, built, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [["inn", "--dihedral", "3"], ["--help"], [], ["frobnicate"]])
+def test_run_adds_no_subparser(argv, capsys, monkeypatch):
     added = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -788,7 +841,7 @@ def test_a_query_builds_only_its_own_subparser(argv, built, capsys, monkeypatch)
     with contextlib.suppress(SystemExit):
         cli.run(argv)
     capsys.readouterr()
-    assert len(added) == built
+    assert added == []
 
 
 @pytest.mark.parametrize(
@@ -831,7 +884,7 @@ _HUGE = str(10**20)
 
 
 @pytest.mark.parametrize(
-    "argv, refusal",
+    "argv, expect",
     [
         (["invariants", "--file", "DEEP"], "is not valid JSON"),
         (["envelope", "--dihedral", "3", "--coset-enum", _DEEP, "--max-cosets", "10"],
@@ -844,23 +897,41 @@ _HUGE = str(10**20)
         (["invariants", "--conj", "S3", "--power", "-" + _HUGE], None),
         (["theorem", "5.4", "--max-order", _HUGE], None),
         (["envelope", "--dihedral", "3", "--coset-enum", "[[1]]", "--max-cosets", "-1"], None),
+        (["envelope", "--dihedral", "3", "--coset-enum", "[[1,1]]", "--max-cosets", _HUGE],
+         {"index": 6}),
         (["theorem", "7.3", "--cap-order", _HUGE], None),
         (["theorem", "3.3", "--max-order", "-1"], None),
     ],
     ids=["deep-json-file", "deep-json-words", "6.3-max-order-0", "enumerate-0", "coeff-Z0",
          "coeff-trailing-x", "coeff-huge", "power-huge", "5.4-max-order-huge",
-         "max-cosets-negative", "7.3-cap-order-huge", "3.3-max-order-negative"],
+         "max-cosets-negative", "max-cosets-huge", "7.3-cap-order-huge",
+         "3.3-max-order-negative"],
 )
-def test_flag_edge_values_exit_cleanly(tmp_path, capsys, argv, refusal):
+def test_flag_edge_values_exit_cleanly(tmp_path, capsys, argv, expect):
     """Edge values of flags give exit 0, 1 or 2 and never a traceback.
 
-    A row with a refusal message must exit 2 with that message.
+    A row that expects a refusal message must exit 2 with that message; a
+    row that expects results must exit 0 with those results.
     """
     deep = tmp_path / "deep.json"
     deep.write_text(_DEEP)
     code, captured = invoke([str(deep) if a == "DEEP" else a for a in argv], capsys)
     assert code in (0, 1, 2)
     assert "Traceback" not in captured.err
-    if refusal is not None:
+    if isinstance(expect, str):
         assert code == 2 and captured.out == ""
-        assert refusal in captured.err
+        assert expect in captured.err
+    elif expect is not None:
+        assert code == 0
+        results = json.loads(captured.out)["results"]
+        assert {key: results[key] for key in expect} == expect
+
+
+def test_coset_enumeration_stops_at_the_fixed_ceiling(capsys, monkeypatch):
+    # the trivial subgroup of As(R3) has infinite index, so only a bound stops the table
+    monkeypatch.setattr(envgroup, "_COSET_CEILING", 1000)
+    argv = ["envelope", "--dihedral", "3", "--coset-enum", "[]", "--max-cosets", _HUGE]
+    code, captured = invoke(argv, capsys)
+    assert code == 2 and captured.out == ""
+    assert "coset enumeration reached the fixed ceiling of 1000 live cosets" in captured.err
+    assert "raise it with" not in captured.err

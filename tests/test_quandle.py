@@ -133,11 +133,6 @@ def test_inner_generator_counts():
     assert len(inner_generators(build("trivial", 7))) == 1
 
 
-def test_inner_generator_representatives_are_smallest():
-    reps = [x for x, _ in inner_generators(build("dihedral", 4))]
-    assert reps == [0, 1]
-
-
 def test_inn_orders_of_small_dihedral_quandles():
     assert inn(build("dihedral", 3)).order == 6
     assert inn(build("dihedral", 4)).order == 4
@@ -316,7 +311,7 @@ def test_inn_subset_qinn_subset_aut():
 
 def test_strong_quasi_inner_predicate():
     q = build("dihedral", 5)
-    for _, s in inner_generators(q):
+    for s in inner_generators(q):
         assert is_quasi_inner_strong(q, s)
     doubling = Perm(tuple((2 * x) % 5 for x in range(5)))
     assert doubling in aut(q)

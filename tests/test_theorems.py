@@ -331,6 +331,16 @@ def test_braid_relator_case_fails_without_the_braid_relator(monkeypatch):
     assert [c["case"] for c in rep["cases"] if not c["passed"]] == ["braid_relator_present"]
 
 
+def test_symmetric_image_case_fails_when_the_image_is_a_proper_subgroup(monkeypatch):
+    real = theorems.closure
+    monkeypatch.setattr(theorems, "closure", lambda gens, **kw: real(gens[:1], **kw))
+    rep = run_suite("3.1")
+    case = by_case(rep, "symmetric_image_two_generators")
+    assert case["relators_hold"]
+    assert (case["elements_explored"], case["all_targets_reached"]) == (2, False)
+    assert not case["passed"] and not rep["passed"]
+
+
 def test_connected_quasi_inner_cases(reports):
     for case in reports["8.2"]["cases"]:
         assert case["qinn_order"] == case["aut_order"]
