@@ -94,15 +94,16 @@ def _conditions(t):
                 yield (x, y, z), (xy * n + z, x * n + y, tx[z] * n + ty[z], x * n + z)
 
 
-def _check_conditions(base: Quandle, table, zero, product) -> None:
-    """Raise the first diagonal entry other than `zero`, then the first failed triple."""
+def _check_conditions(base: Quandle, table, zero, failures) -> None:
+    """Raise the first diagonal entry other than `zero`, then the first triple of `failures`.
+
+    `failures` lazily yields the broken triples in `_conditions` order.
+    """
     for x in range(base.order):
         if table[x][x] != zero:
             raise DiagonalViolation(x)
-    flat = [v for row in table for v in row]
-    for triple, (i, j, k, l) in _conditions(base.table):
-        if product(flat[i], flat[j]) != product(flat[k], flat[l]):
-            raise CocycleViolation(*triple)
+    for triple in failures:
+        raise CocycleViolation(*triple)
 
 
 def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
@@ -122,7 +123,12 @@ def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
     )
     if any(len(p.images) != fiber_size for row in a for p in row):
         raise ValueError("cocycle entries must permute the fiber")
-    _check_conditions(base, a, Perm.identity(fiber_size), Perm.__mul__)
+    flat = [p for row in a for p in row]
+    mul = Perm.__mul__  # called directly, skipping the dispatch of the * operator
+    _check_conditions(base, a, Perm.identity(fiber_size), (
+        triple for triple, (i, j, k, l) in _conditions(base.table)
+        if mul(flat[i], flat[j]) != mul(flat[k], flat[l])
+    ))
     return ConstantCocycle(base, fiber_size, a)
 
 
@@ -356,11 +362,12 @@ def validate_abelian(base: Quandle, moduli, table) -> AbelianCocycle:
         return tuple(c % m for c, m in zip(v, moduli))
 
     a = tuple(tuple(reduce(v) for v in row) for row in rows)
-
-    def add(u, v):
-        return tuple((c + d) % m for c, d, m in zip(u, v, moduli))
-
-    _check_conditions(base, a, (0,) * r, add)
+    # one flat list of residues per coordinate, checked as integers
+    lanes = [([v[c] for row in a for v in row], m) for c, m in enumerate(moduli)]
+    _check_conditions(base, a, (0,) * r, (
+        triple for triple, (i, j, k, l) in _conditions(base.table) for f, m in lanes
+        if (f[i] + f[j] - f[k] - f[l]) % m
+    ))
     return AbelianCocycle(base, moduli, a)
 
 
@@ -394,32 +401,38 @@ def abelian_to_constant(mu: AbelianCocycle, cap: int = DEFAULT_FIBER_CAP) -> Con
 # ---------------------------------------------------------------------------
 
 
-def _h2_single(q: Quandle, m: int) -> list:
-    """Cyclic decomposition of H^2(Q, Z_m): list of (order, flat) pairs.
-
-    Each flat is a representative's n^2 residues at the positions x*n + y.
-    Solves the cocycle conditions as a sublattice of Z^(n^2), rewrites the
-    coboundary plus m-multiple subgroup in a basis of that lattice, and
-    reads the quotient off a second Smith normal form.
-    """
+def _condition_form(q: Quandle):
+    """Smith normal form of the rows a[x*n + x] and a[i] + a[j] - a[k] - a[l] of `_conditions`."""
     n = q.order
-    t = q.table
     big = n * n
-
     rows = []
     for x in range(n):
         row = [0] * big
         row[x * n + x] = 1
         rows.append(row)
-    for _, positions in _conditions(t):
+    for _, positions in _conditions(q.table):
         row = [0] * big
         for p, sign in zip(positions, (1, 1, -1, -1)):
             row[p] += sign
         if any(row):
             rows.append(row)
+    return smith_normal_form(rows)
 
-    cond = smith_normal_form(rows)
-    diag = [cond.d[i][i] for i in range(min(len(rows), big))]
+
+def _h2_single(q: Quandle, m: int, cond) -> list:
+    """Cyclic decomposition of H^2(Q, Z_m): list of (order, flat) pairs.
+
+    Each flat is a representative's n^2 residues at the positions x*n + y.
+    `cond` is `_condition_form(q)`: the columns of its V, each scaled by
+    m / gcd(d, m) for its diagonal entry d, span the lattice of solutions
+    mod m.  The coboundary plus m-multiple subgroup is rewritten in that
+    basis and the quotient read off a second Smith normal form.
+    """
+    n = q.order
+    t = q.table
+    big = n * n
+
+    diag = [cond.d[i][i] for i in range(min(len(cond.d), big))]
     scale = [m // gcd(d, m) if d else 1 for d in diag]
     scale += [1] * (big - len(scale))
     v, v_inv = cond.v, cond.v_inv
@@ -466,9 +479,10 @@ def _h2_single(q: Quandle, m: int) -> list:
 def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
     """Invariant factors of H^2(Q, A) plus one representative per factor.
 
-    Coefficients split componentwise, so each Z_m is solved on its own and
-    the cyclic pieces are recombined into ascending invariant factors; each
-    representative is a validated cocycle of exactly that order in H^2.
+    Coefficients split componentwise, so each Z_m is solved on its own from
+    the one `_condition_form` of the base and the cyclic pieces are
+    recombined into ascending invariant factors; each representative is a
+    validated cocycle of exactly that order in H^2.
     """
     if q.order > max_order:
         raise CapExceeded(f"base order {q.order} exceeds cap {max_order}")
@@ -477,13 +491,14 @@ def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
         raise ValueError("moduli must be positive")
     r = len(moduli)
     n = q.order
+    cond = _condition_form(q)
 
     # prime-power parts (power, coordinate, flat residues) of each cyclic piece
     prime_buckets: dict = {}
     for c, m in enumerate(moduli):
         if m == 1:
             continue
-        for order, flat in _h2_single(q, m):
+        for order, flat in _h2_single(q, m, cond):
             rest = order
             p = 2
             while rest > 1:

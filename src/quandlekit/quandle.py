@@ -597,8 +597,8 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[Quandle]:
     """One canonical representative per isomorphism class of order-n quandles.
 
     The labeled tables of `_labeled_quandle_tables` cover every class.  They
-    are bucketed by their sorted element invariants, which `_iso_images`
-    compares first, and de-duplicated by isomorphism tests, and each one
+    are bucketed by their sorted element invariants, computed once per
+    table, and de-duplicated by `_iso_search` within a bucket, and each one
     kept is replaced by its canonical form, the lexicographically smallest
     relabeling (`_canonical_table`).  The output is sorted by table.
     """
@@ -610,12 +610,10 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[Quandle]:
     buckets: dict[object, list] = {}
     reps = []
     for t in tables:
-        bucket = buckets.setdefault(tuple(sorted(_element_invariants(t, n))), [])
-        for rep in bucket:
-            if _iso_images(t, rep, n) is not None:
-                break
-        else:
-            bucket.append(t)
+        inv = _element_invariants(t, n)
+        bucket = buckets.setdefault(tuple(sorted(inv)), [])
+        if all(_iso_search(t, rep, n, inv, rep_inv)(()) is None for rep, rep_inv in bucket):
+            bucket.append((t, inv))
             reps.append(t)
     canon = sorted(_canonical_table(t, n) for t in reps)
     assert len(set(canon)) == len(reps)

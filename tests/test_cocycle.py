@@ -30,6 +30,7 @@ from quandlekit.errors import (
     DiagonalViolation,
     NotAutomorphism,
 )
+from quandlekit.fingroup import conj_quandle, make_group
 from quandlekit.perm import Perm
 from quandlekit.quandle import _first_unpreserved, aut, build, inn, is_isomorphic
 
@@ -494,6 +495,21 @@ def test_h2_cap():
         compute_h2(build("trivial", 9), (2,))
 
 
+@pytest.mark.parametrize("moduli", [(2,), (2, 3), (4, 1, 3), (2, 3, 5)])
+def test_h2_reduces_one_condition_matrix_per_call(monkeypatch, moduli):
+    """One Smith normal form of the conditions, then one quotient per non-unit factor."""
+    mats = []
+    real = cocyclemod.smith_normal_form
+    monkeypatch.setattr(cocyclemod, "smith_normal_form", lambda mat: mats.append(mat) or real(mat))
+    base = build("dihedral", 5)
+    compute_h2(base, moduli)
+    n = base.order
+    quotients = sum(m > 1 for m in moduli)
+    assert len(mats) == 1 + quotients
+    assert [len(mat) for mat in mats[1:]] == [n + n * n] * quotients
+    assert mats[0][:n] == [[int(j == x * n + x) for j in range(n * n)] for x in range(n)]
+
+
 # Valid cocycles to corrupt: every one over four small bases and fibers.
 VALID_COCYCLES = [
     alpha
@@ -529,6 +545,49 @@ def test_one_changed_cell_fails_at_the_first_broken_triple(alpha, data):
     else:
         with pytest.raises(CocycleViolation) as e:
             validate_constant(alpha.base, s, table)
+        assert e.value.triple == expected
+
+
+# Valid abelian cocycles to corrupt: the H^2 representatives over five bases.
+VALID_ABELIAN = [
+    rep
+    for base in (T2, build("trivial", 3), build("dihedral", 4), build("dihedral", 6),
+                 conj_quandle(make_group("S3")))
+    for moduli in ((2,), (4,), (2, 3))
+    for rep in compute_h2(base, moduli)[1]
+]
+
+
+def first_abelian_violation(t, moduli, a):
+    """The first (x, y, z), x outer and z inner, breaking the additive cocycle condition."""
+    n = len(t)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                left = [u + v for u, v in zip(a[t[x][y]][z], a[x][y])]
+                right = [u + v for u, v in zip(a[t[x][z]][t[y][z]], a[x][z])]
+                if any((u - v) % m for u, v, m in zip(left, right, moduli)):
+                    return x, y, z
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(VALID_ABELIAN), st.data())
+def test_one_changed_abelian_cell_fails_at_the_first_broken_triple(mu, data):
+    n, moduli = mu.base.order, mu.moduli
+    x, y = data.draw(
+        st.sampled_from([(x, y) for x in range(n) for y in range(n) if x != y])
+    )
+    value = tuple(data.draw(st.integers(-m, 2 * m - 1)) for m in moduli)
+    table = [list(row) for row in mu.table]
+    table[x][y] = value
+    expected = first_abelian_violation(mu.base.table, moduli, table)
+    if expected is None:
+        reduced = tuple(c % m for c, m in zip(value, moduli))
+        assert validate_abelian(mu.base, moduli, table).table[x][y] == reduced
+    else:
+        with pytest.raises(CocycleViolation) as e:
+            validate_abelian(mu.base, moduli, table)
         assert e.value.triple == expected
 
 

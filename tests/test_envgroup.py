@@ -190,7 +190,7 @@ def test_smith_normal_form_agrees_with_sympy_on_h2_relations_of_r5(monkeypatch):
     real = cocycle.smith_normal_form
     monkeypatch.setattr(cocycle, "smith_normal_form", lambda mat: mats.append(mat) or real(mat))
     cocycle.compute_h2(build("dihedral", 5), (2, 3, 5))
-    assert len(mats) == 6
+    assert len(mats) == 4
     for mat in mats:
         assert_agrees_with_sympy(mat)
 
