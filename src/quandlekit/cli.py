@@ -412,6 +412,9 @@ def run(argv) -> int:
     except (QuandleKitError, ValueError) as exc:
         print(f"quandlekit: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of quandlekit itself; 1 means a failed check
+        print(f"quandlekit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
     report = {
         "command": argv,

@@ -467,11 +467,8 @@ def _h2_single(q: Quandle, m: int, cond) -> list:
     for i, d in enumerate(quot.invariant_factors):
         if d <= 1:
             continue
-        coords = quot.v_inv[i]
-        flat = [
-            sum(v[r][k] * scale[k] * coords[k] for k in range(big)) % m
-            for r in range(big)
-        ]
+        coords = [(k, scale[k] * c) for k, c in enumerate(quot.v_inv[i]) if c]
+        flat = [sum(v[r][k] * c for k, c in coords) % m for r in range(big)]
         pieces.append((d, flat))
     return pieces
 

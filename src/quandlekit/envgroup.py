@@ -162,10 +162,14 @@ def smith_normal_form(matrix) -> SmithForm:
 
     Returns D, U, V with U*A*V = D, U and V unimodular, and the diagonal
     entries nonnegative with each dividing the next, plus the inverse of V.
-    Every elementary operation on U or V applies its inverse to a running
-    U^-1 or V^-1, all held as sparse rows or columns.  Before returning,
-    U*U^-1 = I, V^-1*V = I and U*A*V = D are re-checked exactly, so a
-    returned SmithForm is a verified certificate, not just a claim.
+    The pivot is the smallest nonzero |a_ij| of the remaining block, first in
+    row-major order; no entry is smaller than a unit, so the scan stops at
+    the first one.  A pivot of 1 divides every entry, so the divisibility
+    scan is skipped under it.  Every elementary operation on U or V applies
+    its inverse to a running U^-1 or V^-1, all held as sparse rows or
+    columns.  Before returning, U*U^-1 = I, V^-1*V = I and U*A*V = D are
+    re-checked exactly, so a returned SmithForm is a verified certificate,
+    not just a claim.
     """
     original = [list(map(int, row)) for row in matrix]
     m = len(original)
@@ -209,12 +213,16 @@ def smith_normal_form(matrix) -> SmithForm:
 
     t = 0
     while t < min(m, n):
-        # find the smallest nonzero entry in the remaining block
-        pivot = None
+        # the smallest nonzero entry in the remaining block
+        pivot, best = None, 0
         for i in range(t, m):
             for j in range(t, n):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < best):
+                    pivot, best = (i, j), abs(a[i][j])
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -238,13 +246,14 @@ def smith_normal_form(matrix) -> SmithForm:
             continue
         # pivot clean; pull in any entry it does not divide yet
         culprit = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    culprit = i
+        if a[t][t] != 1:  # 1 divides every entry
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % a[t][t] != 0:
+                        culprit = i
+                        break
+                if culprit is not None:
                     break
-            if culprit is not None:
-                break
         if culprit is not None:
             row_op(t, culprit, -1)  # row t += row culprit
             continue

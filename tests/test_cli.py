@@ -935,3 +935,19 @@ def test_coset_enumeration_stops_at_the_fixed_ceiling(capsys, monkeypatch):
     assert code == 2 and captured.out == ""
     assert "coset enumeration reached the fixed ceiling of 1000 live cosets" in captured.err
     assert "raise it with" not in captured.err
+
+
+@pytest.mark.parametrize("name, argv, error", [
+    ("inn", ["inn", "--dihedral", "3"], RuntimeError("lost a coset")),
+    ("h2", ["h2", "--dihedral", "3", "--coeff", "Z2"], AssertionError("certificate failed")),
+])
+def test_internal_error_exits_2_without_a_traceback(name, argv, error, capsys, monkeypatch):
+    def fail(args, inputs):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, name, cli._COMMANDS[name]._replace(handler=fail))
+    code, captured = invoke(argv, capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"quandlekit: internal error: {type(error).__name__}: {error}\n"
+    assert "Traceback" not in captured.err

@@ -32,7 +32,15 @@ from quandlekit.errors import (
 )
 from quandlekit.fingroup import conj_quandle, make_group
 from quandlekit.perm import Perm
-from quandlekit.quandle import _first_unpreserved, aut, build, inn, is_isomorphic
+from quandlekit.quandle import (
+    _first_unpreserved,
+    aut,
+    build,
+    enumerate_quandles,
+    inn,
+    is_isomorphic,
+    orbit_partition,
+)
 
 T2 = build("trivial", 2)
 R3 = build("dihedral", 3)
@@ -664,3 +672,24 @@ def test_are_cohomologous_cap_counts_permutations_times_pairs():
     alpha = trivial_cocycle(build("trivial", 3), 9)
     with pytest.raises(CapExceeded, match=r"9! \* 3\*\*2"):
         are_cohomologous(alpha, alpha)
+
+
+def test_h2_with_coefficients_prime_to_inn_is_free_of_betti_rank():
+    """H^2(Q; Z_p) = Z_p^(o^2 - o) for o orbits when p does not divide |Inn(Q)|.
+
+    The torsion of the quandle homology H_2(Q) is annihilated by |Inn(Q)|
+    (Etingof and Graña, "On rack cohomology", 2003), and its free rank is
+    o^2 - o, so this oracle reads neither Smith normal form of `compute_h2`.
+    """
+    bases = ([q for n in range(1, 6) for q in enumerate_quandles(n)]
+             + [build("dihedral", n) for n in range(6, 10)]
+             + [build("trivial", n) for n in (6, 7)])
+    cases = 0
+    for q in bases:
+        o = len(orbit_partition(q))
+        for p in (2, 3, 5, 7):
+            if inn(q).order % p:
+                factors, _ = compute_h2(q, (p,), max_order=q.order)
+                assert factors == (p,) * (o * o - o), (q.table, p)
+                cases += 1
+    assert cases == 113

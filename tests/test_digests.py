@@ -340,6 +340,24 @@ def test_smith_normal_form_transforms_are_pinned(monkeypatch):
     assert hashlib.sha256(doc.encode()).hexdigest() == SNF_TRANSFORMS_DIGEST
 
 
+# Recorded before the pivot scan stopped at the first unit and the
+# divisibility scan was skipped under a unit pivot.
+SNF_UNIT_PIVOT_DIGEST = "d6305ebd01f1e49ba0ba3e990f392746ce1ef30b56c796e11e9ea36404db6ad4"
+
+
+def test_smith_normal_form_transforms_are_pinned_where_pivots_are_units():
+    """Condition matrices (nearly every pivot is a unit), then seeded matrices with no unit entry."""
+    forms = [cocycle._condition_form(build(kind, n))
+             for kind, n in (("dihedral", 6), ("dihedral", 7), ("trivial", 6))]
+    rng = random.Random(53)
+    values = (0, 0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9, 10, -15)
+    for _ in range(20):
+        m, n = rng.randrange(2, 9), rng.randrange(2, 9)
+        forms.append(smith_normal_form([[rng.choice(values) for _ in range(n)] for _ in range(m)]))
+    doc = json.dumps([[s.d, s.u, s.v] for s in forms], separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == SNF_UNIT_PIVOT_DIGEST
+
+
 # Recorded while `compute_h2` widened each cyclic piece to a table over all
 # coordinates and recombined the pieces by scaling and adding whole tables.
 H2_MULTI_FACTOR_COEFFICIENTS = ((4, 2), (2, 2, 3), (6, 4), (8, 12), (9, 3))
