@@ -20,9 +20,11 @@ from quandlekit import cli, cocycle, construct, envgroup, quandle
 from quandlekit.perm import Perm
 
 
-def invoke(argv, capsys):
+def invoke(argv, capsys, internal_error=False):
+    """Run the CLI in process; unless told otherwise, a fault of quandlekit fails the test."""
     code = cli.run(argv)
     captured = capsys.readouterr()
+    assert internal_error or "internal error" not in captured.err, captured.err
     return code, captured
 
 
@@ -691,6 +693,8 @@ def _mutate(doc, rng):
 def test_mutated_documents_exit_cleanly(tmp_path, capsys):
     """Seeded mutations of valid documents give exit 0, 1 or 2 and never a traceback.
 
+    Exit 2 must be a refusal of the input: an internal error fails the test.
+
     Exit 1 means a failed check, and of these commands only `iso` has one.
     The `kind: []` document is listed first, so it always runs.
     """
@@ -714,8 +718,9 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys):
             json.dump(doc, fh)
         for command in commands:
             code = cli.run(command + [path])
-            capsys.readouterr()
+            err = capsys.readouterr().err
             assert code in (0, 1, 2), (command, doc)
+            assert "internal error" not in err, (command, doc, err)
             assert code != 1 or command[0] == "iso", (command, doc)
             codes[code] += 1
     assert codes[2] > codes[0] > 0
@@ -946,7 +951,7 @@ def test_internal_error_exits_2_without_a_traceback(name, argv, error, capsys, m
         raise error
 
     monkeypatch.setitem(cli._COMMANDS, name, cli._COMMANDS[name]._replace(handler=fail))
-    code, captured = invoke(argv, capsys)
+    code, captured = invoke(argv, capsys, internal_error=True)
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"quandlekit: internal error: {type(error).__name__}: {error}\n"
