@@ -28,7 +28,7 @@ from .errors import (
     require_ints,
     require_list,
 )
-from .perm import Perm, PermGroup
+from .perm import DEFAULT_ORDER_CAP, Perm, PermGroup
 from .quandle import Quandle, _require_automorphism, aut, orbit_partition
 
 # Largest coefficient group whose translations abelian_to_constant builds.
@@ -251,17 +251,22 @@ def cocycle_stabilizer(alpha: ConstantCocycle) -> list:
     only relabels the gauge by theta, so each theta is gauged once and
     compared with alpha(phi x, phi y).  The chain the pairs generate as
     phi + (n + theta), of degree n + s, certifies them as a group by its order.
+    Aut(base) is walked element by element, so an order over
+    `DEFAULT_ORDER_CAP` is refused before the walk.
     """
     n = alpha.base.order
     s = alpha.fiber_size
     if s > _STABILIZER_CAP:
         raise CapExceeded(f"fiber size {s} exceeds cap {_STABILIZER_CAP}")
+    group = aut(alpha.base, cap=n)
+    if group.order > DEFAULT_ORDER_CAP:
+        raise CapExceeded(f"Aut(base) order {group.order} exceeds cap {DEFAULT_ORDER_CAP}")
     gauged = [
         (theta, _transport(Perm.identity(n), (theta,) * n, alpha))
         for theta in map(Perm, itertools.permutations(range(s)))
     ]
     pairs = []
-    for phi in aut(alpha.base, cap=n).elements:
+    for phi in group:
         pulled = tuple(tuple(alpha.table[x][y] for y in phi.images) for x in phi.images)
         pairs += [(phi, theta) for theta, table in gauged if table == pulled]
     joined = [phi.images + tuple(n + t for t in theta.images) for phi, theta in pairs]

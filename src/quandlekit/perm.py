@@ -4,9 +4,10 @@ Everything here is exact and small-scale by design.  Every group is a
 stabilizer chain on the base 0, 1, ..., n-1, built by deterministic
 Schreier-Sims (A. Seress, Permutation Group Algorithms, 2003, ch. 4-5): the
 order is the product of the basic orbit lengths, membership is a sift, and
-the sorted elements are listed from the transversals only when read.  The
-reported elements, and the greedy generators of a group not built from
-given generators, do not depend on how the group was generated.
+iteration walks the transversals in sorted order, one element at a time,
+with no element list.  The order of that walk, and the greedy generators of
+a group not built from given generators, do not depend on how the group
+was generated.
 """
 
 from __future__ import annotations
@@ -107,10 +108,11 @@ class PermGroup:
 
     The order comes from the chain, membership is a sift, and two groups of
     equal order are equal when one's level-0 generators sift through the
-    other's chain.  The elements, sorted lexicographically by image tuple,
-    are computed only when read.  So are the greedy generators, unless the
-    constructor was given generators: walk the sorted elements and keep each
-    one outside the span of those kept before.
+    other's chain.  Iterating walks the elements in lexicographic order of
+    their image tuples, lazily, from the chain.  The greedy generators are
+    computed only when read, unless the constructor was given generators:
+    walk the sorted elements and keep each one outside the span of those
+    kept before.
     """
 
     def __init__(self, chain: "_Chain", generators: Sequence[Perm] | None = None):
@@ -129,26 +131,6 @@ class PermGroup:
         return self._chain.order()
 
     @cached_property
-    def elements(self) -> tuple[Perm, ...]:
-        """Sorted elements, listed from the chain once the order allows it.
-
-        G^(k) is the disjoint union of the cosets G^(k+1) * u^-1, for u in
-        level k's transversal, so the listing grows from the identity level
-        by level upwards; each element costs one composition.
-        """
-        order = self.order
-        if order > DEFAULT_ORDER_CAP:
-            raise CapExceeded(
-                f"listing {order} group elements exceeds the element cap {DEFAULT_ORDER_CAP}"
-            )
-        elements = [tuple(range(self.degree))]
-        for invs in reversed(self._chain.invs):
-            if len(invs) > 1:
-                elements = [h for v in invs.values() for h in map(itemgetter(*v), elements)]
-        elements.sort()
-        return tuple(map(Perm._trusted, elements))
-
-    @cached_property
     def generators(self) -> tuple[Perm, ...]:
         """Greedy generators: each sorted element outside the span of those kept before."""
         return tuple(map(Perm._trusted, self._chain.greedy_generators()))
@@ -161,7 +143,7 @@ class PermGroup:
         )
 
     def __iter__(self):
-        return iter(self.elements)
+        return map(Perm._trusted, self._chain.walk(tuple(range(self.degree)), 0))
 
     def __eq__(self, other) -> bool:
         return (
@@ -298,13 +280,20 @@ class _Chain:
                 sifted.add((d, i))
         return None
 
-    def _least_in_coset(self, g, k):
-        """The lexicographically least element of g G^(k)."""
-        for j in range(k, self.degree):
-            reps = self.reps[j]
-            if len(reps) > 1:
-                g = _compose(g, reps[min(reps, key=g.__getitem__)])
-        return g
+    def walk(self, g, k):
+        """The elements of g G^(k), in lexicographic order of their image tuples.
+
+        G^(k) fixes 0, ..., k-1, so its elements agree with g there, and
+        g G^(k) is the disjoint union of the cosets g u_d G^(k+1), for u_d in
+        level k's transversal, whose elements all send k to g(d).  So sorting
+        level k's basic orbit by g orders the cosets.
+        """
+        if k == self.degree:
+            yield g
+            return
+        reps = self.reps[k]
+        for d in sorted(reps, key=g.__getitem__):
+            yield from self.walk(g if d == k else _compose(g, reps[d]), k + 1)
 
     def greedy_generators(self) -> list[tuple[int, ...]]:
         """The sorted elements each outside the span of those before, found without listing G.
@@ -328,7 +317,7 @@ class _Chain:
                 return found
             reps = self.reps[k - 1]
             d = next(d for d in sorted(reps) if not span.contains(reps[d]))
-            g = self._least_in_coset(reps[d], k)
+            g = next(self.walk(reps[d], k))
             found.append(g)
             span.add(g)
 

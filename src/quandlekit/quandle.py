@@ -398,10 +398,10 @@ def _automorphisms(table, cap: int, colours: Sequence[int] | None = None) -> Per
 def aut(q: Quandle, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
     """Full automorphism group, as a stabilizer chain on generators found by a search.
 
-    See `_automorphisms`.  The order and membership come from the chain;
-    the sorted elements and the reported generators are computed only when
-    read.  The generators are greedy: walk the sorted elements and keep each
-    one outside the span of those kept before.
+    See `_automorphisms`.  The order and membership come from the chain,
+    iteration walks it in sorted order, and the reported generators are
+    computed only when read.  The generators are greedy: walk the sorted
+    elements and keep each one outside the span of those kept before.
     """
     return _automorphisms(q.table, cap)
 

@@ -641,7 +641,7 @@ def _suite_cohomologous_extensions(options: dict) -> list:
     pools = {
         (name, s): _cocycle_pool(q, s) for name, q in bases for s in (2, 3)
     }
-    base_auts = {name: quandlemod.aut(q).elements for name, q in bases}
+    base_auts = {name: list(quandlemod.aut(q)) for name, q in bases}
     failures = []
     for trial in range(trials):
         name, base = bases[rng.randrange(len(bases))]
@@ -697,7 +697,7 @@ def _suite_stabilizer_embedding(options: dict) -> list:
     cases = []
     for name, base in corpus:
         n = base.order
-        base_aut = quandlemod.aut(base).elements
+        base_aut = quandlemod.aut(base)
         for s in (2, 3):
             found = cocyclemod.all_constant_cocycles(base, s)
             kept = found[:max_cocycles]
@@ -906,8 +906,8 @@ def _suite_union_gluing(options: dict) -> list:
     rng = random.Random(options["seed"])
     q1 = quandlemod.build("dihedral", 3)
     q2 = quandlemod.build("dihedral", 4)
-    aut1 = quandlemod.aut(q1).elements
-    aut2 = quandlemod.aut(q2).elements
+    aut1 = list(quandlemod.aut(q1))
+    aut2 = list(quandlemod.aut(q2))
     axiom_failures = 0
     accidental = 0
     broken = 0

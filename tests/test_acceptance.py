@@ -55,7 +55,7 @@ def test_01_small_dihedral_automorphisms():
     inn5 = quandle.inn(r5)
     elapsed = time.perf_counter() - started
 
-    klein = inn4.order == 4 and all(g * g == g.identity(4) for g in inn4.elements)
+    klein = inn4.order == 4 and all(g * g == g.identity(4) for g in inn4)
     ok = (
         aut4.order == 8
         and klein
@@ -263,8 +263,8 @@ def test_09_quasi_inner_groups(suite):
     ok = (
         qinn5.order == aut5.order == 20
         and inn5.order == 10
-        and set(qinn5.elements) == set(aut5.elements)
-        and set(qinn4.elements) == set(inn4.elements)
+        and set(qinn5) == set(aut5)
+        and set(qinn4) == set(inn4)
         and suite("8.3")["passed"]
         and suite("8.4")["passed"]
     )

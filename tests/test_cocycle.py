@@ -31,7 +31,7 @@ from quandlekit.errors import (
     NotAutomorphism,
 )
 from quandlekit.fingroup import conj_quandle, make_group
-from quandlekit.perm import Perm
+from quandlekit.perm import Perm, PermGroup
 from quandlekit.quandle import (
     _first_unpreserved,
     aut,
@@ -181,7 +181,7 @@ def test_act_rejects_non_automorphism():
 
 def test_act_is_a_left_action():
     a = spec_example()
-    base_auts = aut(T2).elements
+    base_auts = list(aut(T2))
     fiber_perms = [Perm(p) for p in itertools.permutations(range(2))]
     for p1 in itertools.product(base_auts, fiber_perms):
         for p2 in itertools.product(base_auts, fiber_perms):
@@ -196,7 +196,7 @@ def test_act_preserves_cohomologous_pairs():
     alpha = trivial_cocycle(R3, 2)
     lam = random_lambda(rng, 3, 2)
     beta = push_through_lambda(alpha, lam)
-    for phi in aut(R3).elements:
+    for phi in aut(R3):
         for theta in (ID2, SWAP):
             ta = act(phi, (theta,) * 3, alpha)
             tb = act(phi, (theta,) * 3, beta)
@@ -217,6 +217,16 @@ def test_stabilizer_of_spec_example():
     assert len(stab) == 2
     assert (ID2, ID2) in stab
     assert (ID2, SWAP) in stab
+
+
+def test_stabilizer_refuses_an_aut_over_the_element_cap_before_walking_it(monkeypatch):
+    # Aut(trivial 10) is Sym(10), of order 10! = 3628800 > 10**6
+    def walk(group):
+        raise AssertionError("Aut(base) was walked")
+
+    monkeypatch.setattr(PermGroup, "__iter__", walk)
+    with pytest.raises(CapExceeded, match="3628800 .*cap 1000000"):
+        cocycle_stabilizer(trivial_cocycle(build("trivial", 10), 2))
 
 
 def test_stabilizer_certificate_rejects_pairs_that_are_not_a_group(monkeypatch):
@@ -253,7 +263,7 @@ def test_lift_numbers_points_as_extend_does():
 def test_embed_is_injective_homomorphism_into_aut():
     a = spec_example()
     stab = cocycle_stabilizer(a)
-    full = set(aut(extend(a)).elements)
+    full = set(aut(extend(a)))
     images = {pair: lift(pair[0], (pair[1],) * 2, 2) for pair in stab}
     assert set(images.values()) <= full
     assert len(set(images.values())) == len(stab)
@@ -633,7 +643,7 @@ GAUGE_SEEDS = VALID_COCYCLES + [
 def test_act_is_the_gauge_action_that_lift_realizes(seed, rng):
     n, s = seed.base.order, seed.fiber_size
     alpha = push_through_lambda(seed, random_lambda(rng, n, s))
-    auts = aut(alpha.base).elements
+    auts = list(aut(alpha.base))
     phi1, phi2 = rng.choice(auts), rng.choice(auts)
     thetas1, thetas2 = random_lambda(rng, n, s), random_lambda(rng, n, s)
     beta = act(phi2, thetas2, alpha)

@@ -207,8 +207,8 @@ def test_union_checks_match_table_validity():
     # the staged checks accept a spec exactly when the raw table is a quandle
     rng = random.Random(41)
     q1, q2 = R3, build("dihedral", 4)
-    auts1 = aut(q1).elements
-    auts2 = aut(q2).elements
+    auts1 = list(aut(q1))
+    auts2 = list(aut(q2))
     agreements = 0
     for _ in range(120):
         sigma = [rng.choice(auts2) for _ in range(3)]

@@ -300,7 +300,7 @@ def _add_a_non_member(alpha, stab):
     """The stabilizer plus the first pair of Aut(base) x Sym(fiber) outside it."""
     s = alpha.fiber_size
     pairs = itertools.product(
-        quandlemod.aut(alpha.base).elements,
+        quandlemod.aut(alpha.base),
         (Perm(p) for p in itertools.permutations(range(s))),
     )
     return stab + [next((pair for pair in pairs if pair not in stab), stab[0])]
