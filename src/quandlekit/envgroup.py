@@ -183,14 +183,14 @@ def smith_normal_form(matrix) -> SmithForm:
     v = [{i: 1} for i in range(n)]  # columns of V
     v_inv = [{i: 1} for i in range(n)]  # rows of V^-1
 
-    def row_op(i, k, c):  # row i -= c * row k
-        for j in range(n):
+    def row_op(i, k, c):  # row i -= c * row k; both are zero before column t
+        for j in range(t, n):
             a[i][j] -= c * a[k][j]
         _axpy(u[i], u[k], -c)
         _axpy(u_inv[k], u_inv[i], c)
 
-    def col_op(j, k, c):  # col j -= c * col k
-        for i in range(m):
+    def col_op(j, k, c):  # col j -= c * col k; both are zero above row t
+        for i in range(t, m):
             a[i][j] -= c * a[i][k]
         _axpy(v[j], v[k], -c)
         _axpy(v_inv[k], v_inv[j], c)

@@ -12,12 +12,9 @@ was generated.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
-
-from .errors import CapExceeded
 
 DEFAULT_ORDER_CAP = 10**6
 
@@ -322,16 +319,11 @@ class _Chain:
             span.add(g)
 
 
-def closure(
-    generators: Sequence[Perm],
-    cap: int = DEFAULT_ORDER_CAP,
-    degree: int | None = None,
-) -> PermGroup:
+def closure(generators: Sequence[Perm], degree: int | None = None) -> PermGroup:
     """Group generated by the given permutations, which it keeps as its generators.
 
-    Raises CapExceeded if the group has more than `cap` elements.  The cap
-    is checked once the chain is built: a chain holds at most n(n+1)/2
-    transversal elements, whatever the order of the group.
+    A stabilizer chain holds at most n(n+1)/2 transversal elements, whatever
+    the order of the group, so no order cap is needed.
     """
     generators = list(generators)
     if degree is None:
@@ -340,10 +332,7 @@ def closure(
         degree = len(generators[0].images)
     if any(len(g.images) != degree for g in generators):
         raise ValueError("generators have mixed degrees")
-    group = PermGroup(_Chain(degree, [g.images for g in generators]), generators)
-    if group.order > cap:
-        raise CapExceeded(f"closure order {group.order} exceeds cap {cap}")
-    return group
+    return PermGroup(_Chain(degree, [g.images for g in generators]), generators)
 
 
 def _orbit(start, step) -> set:
@@ -378,14 +367,11 @@ def _orbits(neighbours) -> list[list[int]]:
 def is_k_transitive(group: PermGroup, k: int) -> bool:
     """Whether the group moves any ordered k-tuple of distinct points to any other.
 
-    That is, whether the orbit of (0, ..., k-1), walked under a generating
-    set, holds all n!/(n-k)! tuples.  For k larger than the degree this is
-    vacuously true (there are no such tuples), matching the usual convention.
+    The orbit of (0, ..., k-1) has the size of the product of the first k
+    basic orbits, and basic orbit i has at most n - i points, so the group
+    is k-transitive exactly when each of those orbits is full.  For k larger
+    than the degree this is vacuously true (there are no such tuples),
+    matching the usual convention.
     """
     n = group.degree
-    if k > n or k <= 0:
-        return True
-    gens = group._chain.gens[0]
-    orbit = _orbit(tuple(range(k)), lambda t: [tuple([g[x] for x in t]) for g in gens])
-    return len(orbit) == math.perm(n, k)
-
+    return k > n or all(len(group._chain.orbits[i]) == n - i for i in range(k))

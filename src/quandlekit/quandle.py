@@ -8,7 +8,6 @@ bijective columns, self-distributivity) with witnesses on failure.
 from __future__ import annotations
 
 import itertools
-from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -16,7 +15,6 @@ from .errors import (
     Axiom2Violation,
     Axiom3Violation,
     CapExceeded,
-    HypothesisViolated,
     NotAutomorphism,
     ParseError,
 )
@@ -146,25 +144,6 @@ def build(kind: str, n: int) -> Quandle:
     else:
         raise ValueError(f"unknown construction {kind!r}")
     return Quandle.from_table(table)
-
-
-def takasaki_quandle(components: Sequence[int]) -> Quandle:
-    """The quandle x * y = 2y - x on a direct sum of cyclic groups.
-
-    Elements are the coordinate tuples in tuple-lexicographic order, matching
-    the ordering of direct products in the group module.
-    """
-    if not components or any(c < 1 for c in components):
-        raise ValueError("components must be positive")
-    elems = list(itertools.product(*[range(c) for c in components]))
-    index = {e: i for i, e in enumerate(elems)}
-    k = len(components)
-    table = [
-        [index[tuple((2 * y[t] - x[t]) % components[t] for t in range(k))] for y in elems]
-        for x in elems
-    ]
-    labels = [",".join(map(str, e)) for e in elems]
-    return Quandle.from_table(table, labels=labels)
 
 
 def center(q: Quandle) -> list[int]:
@@ -619,70 +598,3 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[Quandle]:
     assert len(set(canon)) == len(reps)
     return [Quandle.from_table(t) for t in canon]
 
-
-def _coxeter_group_order(ngens: int, m: int) -> int | None:
-    """Order of the Coxeter group with all off-diagonal labels m, None if infinite."""
-    if ngens == 1:
-        return 2
-    if m == 2:
-        return 2**ngens
-    if ngens == 2:
-        return 2 * m
-    return None
-
-
-def coxeter_report(components: Sequence[int], cap: int = 64) -> dict:
-    """Compare the translation group of 2y - x on a cyclic-sum with a Coxeter group.
-
-    The reflection-style relations are checked directly; the counted number
-    of distinct translations is compared against the product formula (odd
-    components contribute their order, even ones half of it) and against the
-    doubling rule (translations by y and z coincide exactly when 2y = 2z).
-    A size mismatch with the Coxeter group is flagged, not raised: for some
-    inputs the comparison group is infinite while the translation group is
-    small, and the report records exactly that.
-    """
-    components = tuple(int(c) for c in components)
-    if not components or any(c < 1 for c in components):
-        raise HypothesisViolated("components must be positive integers")
-    total = 1
-    for c in components:
-        total *= c
-    if total > cap:
-        raise CapExceeded(f"carrier order {total} exceeds cap {cap}")
-    exp = lcm(*components)
-    if exp <= 2 or exp % 2:
-        raise HypothesisViolated("the exponent of the carrier must be even and > 2")
-    m = exp // 2
-    q = takasaki_quandle(components)
-    gens = inner_generators(q)
-    n_counted = len(gens)
-    n_formula = 1
-    for c in components:
-        n_formula *= c if c % 2 else c // 2
-    elems = list(itertools.product(*[range(c) for c in components]))
-    doubled = {tuple((2 * e[t]) % components[t] for t in range(len(components))) for e in elems}
-    involutions_ok = all((p * p).is_identity() for p in gens)
-    # (p1 p2)^m = 1 exactly when the order of p1 p2 divides m
-    braid_ok = all(m % lcm(*_cycle_type((p1 * p2).images)) == 0 for p1 in gens for p2 in gens)
-    inn_order = inn(q).order
-    coxeter_order = _coxeter_group_order(n_counted, m)
-    match = coxeter_order == inn_order
-    return {
-        "components": list(components),
-        "carrier_order": total,
-        "relation_exponent": m,
-        "distinct_translations": n_counted,
-        "translation_count_formula": n_formula,
-        "translation_count_matches": n_counted == n_formula,
-        "doubling_rule_count": len(doubled),
-        "doubling_rule_matches": len(doubled) == n_counted,
-        "involution_relations_hold": involutions_ok,
-        "braid_relations_hold": braid_ok,
-        "inn_order": inn_order,
-        "coxeter_order": coxeter_order,
-        "coxeter_finite": coxeter_order is not None,
-        "orders_match": match,
-        "mismatch_flag": not match,
-        "relations_pass": involutions_ok and braid_ok and n_counted == n_formula,
-    }

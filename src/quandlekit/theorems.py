@@ -29,12 +29,13 @@ from . import quandle as quandlemod
 from .errors import (
     CapExceeded,
     FixedPointHypothesisViolated,
+    HypothesisViolated,
     NotInvolutory,
     QuandleKitError,
     UnsupportedSpec,
     _cap_flag,
 )
-from .perm import Perm, PermGroup, closure, is_k_transitive
+from .perm import Perm, PermGroup, _cycle_type, closure, is_k_transitive
 from .quandle import _first_unpreserved
 
 GROUP_CATALOG = (
@@ -371,16 +372,14 @@ def _odd_takasaki_case(components, options) -> dict:
 
     The automorphism group must equal the affine group x -> phi(x) + a,
     generated by the translations (the rows of the group table, since the
-    quandle and the group list their elements in the same order) and
-    Aut(G); the inner group must equal the translations extended by
+    quandle is Core(G) and lists its elements in G's order) and Aut(G);
+    the inner group must equal the translations extended by
     negation.  Equality proves the semidirect products: the translations
     form a normal subgroup isomorphic to G, and Aut(G) (or {1, -1}) fixes
     0, so it meets them trivially and is a complement.
     """
-    group = fingroup.cyclic_group(components[0])
-    for c in components[1:]:
-        group = fingroup.direct_product_group(group, fingroup.cyclic_group(c))
-    q = quandlemod.takasaki_quandle(components)
+    group = fingroup.make_group(_cyclic_sum_name(components))
+    q = fingroup.core_quandle(group)
     autg = fingroup.automorphism_group(group)
     with _cap_flag("--cap-order"):
         aut_q = quandlemod.aut(q, cap=max(options["cap_order"], 0))
@@ -407,6 +406,74 @@ def _odd_takasaki_case(components, options) -> dict:
 _REFLECTION_SPECS = ((4,), (6,), (8,), (2, 4), (3, 4))
 
 
+def _coxeter_group_order(ngens: int, m: int) -> int | None:
+    """Order of the Coxeter group with all off-diagonal labels m, None if infinite."""
+    if ngens == 1:
+        return 2
+    if m == 2:
+        return 2**ngens
+    if ngens == 2:
+        return 2 * m
+    return None
+
+
+def coxeter_report(components, cap: int = 64) -> dict:
+    """Compare the translation group of 2y - x on a cyclic sum with a Coxeter group.
+
+    The quandle is Core(G) of the cyclic sum G, whose x * y = y x^-1 y is
+    2y - x.  The reflection-style relations are checked directly; the
+    counted number of distinct translations is compared against the product
+    formula (odd components contribute their order, even ones half of it)
+    and against the doubling rule (translations by y and z coincide exactly
+    when 2y = 2z, so they are counted by the set 2G read off G's table).  A
+    size mismatch with the Coxeter group is flagged, not raised: for some
+    inputs the comparison group is infinite while the translation group is
+    small, and the report records exactly that.
+    """
+    components = tuple(int(c) for c in components)
+    if not components or any(c < 1 for c in components):
+        raise HypothesisViolated("components must be positive integers")
+    total = math.prod(components)
+    if total > cap:
+        raise CapExceeded(f"carrier order {total} exceeds cap {cap}")
+    exp = math.lcm(*components)
+    if exp <= 2 or exp % 2:
+        raise HypothesisViolated("the exponent of the carrier must be even and > 2")
+    m = exp // 2
+    group = fingroup.make_group(_cyclic_sum_name(components), cap=cap)
+    q = fingroup.core_quandle(group)
+    gens = quandlemod.inner_generators(q)
+    n_counted = len(gens)
+    n_formula = math.prod(c if c % 2 else c // 2 for c in components)
+    n_doubled = len({group.table[e][e] for e in range(group.order)})
+    involutions_ok = all((p * p).is_identity() for p in gens)
+    # (p1 p2)^m = 1 exactly when the order of p1 p2 divides m
+    braid_ok = all(
+        m % math.lcm(*_cycle_type((p1 * p2).images)) == 0 for p1 in gens for p2 in gens
+    )
+    inn_order = quandlemod.inn(q).order
+    coxeter_order = _coxeter_group_order(n_counted, m)
+    match = coxeter_order == inn_order
+    return {
+        "components": list(components),
+        "carrier_order": total,
+        "relation_exponent": m,
+        "distinct_translations": n_counted,
+        "translation_count_formula": n_formula,
+        "translation_count_matches": n_counted == n_formula,
+        "doubling_rule_count": n_doubled,
+        "doubling_rule_matches": n_doubled == n_counted,
+        "involution_relations_hold": involutions_ok,
+        "braid_relations_hold": braid_ok,
+        "inn_order": inn_order,
+        "coxeter_order": coxeter_order,
+        "coxeter_finite": coxeter_order is not None,
+        "orders_match": match,
+        "mismatch_flag": not match,
+        "relations_pass": involutions_ok and braid_ok and n_counted == n_formula,
+    }
+
+
 def _reflection_case(report: dict) -> dict:
     return {**report, "passed": report["relations_pass"] and report["doubling_rule_matches"]}
 
@@ -419,7 +486,7 @@ def _suite_reflection_report(options: dict) -> list:
     the mismatch flag and do not fail the suite.
     """
     return [
-        {"case": _cyclic_sum_name(c), **_reflection_case(quandlemod.coxeter_report(c))}
+        {"case": _cyclic_sum_name(c), **_reflection_case(coxeter_report(c))}
         for c in _REFLECTION_SPECS
     ]
 
@@ -433,7 +500,7 @@ def _even_dihedral_case(m, options) -> dict:
     """
     n = m // 2
     cap = options.get("cap_group", fingroup.DEFAULT_GROUP_CAP)
-    case = _reflection_case(quandlemod.coxeter_report((m,), cap))
+    case = _reflection_case(coxeter_report((m,), cap))
     return {
         **case,
         "expected_generators": n,
@@ -459,7 +526,8 @@ def _elementary_inner_case(k, options) -> dict:
     four generators multiply out to the identity and the inner group is a
     proper quotient, so the order comparison stays report mode.
     """
-    q = quandlemod.takasaki_quandle((4,) * k)
+    cap = options.get("cap_group", fingroup.DEFAULT_GROUP_CAP)
+    q = fingroup.core_quandle(fingroup.make_group(_cyclic_sum_name((4,) * k), cap=cap))
     gens = quandlemod.inner_generators(q)
     involutions = all((p * p).is_identity() for p in gens)
     commuting = all(p1 * p2 == p2 * p1 for p1 in gens for p2 in gens)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit import cli, cocycle, construct, envgroup, quandle
+from quandlekit import cli, cocycle, construct, envgroup, fingroup, quandle, theorems
 from quandlekit.perm import Perm
 
 
@@ -334,11 +334,11 @@ def test_cap_errors_name_the_flag(capsys, argv):
     ids=["5.5", "5.7", "8.3", "5.4"],
 )
 def test_suite_sweeps_are_capped_before_building(capsys, monkeypatch, argv, order):
-    def refuse(*args):
-        raise AssertionError("a quandle was built")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quandle or group was built")
 
     monkeypatch.setattr(quandle, "build", refuse)
-    monkeypatch.setattr(quandle, "takasaki_quandle", refuse)
+    monkeypatch.setattr(fingroup, "make_group", refuse)
     code, captured = invoke(["theorem", *argv], capsys)
     assert code == 2
     assert captured.out == ""
@@ -387,13 +387,13 @@ def test_suite_cap_is_raised_by_cap_group(capsys):
 
 def test_reflection_sweep_passes_cap_group_to_the_report(capsys, monkeypatch):
     caps = []
-    real = quandle.coxeter_report
+    real = theorems.coxeter_report
 
     def recording(components, cap=None):
         caps.append(cap)
         return real(components) if cap is None else real(components, cap)
 
-    monkeypatch.setattr(quandle, "coxeter_report", recording)
+    monkeypatch.setattr(theorems, "coxeter_report", recording)
     code, raised = report_of(["theorem", "5.4", "--cap-group", "150"], capsys)
     assert code == 0
     assert caps == [150, 150, 150]

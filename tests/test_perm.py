@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.errors import CapExceeded
 from quandlekit.perm import Perm, PermGroup, _cycle_type, _orbits, closure, is_k_transitive
 
 try:
@@ -140,12 +139,6 @@ def test_closure_elements_sorted_and_group_axioms_hold():
             assert g * h in group
 
 
-def test_closure_cap():
-    gens = [Perm.transposition(5, 0, 1), Perm((1, 2, 3, 4, 0))]
-    with pytest.raises(CapExceeded):
-        closure(gens, cap=30)
-
-
 def test_dihedral_r4_translation_closure_has_order_four():
     # the two distinct right translations of the 4-element dihedral quandle
     s0 = Perm((0, 3, 2, 1))
@@ -232,13 +225,6 @@ def test_from_elements_reduces_generators():
     assert rebuilt.order == len(shuffled)
     assert len(rebuilt.generators) <= 2
     assert closure(rebuilt.generators, degree=3) == s3
-
-
-def test_closure_cap_is_exact():
-    gens = [Perm.transposition(5, 0, 1), Perm((1, 2, 3, 4, 0))]
-    assert closure(gens, cap=120).order == 120
-    with pytest.raises(CapExceeded):
-        closure(gens, cap=119)
 
 
 def _bfs_span(gens, degree):

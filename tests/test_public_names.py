@@ -88,3 +88,29 @@ def test_every_public_method_is_used_by_the_package():
         and node.name not in attributes
     )
     assert unused == [], "public methods only tests use: " + ", ".join(unused)
+
+
+def test_every_import_is_read_by_its_module():
+    """Each name a module imports is read somewhere in that module.
+
+    `__init__.py` re-exports what it imports and is exempt; the
+    `from __future__` switches bind no name.
+    """
+    dead = []
+    for module, tree in _modules().items():
+        if module == "__init__":
+            continue
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        dead += [f"{module}.{name}" for name in sorted(bound - read)]
+    assert dead == [], "imports their module never reads: " + ", ".join(dead)

@@ -15,6 +15,7 @@ from quandlekit.errors import (
     CapExceeded,
     HypothesisViolated,
 )
+from quandlekit.fingroup import core_quandle, make_group
 from quandlekit.perm import Perm, PermGroup, _cycle_type, is_k_transitive
 from quandlekit.quandle import (
     Quandle,
@@ -24,7 +25,6 @@ from quandlekit.quandle import (
     aut,
     build,
     center,
-    coxeter_report,
     enumerate_quandles,
     find_isomorphism,
     inn,
@@ -35,7 +35,14 @@ from quandlekit.quandle import (
     is_quasi_inner_strong,
     orbit_partition,
     qinn,
-    takasaki_quandle,
+)
+from quandlekit.theorems import (
+    _cyclic_sum_name,
+    _dihedral_orders,
+    _elementary_powers,
+    _odd_components,
+    _REFLECTION_SPECS,
+    coxeter_report,
 )
 
 JOYCE_TABLE = [[0, 2, 0], [1, 1, 1], [2, 0, 2]]
@@ -439,14 +446,41 @@ def test_enumeration_cross_checked_by_naive_filter(n):
     assert naive_canon == [q.table for q in enumerated]
 
 
+def takasaki_by_hand(components):
+    """x * y = 2y - x on the coordinate tuples of a cyclic sum, in tuple-lexicographic order."""
+    elems = list(itertools.product(*[range(c) for c in components]))
+    index = {e: i for i, e in enumerate(elems)}
+    table = [
+        [index[tuple((2 * b - a) % c for a, b, c in zip(x, y, components))] for y in elems]
+        for x in elems
+    ]
+    return table, [",".join(map(str, e)) for e in elems]
+
+
+def _suite_cyclic_sums():
+    """The cyclic sums suites 5.2-5.5 build, past their default order bounds, and two more."""
+    odd = [c for _, c in _odd_components({"max_order": 27})]
+    even = [(m,) for _, m in _dihedral_orders(6, "Z{}")({"max_order": 12})]
+    powers = [(4,) * k for _, k in _elementary_powers({"max_order": 3})]
+    return list(dict.fromkeys(odd + list(_REFLECTION_SPECS) + even + powers + [(1, 4), (2, 2, 4)]))
+
+
+@pytest.mark.parametrize("components", _suite_cyclic_sums(), ids=_cyclic_sum_name)
+def test_takasaki_is_the_core_of_the_cyclic_sum(components):
+    table, labels = takasaki_by_hand(components)
+    q = core_quandle(make_group(_cyclic_sum_name(components)))
+    assert q.table == tuple(map(tuple, table))
+    assert q.labels == tuple(labels)
+
+
 def test_takasaki_matches_dihedral_on_single_component():
     for n in (3, 4, 5, 6):
-        assert takasaki_quandle((n,)).table == build("dihedral", n).table
+        assert core_quandle(make_group(f"Z{n}")).table == build("dihedral", n).table
 
 
 def test_takasaki_is_involutory():
-    assert is_involutory(takasaki_quandle((2, 4)))
-    assert is_involutory(takasaki_quandle((3, 3)))
+    assert is_involutory(core_quandle(make_group("Z2xZ4")))
+    assert is_involutory(core_quandle(make_group("Z3xZ3")))
 
 
 def test_coxeter_report_single_even_components():
@@ -501,6 +535,22 @@ def test_coxeter_report_hypothesis_checks():
             coxeter_report(bad)
     with pytest.raises(CapExceeded):
         coxeter_report((4,), cap=3)
+
+
+def test_inn_of_the_transposition_quandle_of_s10_is_uncapped():
+    # the 45 transpositions of S10 under conjugation: (a b) * (c d) swaps c and d in {a, b}
+    points = list(itertools.combinations(range(10), 2))
+    index = {p: i for i, p in enumerate(points)}
+
+    def swap(x, c, d):
+        return d if x == c else c if x == d else x
+
+    table = [
+        [index[tuple(sorted(swap(x, c, d) for x in p))] for c, d in points] for p in points
+    ]
+    q = Quandle.from_table(table)
+    assert len(inner_generators(q)) == 45
+    assert inn(q).order == factorial(10)
 
 
 def test_inn_three_transitivity_examples():
