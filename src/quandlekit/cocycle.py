@@ -15,6 +15,7 @@ Permutation products follow the package convention: (p*q)(x) = p(q(x)).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial, gcd, prod
 
@@ -406,6 +407,21 @@ def abelian_to_constant(mu: AbelianCocycle, cap: int = DEFAULT_FIBER_CAP) -> Con
 # ---------------------------------------------------------------------------
 
 
+def _prime_powers(k: int):
+    """Yield the prime-power parts (p, p^e) of a positive integer k, by trial division."""
+    p = 2
+    while p * p <= k:
+        power = 1
+        while k % p == 0:
+            k //= p
+            power *= p
+        if power > 1:
+            yield p, power
+        p += 1 if p == 2 else 2
+    if k > 1:
+        yield k, k  # no factor up to its square root, so k is prime
+
+
 def _condition_form(q: Quandle):
     """Smith normal form of the rows a[x*n + x] and a[i] + a[j] - a[k] - a[l] of `_conditions`."""
     n = q.order
@@ -429,22 +445,18 @@ def _h2_single(q: Quandle, m: int, cond) -> list:
 
     Each flat is a representative's n^2 residues at the positions x*n + y.
     `cond` is `_condition_form(q)`: the columns of its V, each scaled by
-    m / gcd(d, m) for its diagonal entry d, span the lattice of solutions
-    mod m.  The coboundary plus m-multiple subgroup is rewritten in that
-    basis and the quotient read off a second Smith normal form.
+    m / gcd(d, m) for its diagonal entry d (the invariant factors first,
+    then zeros), span the lattice of solutions mod m.  The coboundary plus
+    m-multiple subgroup is rewritten in that basis and the quotient read off
+    a second Smith normal form.
     """
     n = q.order
-    t = q.table
     big = n * n
-
-    diag = [cond.d[i][i] for i in range(min(len(cond.d), big))]
-    scale = [m // gcd(d, m) if d else 1 for d in diag]
+    scale = [m // gcd(d, m) for d in cond.invariant_factors]
     scale += [1] * (big - len(scale))
-    v, v_inv = cond.v, cond.v_inv
 
-    def to_lattice_coords(vec) -> list:
-        support = [(j, c) for j, c in enumerate(vec) if c]
-        raw = [sum(row[j] * c for j, c in support) for row in v_inv]
+    def to_lattice_coords(vec: dict) -> list:
+        raw = [sum(row.get(j, 0) * c for j, c in vec.items()) for row in cond.v_inv]
         out = []
         for val, e in zip(raw, scale):
             if val % e:
@@ -453,16 +465,13 @@ def _h2_single(q: Quandle, m: int, cond) -> list:
         return out
 
     # the coboundary of the indicator of u: +1 in row u, -1 where x*y = u
-    coboundaries = [[0] * big for _ in range(n)]
-    for x, tx in enumerate(t):
+    coboundaries = [Counter() for _ in range(n)]
+    for x, tx in enumerate(q.table):
         for y, xy in enumerate(tx):
             coboundaries[x][x * n + y] += 1
             coboundaries[xy][x * n + y] -= 1
     gen_rows = [to_lattice_coords(vec) for vec in coboundaries]
-    for j in range(big):
-        vec = [0] * big
-        vec[j] = m
-        gen_rows.append(to_lattice_coords(vec))
+    gen_rows += [to_lattice_coords({j: m}) for j in range(big)]
 
     quot = smith_normal_form(gen_rows)
     if quot.free_rank != 0:
@@ -472,9 +481,11 @@ def _h2_single(q: Quandle, m: int, cond) -> list:
     for i, d in enumerate(quot.invariant_factors):
         if d <= 1:
             continue
-        coords = [(k, scale[k] * c) for k, c in enumerate(quot.v_inv[i]) if c]
-        flat = [sum(v[r][k] * c for k, c in coords) % m for r in range(big)]
-        pieces.append((d, flat))
+        flat = [0] * big
+        for k, c in quot.v_inv[i].items():
+            for r, x in cond.v[k].items():
+                flat[r] += x * scale[k] * c
+        pieces.append((d, [x % m for x in flat]))
     return pieces
 
 
@@ -484,7 +495,10 @@ def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
     Coefficients split componentwise, so each Z_m is solved on its own from
     the one `_condition_form` of the base and the cyclic pieces are
     recombined into ascending invariant factors; each representative is a
-    validated cocycle of exactly that order in H^2.
+    validated cocycle of exactly that order in H^2.  The factors are checked
+    against universal coefficients: H_2(Q) = Z^(o^2 - o) + T for o orbits,
+    where T has the invariant factors t of `_condition_form`, so
+    H^2(Q, Z_m) = Z_m^(o^2 - o) + sum_t Z_gcd(t, m).
     """
     if q.order > max_order:
         raise CapExceeded(f"base order {q.order} exceeds cap {max_order}")
@@ -501,19 +515,9 @@ def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
         if m == 1:
             continue
         for order, flat in _h2_single(q, m, cond):
-            rest = order
-            p = 2
-            while rest > 1:
-                if rest % p == 0:
-                    power = 1
-                    while rest % p == 0:
-                        rest //= p
-                        power *= p
-                    k = order // power
-                    prime_buckets.setdefault(p, []).append(
-                        (power, c, [k * v % m for v in flat])
-                    )
-                p += 1 if p == 2 else 2
+            for p, power in _prime_powers(order):
+                k = order // power
+                prime_buckets.setdefault(p, []).append((power, c, [k * v % m for v in flat]))
 
     for bucket in prime_buckets.values():
         bucket.sort(key=lambda part: -part[0])
@@ -534,4 +538,11 @@ def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
         reps.append(validate_abelian(q, moduli, [cells[x * n:(x + 1) * n] for x in range(n)]))
     factors.reverse()
     reps.reverse()
+
+    o = len(orbit_partition(q))
+    predicted = [m for m in moduli for _ in range(o * o - o)]
+    predicted += [gcd(t, m) for m in moduli for t in cond.invariant_factors]
+    parts = [sorted(pp for k in orders for pp in _prime_powers(k)) for orders in (predicted, factors)]
+    if parts[0] != parts[1]:
+        raise AssertionError("H^2 disagrees with its universal-coefficient prediction")
     return tuple(factors), reps

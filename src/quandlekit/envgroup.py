@@ -105,7 +105,7 @@ def commutator_generators(q: Quandle) -> list[Word]:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """D = U*A*V with U, V unimodular; v_inv is the exact inverse of V."""
+    """D = U*A*V, U and V unimodular, v_inv = V^-1; U and v_inv by sparse rows, V by sparse columns."""
 
     d: tuple
     u: tuple
@@ -149,14 +149,6 @@ def _is_inverse_pair(rows, cols) -> bool:
     return True
 
 
-def _dense(rows, size: int) -> tuple:
-    out = [[0] * size for _ in rows]
-    for dense, row in zip(out, rows):
-        for j, x in row.items():
-            dense[j] = x
-    return tuple(map(tuple, out))
-
-
 def smith_normal_form(matrix) -> SmithForm:
     """Diagonalize an integer matrix with certified transforms.
 
@@ -167,9 +159,10 @@ def smith_normal_form(matrix) -> SmithForm:
     the first one.  A pivot of 1 divides every entry, so the divisibility
     scan is skipped under it.  Every elementary operation on U or V applies
     its inverse to a running U^-1 or V^-1, all held as sparse rows or
-    columns.  Before returning, U*U^-1 = I, V^-1*V = I and U*A*V = D are
-    re-checked exactly, so a returned SmithForm is a verified certificate,
-    not just a claim.
+    columns.  Before returning, U*U^-1 = I and V^-1*V = I are re-checked
+    exactly, and then A = U^-1*D*V^-1 as a sum of sparse outer products,
+    which given those inverses is U*A*V = D.  So a returned SmithForm is a
+    verified certificate, not just a claim.
     """
     original = [list(map(int, row)) for row in matrix]
     m = len(original)
@@ -261,26 +254,21 @@ def smith_normal_form(matrix) -> SmithForm:
 
     if not _is_inverse_pair(u, u_inv) or not _is_inverse_pair(v_inv, v):
         raise AssertionError("transform matrices lost unimodularity")
-    dense_v = tuple(zip(*_dense(v, n)))
-    for i, row in enumerate(u):
-        ua = [0] * n
-        for k, x in row.items():
-            for j, y in enumerate(original[k]):
-                ua[j] += x * y
-        uav = [0] * n
-        for k, x in enumerate(ua):
-            if x:
-                for j, y in enumerate(dense_v[k]):
-                    uav[j] += x * y
-        if uav != a[i]:
-            raise AssertionError("certificate U*A*V = D failed to re-verify")
+    product = [[0] * n for _ in range(m)]  # U^-1 * D * V^-1
+    entries = [(i, j, x) for i, row in enumerate(a) if any(row) for j, x in enumerate(row) if x]
+    for i, j, x in entries:
+        for r, y in u_inv[i].items():
+            for k, z in v_inv[j].items():
+                product[r][k] += x * y * z
+    if product != original:
+        raise AssertionError("certificate U*A*V = D failed to re-verify")
 
     factors = tuple(a[i][i] for i in range(min(m, n)) if a[i][i] != 0)
     return SmithForm(
         d=tuple(tuple(row) for row in a),
-        u=_dense(u, m),
-        v=dense_v,
-        v_inv=_dense(v_inv, n),
+        u=tuple(u),
+        v=tuple(v),
+        v_inv=tuple(v_inv),
         invariant_factors=factors,
         free_rank=n - len(factors),
     )

@@ -495,6 +495,13 @@ def test_h2_known_values():
     assert compute_h2(R3, (3,))[0] == ()
 
 
+def test_h2_over_a_large_prime_modulus():
+    """Factoring the modulus stops trial division at its square root."""
+    p = 1_000_000_007
+    assert compute_h2(T2, (p,))[0] == (p, p)
+    assert compute_h2(T2, (2 * p,))[0] == (2 * p, 2 * p)
+
+
 def test_h2_zero_class_extension_is_product():
     mu = zero_abelian(R3, (2,))
     assert extend(abelian_to_constant(mu)).table == extend(trivial_cocycle(R3, 2)).table
@@ -511,6 +518,18 @@ def test_h2_reps_link_to_constant_classes():
 def test_h2_cap():
     with pytest.raises(CapExceeded):
         compute_h2(build("trivial", 9), (2,))
+
+
+TETRAHEDRAL = next(q for q in enumerate_quandles(4) if len(orbit_partition(q)) == 1)
+
+
+@pytest.mark.parametrize("base, moduli", [(T2, (2,)), (TETRAHEDRAL, (2,)), (TETRAHEDRAL, (4, 6))])
+def test_h2_that_loses_a_cyclic_piece_fails_universal_coefficients(monkeypatch, base, moduli):
+    """T2 has free pieces only; the tetrahedral quandle's pieces come from H_2 = Z_2."""
+    real = cocyclemod._h2_single
+    monkeypatch.setattr(cocyclemod, "_h2_single", lambda q, m, cond: real(q, m, cond)[1:])
+    with pytest.raises(AssertionError, match="universal-coefficient"):
+        compute_h2(base, moduli)
 
 
 @pytest.mark.parametrize("moduli", [(2,), (2, 3), (4, 1, 3), (2, 3, 5)])
@@ -694,12 +713,13 @@ def test_h2_with_coefficients_prime_to_inn_is_free_of_betti_rank():
     bases = ([q for n in range(1, 6) for q in enumerate_quandles(n)]
              + [build("dihedral", n) for n in range(6, 10)]
              + [build("trivial", n) for n in (6, 7)])
+    pairs = [(q, p) for q in bases for p in (2, 3, 5, 7)]
+    pairs.append((build("dihedral", 12), 5))  # past the default order cap of 8
     cases = 0
-    for q in bases:
-        o = len(orbit_partition(q))
-        for p in (2, 3, 5, 7):
-            if inn(q).order % p:
-                factors, _ = compute_h2(q, (p,), max_order=q.order)
-                assert factors == (p,) * (o * o - o), (q.table, p)
-                cases += 1
-    assert cases == 113
+    for q, p in pairs:
+        if inn(q).order % p:
+            o = len(orbit_partition(q))
+            factors, _ = compute_h2(q, (p,), max_order=q.order)
+            assert factors == (p,) * (o * o - o), (q.table, p)
+            cases += 1
+    assert cases == 114

@@ -127,6 +127,19 @@ def matmul(a, b):
     ]
 
 
+def dense_transforms(s) -> tuple:
+    """U, V and V^-1 of a SmithForm as dense lists of rows."""
+    def dense(vectors, size):
+        out = [[0] * size for _ in vectors]
+        for row, vec in zip(out, vectors):
+            for k, x in vec.items():
+                row[k] = x
+        return out
+
+    n = len(s.v)
+    return dense(s.u, len(s.u)), [list(row) for row in zip(*dense(s.v, n))], dense(s.v_inv, n)
+
+
 def test_smith_normal_form_certificate_on_random_matrices():
     rng = random.Random(31)
     for _ in range(40):
@@ -135,7 +148,8 @@ def test_smith_normal_form_certificate_on_random_matrices():
         a = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
         s = smith_normal_form(a)
         d = [list(r) for r in s.d]
-        assert matmul(matmul([list(r) for r in s.u], a), [list(r) for r in s.v]) == d
+        u, v, _ = dense_transforms(s)
+        assert matmul(matmul(u, a), v) == d
         diag = [d[i][i] for i in range(min(m, n))]
         assert all(x >= 0 for x in diag)
         for i in range(len(diag) - 1):
@@ -215,11 +229,11 @@ def fraction_inverse(mat) -> list:
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(SMALL_MATRICES, TALL_MATRICES))
 def test_v_inv_is_the_inverse_of_v(mat):
-    s = smith_normal_form(mat)
+    _, v, v_inv = dense_transforms(smith_normal_form(mat))
     n = len(mat[0])
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    assert matmul(s.v, s.v_inv) == identity
-    assert [list(row) for row in s.v_inv] == fraction_inverse(s.v)
+    assert matmul(v, v_inv) == identity
+    assert v_inv == fraction_inverse(v)
 
 
 # Nonsingular, so D has no zero row or column and dropping any one
