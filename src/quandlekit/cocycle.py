@@ -10,6 +10,10 @@ extensions, and computes H^2 with finite abelian coefficients by exact
 integer linear algebra.
 
 Permutation products follow the package convention: (p*q)(x) = p(q(x)).
+Inside the module a fiber permutation is an integer id of a `_Numbering`,
+one per call, which composes two ids by a memoized lookup; `Perm` appears
+only at the API boundary (`ConstantCocycle.table`, the arguments of `act`
+and `lift`, witnesses, stabilizer pairs and `to_json`).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     require_ints,
     require_list,
 )
-from .perm import DEFAULT_ORDER_CAP, Perm, PermGroup
+from .perm import DEFAULT_ORDER_CAP, Perm, PermGroup, _invert
 from .quandle import Quandle, _require_automorphism, aut, orbit_partition
 
 # Largest coefficient group whose translations abelian_to_constant builds.
@@ -37,6 +41,9 @@ DEFAULT_FIBER_CAP = 64
 
 # Largest fiber of cocycle_stabilizer; it caps the fiber only.
 _STABILIZER_CAP = 9
+
+# Trial division bound of `_coprime_base`: coefficient orders under its square factor into primes.
+_TRIAL_BOUND = 2**16
 
 # Largest work bound of are_cohomologous: (fiber size)! candidates at one root
 # per orbit, each flood visiting at most |orbit| * n pairs, so s! * n**2 in all.
@@ -107,6 +114,92 @@ def _check_conditions(base: Quandle, table, zero, failures) -> None:
         raise CocycleViolation(*triple)
 
 
+class _Products(dict):
+    """Row `left` of a numbering's product table: right id -> id of the product.
+
+    A product is composed the first time it is looked up, and kept.
+    """
+
+    __slots__ = ("numbering", "left")
+
+    def __init__(self, numbering: "_Numbering", left: int):
+        super().__init__()
+        self.numbering = numbering
+        self.left = left
+
+    def __missing__(self, right: int) -> int:
+        images = self.numbering.images
+        p = images[self.left]
+        product = self[right] = self.numbering.number(tuple([p[t] for t in images[right]]))
+        return product
+
+
+class _Numbering:
+    """The permutations of one fiber that a call meets, numbered in the order met.
+
+    Inside this module a fiber permutation is its id: `images[i]` is the
+    image tuple of id i, id 0 is the identity, and `products[i][j]` is the id
+    of images[i] * images[j].  Products and inverses are composed on their
+    first request and memoized by id, never laid out as an s! x s! table,
+    since fibers reach 64 points.  `perm(i)` makes the one `Perm` of id i,
+    for the API boundary only.
+    """
+
+    __slots__ = ("fiber_size", "images", "ids", "products", "_inverses", "_perms")
+
+    def __init__(self, fiber_size: int):
+        self.fiber_size = fiber_size
+        self.images: list = []
+        self.ids: dict = {}
+        self.products: list = []
+        self._inverses: dict = {}
+        self._perms: dict = {}
+        self.number(tuple(range(fiber_size)))
+
+    def number(self, images: tuple) -> int:
+        """The id of an image tuple, new if the tuple is."""
+        i = self.ids.get(images)
+        if i is None:
+            i = self.ids[images] = len(self.images)
+            self.images.append(images)
+            self.products.append(_Products(self, i))
+        return i
+
+    def numbered(self, table) -> tuple:
+        """A table of `Perm`s as rows of ids."""
+        number = self.number
+        return tuple(tuple(number(p.images) for p in row) for row in table)
+
+    def inverse(self, i: int) -> int:
+        j = self._inverses.get(i)
+        if j is None:
+            j = self._inverses[i] = self.number(_invert(self.images[i]))
+            self._inverses[j] = i
+        return j
+
+    def perm(self, i: int) -> Perm:
+        p = self._perms.get(i)
+        if p is None:
+            p = self._perms[i] = Perm._trusted(self.images[i])
+        return p
+
+    def table(self, ids) -> tuple:
+        """Rows of ids as a table of `Perm`s."""
+        perm = self.perm
+        return tuple(tuple(map(perm, row)) for row in ids)
+
+
+def _checked(base: Quandle, numbering: _Numbering, ids) -> ConstantCocycle:
+    """The cocycle with the id table `ids`, once its diagonal and every condition hold."""
+    flat = [i for row in ids for i in row]
+    products = numbering.products
+    _check_conditions(base, ids, 0, (
+        triple for triple, (i, j, k, l) in _conditions(base.table)
+        if products[flat[i]][flat[j]] != products[flat[k]][flat[l]]
+    ))
+    return ConstantCocycle(base, numbering.fiber_size, numbering.table(ids))
+
+
 def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
     """Check the diagonal and pair-coherence conditions, with witnesses."""
     if require_int(fiber_size, "cocycle fiber") < 1:
@@ -124,13 +217,8 @@ def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
     )
     if any(len(p.images) != fiber_size for row in a for p in row):
         raise ValueError("cocycle entries must permute the fiber")
-    flat = [p for row in a for p in row]
-    mul = Perm.__mul__  # called directly, skipping the dispatch of the * operator
-    _check_conditions(base, a, Perm.identity(fiber_size), (
-        triple for triple, (i, j, k, l) in _conditions(base.table)
-        if mul(flat[i], flat[j]) != mul(flat[k], flat[l])
-    ))
-    return ConstantCocycle(base, fiber_size, a)
+    numbering = _Numbering(fiber_size)
+    return _checked(base, numbering, numbering.numbered(a))
 
 
 def trivial_cocycle(base: Quandle, fiber_size: int) -> ConstantCocycle:
@@ -182,7 +270,12 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
             f"lambda search work {s}! * {n}**2 (fiber permutations times pairs)"
             f" exceeds cap {_LAMBDA_SEARCH_CAP}"
         )
-    candidates = [Perm(p) for p in itertools.permutations(range(s))]
+    numbering = _Numbering(s)
+    products = numbering.products
+    a = numbering.numbered(alpha.table)
+    b = numbering.numbered(beta.table)
+    a_inverses = [[numbering.inverse(i) for i in row] for row in a]
+    candidates = [numbering.number(p) for p in itertools.permutations(range(s))]
 
     lam: list = [None] * n
 
@@ -194,9 +287,10 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
             ok = True
             while queue and ok:
                 x = queue.pop()
+                bx, lx, ax, tx = b[x], assignment[x], a_inverses[x], t[x]
                 for y in range(n):
-                    forced = beta.table[x][y] * assignment[x] * alpha.table[x][y].inverse()
-                    target = t[x][y]
+                    forced = products[products[bx[y]][lx]][ax[y]]
+                    target = tx[y]
                     if target in assignment:
                         if assignment[target] != forced:
                             ok = False
@@ -213,19 +307,22 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
     for block in orbit_partition(alpha.base):
         if not settle_orbit(block):
             return None
-    witness = tuple(lam)
-    if _transport(Perm.identity(n), witness, alpha) != beta.table:
+    if _transport(numbering, t, range(n), lam, a) != b:
         raise AssertionError("lambda witness failed re-verification")
-    return witness
+    return tuple(map(numbering.perm, lam))
 
 
-def _transport(phi: Perm, thetas, alpha: ConstantCocycle) -> tuple:
-    """The table beta(phi x, phi y) = thetas[x*y] alpha(x, y) thetas[x]^-1, unvalidated."""
-    t = alpha.base.table
-    pinv = phi.inverse().images
-    inverses = [theta.inverse() for theta in thetas]
+def _transport(numbering: _Numbering, t, pinv, thetas, a) -> tuple:
+    """Ids of beta(phi x, phi y) = thetas[x*y] a(x, y) thetas[x]^-1, unvalidated.
+
+    `a` and `thetas` are ids of `numbering`, `t` is the base table and
+    `pinv` lists the images of phi^-1.
+    """
+    products = numbering.products
+    inverses = [numbering.inverse(theta) for theta in thetas]
     return tuple(
-        tuple(thetas[t[x][y]] * alpha.table[x][y] * inverses[x] for y in pinv) for x in pinv
+        tuple(products[products[thetas[t[x][y]]][a[x][y]]][inverses[x]] for y in pinv)
+        for x in pinv
     )
 
 
@@ -240,7 +337,15 @@ def act(phi: Perm, thetas, alpha: ConstantCocycle) -> ConstantCocycle:
         raise ValueError(f"need one fiber permutation per base element, got {len(thetas)}")
     if any(len(theta.images) != alpha.fiber_size for theta in thetas):
         raise ValueError("every theta must permute the fiber")
-    return validate_constant(alpha.base, alpha.fiber_size, _transport(phi, thetas, alpha))
+    numbering = _Numbering(alpha.fiber_size)
+    beta = _transport(
+        numbering,
+        alpha.base.table,
+        _invert(phi.images),
+        [numbering.number(theta.images) for theta in thetas],
+        numbering.numbered(alpha.table),
+    )
+    return _checked(alpha.base, numbering, beta)
 
 
 def cocycle_stabilizer(alpha: ConstantCocycle) -> list:
@@ -262,14 +367,17 @@ def cocycle_stabilizer(alpha: ConstantCocycle) -> list:
     group = aut(alpha.base, cap=n)
     if group.order > DEFAULT_ORDER_CAP:
         raise CapExceeded(f"Aut(base) order {group.order} exceeds cap {DEFAULT_ORDER_CAP}")
-    gauged = [
-        (theta, _transport(Perm.identity(n), (theta,) * n, alpha))
-        for theta in map(Perm, itertools.permutations(range(s)))
-    ]
+    numbering = _Numbering(s)
+    t = alpha.base.table
+    a = numbering.numbered(alpha.table)
+    gauged = []
+    for images in itertools.permutations(range(s)):
+        theta = numbering.number(images)
+        gauged.append((theta, _transport(numbering, t, range(n), (theta,) * n, a)))
     pairs = []
     for phi in group:
-        pulled = tuple(tuple(alpha.table[x][y] for y in phi.images) for x in phi.images)
-        pairs += [(phi, theta) for theta, table in gauged if table == pulled]
+        pulled = tuple(tuple(a[x][y] for y in phi.images) for x in phi.images)
+        pairs += [(phi, numbering.perm(theta)) for theta, table in gauged if table == pulled]
     joined = [phi.images + tuple(n + t for t in theta.images) for phi, theta in pairs]
     if PermGroup.generated(n + s, joined).order != len(pairs):
         raise AssertionError("stabilizer pairs do not form a group")
@@ -283,7 +391,9 @@ def all_constant_cocycles(base: Quandle, fiber_size: int, cap: int = 10**6) -> l
     """
     n = base.order
     t = base.table
-    candidates = [Perm(p) for p in itertools.permutations(range(fiber_size))]
+    numbering = _Numbering(fiber_size)
+    products = numbering.products
+    candidates = [numbering.number(p) for p in itertools.permutations(range(fiber_size))]
     # the off-diagonal pairs, as positions x*n + y of the flattened table
     free = [x * n + y for x in range(n) for y in range(n) if x != y]
     slot = {pos: i for i, pos in enumerate(free)}
@@ -295,25 +405,27 @@ def all_constant_cocycles(base: Quandle, fiber_size: int, cap: int = 10**6) -> l
         if last >= 0:
             due[last].append(positions)
 
-    ident = Perm.identity(fiber_size)
-    entries = [ident] * (n * n)
+    entries = [0] * (n * n)  # the identity everywhere
     out = []
     tried = 0
 
     def rec(k: int):
         nonlocal tried
         if k == len(free):
-            rows = tuple(tuple(entries[x * n:(x + 1) * n]) for x in range(n))
-            out.append(validate_constant(base, fiber_size, rows))
+            ids = tuple(tuple(entries[x * n:(x + 1) * n]) for x in range(n))
+            out.append(_checked(base, numbering, ids))
             return
         tried += len(candidates)
         if tried > cap:
             raise CapExceeded(f"cocycle search tried {tried} candidate entries, over cap {cap}")
         for p in candidates:
             entries[free[k]] = p
-            if all(entries[i] * entries[j] == entries[u] * entries[v] for i, j, u, v in due[k]):
+            if all(
+                products[entries[i]][entries[j]] == products[entries[u]][entries[v]]
+                for i, j, u, v in due[k]
+            ):
                 rec(k + 1)
-        entries[free[k]] = ident
+        entries[free[k]] = 0
 
     rec(0)
     return out
@@ -407,19 +519,57 @@ def abelian_to_constant(mu: AbelianCocycle, cap: int = DEFAULT_FIBER_CAP) -> Con
 # ---------------------------------------------------------------------------
 
 
-def _prime_powers(k: int):
-    """Yield the prime-power parts (p, p^e) of a positive integer k, by trial division."""
-    p = 2
-    while p * p <= k:
+def _coprime_base(numbers) -> list:
+    """Pairwise coprime integers above 1, ascending, over which each of `numbers` factors.
+
+    Each of the positive `numbers` is a product of powers of the base.  Two
+    parts with a common factor g are replaced by g and their cofactors
+    until no two share one (E. Bach and J. Shallit, Algorithmic Number
+    Theory, 1996, section 4.8); each part is then split by trial division
+    below `_TRIAL_BOUND`.  So every part under `_TRIAL_BOUND`**2 is prime,
+    and a part with no factor under the bound is kept whole: the parts stay
+    coprime, which is all the decomposition needs, at no more than
+    `_TRIAL_BOUND` / 2 divisions per part.
+    """
+    base: list = []
+    pending = sorted({k for k in numbers if k > 1})
+    while pending:
+        k = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(k, b)
+            if g > 1:
+                del base[i]
+                pending += [f for f in (g, b // g, k // g) if f > 1]
+                break
+        else:
+            base.append(k)
+    split = []
+    for k in base:
+        p = 2
+        while p * p <= k and p < _TRIAL_BOUND:
+            if k % p == 0:
+                split.append(p)
+                while k % p == 0:
+                    k //= p
+            p += 1 if p == 2 else 2
+        if k > 1:
+            split.append(k)
+    return sorted(split)
+
+
+def _base_powers(k: int, base) -> list:
+    """The parts (b, b^e) of k over a coprime base: b^e divides k, b^(e+1) does not, e >= 1."""
+    parts = []
+    for b in base:
         power = 1
-        while k % p == 0:
-            k //= p
-            power *= p
+        while k % b == 0:
+            k //= b
+            power *= b
         if power > 1:
-            yield p, power
-        p += 1 if p == 2 else 2
-    if k > 1:
-        yield k, k  # no factor up to its square root, so k is prime
+            parts.append((b, power))
+    if k != 1:
+        raise AssertionError("a number does not factor over its coprime base")
+    return parts
 
 
 def _condition_form(q: Quandle):
@@ -455,8 +605,17 @@ def _h2_single(q: Quandle, m: int, cond) -> list:
     scale = [m // gcd(d, m) for d in cond.invariant_factors]
     scale += [1] * (big - len(scale))
 
+    # V^-1 by sparse columns: columns[j] lists the (row, entry) pairs of column j
+    columns = [[] for _ in range(big)]
+    for i, row in enumerate(cond.v_inv):
+        for j, c in row.items():
+            columns[j].append((i, c))
+
     def to_lattice_coords(vec: dict) -> list:
-        raw = [sum(row.get(j, 0) * c for j, c in vec.items()) for row in cond.v_inv]
+        raw = [0] * big
+        for j, c in vec.items():
+            for i, v in columns[j]:
+                raw[i] += v * c
         out = []
         for val, e in zip(raw, scale):
             if val % e:
@@ -494,8 +653,10 @@ def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
 
     Coefficients split componentwise, so each Z_m is solved on its own from
     the one `_condition_form` of the base and the cyclic pieces are
-    recombined into ascending invariant factors; each representative is a
-    validated cocycle of exactly that order in H^2.  The factors are checked
+    recombined into ascending invariant factors over a coprime base of their
+    orders (`_coprime_base`), which needs no full factorization; each
+    representative is a validated cocycle of exactly that order in H^2.
+    The factors are checked
     against universal coefficients: H_2(Q) = Z^(o^2 - o) + T for o orbits,
     where T has the invariant factors t of `_condition_form`, so
     H^2(Q, Z_m) = Z_m^(o^2 - o) + sum_t Z_gcd(t, m).
@@ -508,27 +669,34 @@ def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
     r = len(moduli)
     n = q.order
     cond = _condition_form(q)
+    pieces = [
+        (order, c, flat)
+        for c, m in enumerate(moduli) if m > 1
+        for order, flat in _h2_single(q, m, cond)
+    ]
+    o = len(orbit_partition(q))
+    predicted = [m for m in moduli for _ in range(o * o - o)]
+    predicted += [gcd(t, m) for m in moduli for t in cond.invariant_factors]
+    base = _coprime_base([order for order, _, _ in pieces] + predicted)
 
-    # prime-power parts (power, coordinate, flat residues) of each cyclic piece
-    prime_buckets: dict = {}
-    for c, m in enumerate(moduli):
-        if m == 1:
-            continue
-        for order, flat in _h2_single(q, m, cond):
-            for p, power in _prime_powers(order):
-                k = order // power
-                prime_buckets.setdefault(p, []).append((power, c, [k * v % m for v in flat]))
+    # the parts (power, coordinate, flat residues) of each cyclic piece, by base element
+    buckets: dict = {}
+    for order, c, flat in pieces:
+        m = moduli[c]
+        for b, power in _base_powers(order, base):
+            k = order // power
+            buckets.setdefault(b, []).append((power, c, [k * v % m for v in flat]))
 
-    for bucket in prime_buckets.values():
+    for bucket in buckets.values():
         bucket.sort(key=lambda part: -part[0])
 
-    depth = max((len(b) for b in prime_buckets.values()), default=0)
+    depth = max((len(b) for b in buckets.values()), default=0)
     factors = []
     reps = []
     for i in range(depth):
         order = 1
         cells = [[0] * r for _ in range(n * n)]
-        for bucket in prime_buckets.values():
+        for bucket in buckets.values():
             if i < len(bucket):
                 power, c, flat = bucket[i]
                 order *= power
@@ -539,10 +707,8 @@ def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
     factors.reverse()
     reps.reverse()
 
-    o = len(orbit_partition(q))
-    predicted = [m for m in moduli for _ in range(o * o - o)]
-    predicted += [gcd(t, m) for m in moduli for t in cond.invariant_factors]
-    parts = [sorted(pp for k in orders for pp in _prime_powers(k)) for orders in (predicted, factors)]
+    parts = [sorted(pp for k in orders for pp in _base_powers(k, base))
+             for orders in (predicted, factors)]
     if parts[0] != parts[1]:
         raise AssertionError("H^2 disagrees with its universal-coefficient prediction")
     return tuple(factors), reps

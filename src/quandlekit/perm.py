@@ -283,14 +283,32 @@ class _Chain:
         G^(k) fixes 0, ..., k-1, so its elements agree with g there, and
         g G^(k) is the disjoint union of the cosets g u_d G^(k+1), for u_d in
         level k's transversal, whose elements all send k to g(d).  So sorting
-        level k's basic orbit by g orders the cosets.
+        level k's basic orbit by g orders the cosets.  A level whose basic
+        orbit is {k} has one coset and composes nothing, so the walk skips
+        it.  It descends the other levels with one iterator per level on a
+        stack, so each element is yielded from one frame, not passed up
+        through one frame per level.
         """
-        if k == self.degree:
+        levels = [j for j in range(k, self.degree) if len(self.reps[j]) > 1]
+        if not levels:
             yield g
             return
-        reps = self.reps[k]
-        for d in sorted(reps, key=g.__getitem__):
-            yield from self.walk(g if d == k else _compose(g, reps[d]), k + 1)
+
+        def cosets(h, depth):
+            j = levels[depth]
+            reps = self.reps[j]
+            return (h if d == j else _compose(h, reps[d]) for d in sorted(reps, key=h.__getitem__))
+
+        stack = [cosets(g, 0)]
+        while stack:
+            if len(stack) == len(levels):
+                yield from stack.pop()
+            else:
+                h = next(stack[-1], None)
+                if h is None:
+                    stack.pop()
+                else:
+                    stack.append(cosets(h, len(stack)))
 
     def greedy_generators(self) -> list[tuple[int, ...]]:
         """The sorted elements each outside the span of those before, found without listing G.

@@ -277,6 +277,14 @@ def test_h2_trivial_two(capsys):
     assert len(report["results"]["representatives"]) == 2
 
 
+def test_h2_over_the_square_of_a_large_prime(capsys):
+    # (10**9 + 7)**2 has no prime factor below 10**9, so trial division cannot factor it
+    m = (10**9 + 7) ** 2
+    code, report = report_of(["h2", "--trivial", "2", "--coeff", f"Z{m}"], capsys)
+    assert code == 0
+    assert report["results"]["invariant_factors"] == [m, m]
+
+
 def test_h2_bad_coefficient_spec(capsys):
     code, captured = invoke(["h2", "--trivial", "2", "--coeff", "Q8"], capsys)
     assert code == 2

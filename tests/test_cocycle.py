@@ -231,10 +231,10 @@ def test_stabilizer_refuses_an_aut_over_the_element_cap_before_walking_it(monkey
 
 def test_stabilizer_certificate_rejects_pairs_that_are_not_a_group(monkeypatch):
     # fixing exactly the thetas {identity, one 3-cycle} is not closed under products
-    kept = {Perm.identity(3), Perm((1, 2, 0))}
+    kept = {(0, 1, 2), (1, 2, 0)}
 
-    def transport(phi, thetas, alpha):
-        return alpha.table if thetas[0] in kept else None
+    def transport(numbering, t, pinv, thetas, a):
+        return a if numbering.images[thetas[0]] in kept else None
 
     monkeypatch.setattr(cocyclemod, "_transport", transport)
     with pytest.raises(AssertionError, match="do not form a group"):
@@ -502,6 +502,21 @@ def test_h2_over_a_large_prime_modulus():
     assert compute_h2(T2, (2 * p,))[0] == (2 * p, 2 * p)
 
 
+def test_h2_over_products_of_large_primes():
+    """Coefficient orders with no prime factor below 2**16 split only where they share one."""
+    p, q = 1_000_000_007, 1_000_000_009
+    assert compute_h2(T2, (p * p,))[0] == (p * p,) * 2
+    assert compute_h2(T2, (p * q, p))[0] == (p, p, p * q, p * q)
+    assert compute_h2(T2, (4 * p * q, 2 * q))[0] == (2 * q, 2 * q, 4 * p * q, 4 * p * q)
+    # over a trivial base no coboundary is nonzero, so a representative has its
+    # factor's order exactly when its cells do
+    factors, reps = compute_h2(T2, (p * q,))
+    assert factors == (p * q, p * q)
+    for rep in reps:
+        cells = [v[0] for row in rep.table for v in row]
+        assert all(any(k * v % (p * q) for v in cells) for k in (p, q))
+
+
 def test_h2_zero_class_extension_is_product():
     mu = zero_abelian(R3, (2,))
     assert extend(abelian_to_constant(mu)).table == extend(trivial_cocycle(R3, 2)).table
@@ -574,6 +589,50 @@ def test_one_changed_cell_fails_at_the_first_broken_triple(alpha, data):
         st.sampled_from([(x, y) for x in range(n) for y in range(n) if x != y])
     )
     p = data.draw(st.sampled_from([Perm(i) for i in itertools.permutations(range(s))]))
+    table = [list(row) for row in alpha.table]
+    table[x][y] = p
+    expected = first_cocycle_violation(alpha.base.table, table)
+    if expected is None:
+        assert validate_constant(alpha.base, s, table).table[x][y] == p
+    else:
+        with pytest.raises(CocycleViolation) as e:
+            validate_constant(alpha.base, s, table)
+        assert e.value.triple == expected
+
+
+# Valid cocycles on fibers of 4 to 8 points: coboundaries of the trivial
+# cocycle, and the translation cocycles of H^2 representatives, each twisted.
+_WIDE_RNG = random.Random(41)
+WIDE_COCYCLES = [
+    push_through_lambda(alpha, random_lambda(_WIDE_RNG, alpha.base.order, alpha.fiber_size))
+    for alpha in (
+        [trivial_cocycle(base, s)
+         for base in (T2, build("trivial", 3), R3, build("dihedral", 4)) for s in range(4, 9)]
+        + [abelian_to_constant(rep)
+           for base in (T2, build("trivial", 3), build("dihedral", 4))
+           for moduli in ((4,), (5,), (2, 3), (7,), (8,), (2, 4))
+           for rep in compute_h2(base, moduli)[1]]
+    )
+]
+
+# Translation cocycles with values in Z8 x Z8, on a fiber of 64 points.
+Z8Z8_COCYCLES = [
+    abelian_to_constant(rep)
+    for base in (T2, build("dihedral", 4))
+    for rep in compute_h2(base, (8, 8))[1]
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(WIDE_COCYCLES), st.sampled_from(Z8Z8_COCYCLES)), st.data())
+def test_wide_fibers_fail_at_the_first_broken_triple(alpha, data):
+    n, s = alpha.base.order, alpha.fiber_size
+    x, y = data.draw(
+        st.sampled_from([(x, y) for x in range(n) for y in range(n) if x != y])
+    )
+    cells = [p for other in WIDE_COCYCLES + Z8Z8_COCYCLES if other.fiber_size == s
+             for row in other.table for p in row]
+    p = data.draw(st.one_of(st.sampled_from(cells), st.permutations(range(s)).map(Perm)))
     table = [list(row) for row in alpha.table]
     table[x][y] = p
     expected = first_cocycle_violation(alpha.base.table, table)
@@ -672,6 +731,86 @@ def test_act_is_the_gauge_action_that_lift_realizes(seed, rng):
     composite = tuple(thetas1[phi2(x)] * thetas2[x] for x in range(n))
     assert act(phi1, thetas1, beta).table == act(phi1 * phi2, composite, alpha).table
     assert lift(phi1, thetas1, s) * gamma == lift(phi1 * phi2, composite, s)
+
+
+def oracle_cohomologous(alpha, beta):
+    """The lambda search on `Perm` products: per orbit, the first root candidate that floods."""
+    n, s, t = alpha.base.order, alpha.fiber_size, alpha.base.table
+    candidates = [Perm(p) for p in itertools.permutations(range(s))]
+    lam = [None] * n
+    for block in orbit_partition(alpha.base):
+        for choice in candidates:
+            assignment = {block[0]: choice}
+            queue = [block[0]]
+            ok = True
+            while queue and ok:
+                x = queue.pop()
+                for y in range(n):
+                    forced = beta.table[x][y] * assignment[x] * alpha.table[x][y].inverse()
+                    target = t[x][y]
+                    if target not in assignment:
+                        assignment[target] = forced
+                        queue.append(target)
+                    elif assignment[target] != forced:
+                        ok = False
+                        break
+            if ok and len(assignment) == len(block):
+                for x, p in assignment.items():
+                    lam[x] = p
+                break
+        else:
+            return None
+    return tuple(lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GAUGE_SEEDS), st.sampled_from(GAUGE_SEEDS), st.randoms(use_true_random=False))
+def test_cohomologous_witness_matches_the_perm_product_search(seed, other, rng):
+    n, s = seed.base.order, seed.fiber_size
+    alpha = push_through_lambda(seed, random_lambda(rng, n, s))
+    beta = push_through_lambda(seed, random_lambda(rng, n, s))
+    assert are_cohomologous(alpha, beta) == oracle_cohomologous(alpha, beta) is not None
+    if other.base.table == seed.base.table and other.fiber_size == s:
+        gamma = push_through_lambda(other, random_lambda(rng, n, s))
+        assert are_cohomologous(alpha, gamma) == oracle_cohomologous(alpha, gamma)
+
+
+def oracle_constant_cocycles(base, s):
+    """The backtrack over off-diagonal pairs on `Perm` products, checking each condition in full."""
+    n, t = base.order, base.table
+    candidates = [Perm(p) for p in itertools.permutations(range(s))]
+    free = [(x, y) for x in range(n) for y in range(n) if x != y]
+    table = [[Perm.identity(s)] * n for _ in range(n)]
+    assigned = set((x, x) for x in range(n))
+    found = []
+
+    def holds(x, y, z):
+        pairs = ((t[x][y], z), (x, y), (t[x][z], t[y][z]), (x, z))
+        if not assigned.issuperset(pairs):
+            return True
+        return table[t[x][y]][z] * table[x][y] == table[t[x][z]][t[y][z]] * table[x][z]
+
+    def rec(k):
+        if k == len(free):
+            found.append(tuple(tuple(row) for row in table))
+            return
+        x, y = free[k]
+        assigned.add((x, y))
+        for p in candidates:
+            table[x][y] = p
+            if all(holds(*triple) for triple in itertools.product(range(n), repeat=3)):
+                rec(k + 1)
+        assigned.discard((x, y))
+        table[x][y] = Perm.identity(s)
+
+    rec(0)
+    return found
+
+
+@pytest.mark.parametrize("base", [T2, R3], ids=["trivial2", "dihedral3"])
+@pytest.mark.parametrize("s", [2, 3])
+def test_all_constant_cocycles_match_the_perm_product_backtrack(base, s):
+    assert [a.table for a in all_constant_cocycles(base, s)] == oracle_constant_cocycles(base, s)
 
 
 def test_act_refuses_thetas_of_the_wrong_count_or_degree():
