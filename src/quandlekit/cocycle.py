@@ -5,15 +5,15 @@ permutation of a fiber set; the two validity conditions are exactly what
 makes the twisted product on pairs a quandle again.  This module validates
 cocycles, builds the extension quandles, searches for cohomologous
 witnesses, implements the gauge action of a base automorphism and fiber
-permutations with its stabilizers and the lift that realizes it on the
-extensions, and computes H^2 with finite abelian coefficients by exact
-integer linear algebra.
+permutations and the lift that realizes it on the extensions, and computes
+H^2 with finite abelian coefficients by exact integer linear algebra.  A
+cocycle's stabilizer is found by the automorphism search of `quandle.aut`.
 
 Permutation products follow the package convention: (p*q)(x) = p(q(x)).
 Inside the module a fiber permutation is an integer id of a `_Numbering`,
 one per call, which composes two ids by a memoized lookup; `Perm` appears
 only at the API boundary (`ConstantCocycle.table`, the arguments of `act`
-and `lift`, witnesses, stabilizer pairs and `to_json`).
+and `lift`, witnesses and `to_json`).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .errors import (
     require_ints,
     require_list,
 )
-from .perm import DEFAULT_ORDER_CAP, Perm, PermGroup, _invert
-from .quandle import Quandle, _require_automorphism, aut, orbit_partition
+from .perm import Perm, PermGroup, _invert
+from .quandle import Quandle, _automorphisms, _require_automorphism, orbit_partition
 
 # Largest coefficient group whose translations abelian_to_constant builds.
 DEFAULT_FIBER_CAP = 64
@@ -222,8 +222,7 @@ def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
 
 
 def trivial_cocycle(base: Quandle, fiber_size: int) -> ConstantCocycle:
-    ident = Perm.identity(fiber_size)
-    row = (ident,) * base.order
+    row = (Perm.identity(fiber_size),) * base.order
     return ConstantCocycle(base, fiber_size, (row,) * base.order)
 
 
@@ -348,40 +347,41 @@ def act(phi: Perm, thetas, alpha: ConstantCocycle) -> ConstantCocycle:
     return _checked(alpha.base, numbering, beta)
 
 
-def cocycle_stabilizer(alpha: ConstantCocycle) -> list:
-    """All pairs (phi, theta) whose gauge action fixes the cocycle table.
+def cocycle_stabilizer(alpha: ConstantCocycle) -> PermGroup:
+    """The pairs (phi, theta) with act(phi, (theta,) * n, alpha) == alpha, as a group.
 
-    (phi, theta) is a member exactly when act(phi, (theta,) * n, alpha) ==
-    alpha.  Returns a subgroup of Aut(base) x Sym(fiber) as a list of
-    permutation pairs, sorted since phi and theta are walked in order.  phi
-    only relabels the gauge by theta, so each theta is gauged once and
-    compared with alpha(phi x, phi y).  The chain the pairs generate as
-    phi + (n + theta), of degree n + s, certifies them as a group by its order.
-    Aut(base) is walked element by element, so an order over
-    `DEFAULT_ORDER_CAP` is refused before the walk.
+    A pair is held as phi + (n + theta) on n + s points, so the sorted walk
+    lists the pairs in order.  The group is `_automorphisms` of one table,
+    coloured by kind of point: base points x, fiber points n + u, and
+    extension points (x, u) at n + s + x*s + u.  Column x sends y to y*x
+    and (y, t) to (y*x, alpha(y, x) t); column n + u swaps each x with
+    (x, u); column (x, u) swaps x with n + u.  The swaps force a map that
+    is phi + (n + theta) on the first n + s points to send (x, u) to
+    (phi x, theta u); the base columns then hold exactly when
+    theta alpha(y, x) theta^-1 = alpha(phi y, phi x).  The restriction to
+    those n + s points is thus faithful, and equal chain orders certify it.
     """
-    n = alpha.base.order
-    s = alpha.fiber_size
+    n, s, t = alpha.base.order, alpha.fiber_size, alpha.base.table
     if s > _STABILIZER_CAP:
         raise CapExceeded(f"fiber size {s} exceeds cap {_STABILIZER_CAP}")
-    group = aut(alpha.base, cap=n)
-    if group.order > DEFAULT_ORDER_CAP:
-        raise CapExceeded(f"Aut(base) order {group.order} exceeds cap {DEFAULT_ORDER_CAP}")
-    numbering = _Numbering(s)
-    t = alpha.base.table
-    a = numbering.numbered(alpha.table)
-    gauged = []
-    for images in itertools.permutations(range(s)):
-        theta = numbering.number(images)
-        gauged.append((theta, _transport(numbering, t, range(n), (theta,) * n, a)))
-    pairs = []
-    for phi in group:
-        pulled = tuple(tuple(a[x][y] for y in phi.images) for x in phi.images)
-        pairs += [(phi, numbering.perm(theta)) for theta, table in gauged if table == pulled]
-    joined = [phi.images + tuple(n + t for t in theta.images) for phi, theta in pairs]
-    if PermGroup.generated(n + s, joined).order != len(pairs):
-        raise AssertionError("stabilizer pairs do not form a group")
-    return pairs
+    e = n + s  # the extension point (x, u) is e + x*s + u
+    columns = [
+        [t[y][x] for y in range(n)] + list(range(n, e))
+        + [e + t[y][x] * s + v for y in range(n) for v in alpha.table[y][x].images]
+        for x in range(n)
+    ]
+    swaps = [[(x, e + x * s + u) for x in range(n)] for u in range(s)]  # columns n + u
+    swaps += [[(x, n + u)] for x in range(n) for u in range(s)]  # columns (x, u)
+    for pairs in swaps:
+        column = list(range(e + n * s))
+        for a, b in pairs:
+            column[a], column[b] = b, a
+        columns.append(column)
+    lifts = _automorphisms(list(zip(*columns)), len(columns), [0] * n + [1] * s + [2] * (n * s))
+    group = PermGroup.generated(e, [g[:e] for g in lifts._chain.gens[0]])
+    if group.order != lifts.order:
+        raise AssertionError("the stabilizer's lifts do not restrict faithfully")
+    return group
 
 
 def all_constant_cocycles(base: Quandle, fiber_size: int, cap: int = 10**6) -> list:

@@ -16,8 +16,6 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-DEFAULT_ORDER_CAP = 10**6
-
 
 def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
     """Sorted cycle lengths of a permutation given by its images (fixed points included)."""

@@ -319,21 +319,21 @@ def _base(table, order):
 def _automorphisms(table, cap: int, colours: Sequence[int] | None = None) -> PermGroup:
     """Automorphisms of `table` that keep each element's colour, by a search along a base.
 
-    `table` is any operation table with bijective columns: a quandle or a
-    group.  Every automorphism keeps the invariants of `_element_invariants`
-    (for a group, the cycle type of R_x encodes the order of x), so
-    candidates are filtered by them, extended by each element's colour when
-    colours are given, and every map found keeps them.  The base
-    b_1, ..., b_k is `_base` over the search order of `_iso_images`.
-    Levels are searched deepest first.  At level i the earlier base points
-    are fixed, and one first-match search sends b_i to each candidate v (same
-    invariants) not yet in the orbit of b_i under the generators found so
-    far.  A map found is kept as a generator; a failed v proves that no point
-    of its orbit is an image either, and the orbit is skipped.  The
-    generators then reach the whole orbit of each b_i under the stabilizer of
-    b_1, ..., b_(i-1), so they generate the group, of order the product of
-    those orbit lengths (Seress, Permutation Group Algorithms, 2003, ch. 4;
-    McKay and Piperno, Practical graph isomorphism II, 2014).
+    `table` is any operation table with bijective columns: a quandle, a group,
+    or the coloured table of `cocycle.cocycle_stabilizer`.  Every automorphism
+    keeps the invariants of `_element_invariants` (for a group, the cycle type
+    of R_x encodes the order of x), so candidates are filtered by them,
+    extended by each element's colour when colours are given, and every map
+    found keeps them.  The base b_1, ..., b_k is `_base` over the search order
+    of `_iso_images`.  Levels are searched deepest first.  At level i the
+    earlier base points are fixed, and one first-match search sends b_i to
+    each candidate v (same invariants) not yet in the orbit of b_i under the
+    generators found so far.  A map found is kept as a generator; a failed v
+    proves that no point of its orbit is an image either, and the orbit is
+    skipped.  The generators then reach the whole orbit of each b_i under the
+    stabilizer of b_1, ..., b_(i-1), so they generate the group, of order the
+    product of those orbit lengths (Seress, Permutation Group Algorithms,
+    2003, ch. 4; McKay and Piperno, Practical graph isomorphism II, 2014).
 
     Each generator is re-checked against the table and for bijectivity.  The
     generators are then built into a stabilizer chain on the base

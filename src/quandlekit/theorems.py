@@ -775,14 +775,16 @@ def _suite_stabilizer_embedding(options: dict) -> list:
             converse = True
             for alpha in kept:
                 ext = cocyclemod.extend(alpha)
+                stab = cocyclemod.cocycle_stabilizer(alpha)
                 lifts = {}
                 for phi in base_aut:
                     for theta in fiber_perms:
                         gamma = cocyclemod.lift(phi, (theta,) * n, s)
                         if _preserves(ext.table, gamma):
                             lifts[(phi, theta)] = gamma
-                if lifts.keys() != set(cocyclemod.cocycle_stabilizer(alpha)):
-                    converse = False
+                            joined = phi.images + tuple(n + t for t in theta.images)
+                            converse &= Perm(joined) in stab
+                converse &= len(lifts) == stab.order
                 if len(set(lifts.values())) != len(lifts):
                     injective = False
                 for (phi1, theta1), gamma1 in lifts.items():

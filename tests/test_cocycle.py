@@ -1,8 +1,9 @@
 """Tests for constant/abelian cocycles, extensions, stabilizers, and H^2."""
 
+import functools
 import itertools
 import random
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from quandlekit.errors import (
     DiagonalViolation,
     NotAutomorphism,
 )
-from quandlekit.fingroup import conj_quandle, make_group
+from quandlekit.fingroup import conj_quandle, core_quandle, make_group
 from quandlekit.perm import Perm, PermGroup
 from quandlekit.quandle import (
     _first_unpreserved,
@@ -207,44 +208,75 @@ def test_act_preserves_cohomologous_pairs():
             assert are_cohomologous(ta, tb) is not None
 
 
+def pairs_of(group, n):
+    """The members phi + (n + theta) of a stabilizer, split into (phi, theta) pairs."""
+    return [(Perm(g.images[:n]), Perm(v - n for v in g.images[n:])) for g in group]
+
+
+def joined(phi, theta):
+    """The pair (phi, theta) as the permutation phi + (n + theta) of a stabilizer."""
+    n = len(phi.images)
+    return Perm(phi.images + tuple(n + v for v in theta.images))
+
+
 def test_stabilizer_of_trivial_cocycle_is_everything():
     a = trivial_cocycle(R3, 2)
-    assert len(cocycle_stabilizer(a)) == aut(R3).order * 2
+    assert cocycle_stabilizer(a).order == aut(R3).order * 2
 
 
 def test_stabilizer_of_spec_example():
     stab = cocycle_stabilizer(spec_example())
-    assert len(stab) == 2
-    assert (ID2, ID2) in stab
-    assert (ID2, SWAP) in stab
+    assert stab.order == 2
+    assert joined(ID2, ID2) in stab
+    assert joined(ID2, SWAP) in stab
 
 
-def test_stabilizer_refuses_an_aut_over_the_element_cap_before_walking_it(monkeypatch):
-    # Aut(trivial 10) is Sym(10), of order 10! = 3628800 > 10**6
+def forbid_walks(monkeypatch):
     def walk(group):
-        raise AssertionError("Aut(base) was walked")
+        raise AssertionError("a group was walked")
 
     monkeypatch.setattr(PermGroup, "__iter__", walk)
-    with pytest.raises(CapExceeded, match="3628800 .*cap 1000000"):
-        cocycle_stabilizer(trivial_cocycle(build("trivial", 10), 2))
 
 
-def test_stabilizer_certificate_rejects_pairs_that_are_not_a_group(monkeypatch):
-    # fixing exactly the thetas {identity, one 3-cycle} is not closed under products
-    kept = {(0, 1, 2), (1, 2, 0)}
+def test_stabilizer_of_a_base_past_the_old_element_cap_needs_no_walk(monkeypatch):
+    # Aut(trivial 10) is Sym(10), of order 10! = 3628800, above the 10**6 the walk refused
+    forbid_walks(monkeypatch)
+    assert cocycle_stabilizer(trivial_cocycle(build("trivial", 10), 2)).order == 2 * factorial(10)
 
-    def transport(numbering, t, pinv, thetas, a):
-        return a if numbering.images[thetas[0]] in kept else None
 
-    monkeypatch.setattr(cocyclemod, "_transport", transport)
-    with pytest.raises(AssertionError, match="do not form a group"):
+def test_stabilizer_at_the_fiber_cap_needs_no_walk(monkeypatch):
+    forbid_walks(monkeypatch)
+    assert cocycle_stabilizer(trivial_cocycle(T2, 9)).order == 2 * factorial(9)
+    with pytest.raises(CapExceeded, match="fiber size 10 exceeds cap 9"):
+        cocycle_stabilizer(trivial_cocycle(T2, 10))
+
+
+def test_stabilizer_certificate_rejects_an_unfaithful_restriction(monkeypatch):
+    # without its swap columns the table no longer ties (x, u) to x and n + u, so
+    # its automorphisms move the extension points on their own
+    real = cocyclemod._automorphisms
+
+    def base_columns_only(table, cap, colours):
+        n = colours.count(0)
+        return real([row[:n] + (r,) * (len(row) - n) for r, row in enumerate(table)], cap, colours)
+
+    monkeypatch.setattr(cocyclemod, "_automorphisms", base_columns_only)
+    with pytest.raises(AssertionError, match="do not restrict faithfully"):
         cocycle_stabilizer(trivial_cocycle(T2, 3))
 
 
 def test_stabilizer_size_divides_group_order():
     for a in (spec_example(), trivial_cocycle(R3, 2)):
-        total = aut(a.base).order * len(list(itertools.permutations(range(a.fiber_size))))
-        assert total % len(cocycle_stabilizer(a)) == 0
+        total = aut(a.base).order * factorial(a.fiber_size)
+        assert total % cocycle_stabilizer(a).order == 0
+
+
+def test_stabilizer_reaches_a_64_point_fiber_past_its_cap(monkeypatch):
+    # alpha(0, 1) translates Z8 x Z8 by a generator, whose 8 cycles of 8 points
+    # have the centralizer Z8 wr S8 of order 8**8 * 8!; the swap of T2 is no member
+    monkeypatch.setattr(cocyclemod, "_STABILIZER_CAP", 64)
+    alpha = next(a for a in Z8Z8_COCYCLES if a.base == T2)
+    assert cocycle_stabilizer(alpha).order == 8**8 * factorial(8) == 676_457_349_120
 
 
 # The stabilizer embeds into Aut(extend(a)) by (phi, theta) -> lift(phi, (theta,) * n, s).
@@ -262,7 +294,7 @@ def test_lift_numbers_points_as_extend_does():
 
 def test_embed_is_injective_homomorphism_into_aut():
     a = spec_example()
-    stab = cocycle_stabilizer(a)
+    stab = pairs_of(cocycle_stabilizer(a), 2)
     full = set(aut(extend(a)))
     images = {pair: lift(pair[0], (pair[1],) * 2, 2) for pair in stab}
     assert set(images.values()) <= full
@@ -275,7 +307,7 @@ def test_embed_is_injective_homomorphism_into_aut():
 
 def test_embed_rejects_non_stabilizing_pair():
     a = spec_example()
-    assert (SWAP, ID2) not in cocycle_stabilizer(a)
+    assert joined(SWAP, ID2) not in cocycle_stabilizer(a)
     ext = extend(a)
     gamma = lift(SWAP, (ID2, ID2), 2)
     assert _first_unpreserved(ext.table, ext.table, gamma.images) is not None
@@ -811,6 +843,61 @@ def oracle_constant_cocycles(base, s):
 @pytest.mark.parametrize("s", [2, 3])
 def test_all_constant_cocycles_match_the_perm_product_backtrack(base, s):
     assert [a.table for a in all_constant_cocycles(base, s)] == oracle_constant_cocycles(base, s)
+
+
+def oracle_stabilizer(alpha):
+    """The stabilizer pairs on `Perm` products: gauge every theta, then walk Aut(base).
+
+    Aut(base) is every permutation of the base preserving its table, in
+    lexicographic order, and (phi, theta) is kept when alpha pulled back
+    along phi equals theta alpha theta^-1, so the pairs come out sorted.
+    """
+    n, s, t, a = alpha.base.order, alpha.fiber_size, alpha.base.table, alpha.table
+    gauged = []
+    for images in itertools.permutations(range(s)):
+        theta = Perm(images)
+        gauged.append((theta, [[theta * p * theta.inverse() for p in row] for row in a]))
+    pairs = []
+    for images in itertools.permutations(range(n)):
+        if any(images[t[x][y]] != t[images[x]][images[y]] for x in range(n) for y in range(n)):
+            continue
+        pulled = [[a[x][y] for y in images] for x in images]
+        pairs += [(Perm(images), theta) for theta, table in gauged if table == pulled]
+    return pairs
+
+
+def test_stabilizer_matches_the_gauging_walk_on_the_corpus_of_suite_7_3():
+    corpus = [a for base in (T2, R3) for s in (2, 3) for a in all_constant_cocycles(base, s)]
+    assert len(corpus) == 80
+    for alpha in corpus:
+        assert pairs_of(cocycle_stabilizer(alpha), alpha.base.order) == oracle_stabilizer(alpha)
+
+
+STABILIZER_BASES = [
+    build("trivial", 2), build("trivial", 3), build("trivial", 4), R3, build("dihedral", 4),
+    build("dihedral", 5), conj_quandle(make_group("S3")), core_quandle(make_group("Z4")),
+]
+_FIBER_MODULI = {2: ((2,),), 3: ((3,),), 4: ((4,), (2, 2))}
+
+
+@functools.cache
+def stabilizer_seeds(base_index, s):
+    """The trivial cocycle and the translation cocycles of the H^2 representatives."""
+    base = STABILIZER_BASES[base_index]
+    reps = [rep for moduli in _FIBER_MODULI[s] for rep in compute_h2(base, moduli)[1]]
+    return [trivial_cocycle(base, s)] + [abelian_to_constant(rep) for rep in reps]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(STABILIZER_BASES) - 1), st.integers(2, 4), st.data())
+def test_stabilizer_matches_the_gauging_walk_on_gauge_twists(base_index, s, data):
+    seeds = stabilizer_seeds(base_index, s)
+    seed = seeds[data.draw(st.integers(0, len(seeds) - 1))]
+    n = seed.base.order
+    phi = data.draw(st.sampled_from(list(aut(seed.base))))
+    thetas = data.draw(st.lists(st.permutations(range(s)).map(Perm), min_size=n, max_size=n))
+    alpha = act(phi, thetas, seed)
+    assert pairs_of(cocycle_stabilizer(alpha), n) == oracle_stabilizer(alpha)
 
 
 def test_act_refuses_thetas_of_the_wrong_count_or_degree():

@@ -390,8 +390,9 @@ def test_cocycle_stabilizers_are_pinned():
     for kind, n in (("trivial", 2), ("dihedral", 3)):
         for s in (2, 3):
             for alpha in cocycle.all_constant_cocycles(build(kind, n), s):
+                # the sorted walk of phi + (n + theta), split into its pairs
                 stab = cocycle.cocycle_stabilizer(alpha)
-                doc.append([[list(phi.images), list(theta.images)] for phi, theta in stab])
+                doc.append([[list(g.images[:n]), [v - n for v in g.images[n:]]] for g in stab])
     assert len(doc) == 80
     text = json.dumps(doc, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == STABILIZER_DIGEST

@@ -21,7 +21,7 @@ from quandlekit.envgroup import (
 )
 from quandlekit.errors import CosetLimitExceeded
 from quandlekit.fingroup import conj_quandle, symmetric_group_table
-from quandlekit.perm import Perm
+from quandlekit.perm import Perm, closure
 from quandlekit.quandle import build, enumerate_quandles, orbit_partition
 
 R3 = build("dihedral", 3)
@@ -355,6 +355,45 @@ def test_todd_coxeter_braid_presentation_index_six():
 
 def test_todd_coxeter_r3_presentation_index_six():
     assert todd_coxeter(presentation_of(R3), SQUARE_OF_GEN0) == 6
+
+
+def multiplication_table_presentation(elements):
+    """One generator g_a per element a, with the relators g_a g_b g_(a*b)^-1."""
+    index = {g: i for i, g in enumerate(elements)}
+    relators = tuple(
+        ((index[a], 1), (index[b], 1), (index[a * b], -1)) for a in elements for b in elements
+    )
+    return Presentation(len(elements), relators), index
+
+
+# Generators of S4, A4, D4, S3 x C2 (on five points), Z4, V4, S3 and C3.
+SMALL_GROUP_GENERATORS = [
+    [Perm((1, 2, 3, 0)), Perm((1, 0, 2, 3))],
+    [Perm((1, 2, 0, 3)), Perm((0, 2, 3, 1))],
+    [Perm((1, 2, 3, 0)), Perm((0, 3, 2, 1))],
+    [Perm((1, 2, 0, 3, 4)), Perm((1, 0, 2, 3, 4)), Perm((0, 1, 2, 4, 3))],
+    [Perm((1, 2, 3, 0))],
+    [Perm((1, 0, 3, 2)), Perm((2, 3, 0, 1))],
+    [Perm((1, 2, 0)), Perm((1, 0, 2))],
+    [Perm((1, 2, 0))],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.sampled_from(SMALL_GROUP_GENERATORS),
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.permutations(range(d)).map(Perm), min_size=1, max_size=2)
+    ),
+), st.data())
+def test_todd_coxeter_on_a_multiplication_table_gives_the_index_of_the_chain_orders(gens, data):
+    group = closure(gens)
+    elements = list(group)
+    presentation, index = multiplication_table_presentation(elements)
+    sub_gens = data.draw(st.lists(st.sampled_from(elements), max_size=2))
+    sub = closure(sub_gens, degree=group.degree)
+    words = [((index[h], 1),) for h in sub_gens]
+    assert todd_coxeter(presentation, words) * sub.order == group.order
 
 
 def test_todd_coxeter_order_independent():

@@ -24,11 +24,11 @@ def _public_definitions(modules):
 
 
 def _references(modules):
-    """(module, name) pairs used somewhere in the package, outside the name's own definition.
+    """(module, name) pairs read somewhere in the package, outside the name's own definition.
 
     A bare name refers to the module it was imported from, else to the
     module it appears in; `mod.name` refers to the module bound to `mod` by
-    `from . import mod`.
+    `from . import mod`.  Assigning to a name does not read it.
     """
     refs = set()
     for here, tree in modules.items():
@@ -44,7 +44,8 @@ def _references(modules):
         for top in tree.body:
             own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
             for node in ast.walk(top):
-                if isinstance(node, ast.Name) and node.id != own:
+                read = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                if read and node.id != own:
                     refs.add(imported.get(node.id, (here, node.id)))
                 elif (
                     isinstance(node, ast.Attribute)
@@ -60,6 +61,29 @@ def test_every_public_name_is_used_by_the_package():
     unused = sorted(_public_definitions(modules) - _references(modules))
     assert unused == [], "public names only tests use: " + ", ".join(
         f"{module}.{name}" for module, name in unused
+    )
+
+
+def test_every_module_constant_is_read_by_the_package():
+    """Each name bound at module level outside a def or class is read somewhere in the package.
+
+    A constant that nothing reads is a setting with no effect.  Dunder
+    names such as `__all__` and `__version__` are read by Python and tools,
+    not by the package, and are exempt.
+    """
+    modules = _modules()
+    constants = {
+        (module, name.id)
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and not name.id.startswith("__")
+    }
+    unread = sorted(constants - _references(modules))
+    assert unread == [], "module constants the package never reads: " + ", ".join(
+        f"{module}.{name}" for module, name in unread
     )
 
 

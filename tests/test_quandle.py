@@ -278,6 +278,23 @@ def test_isomorphism_finds_witness_on_relabeled_table():
         assert all(other.table[w(x)][w(y)] == w(q.table[x][y]) for x in range(5) for y in range(5))
 
 
+RELABEL_CORPUS = [q for n in range(1, 6) for q in enumerate_quandles(n)] + [
+    build("dihedral", 6), build("trivial", 7), core_quandle(make_group("Z2xZ4")),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RELABEL_CORPUS), st.data())
+def test_relabeled_quandle_is_isomorphic_with_equal_group_orders(q, data):
+    sigma = data.draw(st.permutations(range(q.order)))
+    other = Quandle.from_table(relabel(q.table, sigma))
+    w = find_isomorphism(q, other)
+    assert w is not None
+    assert _first_unpreserved(q.table, other.table, w.images) is None
+    orders = [(aut(x).order, inn(x).order, qinn(x).order) for x in (q, other)]
+    assert orders[0] == orders[1]
+
+
 def test_isomorphism_negative_cases():
     assert not is_isomorphic(build("dihedral", 3), build("trivial", 3))
     assert not is_isomorphic(build("dihedral", 4), build("trivial", 4))

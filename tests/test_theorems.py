@@ -6,7 +6,7 @@ import pytest
 
 from quandlekit.errors import QuandleKitError, UnsupportedSpec
 from quandlekit.fingroup import is_abelian, make_group
-from quandlekit.perm import Perm, PermGroup
+from quandlekit.perm import Perm, PermGroup, closure
 from quandlekit import cocycle as cocyclemod
 from quandlekit import envgroup, fingroup, theorems
 from quandlekit import construct as constructmod
@@ -297,17 +297,24 @@ def test_stabilizer_embedding_corpus(reports):
 
 
 def _add_a_non_member(alpha, stab):
-    """The stabilizer plus the first pair of Aut(base) x Sym(fiber) outside it."""
-    s = alpha.fiber_size
+    """The stabilizer plus the first pair of Aut(base) x Sym(fiber) outside it, as a generator."""
+    n = alpha.base.order
     pairs = itertools.product(
         quandlemod.aut(alpha.base),
-        (Perm(p) for p in itertools.permutations(range(s))),
+        (Perm(p) for p in itertools.permutations(range(alpha.fiber_size))),
     )
-    return stab + [next((pair for pair in pairs if pair not in stab), stab[0])]
+    joined = (Perm(phi.images + tuple(n + v for v in theta.images)) for phi, theta in pairs)
+    extra = next((g for g in joined if g not in stab), None)
+    return stab if extra is None else closure([*stab.generators, extra], degree=stab.degree)
+
+
+def _drop_a_generator(alpha, stab):
+    """A proper subgroup: the greedy generators but the last, which lies outside their span."""
+    return closure(stab.generators[:-1], degree=stab.degree)
 
 
 @pytest.mark.parametrize(
-    "change", [_add_a_non_member, lambda alpha, stab: stab[1:]], ids=["extra-pair", "missing-pair"]
+    "change", [_add_a_non_member, _drop_a_generator], ids=["extra-pair", "missing-pair"]
 )
 def test_stabilizer_suite_fails_when_the_stabilizer_is_wrong(monkeypatch, change):
     real = cocyclemod.cocycle_stabilizer
