@@ -166,6 +166,58 @@ def test_report_digest_is_pinned(command, capsys):
     assert report["report_digest"] == {**DIGESTS, **SNF_DIGESTS}[command]
 
 
+# The invariant factors of every `h2` pin and of the multi-factor corpus,
+# recorded on their own before any representative changed, so that the
+# factors stay pinned while the digests of the representatives move.
+H2_FACTORS = {
+    "h2 --conj S3 --coeff Z2": (2,) * 6,
+    "h2 --conj S3 --coeff Z3": (3,) * 7,
+    "h2 --core Z2xZ2 --coeff Z2xZ3": (6,) * 12,
+    "h2 --core Z3 --coeff Z4": (),
+    "h2 --core Z5 --coeff Z2": (),
+    "h2 --dihedral 3 --coeff Z2": (),
+    "h2 --dihedral 3 --coeff Z2xZ3": (),
+    "h2 --dihedral 3 --coeff Z3": (),
+    "h2 --dihedral 3 --coeff Z4": (),
+    "h2 --dihedral 4 --coeff Z2": (2,) * 4,
+    "h2 --dihedral 4 --coeff Z2xZ3": (2,) * 2 + (6,) * 2,
+    "h2 --dihedral 4 --coeff Z3": (3,) * 2,
+    "h2 --dihedral 4 --coeff Z4": (2,) * 2 + (4,) * 2,
+    "h2 --dihedral 5 --coeff Z2": (),
+    "h2 --dihedral 5 --coeff Z2xZ3": (),
+    "h2 --dihedral 5 --coeff Z3": (),
+    "h2 --dihedral 5 --coeff Z4": (),
+    "h2 --dihedral 6 --coeff Z2": (2,) * 2,
+    "h2 --dihedral 6 --coeff Z2xZ3": (6,) * 2,
+    "h2 --dihedral 6 --coeff Z3": (3,) * 2,
+    "h2 --dihedral 6 --coeff Z4": (4,) * 2,
+    "h2 --dihedral 7 --coeff Z2": (),
+    "h2 --trivial 3 --coeff Z2": (2,) * 6,
+    "h2 --trivial 3 --coeff Z2xZ3": (6,) * 6,
+    "h2 --trivial 3 --coeff Z3": (3,) * 6,
+    "h2 --trivial 3 --coeff Z4": (4,) * 6,
+    "h2 --trivial 4 --coeff Z2": (2,) * 12,
+    "h2 --trivial 4 --coeff Z2xZ3": (6,) * 12,
+    "h2 --trivial 4 --coeff Z3": (3,) * 12,
+    "h2 --trivial 4 --coeff Z4": (4,) * 12,
+    "h2 --trivial 5 --coeff Z2": (2,) * 20,
+    "h2 --trivial 5 --coeff Z2xZ3": (6,) * 20,
+    "h2 --trivial 5 --coeff Z3": (3,) * 20,
+    "h2 --trivial 5 --coeff Z4": (4,) * 20,
+    "h2 --trivial 6 --coeff Z2": (2,) * 30,
+    "h2 --trivial 6 --coeff Z2xZ3": (6,) * 30,
+    "h2 --trivial 6 --coeff Z3": (3,) * 30,
+    "h2 --trivial 6 --coeff Z4": (4,) * 30,
+}
+
+
+@pytest.mark.parametrize("command", sorted(H2_FACTORS))
+def test_h2_factors_are_pinned(command, capsys):
+    assert cli.run(command.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert tuple(report["results"]["invariant_factors"]) == H2_FACTORS[command]
+
+
 AUT_SEARCH_DIGESTS = {
     "aut --conj S4 --cap-order 24": "246bf9cbc1d0ae061585eb49fc43b25d10740bf5914446cc27492a3162399134",
     "qinn --conj S4 --cap-order 24": "7e6951ea3fdcc6d1e7a7eb1dee15ba3c7b2652c8521ebea77e340c674972df01",
@@ -376,6 +428,49 @@ def test_h2_over_multi_factor_coefficients_is_pinned():
             doc.append([list(factors), [[[list(v) for v in row] for row in r.table] for r in reps]])
     text = json.dumps(doc, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == H2_MULTI_FACTOR_DIGEST
+
+
+# One row per base of the test above, one entry per coefficient group.
+H2_MULTI_FACTORS = (
+    (
+        (2,) * 2 + (4,) * 2,
+        (2,) * 2 + (6,) * 2,
+        (2,) * 2 + (12,) * 2,
+        (4,) * 2 + (24,) * 2,
+        (3,) * 2 + (9,) * 2,
+    ),
+    (
+        (2,) * 6 + (4,) * 6,
+        (2,) * 6 + (6,) * 6,
+        (2,) * 6 + (12,) * 6,
+        (4,) * 6 + (24,) * 6,
+        (3,) * 6 + (9,) * 6,
+    ),
+    ((),) * 5,
+    (
+        (2,) * 6 + (4,) * 2,
+        (2,) * 6 + (6,) * 2,
+        (2,) * 6 + (12,) * 2,
+        (2,) * 4 + (4,) * 2 + (24,) * 2,
+        (3,) * 2 + (9,) * 2,
+    ),
+    ((),) * 5,
+    (
+        (2,) * 6 + (4,) * 6,
+        (2,) * 5 + (6,) * 7,
+        (2,) * 5 + (6,) + (12,) * 6,
+        (4,) * 5 + (12,) + (24,) * 6,
+        (3,) * 8 + (9,) * 6,
+    ),
+)
+
+
+def test_h2_factors_over_multi_factor_coefficients_are_pinned():
+    bases = [build("trivial", 2), build("trivial", 3), build("dihedral", 3),
+             build("dihedral", 4), build("dihedral", 5), conj_quandle(make_group("S3"))]
+    for q, row in zip(bases, H2_MULTI_FACTORS, strict=True):
+        for moduli, factors in zip(H2_MULTI_FACTOR_COEFFICIENTS, row, strict=True):
+            assert cocycle.compute_h2(q, moduli)[0] == factors
 
 
 # Recorded while `cocycle_stabilizer` checked its pairs for the identity and
