@@ -6,8 +6,8 @@ makes the twisted product on pairs a quandle again.  This module validates
 cocycles, builds the extension quandles, searches for cohomologous
 witnesses, implements the gauge action of a base automorphism and fiber
 permutations and the lift that realizes it on the extensions, and computes
-H^2 with finite abelian coefficients by exact integer linear algebra.  A
-cocycle's stabilizer is found by the automorphism search of `quandle.aut`.
+H^2 with finite abelian coefficients by certified elimination modulo each
+coefficient order.  A cocycle's stabilizer is found by `quandle.aut`'s search.
 
 Permutation products follow the package convention: (p*q)(x) = p(q(x)).
 Inside the module a fiber permutation is an integer id of a `_Numbering`,
@@ -19,7 +19,7 @@ and `lift`, witnesses and `to_json`).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import factorial, gcd, prod
 
@@ -41,9 +41,6 @@ DEFAULT_FIBER_CAP = 64
 
 # Largest fiber of cocycle_stabilizer; it caps the fiber only.
 _STABILIZER_CAP = 9
-
-# Trial division bound of `_coprime_base`: coefficient orders under its square factor into primes.
-_TRIAL_BOUND = 2**16
 
 # Largest work bound of are_cohomologous: (fiber size)! candidates at one root
 # per orbit, each flood visiting at most |orbit| * n pairs, so s! * n**2 in all.
@@ -74,11 +71,9 @@ class ConstantCocycle:
     def from_json(cls, doc: dict) -> "ConstantCocycle":
         if doc.get("kind", "constant_cocycle") != "constant_cocycle":
             raise ValueError(f"expected a constant cocycle, got kind {doc['kind']!r}")
-        return validate_constant(
-            Quandle.from_json(require_field(doc, "base", "constant cocycle")),
-            require_field(doc, "fiber", "constant cocycle"),
-            _json_cells(require_field(doc, "table", "constant cocycle")),
-        )
+        return validate_constant(Quandle.from_json(require_field(doc, "base", "constant cocycle")),
+                                 require_field(doc, "fiber", "constant cocycle"),
+                                 _json_cells(require_field(doc, "table", "constant cocycle")))
 
 
 def _json_cells(table) -> list:
@@ -102,16 +97,19 @@ def _conditions(t):
                 yield (x, y, z), (xy * n + z, x * n + y, tx[z] * n + ty[z], x * n + z)
 
 
-def _check_conditions(base: Quandle, table, zero, failures) -> None:
-    """Raise the first diagonal entry other than `zero`, then the first triple of `failures`.
-
-    `failures` lazily yields the broken triples in `_conditions` order.
-    """
-    for x in range(base.order):
-        if table[x][x] != zero:
-            raise DiagonalViolation(x)
-    for triple in failures:
-        raise CocycleViolation(*triple)
+def _first_break(t, lanes):
+    """The first diagonal cell (x,), else triple of `_conditions`, where some lane
+    (residues by cell x*n + y, modulus) is no cocycle; None when every lane is one."""
+    n = len(t)
+    for x in range(n):
+        if any(f[x * n + x] % m for f, m in lanes):
+            return (x,)
+    for triple, (i, j, k, l) in _conditions(t):
+        if (i != k or j != l) and (i != l or j != k):  # else it holds in every lane
+            for f, m in lanes:
+                if (f[i] + f[j] - f[k] - f[l]) % m:
+                    return triple
+    return None
 
 
 class _Products(dict):
@@ -193,10 +191,12 @@ def _checked(base: Quandle, numbering: _Numbering, ids) -> ConstantCocycle:
     """The cocycle with the id table `ids`, once its diagonal and every condition hold."""
     flat = [i for row in ids for i in row]
     products = numbering.products
-    _check_conditions(base, ids, 0, (
-        triple for triple, (i, j, k, l) in _conditions(base.table)
-        if products[flat[i]][flat[j]] != products[flat[k]][flat[l]]
-    ))
+    for x in range(base.order):
+        if ids[x][x] != 0:
+            raise DiagonalViolation(x)
+    for triple, (i, j, k, l) in _conditions(base.table):
+        if products[flat[i]][flat[j]] != products[flat[k]][flat[l]]:
+            raise CocycleViolation(*triple)
     return ConstantCocycle(base, numbering.fiber_size, numbering.table(ids))
 
 
@@ -208,13 +208,8 @@ def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
     rows = tuple(table)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"cocycle table must be {n}x{n}")
-    a = tuple(
-        tuple(
-            p if isinstance(p, Perm) else Perm(require_ints(p, "cocycle entry"))
-            for p in row
-        )
-        for row in rows
-    )
+    a = tuple(tuple(p if isinstance(p, Perm) else Perm(require_ints(p, "cocycle entry"))
+                    for p in row) for row in rows)
     if any(len(p.images) != fiber_size for row in a for p in row):
         raise ValueError("cocycle entries must permute the fiber")
     numbering = _Numbering(fiber_size)
@@ -228,9 +223,7 @@ def trivial_cocycle(base: Quandle, fiber_size: int) -> ConstantCocycle:
 
 def extend(alpha: ConstantCocycle) -> Quandle:
     """The twisted product quandle on pairs, encoded as x * fiber + t."""
-    n = alpha.base.order
-    s = alpha.fiber_size
-    bt = alpha.base.table
+    n, s, bt = alpha.base.order, alpha.fiber_size, alpha.base.table
     table = [[0] * (n * s) for _ in range(n * s)]
     for x in range(n):
         for t in range(s):
@@ -243,11 +236,8 @@ def extend(alpha: ConstantCocycle) -> Quandle:
 
 def lift(phi: Perm, thetas, s: int) -> Perm:
     """The map (x, t) -> (phi x, thetas[x] t) on the extension points x * s + t."""
-    return Perm(
-        phi.images[x] * s + theta.images[t]
-        for x, theta in enumerate(thetas)
-        for t in range(s)
-    )
+    return Perm(phi.images[x] * s + theta.images[t]
+                for x, theta in enumerate(thetas) for t in range(s))
 
 
 def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
@@ -261,9 +251,7 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
         raise ValueError("cocycles live over different base quandles")
     if alpha.fiber_size != beta.fiber_size:
         raise ValueError("cocycles have different fibers")
-    n = alpha.base.order
-    s = alpha.fiber_size
-    t = alpha.base.table
+    n, s, t = alpha.base.order, alpha.fiber_size, alpha.base.table
     if factorial(s) * n * n > _LAMBDA_SEARCH_CAP:
         raise CapExceeded(
             f"lambda search work {s}! * {n}**2 (fiber permutations times pairs)"
@@ -319,10 +307,8 @@ def _transport(numbering: _Numbering, t, pinv, thetas, a) -> tuple:
     """
     products = numbering.products
     inverses = [numbering.inverse(theta) for theta in thetas]
-    return tuple(
-        tuple(products[products[thetas[t[x][y]]][a[x][y]]][inverses[x]] for y in pinv)
-        for x in pinv
-    )
+    return tuple(tuple(products[products[thetas[t[x][y]]][a[x][y]]][inverses[x]] for y in pinv)
+                 for x in pinv)
 
 
 def act(phi: Perm, thetas, alpha: ConstantCocycle) -> ConstantCocycle:
@@ -337,13 +323,9 @@ def act(phi: Perm, thetas, alpha: ConstantCocycle) -> ConstantCocycle:
     if any(len(theta.images) != alpha.fiber_size for theta in thetas):
         raise ValueError("every theta must permute the fiber")
     numbering = _Numbering(alpha.fiber_size)
-    beta = _transport(
-        numbering,
-        alpha.base.table,
-        _invert(phi.images),
-        [numbering.number(theta.images) for theta in thetas],
-        numbering.numbered(alpha.table),
-    )
+    beta = _transport(numbering, alpha.base.table, _invert(phi.images),
+                      [numbering.number(theta.images) for theta in thetas],
+                      numbering.numbered(alpha.table))
     return _checked(alpha.base, numbering, beta)
 
 
@@ -456,11 +438,9 @@ class AbelianCocycle:
     def from_json(cls, doc: dict) -> "AbelianCocycle":
         if doc.get("kind", "abelian_cocycle") != "abelian_cocycle":
             raise ValueError(f"expected an abelian cocycle, got kind {doc['kind']!r}")
-        return validate_abelian(
-            Quandle.from_json(require_field(doc, "base", "abelian cocycle")),
-            require_field(doc, "moduli", "abelian cocycle"),
-            _json_cells(require_field(doc, "table", "abelian cocycle")),
-        )
+        return validate_abelian(Quandle.from_json(require_field(doc, "base", "abelian cocycle")),
+                                require_field(doc, "moduli", "abelian cocycle"),
+                                _json_cells(require_field(doc, "table", "abelian cocycle")))
 
 
 def validate_abelian(base: Quandle, moduli, table) -> AbelianCocycle:
@@ -480,12 +460,10 @@ def validate_abelian(base: Quandle, moduli, table) -> AbelianCocycle:
         return tuple(c % m for c, m in zip(v, moduli))
 
     a = tuple(tuple(reduce(v) for v in row) for row in rows)
-    # one flat list of residues per coordinate, checked as integers
-    lanes = [([v[c] for row in a for v in row], m) for c, m in enumerate(moduli)]
-    _check_conditions(base, a, (0,) * r, (
-        triple for triple, (i, j, k, l) in _conditions(base.table) for f, m in lanes
-        if (f[i] + f[j] - f[k] - f[l]) % m
-    ))
+    broken = _first_break(base.table, [([v[c] for row in a for v in row], m)
+                                       for c, m in enumerate(moduli)])
+    if broken is not None:
+        raise (DiagonalViolation if len(broken) == 1 else CocycleViolation)(*broken)
     return AbelianCocycle(base, moduli, a)
 
 
@@ -503,12 +481,8 @@ def abelian_to_constant(mu: AbelianCocycle, cap: int = DEFAULT_FIBER_CAP) -> Con
     index = {e: i for i, e in enumerate(elements)}
 
     def translation(v) -> Perm:
-        return Perm(
-            tuple(
-                index[tuple((c + d) % m for c, d, m in zip(e, v, mu.moduli))]
-                for e in elements
-            )
-        )
+        return Perm(index[tuple((c + d) % m for c, d, m in zip(e, v, mu.moduli))]
+                    for e in elements)
 
     table = tuple(tuple(translation(v) for v in row) for row in mu.table)
     return validate_constant(mu.base, size, table)
@@ -519,196 +493,220 @@ def abelian_to_constant(mu: AbelianCocycle, cap: int = DEFAULT_FIBER_CAP) -> Con
 # ---------------------------------------------------------------------------
 
 
-def _coprime_base(numbers) -> list:
-    """Pairwise coprime integers above 1, ascending, over which each of `numbers` factors.
+def _bezout(a: int, b: int) -> tuple:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for b > 0."""
+    g = gcd(a, b)
+    s = pow(a // g, -1, b // g)
+    return g, s, (g - s * a) // b
 
-    Each of the positive `numbers` is a product of powers of the base.  Two
-    parts with a common factor g are replaced by g and their cofactors
-    until no two share one (E. Bach and J. Shallit, Algorithmic Number
-    Theory, 1996, section 4.8); each part is then split by trial division
-    below `_TRIAL_BOUND`.  So every part under `_TRIAL_BOUND`**2 is prime,
-    and a part with no factor under the bound is kept whole: the parts stay
-    coprime, which is all the decomposition needs, at no more than
-    `_TRIAL_BOUND` / 2 divisions per part.
+
+def _axpy(target: tuple, source: tuple, c: int, moduli) -> None:
+    """target += c * source in place; each is a tuple of sparse parts, part j taken mod moduli[j]."""
+    for x, y, m in zip(target, source, moduli):
+        for k, v in y.items():
+            if w := (x.get(k, 0) + c * v) % m:
+                x[k] = w
+            else:
+                x.pop(k, None)
+
+
+def _scaled(c: int, parts: tuple, moduli) -> tuple:
+    return tuple({k: w for k, v in x.items() if (w := c * v % m)} for x, m in zip(parts, moduli))
+
+
+def _echelon(rows, m: int) -> dict:
+    """An echelon form over Z/m of sparse integer rows, each row with its stated combination.
+
+    A row's pivot is its highest key.  Returns {pivot: (row, combination)}:
+    the pivot entry divides m, and row = sum c * rows[i] over the items (i, c)
+    of the combination, mod m.  The steps are gcd-based, so m is never
+    factored (Howell, "Spans in the module (Z_m)^s", 1986): a new pivot b
+    becomes gcd(b, m) by a Bezout multiple and (m / gcd(b, m)) times its row
+    is reduced in turn; a pivot a that does not divide an entry b yields to
+    the Bezout combination of both rows, which are reduced again.  So (m / d)
+    times a row of pivot d lies in the span of the rows below it.  For prime
+    m this is plain elimination.
     """
-    base: list = []
-    pending = sorted({k for k in numbers if k > 1})
+    both = (m, m)
+    pivots: dict = {}
+    pending = [_scaled(1, (row, {i: 1}), both) for i, row in enumerate(rows)][::-1]
     while pending:
-        k = pending.pop()
-        for i, b in enumerate(base):
-            g = gcd(k, b)
-            if g > 1:
-                del base[i]
-                pending += [f for f in (g, b // g, k // g) if f > 1]
+        pair = pending.pop()
+        while pair[0]:
+            c = max(pair[0])
+            held = pivots.get(c)
+            if held is None:
+                g, s, _ = _bezout(pair[0][c], m)
+                pivots[c] = _scaled(s, pair, both)
+                pending.append(_scaled(m // g, pair, both))
                 break
-        else:
-            base.append(k)
-    split = []
-    for k in base:
-        p = 2
-        while p * p <= k and p < _TRIAL_BOUND:
-            if k % p == 0:
-                split.append(p)
-                while k % p == 0:
-                    k //= p
-            p += 1 if p == 2 else 2
-        if k > 1:
-            split.append(k)
-    return sorted(split)
+            a, b = held[0][c], pair[0][c]
+            if b % a == 0:
+                _axpy(pair, held, -(b // a), both)
+                continue
+            g, s, t = _bezout(a, b)
+            pivots[c] = _scaled(s, held, both)
+            _axpy(pivots[c], pair, t, both)
+            pending += [held, pair, _scaled(m // g, pivots[c], both)]
+            break
+    return pivots
 
 
-def _base_powers(k: int, base) -> list:
-    """The parts (b, b^e) of k over a coprime base: b^e divides k, b^(e+1) does not, e >= 1."""
-    parts = []
-    for b in base:
-        power = 1
-        while k % b == 0:
-            k //= b
-            power *= b
-        if power > 1:
-            parts.append((b, power))
-    if k != 1:
-        raise AssertionError("a number does not factor over its coprime base")
-    return parts
+def _kernel(form: dict, size: int, m: int) -> list:
+    """Generators (lead, entry, vector) of the vectors on keys 0..size-1 that the rows of `form` kill.
 
-
-def _condition_form(q: Quandle):
-    """Smith normal form of the rows a[x*n + x] and a[i] + a[j] - a[k] - a[l] of `_conditions`."""
-    n = q.order
-    big = n * n
-    rows = []
-    for x in range(n):
-        row = [0] * big
-        row[x * n + x] = 1
-        rows.append(row)
-    for _, positions in _conditions(q.table):
-        row = [0] * big
-        for p, sign in zip(positions, (1, 1, -1, -1)):
-            row[p] += sign
-        if any(row):
-            rows.append(row)
-    return smith_normal_form(rows)
-
-
-def _h2_single(q: Quandle, m: int, cond) -> list:
-    """Cyclic decomposition of H^2(Q, Z_m): list of (order, flat) pairs.
-
-    Each flat is a representative's n^2 residues at the positions x*n + y.
-    `cond` is `_condition_form(q)`: the columns of its V, each scaled by
-    m / gcd(d, m) for its diagonal entry d (the invariant factors first,
-    then zeros), span the lattice of solutions mod m.  The coboundary plus
-    m-multiple subgroup is rewritten in that basis and the quotient read off
-    a second Smith normal form.
+    One per key f that is no pivot, with entry 1 at f, and one per pivot f
+    of entry d other than 1, with entry m / d; each is zero below f and at
+    the other keys of the first kind, with least residues at the pivots
+    above.  A kernel vector zero below a key is a sum of those led above it.
     """
-    n = q.order
-    big = n * n
-    scale = [m // gcd(d, m) for d in cond.invariant_factors]
-    scale += [1] * (big - len(scale))
-
-    # V^-1 by sparse columns: columns[j] lists the (row, entry) pairs of column j
-    columns = [[] for _ in range(big)]
-    for i, row in enumerate(cond.v_inv):
-        for j, c in row.items():
-            columns[j].append((i, c))
-
-    def to_lattice_coords(vec: dict) -> list:
-        raw = [0] * big
-        for j, c in vec.items():
-            for i, v in columns[j]:
-                raw[i] += v * c
-        out = []
-        for val, e in zip(raw, scale):
-            if val % e:
-                raise AssertionError("subgroup vector escaped the cocycle lattice")
-            out.append(val // e)
-        return out
-
-    # the coboundary of the indicator of u: +1 in row u, -1 where x*y = u
-    coboundaries = [Counter() for _ in range(n)]
-    for x, tx in enumerate(q.table):
-        for y, xy in enumerate(tx):
-            coboundaries[x][x * n + y] += 1
-            coboundaries[xy][x * n + y] -= 1
-    gen_rows = [to_lattice_coords(vec) for vec in coboundaries]
-    gen_rows += [to_lattice_coords({j: m}) for j in range(big)]
-
-    quot = smith_normal_form(gen_rows)
-    if quot.free_rank != 0:
-        raise AssertionError("quotient must be finite")
-
-    pieces = []
-    for i, d in enumerate(quot.invariant_factors):
-        if d <= 1:
+    above = sorted(form)
+    gens = []
+    for f in range(size):
+        held = form.get(f)
+        if held is not None and held[0][f] == 1:
             continue
-        flat = [0] * big
-        for k, c in quot.v_inv[i].items():
-            for r, x in cond.v[k].items():
-                flat[r] += x * scale[k] * c
-        pieces.append((d, [x % m for x in flat]))
-    return pieces
+        vec = {f: 1 if held is None else m // held[0][f]}
+        for c in above[bisect_right(above, f):]:
+            row = form[c][0]
+            total = -sum(v * vec[k] for k, v in row.items() if k in vec) % m
+            if total % row[c]:
+                raise AssertionError("an echelon row has lost the Howell property")
+            if total:
+                vec[c] = total // row[c]
+        gens.append((f, vec[f], vec))
+    return gens
+
+
+def _cyclic_pieces(gens, m: int) -> list:
+    """The group that generators of `_kernel` span, as (order, vector) pieces, ascending.
+
+    When (m / e) times each generator of entry e is zero, the generators are
+    the pieces.  Else (m / e) times each reduces through those above it to a
+    relation, and piece i is row i of V^-1 of their Smith form on the generators.
+    """
+    pieces = sorted(((m // e, vec) for _, e, vec in gens), key=lambda piece: piece[0])
+    if not any(_scaled(d, (vec,), (m,))[0] for d, vec in pieces):
+        return pieces
+    relations = [[0] * len(gens) for _ in gens]
+    for j, (_, e, vec) in enumerate(gens):
+        relations[j][j] = m // e
+        rest = _scaled(m // e, (vec,), (m,))
+        for i, (lead, e_i, other) in enumerate(gens[j + 1:], j + 1):
+            relations[j][i] = -(rest[0].get(lead, 0) // e_i)
+            _axpy(rest, (other,), relations[j][i], (m,))
+        if rest[0]:
+            raise AssertionError("a kernel generator has lost the Howell property")
+    snf = smith_normal_form(relations)
+    pieces = [(d, ({},)) for d in snf.invariant_factors]
+    for (_, vec), combination in zip(pieces, snf.v_inv):
+        for j, c in combination.items():
+            _axpy(vec, (gens[j][2],), c, (m,))
+    return [(d, vec[0]) for d, vec in pieces if d > 1]
+
+
+def _h2_cyclic(n: int, conditions, coboundaries, o: int, m: int) -> tuple:
+    """The cyclic pieces of H^2(Q, Z_m), and the generators to check as cocycles, by cell.
+
+    `conditions` and `coboundaries` are sparse rows over the cells x*n + y.
+    B^2, reduced with its first cells highest, must have n - o pivots, all
+    1: so |B^2| = m^(n - o), and B^2 meets
+    W = {z in Z^2 : z is zero on the pivot cells P of B^2} in 0.  With the
+    cells of P lowest, the kernel generators of the conditions led outside P
+    span W, and Z^2 = B^2 + W.  The representatives are the pieces of W:
+    when every pivot is 1, as for every prime m, its reduced echelon basis.
+    """
+    size = n * n
+    brows = [{size - 1 - i: v for i, v in row.items()} for row in coboundaries]
+    bform = _echelon(brows, m)
+    if len(bform) != n - o or any(row[c] != 1 for c, (row, _) in bform.items()):
+        raise AssertionError("B^2 does not have order m^(n - o)")
+    lead = sorted(size - 1 - c for c in bform)
+    order = lead + sorted(set(range(size)) - set(lead))  # the cell at each key
+    key = {i: k for k, i in enumerate(order)}
+    rows = [{key[i]: v for i, v in row.items()} for row in conditions]
+    form = _echelon(rows, m)
+    for echelon, reduced in ((bform, brows), (form, rows)):
+        for row, combination in echelon.values():
+            total: tuple = ({},)
+            for i, c in combination.items():
+                _axpy(total, (reduced[i],), c, (m,))
+            if total[0] != row:
+                raise AssertionError("an echelon row is not its stated combination of the rows")
+    gens = _kernel(form, size, m)
+    if [(f, e) for f, e, _ in gens[:len(lead)]] != [(f, 1) for f in range(len(lead))]:
+        raise AssertionError("Z^2 does not reach B^2 on its pivot cells")
+    pieces = _cyclic_pieces(gens[len(lead):], m)
+    z2 = m ** (size - len(form)) * prod(row[c] for c, (row, _) in form.items())
+    if prod(d for d, _ in pieces) * m ** (n - o) != z2:
+        raise AssertionError("the pieces of H^2 do not multiply to |Z^2| / |B^2|")
+    return ([(d, {order[k]: v for k, v in vec.items()}) for d, vec in pieces],
+            [{order[k]: v for k, v in vec.items()} for _, _, vec in gens]
+            + [{i: v % m for i, v in row.items()} for row in coboundaries])
+
+
+def _fold(pieces, moduli) -> list:
+    """Invariant factors of a sum of cyclic pieces (order, representative), ascending.
+
+    A representative is a tuple of sparse parts, one per coordinate.  Orders
+    a before b where a does not divide b are exchanged for g = gcd(a, b) =
+    s*a + t*b and lcm(a, b), and x, y for (s*a/g) x + (t*b/g) y and y - x.
+    """
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            (a, x), (b, y) = pieces[i], pieces[j]
+            if b % a == 0:
+                continue
+            g, s, t = _bezout(a, b)
+            pieces[i] = (g, _scaled(s * a // g, x, moduli))
+            _axpy(pieces[i][1], y, t * b // g, moduli)
+            pieces[j] = (a // g * b, _scaled(1, y, moduli))
+            _axpy(pieces[j][1], x, -1, moduli)
+    return [piece for piece in pieces if piece[0] > 1]
 
 
 def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
     """Invariant factors of H^2(Q, A) plus one representative per factor.
 
-    Coefficients split componentwise, so each Z_m is solved on its own from
-    the one `_condition_form` of the base and the cyclic pieces are
-    recombined into ascending invariant factors over a coprime base of their
-    orders (`_coprime_base`), which needs no full factorization; each
-    representative is a validated cocycle of exactly that order in H^2.
-    The factors are checked
-    against universal coefficients: H_2(Q) = Z^(o^2 - o) + T for o orbits,
-    where T has the invariant factors t of `_condition_form`, so
-    H^2(Q, Z_m) = Z_m^(o^2 - o) + sum_t Z_gcd(t, m).
+    The condition rows are reduced once over Z/m per distinct modulus m
+    (`_h2_cyclic`), and the cyclic pieces of all coordinates are folded into
+    invariant factors (`_fold`).  The certificate bounds Z^2 from both sides:
+    each echelon row is re-checked as its stated combination, each kernel
+    generator, coboundary and representative as a cocycle in one pass over
+    `_conditions`, and the pieces of each modulus must multiply to
+    |Z^2| / |B^2|.  A failed check raises AssertionError, a fault of the package.
     """
     if q.order > max_order:
         raise CapExceeded(f"base order {q.order} exceeds cap {max_order}")
     moduli = tuple(int(m) for m in moduli)
     if any(m < 1 for m in moduli):
         raise ValueError("moduli must be positive")
-    r = len(moduli)
-    n = q.order
-    cond = _condition_form(q)
-    pieces = [
-        (order, c, flat)
-        for c, m in enumerate(moduli) if m > 1
-        for order, flat in _h2_single(q, m, cond)
-    ]
+    n, t = q.order, q.table
+    conditions = {((x * n + x, 1),): {x * n + x: 1} for x in range(n)}  # zero on the diagonal
+    for _, positions in _conditions(t):
+        row: dict = {}
+        for p, sign in zip(positions, (1, 1, -1, -1)):
+            row[p] = row.get(p, 0) + sign
+        row = {i: v for i, v in row.items() if v}
+        if row:
+            conditions.setdefault(tuple(sorted(row.items())), row)
+    coboundaries = [{} for _ in range(n)]  # of the indicator of u: +1 at (u, y), -1 where x*y = u
+    for x, tx in enumerate(t):
+        for y, xy in enumerate(tx):
+            if xy != x:
+                coboundaries[x][x * n + y], coboundaries[xy][x * n + y] = 1, -1
     o = len(orbit_partition(q))
-    predicted = [m for m in moduli for _ in range(o * o - o)]
-    predicted += [gcd(t, m) for m in moduli for t in cond.invariant_factors]
-    base = _coprime_base([order for order, _, _ in pieces] + predicted)
-
-    # the parts (power, coordinate, flat residues) of each cyclic piece, by base element
-    buckets: dict = {}
-    for order, c, flat in pieces:
-        m = moduli[c]
-        for b, power in _base_powers(order, base):
-            k = order // power
-            buckets.setdefault(b, []).append((power, c, [k * v % m for v in flat]))
-
-    for bucket in buckets.values():
-        bucket.sort(key=lambda part: -part[0])
-
-    depth = max((len(b) for b in buckets.values()), default=0)
-    factors = []
-    reps = []
-    for i in range(depth):
-        order = 1
-        cells = [[0] * r for _ in range(n * n)]
-        for bucket in buckets.values():
-            if i < len(bucket):
-                power, c, flat = bucket[i]
-                order *= power
-                for cell, value in zip(cells, flat):
-                    cell[c] += value
-        factors.append(order)
-        reps.append(validate_abelian(q, moduli, [cells[x * n:(x + 1) * n] for x in range(n)]))
-    factors.reverse()
-    reps.reverse()
-
-    parts = [sorted(pp for k in orders for pp in _base_powers(k, base))
-             for orders in (predicted, factors)]
-    if parts[0] != parts[1]:
-        raise AssertionError("H^2 disagrees with its universal-coefficient prediction")
-    return tuple(factors), reps
+    rows = sorted(conditions.values(), key=len)  # short rows first keep the pivots sparse
+    solved = {m: _h2_cyclic(n, rows, coboundaries, o, m) for m in set(moduli) if m > 1}
+    lanes = [(vec, m) for m, (_, generators) in solved.items() for vec in generators]
+    pieces = [(d, tuple(rep if j == c else {} for j in range(len(moduli))))
+              for c, m in enumerate(moduli) if m > 1 for d, rep in solved[m][0]]
+    pieces = _fold(pieces, moduli)
+    lanes += [(part, m) for _, rep in pieces for part, m in zip(rep, moduli)]
+    broken = _first_break(t, [([vec.get(cell, 0) for cell in range(n * n)], m) for vec, m in lanes])
+    if broken is not None:
+        raise AssertionError(f"an H^2 generator is not a cocycle at {broken}")
+    reps = [AbelianCocycle(q, moduli, tuple(
+        tuple(tuple(part.get(x * n + y, 0) for part in rep) for y in range(n)) for x in range(n)))
+        for _, rep in pieces]
+    return tuple(d for d, _ in pieces), reps

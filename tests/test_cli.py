@@ -940,6 +940,23 @@ def test_flag_edge_values_exit_cleanly(tmp_path, capsys, argv, expect):
         assert {key: results[key] for key in expect} == expect
 
 
+def test_h2_reports_a_faulty_representative_as_an_internal_error(capsys, monkeypatch):
+    """A representative nonzero on the diagonal is a fault of quandlekit, not a refused input."""
+    real = cocycle._h2_cyclic
+
+    def unnormalized(*args):
+        pieces, generators = real(*args)
+        pieces[0][1][0] = 1  # the cell (0, 0)
+        return pieces, generators
+
+    monkeypatch.setattr(cocycle, "_h2_cyclic", unnormalized)
+    code, captured = invoke(["h2", "--dihedral", "4", "--coeff", "Z2"], capsys, internal_error=True)
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("quandlekit: internal error: AssertionError: ")
+    assert "not a cocycle at (0,)" in captured.err
+    assert "not normalized" not in captured.err
+
+
 def test_coset_enumeration_stops_at_the_fixed_ceiling(capsys, monkeypatch):
     # the trivial subgroup of As(R3) has infinite index, so only a bound stops the table
     monkeypatch.setattr(envgroup, "_COSET_CEILING", 1000)

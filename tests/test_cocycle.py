@@ -3,7 +3,7 @@
 import functools
 import itertools
 import random
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +34,7 @@ from quandlekit.errors import (
 from quandlekit.fingroup import conj_quandle, core_quandle, make_group
 from quandlekit.perm import Perm, PermGroup
 from quandlekit.quandle import (
+    Quandle,
     _first_unpreserved,
     aut,
     build,
@@ -42,6 +43,8 @@ from quandlekit.quandle import (
     is_isomorphic,
     orbit_partition,
 )
+from integer_h2 import predicted_h2
+from test_digests import H2_FACTORS, H2_MULTI_FACTOR_COEFFICIENTS
 
 T2 = build("trivial", 2)
 R3 = build("dihedral", 3)
@@ -570,28 +573,172 @@ def test_h2_cap():
 TETRAHEDRAL = next(q for q in enumerate_quandles(4) if len(orbit_partition(q)) == 1)
 
 
-@pytest.mark.parametrize("base, moduli", [(T2, (2,)), (TETRAHEDRAL, (2,)), (TETRAHEDRAL, (4, 6))])
-def test_h2_that_loses_a_cyclic_piece_fails_universal_coefficients(monkeypatch, base, moduli):
-    """T2 has free pieces only; the tetrahedral quandle's pieces come from H_2 = Z_2."""
-    real = cocyclemod._h2_single
-    monkeypatch.setattr(cocyclemod, "_h2_single", lambda q, m, cond: real(q, m, cond)[1:])
-    with pytest.raises(AssertionError, match="universal-coefficient"):
+CERTIFIED_CASES = [(T2, (2,)), (TETRAHEDRAL, (2,)), (TETRAHEDRAL, (4, 6)), (build("dihedral", 4), (4,))]
+
+
+def _wrapped(monkeypatch, name, change):
+    """Replace cocycle.`name` by a call of the real one whose result `change` corrupts."""
+    real = getattr(cocyclemod, name)
+    monkeypatch.setattr(cocyclemod, name, lambda *args: change(real(*args)))
+
+
+@pytest.mark.parametrize("base, moduli", CERTIFIED_CASES[1:])
+def test_h2_with_a_corrupted_stated_combination_fails(monkeypatch, base, moduli):
+    """One coefficient of the stated combination of the last pivot row of the conditions is off by one."""
+    real = cocyclemod._echelon
+
+    def corrupted(rows, m):
+        form = real(rows, m)
+        if len(rows) > base.order:  # the conditions, not the coboundaries
+            row, combo = form[max(form)]
+            i = next(i for i, r in enumerate(rows) if any(v % m for v in r.values()))
+            form[max(form)] = (row, {**combo, i: combo.get(i, 0) + 1})
+        return form
+
+    monkeypatch.setattr(cocyclemod, "_echelon", corrupted)
+    with pytest.raises(AssertionError, match="stated combination"):
         compute_h2(base, moduli)
 
 
-@pytest.mark.parametrize("moduli", [(2,), (2, 3), (4, 1, 3), (2, 3, 5)])
-def test_h2_reduces_one_condition_matrix_per_call(monkeypatch, moduli):
-    """One Smith normal form of the conditions, then one quotient per non-unit factor."""
-    mats = []
-    real = cocyclemod.smith_normal_form
-    monkeypatch.setattr(cocyclemod, "smith_normal_form", lambda mat: mats.append(mat) or real(mat))
+@pytest.mark.parametrize("base, moduli", CERTIFIED_CASES)
+@pytest.mark.parametrize("drop", [0, -1], ids=["first", "last"])
+def test_h2_that_drops_a_kernel_generator_fails(monkeypatch, base, moduli, drop):
+    _wrapped(monkeypatch, "_kernel", lambda gens: [g for g in gens if g is not gens[drop]])
+    with pytest.raises(AssertionError):
+        compute_h2(base, moduli)
+
+
+@pytest.mark.parametrize("base, moduli", CERTIFIED_CASES)
+def test_h2_that_drops_a_cyclic_piece_fails(monkeypatch, base, moduli):
+    """T2 has free pieces only; the tetrahedral quandle's pieces come from H_2 = Z_2."""
+    _wrapped(monkeypatch, "_cyclic_pieces", lambda pieces: pieces[1:])
+    with pytest.raises(AssertionError, match=r"\|Z\^2\| / \|B\^2\|"):
+        compute_h2(base, moduli)
+
+
+@pytest.mark.parametrize("moduli", [(2,), (2, 3), (4, 1, 3), (2, 3, 5), (2, 2, 4, 2)])
+def test_h2_reduces_the_rows_once_per_modulus(monkeypatch, moduli):
+    """One echelon form of the coboundaries and one of the conditions per distinct modulus."""
+    calls = []
+    real = cocyclemod._echelon
+    monkeypatch.setattr(cocyclemod, "_echelon", lambda rows, m: calls.append((len(rows), m))
+                        or real(rows, m))
     base = build("dihedral", 5)
     compute_h2(base, moduli)
-    n = base.order
-    quotients = sum(m > 1 for m in moduli)
-    assert len(mats) == 1 + quotients
-    assert [len(mat) for mat in mats[1:]] == [n + n * n] * quotients
-    assert mats[0][:n] == [[int(j == x * n + x) for j in range(n * n)] for x in range(n)]
+    distinct = sorted({m for m in moduli if m > 1})
+    assert sorted(m for _, m in calls) == sorted(distinct * 2)
+    for m in distinct:
+        sizes = sorted(size for size, k in calls if k == m)
+        assert sizes[0] == base.order and sizes[1] > base.order
+
+
+# An order-6 quandle with H_2 torsion Z_2 + Z_4, labeled so that the element
+# of order 4 in H^2(Q, Z_m) leads with a cell value of order 2: the kernel
+# generators alone are not a direct sum, and `_cyclic_pieces` needs the
+# Smith normal form of their relations.
+UNALIGNED = Quandle.from_table([[0, 0, 5, 1, 3, 1], [1, 1, 3, 0, 5, 0], [4, 4, 2, 4, 2, 4],
+                                [5, 5, 0, 3, 1, 3], [2, 2, 4, 2, 4, 2], [3, 3, 1, 5, 0, 5]])
+
+
+@pytest.mark.parametrize("moduli", [(4,), (8,), (2, 4), (8, 6)])
+def test_h2_diagonalizes_generators_that_are_not_a_direct_sum(monkeypatch, moduli):
+    calls = []
+    real = cocyclemod.smith_normal_form
+    monkeypatch.setattr(cocyclemod, "smith_normal_form", lambda mat: calls.append(mat) or real(mat))
+    factors, reps = compute_h2(UNALIGNED, moduli)
+    assert calls and factors == predicted_h2(UNALIGNED, moduli)
+    for f, rep in zip(factors, reps):
+        cells = [v for row in rep.table for v in row]
+        assert all(not any(f * c % m for c, m in zip(v, moduli)) for v in cells)
+
+
+def _cochains(q, p):
+    """Every normalized Z_p-cochain of q, by cell x*n + y, with the cocycles and coboundaries."""
+    n = q.order
+    t = q.table
+    off = [x * n + y for x in range(n) for y in range(n) if x != y]
+    conditions = {c for _, c in cocyclemod._conditions(t)}
+    cocycles = []
+    for values in itertools.product(range(p), repeat=len(off)):
+        f = [0] * (n * n)
+        for cell, v in zip(off, values):
+            f[cell] = v
+        if all((f[i] + f[j] - f[k] - f[l]) % p == 0 for i, j, k, l in conditions):
+            cocycles.append(tuple(f))
+    coboundaries = {tuple((lam[x] - lam[t[x][y]]) % p for x in range(n) for y in range(n))
+                    for lam in itertools.product(range(p), repeat=n)}
+    return cocycles, coboundaries
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)])
+def test_h2_order_is_the_brute_force_count_of_cocycles_over_coboundaries(n, p):
+    for q in enumerate_quandles(n):
+        cocycles, coboundaries = _cochains(q, p)
+        assert prod(compute_h2(q, (p,))[0]) == len(cocycles) // len(coboundaries)
+        assert len(cocycles) % len(coboundaries) == 0
+
+
+def _lead(v):
+    return next(i for i, x in enumerate(v) if x)
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_h2_representatives_over_a_prime_follow_the_stated_rule(n, p):
+    """The reduced echelon basis of the cocycles that vanish on the leading cells of B^2."""
+    for q in enumerate_quandles(n):
+        cocycles, coboundaries = _cochains(q, p)
+        b2_leads = {_lead(b) for b in coboundaries if any(b)}
+        w = [z for z in cocycles if not any(z[c] for c in b2_leads)]
+        leads = sorted({_lead(z) for z in w if any(z)})
+        basis = [next(z for z in w if z[c] == 1 and not any(z[d] for d in leads if d != c))
+                 for c in leads]
+        factors, reps = compute_h2(q, (p,))
+        assert factors == (p,) * len(basis)
+        assert [tuple(v[0] for row in r.table for v in row) for r in reps] == basis
+
+
+H2_ORACLE_MODULI = ((2,), (3,), (4, 6), (8, 9))
+
+
+def test_h2_matches_universal_coefficients_on_every_class_of_order_at_most_6():
+    """The integer Smith form of the conditions predicts H^2; `compute_h2` never reduces over Z."""
+    for n in range(1, 7):
+        for q in enumerate_quandles(n):
+            for moduli in H2_ORACLE_MODULI:
+                assert compute_h2(q, moduli)[0] == predicted_h2(q, moduli), (q.table, moduli)
+
+
+def _pinned_h2():
+    """(base, moduli) of every `h2` pin and of the multi-factor corpus of `test_digests`."""
+    sources = {"trivial": lambda v: build("trivial", int(v)),
+               "dihedral": lambda v: build("dihedral", int(v)),
+               "conj": lambda v: conj_quandle(make_group(v)),
+               "core": lambda v: core_quandle(make_group(v))}
+    cases = []
+    for command in H2_FACTORS:
+        _, flag, value, _, coeff = command.split()
+        cases.append((sources[flag[2:]](value), tuple(int(z[1:]) for z in coeff.split("x"))))
+    bases = [build("trivial", 2), build("trivial", 3), build("dihedral", 3),
+             build("dihedral", 4), build("dihedral", 5), conj_quandle(make_group("S3"))]
+    return cases + [(q, moduli) for q in bases for moduli in H2_MULTI_FACTOR_COEFFICIENTS]
+
+
+def test_h2_matches_universal_coefficients_on_the_pin_corpus():
+    for q, moduli in _pinned_h2():
+        assert compute_h2(q, moduli)[0] == predicted_h2(q, moduli), (q.table, moduli)
+
+
+def test_h2_over_the_pin_corpus_has_the_betti_property():
+    """Over Z_m with m prime to |Inn(Q)|, H^2 is Z_m^(o^2 - o): for the corpus' own moduli and small primes."""
+    checked = 0
+    for q, moduli in _pinned_h2():
+        o = len(orbit_partition(q))
+        order = inn(q).order
+        for m in sorted(set(moduli) | {2, 3, 5, 7}):
+            if gcd(m, order) == 1:
+                assert compute_h2(q, (m,))[0] == (m,) * (o * o - o), (q.table, m)
+                checked += 1
+    assert checked > 0
 
 
 # Valid cocycles to corrupt: every one over four small bases and fibers.

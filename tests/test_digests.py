@@ -10,12 +10,21 @@ in output order.  They were recorded with the enumeration that built every
 labeled table and the full S_n product table, before labelings were
 ordered by element invariants.
 
-The `h2` and `envelope --abelianization` digests were recorded while the
-Smith normal form transforms were certified by Bareiss determinants and
-`compute_h2` inverted V by Gauss-Jordan elimination over fractions.  The
-`h2` digests cover the cocycle representatives, which are read off V and
-its inverse.  The digest of the transforms themselves says where it was
-recorded.
+The `envelope --abelianization` digests were recorded while the Smith
+normal form transforms were certified by Bareiss determinants.  The digests
+of the transforms themselves say where they were recorded; they reduce the
+integer condition and quotient matrices that `compute_h2` once reduced,
+which `integer_h2` still builds.
+
+The `h2` digests and `H2_MULTI_FACTOR_DIGEST` cover the cocycle
+representatives as well as the invariant factors.  They were re-recorded,
+once, when `compute_h2` moved from two integer Smith normal forms to one
+elimination of the conditions per modulus, whose representatives follow a
+rule stated on the module (the reduced echelon basis of the cocycles that
+vanish on the pivot cells of the coboundaries, for prime moduli) instead of
+the order of an integer elimination.  Every invariant factor stayed as
+`H2_FACTORS` and `H2_MULTI_FACTORS` had recorded it before the move, and
+the 11 pins with no factor kept their bytes.
 
 The `AUT_SEARCH_DIGESTS` (`Conj(S4)`, Alexander quandles of Z5 and Z7, and
 the suites that compute automorphism groups) were recorded while `aut`
@@ -34,6 +43,7 @@ from quandlekit import cli, cocycle
 from quandlekit.envgroup import smith_normal_form
 from quandlekit.fingroup import automorphism_group, conj_quandle, make_group
 from quandlekit.quandle import build, enumerate_quandles
+from integer_h2 import condition_matrix, quotient_matrix
 from test_envgroup import dense_transforms
 
 DIGESTS = {
@@ -105,43 +115,43 @@ DIGESTS = {
 }
 
 SNF_DIGESTS = {
-    "h2 --trivial 3 --coeff Z2": "b9c298c39ed9729b2a7953d5e18378104abd1abb8810244a6753c173c178d08a",
-    "h2 --trivial 3 --coeff Z3": "43fcf6de54331101768cab8f14f61d15d68cd9c984d7b8b337024d6009f981cd",
-    "h2 --trivial 3 --coeff Z4": "c6c8a236bc7570916426ac0721f548890ebc8de013e2f5a5457680342e5789da",
-    "h2 --trivial 3 --coeff Z2xZ3": "c885164a55e766f4144a83d62ef3b022c5faa98fc7107b8873fee3f8eeca6efa",
-    "h2 --trivial 4 --coeff Z2": "37a21402711eade0f4599f8de2e2b3240830bccf25a423491a5fb8e3c687c5e0",
-    "h2 --trivial 4 --coeff Z3": "aa64c17accb504567d5f450260b46b554436b147c5da9aa4329b6c2fc5635beb",
-    "h2 --trivial 4 --coeff Z4": "a0f8a35a49b052abe9d7d02b2e0583ab7e8201981aeb1df8dd4ca4cbbb4d369b",
-    "h2 --trivial 4 --coeff Z2xZ3": "b199a9c396f9e5d5bc223f828682ad1b0acc2658f8a9f54a5da9806f042968e7",
-    "h2 --trivial 5 --coeff Z2": "f745c9f9af31566d259c936ad0d303ea939f090259a77942a2923f35f13a5c83",
-    "h2 --trivial 5 --coeff Z3": "0f88c46848feb1deed7991b8538ace9542cea500750adb7efad3fb9005d93df9",
-    "h2 --trivial 5 --coeff Z4": "f3974ac7772dea286c459f57c92a503dca650884ef422ff909fefb30e603c7b6",
-    "h2 --trivial 5 --coeff Z2xZ3": "41cf0d6bb8333835690ef80ffd87637821d78b41af0f53e403736da5ddcd06fd",
-    "h2 --trivial 6 --coeff Z2": "e20347772dd6ebcc9533204cde382790e4b15dd3898f15c4804a9e094c851805",
-    "h2 --trivial 6 --coeff Z3": "0ba8362494ee4c6bbb94fb3fe62db442cfbc80ecfdf6b8aca1efb2ac8153d24d",
-    "h2 --trivial 6 --coeff Z4": "427a9fbb3f8275a70030274cefff1746b71571a1f377c756a8e1be3040e94f25",
-    "h2 --trivial 6 --coeff Z2xZ3": "b3cf7f7be25fc6f793a36f7ce93efdba7c400a174662e69a19682269aa050c00",
+    "h2 --trivial 3 --coeff Z2": "457203b349958bdb5b7be9e6199adb703f2c8d54b091867152924b775915c4ae",
+    "h2 --trivial 3 --coeff Z3": "2bd1460401d1cae23fd6e69d4687d01831bf774e1485f5046ac7a25eecb3cd36",
+    "h2 --trivial 3 --coeff Z4": "30c220253e59701d34136bf8f7be9046b0ff7395a657dcea99c7fe7d5e7a7782",
+    "h2 --trivial 3 --coeff Z2xZ3": "103a1a730532688b683e7a5f611420ebadafc7a507819f9e2892ffb44260c61a",
+    "h2 --trivial 4 --coeff Z2": "3bb2d7e7deadddcf5ee7df2019d065d0a38509a7ca816ed5ca9f268a69776772",
+    "h2 --trivial 4 --coeff Z3": "a2a40b76d2c6abb81f7626bfb00ca5b20831818c43b0d2cdc00030229b91fd2f",
+    "h2 --trivial 4 --coeff Z4": "74b3b58ee09b225b02ae8e8f9523db1bc4d086cfcf2dfe7c01fbc8c8cbc93878",
+    "h2 --trivial 4 --coeff Z2xZ3": "920b6f8267140b61c7cc9e06adf4200b748cbd5a5af8d0fec10e1fb9fc048a03",
+    "h2 --trivial 5 --coeff Z2": "afc6cde2ead490a65971d1e4fbe3f6bf741f28b9c177161e1267cd9b36648736",
+    "h2 --trivial 5 --coeff Z3": "707971d6d97496ea7a11811aebc30cccc7ea1120ee473ead83a774d45cb375ac",
+    "h2 --trivial 5 --coeff Z4": "cedffcc233f71032406aa15d5cd291f3dc24e708777bf676df38f607d2af902e",
+    "h2 --trivial 5 --coeff Z2xZ3": "bee62d581745d7edd78db80f632458cf4f402c5f61aeb63031478c941534b5ae",
+    "h2 --trivial 6 --coeff Z2": "8955564d3ca7e94ead1145046a41e43d4b22739fa0026e358ec33d8bc60bd0a3",
+    "h2 --trivial 6 --coeff Z3": "c3564fe4d3821c09aa0e65ca32ef15af64623491e895e86eb3c153272c0ca405",
+    "h2 --trivial 6 --coeff Z4": "53edbcbb9926f07eb29e7c4720abea14f482589587020a9fcd830e4180187ebd",
+    "h2 --trivial 6 --coeff Z2xZ3": "85d1bc03c063177e3991433e21fb6eabcc9bbcf804b45b42ff0a37ea9930b0c4",
     "h2 --dihedral 3 --coeff Z2": "d7c337b04348cae39aac45b06f5dcf002c024bf6174e4419a9cbd01ed0319224",
     "h2 --dihedral 3 --coeff Z3": "77d5e4a188e6541734b11aea024cc32b9e71bccd18af98fa293c05b6eb9099c3",
     "h2 --dihedral 3 --coeff Z4": "6cd6209420d6f6bf86db4c5f6e82f85598189349ee27d2a05394dc83b6898609",
     "h2 --dihedral 3 --coeff Z2xZ3": "06cf99e1c08505a5c3f1b09d078d1375c5c671215ec6e823a6a08e7def152f64",
-    "h2 --dihedral 4 --coeff Z2": "9927e82ebf90e3386e94fdb749b1f029c886643ca372828372a79052c5631b97",
-    "h2 --dihedral 4 --coeff Z3": "0fa199a29dcec0c91a9a4eea643e4f7a2b34d0e137cb35df8557172a1a5f92ea",
-    "h2 --dihedral 4 --coeff Z4": "354fc28b61a9a878d122a2e9c1f2c2f43c8b51540191168008b5c344473e9a0a",
-    "h2 --dihedral 4 --coeff Z2xZ3": "36436853583aeec879a0579aa15aed5fa028b80119b2e328ce0ec699c9f11d6c",
+    "h2 --dihedral 4 --coeff Z2": "d850934839e38f7f9897bfa35c7a187583cddfbd052b931264dc8602a48290bc",
+    "h2 --dihedral 4 --coeff Z3": "01fed97a91b90480f4833322e2f21c6970384181cd0c8efefda49306bbf596e8",
+    "h2 --dihedral 4 --coeff Z4": "d0e6da6b87ad563b5c892dda03954b03148c3f193e7b3c4de42bcf846e67b0e2",
+    "h2 --dihedral 4 --coeff Z2xZ3": "3b78c6e328e4228eedf2bc0f6a413c91964929b6030f1d93b0c8418aa8c70da1",
     "h2 --dihedral 5 --coeff Z2": "2658f22416ac3205442b6e3e01554e2c6741a2f73a50b83d43afc49bbf27e271",
     "h2 --dihedral 5 --coeff Z3": "904c7f259f6be8affd64f3a87aaf4661ac3d4553255938d9b2ff860654c11776",
     "h2 --dihedral 5 --coeff Z4": "31a07cb6c90b8bad69f65e816e5478c85500a4e801d681a3a65a30e4a5fd5a39",
     "h2 --dihedral 5 --coeff Z2xZ3": "dd5762c63cba1fa123dcd3640849325bb4a41196a5c81e8603a7af54c6af0839",
-    "h2 --dihedral 6 --coeff Z2": "a01815182b7d987457e9790db079867ebfff2bbe88e30a6e87ea3503070b9d30",
-    "h2 --dihedral 6 --coeff Z3": "9d756926fc06eaf078268f352016c1751705636b781732b8a6f1d7799f689a17",
-    "h2 --dihedral 6 --coeff Z4": "5c903f4162dd29dfea5a7c08e293461a97bf29dccec84609b1c59bb377ec62be",
-    "h2 --dihedral 6 --coeff Z2xZ3": "01eaf49f666651b89a9f6bc753d47c51c23ab2eb7589dad3543cd65521a3384c",
+    "h2 --dihedral 6 --coeff Z2": "f0879c3e95f52056f1a57ac2a00f015514b6dc575528afda2ebcc9af89d35efe",
+    "h2 --dihedral 6 --coeff Z3": "3e41e8b184b7fe50014e0cf543612fa458ef3fc2fed4f6fe69c1f98098e24fbd",
+    "h2 --dihedral 6 --coeff Z4": "b4ab40b66ca565981c7b51858a0b7c72b5519c6b809876b014d5e21db4cc2225",
+    "h2 --dihedral 6 --coeff Z2xZ3": "095d32e63e1c2efd711f5fbff3344a382a80b16b61e4f1989b6e0b62d6baf0fc",
     "h2 --dihedral 7 --coeff Z2": "ac4ae9bd5b4f718809e9094740768eafa25f5aee8d9a8311ca0059ee99e5fe41",
-    "h2 --conj S3 --coeff Z2": "fa7308c48ef189321ff6a419f8f7eb5c5150673729571f43343f96e32b2a0bb1",
-    "h2 --conj S3 --coeff Z3": "55faa9a8c7f415e2232f44b2cdc3363ab0d245a89ddc1000ebeabfabf6d861cd",
+    "h2 --conj S3 --coeff Z2": "53c72bcb8e6120275edb61df8272095fcbaaaab9e4fb8bcbc1cc9adf6b0e17a1",
+    "h2 --conj S3 --coeff Z3": "dd0a910569f74de556086b371b9fef78efb7aa8dede5db3af85ad2934ad31595",
     "h2 --core Z3 --coeff Z4": "055635e85b7cc4b6d784d01033b4318caac3a1056e6ca7189e302bd9f6be5c4b",
-    "h2 --core Z2xZ2 --coeff Z2xZ3": "af4829ccd57468fbd0cbd8ade8aafaaf272f8ad877202b22aedacd4cf70a019f",
+    "h2 --core Z2xZ2 --coeff Z2xZ3": "60c0c92992487b3a47431fd6e9b4fd04541bc528f5a0b2834ca2b5c4519c0023",
     "h2 --core Z5 --coeff Z2": "f14ca3be71109cef457d1f5e5e25f9c65268ce334d677c212b8978497add7118",
     "envelope --trivial 3 --abelianization": "c139e7868c753887d84779a2c3770ce88a862e7a94c2a275f25ae2ac23783a1c",
     "envelope --trivial 4 --abelianization": "7d73f760a627e3bb2e486ccbcd1351e5b60c60762f4faa51cfb07db2b7b07a40",
@@ -372,17 +382,17 @@ def test_enumeration_tables_are_pinned(n):
 SNF_TRANSFORMS_DIGEST = "b69e72b6fc29a6dd8408f4f25cba2fa1507057d525ece6ff85a9d44064cdd832"
 
 
-def test_smith_normal_form_transforms_are_pinned(monkeypatch):
-    """Seeded small matrices, then every distinct matrix `compute_h2` reduces for two bases."""
+def test_smith_normal_form_transforms_are_pinned():
+    """Seeded small matrices, then the condition and quotient matrices of H^2 over two bases."""
     rng = random.Random(47)
     mats = []
     for _ in range(60):
         m, n = rng.randrange(1, 9), rng.randrange(1, 6)
         mats.append([[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)])
-    real = cocycle.smith_normal_form
-    monkeypatch.setattr(cocycle, "smith_normal_form", lambda mat: mats.append(mat) or real(mat))
-    cocycle.compute_h2(build("dihedral", 5), (2, 3))
-    cocycle.compute_h2(build("trivial", 3), (4,))
+    for q, moduli in ((build("dihedral", 5), (2, 3)), (build("trivial", 3), (4,))):
+        mats.append(condition_matrix(q))
+        cond = smith_normal_form(mats[-1])
+        mats += [quotient_matrix(q, m, cond) for m in moduli]
     distinct = []
     for mat in mats:
         if mat not in distinct:
@@ -400,7 +410,7 @@ SNF_UNIT_PIVOT_DIGEST = "d6305ebd01f1e49ba0ba3e990f392746ce1ef30b56c796e11e9ea36
 
 def test_smith_normal_form_transforms_are_pinned_where_pivots_are_units():
     """Condition matrices (nearly every pivot is a unit), then seeded matrices with no unit entry."""
-    forms = [cocycle._condition_form(build(kind, n))
+    forms = [smith_normal_form(condition_matrix(build(kind, n)))
              for kind, n in (("dihedral", 6), ("dihedral", 7), ("trivial", 6))]
     rng = random.Random(53)
     values = (0, 0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9, 10, -15)
@@ -411,10 +421,11 @@ def test_smith_normal_form_transforms_are_pinned_where_pivots_are_units():
     assert hashlib.sha256(doc.encode()).hexdigest() == SNF_UNIT_PIVOT_DIGEST
 
 
-# Recorded while `compute_h2` widened each cyclic piece to a table over all
-# coordinates and recombined the pieces by scaling and adding whole tables.
+# Re-recorded when `compute_h2` moved to one elimination per modulus, with
+# representatives fixed by a rule on the module; `H2_MULTI_FACTORS` below
+# holds the factors recorded before the move.
 H2_MULTI_FACTOR_COEFFICIENTS = ((4, 2), (2, 2, 3), (6, 4), (8, 12), (9, 3))
-H2_MULTI_FACTOR_DIGEST = "a2fdac1b74d106551164c28f4905a13c9607751b746a1d39327cfdd338467b3a"
+H2_MULTI_FACTOR_DIGEST = "bb756082672cb6fda4c5612d81c1cfbe491002bfb2b46f653654669f03306c58"
 
 
 def test_h2_over_multi_factor_coefficients_is_pinned():
