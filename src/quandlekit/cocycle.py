@@ -609,12 +609,12 @@ def _h2_cyclic(n: int, conditions, coboundaries, o: int, m: int) -> tuple:
     """The cyclic pieces of H^2(Q, Z_m), and the generators to check as cocycles, by cell.
 
     `conditions` and `coboundaries` are sparse rows over the cells x*n + y.
-    B^2, reduced with its first cells highest, must have n - o pivots, all
-    1: so |B^2| = m^(n - o), and B^2 meets
-    W = {z in Z^2 : z is zero on the pivot cells P of B^2} in 0.  With the
-    cells of P lowest, the kernel generators of the conditions led outside P
-    span W, and Z^2 = B^2 + W.  The representatives are the pieces of W:
-    when every pivot is 1, as for every prime m, its reduced echelon basis.
+    B^2, reduced with its first cells highest, must have n - o pivots, all 1,
+    so |B^2| = m^(n - o) and B^2 meets W = {z in Z^2 : z is zero on B^2's
+    pivot cells P} in 0.  With P lowest, the conditions' kernel generators led
+    outside P span W, and Z^2 = B^2 + W.  Those generators, diagonalized by
+    `_cyclic_pieces` if they are no direct sum, are the representatives: when
+    every pivot is 1, as for every prime m, W's reduced echelon basis.
     """
     size = n * n
     brows = [{size - 1 - i: v for i, v in row.items()} for row in coboundaries]
@@ -668,13 +668,14 @@ def _fold(pieces, moduli) -> list:
 def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
     """Invariant factors of H^2(Q, A) plus one representative per factor.
 
-    The condition rows are reduced once over Z/m per distinct modulus m
-    (`_h2_cyclic`), and the cyclic pieces of all coordinates are folded into
-    invariant factors (`_fold`).  The certificate bounds Z^2 from both sides:
-    each echelon row is re-checked as its stated combination, each kernel
-    generator, coboundary and representative as a cocycle in one pass over
-    `_conditions`, and the pieces of each modulus must multiply to
-    |Z^2| / |B^2|.  A failed check raises AssertionError, a fault of the package.
+    The condition rows are reduced once over Z/m per distinct modulus m, and
+    the pieces of all coordinates fold into invariant factors.  For prime m
+    the representatives are the reduced echelon basis of the cocycles zero on
+    the pivot cells of B^2 (`_h2_cyclic` gives the rule for other m).  The
+    certificate re-checks each echelon row as its stated combination, each
+    kernel generator, coboundary and representative as a cocycle in one pass
+    over `_conditions`, and that the pieces of each modulus multiply to
+    |Z^2| / |B^2|; a failure raises AssertionError, a fault of the package.
     """
     if q.order > max_order:
         raise CapExceeded(f"base order {q.order} exceeds cap {max_order}")
