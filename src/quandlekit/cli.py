@@ -2,10 +2,10 @@
 
 Builds quandles from flags or files, prints invariant and group reports,
 drives the enveloping-group tooling, extensions, unions and the named
-check suites.  Reports are JSON on standard output; --pretty switches to
-aligned tables for reading.  Exit code 0 means success with every check
-passing, 1 means some check failed, 2 means the invocation or an input
-file was bad.
+check suites.  Reports are one line of canonical JSON on standard output;
+--pretty switches to aligned tables for reading.  Exit code 0 means
+success with every check passing, 1 means some check failed, 2 means the
+invocation or an input file was bad.
 
 Reports carry a digest over everything except the timing field, so two
 runs with the same inputs are byte-identical apart from "timing_ms".
@@ -240,8 +240,9 @@ def _extend(args, inputs):
 def _h2(args, inputs):
     q = _source_quandle(args, inputs)
     moduli = _parse_moduli(args.coeff)
+    cap = _cap_order(args, cocyclemod.DEFAULT_H2_CAP)
     with _cap_flag("--cap-order"):
-        factors, reps = cocyclemod.compute_h2(q, moduli, max_order=_cap_order(args, 8))
+        factors, reps = cocyclemod.compute_h2(q, moduli, max_order=cap)
     return {
         "moduli": list(moduli),
         "invariant_factors": list(factors),
@@ -393,7 +394,7 @@ def _emit(report: dict, pretty: bool) -> None:
         lines.append(f"passed: {report['passed']}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_canonical(report).decode() + "\n")
 
 
 def run(argv) -> int:

@@ -39,6 +39,9 @@ from .quandle import Quandle, _automorphisms, _require_automorphism, orbit_parti
 # Largest coefficient group whose translations abelian_to_constant builds.
 DEFAULT_FIBER_CAP = 64
 
+# Largest base quandle of compute_h2.
+DEFAULT_H2_CAP = 8
+
 # Largest fiber of cocycle_stabilizer; it caps the fiber only.
 _STABILIZER_CAP = 9
 
@@ -665,7 +668,7 @@ def _fold(pieces, moduli) -> list:
     return [piece for piece in pieces if piece[0] > 1]
 
 
-def compute_h2(q: Quandle, moduli, max_order: int = 8) -> tuple:
+def compute_h2(q: Quandle, moduli, max_order: int = DEFAULT_H2_CAP) -> tuple:
     """Invariant factors of H^2(Q, A) plus one representative per factor.
 
     The condition rows are reduced once over Z/m per distinct modulus m, and

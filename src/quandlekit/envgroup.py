@@ -53,16 +53,6 @@ class Presentation:
     ngens: int
     relators: tuple[Word, ...]
 
-    def __post_init__(self):
-        if self.ngens < 0:
-            raise ValueError("ngens must be nonnegative")
-        for w in self.relators:
-            for g, s in w:
-                if not 0 <= g < self.ngens:
-                    raise ValueError(f"generator index {g} out of range")
-                if s not in (1, -1):
-                    raise ValueError(f"letter sign must be +1 or -1, got {s}")
-
 
 def presentation_of(q: Quandle) -> Presentation:
     """One generator per element; conjugation by a_i sends a_j to a_{j*i}.
@@ -105,9 +95,9 @@ def commutator_generators(q: Quandle) -> list[Word]:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """D = U*A*V, U and V unimodular, v_inv = V^-1; U and v_inv by sparse rows, V by sparse columns."""
+    """U*A*V = D, D the m x n zero matrix with the invariant factors leading its diagonal;
+    U, V unimodular, v_inv = V^-1; U and v_inv by sparse rows, V by sparse columns."""
 
-    d: tuple
     u: tuple
     v: tuple
     v_inv: tuple
@@ -152,7 +142,7 @@ def _is_inverse_pair(rows, cols) -> bool:
 def smith_normal_form(matrix) -> SmithForm:
     """Diagonalize an integer matrix with certified transforms.
 
-    Returns D, U, V with U*A*V = D, U and V unimodular, and the diagonal
+    Returns U, V with U*A*V = D, U and V unimodular, and the diagonal
     entries nonnegative with each dividing the next, plus the inverse of V.
     The pivot is the smallest nonzero |a_ij| of the remaining block, first in
     row-major order; no entry is smaller than a unit, so the scan stops at
@@ -162,15 +152,16 @@ def smith_normal_form(matrix) -> SmithForm:
     columns.  Before returning, U*U^-1 = I and V^-1*V = I are re-checked
     exactly, and then A = U^-1*D*V^-1 as a sum of sparse outer products,
     which given those inverses is U*A*V = D.  So a returned SmithForm is a
-    verified certificate, not just a claim.
+    verified certificate, not just a claim.  The working copy is the one
+    dense matrix; A is kept by its nonzero entries.
     """
-    original = [list(map(int, row)) for row in matrix]
-    m = len(original)
-    n = len(original[0]) if m else 0
-    for row in original:
+    a = [list(map(int, row)) for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    for row in a:
         if len(row) != n:
             raise ValueError("matrix rows must have equal length")
-    a = [row[:] for row in original]
+    original = {(i, j): x for i, row in enumerate(a) for j, x in enumerate(row) if x}
     u = [{i: 1} for i in range(m)]  # rows of U
     u_inv = [{i: 1} for i in range(m)]  # columns of U^-1
     v = [{i: 1} for i in range(n)]  # columns of V
@@ -254,18 +245,15 @@ def smith_normal_form(matrix) -> SmithForm:
 
     if not _is_inverse_pair(u, u_inv) or not _is_inverse_pair(v_inv, v):
         raise AssertionError("transform matrices lost unimodularity")
-    product = [[0] * n for _ in range(m)]  # U^-1 * D * V^-1
-    entries = [(i, j, x) for i, row in enumerate(a) if any(row) for j, x in enumerate(row) if x]
-    for i, j, x in entries:
-        for r, y in u_inv[i].items():
-            for k, z in v_inv[j].items():
-                product[r][k] += x * y * z
-    if product != original:
-        raise AssertionError("certificate U*A*V = D failed to re-verify")
-
     factors = tuple(a[i][i] for i in range(min(m, n)) if a[i][i] != 0)
+    product: dict = {}  # U^-1 * D * V^-1
+    for i, x in enumerate(factors):
+        for r, y in u_inv[i].items():
+            for k, z in v_inv[i].items():
+                product[r, k] = product.get((r, k), 0) + x * y * z
+    if {key: x for key, x in product.items() if x} != original:
+        raise AssertionError("certificate U*A*V = D failed to re-verify")
     return SmithForm(
-        d=tuple(tuple(row) for row in a),
         u=tuple(u),
         v=tuple(v),
         v_inv=tuple(v_inv),
@@ -274,22 +262,26 @@ def smith_normal_form(matrix) -> SmithForm:
     )
 
 
-def relator_matrix(p: Presentation) -> list[list[int]]:
-    """Exponent-sum matrix: one row per relator, one column per generator."""
-    rows = []
-    for w in p.relators:
-        row = [0] * p.ngens
-        for g, s in w:
-            row[g] += s
-        rows.append(row)
-    return rows
-
-
 def abelianization(p: Presentation) -> tuple[int, tuple]:
-    """Cokernel of the relator matrix: (free rank, nontrivial torsion factors)."""
-    if not p.relators:
+    """Cokernel of the exponent-sum matrix: (free rank, nontrivial torsion factors).
+
+    Its distinct nonzero rows span the same lattice, so only they reach the
+    Smith form, in order of first appearance.
+    """
+    rows: dict = {}
+    for w in p.relators:
+        sums: dict = {}
+        for g, s in w:
+            sums[g] = sums.get(g, 0) + s
+        rows[frozenset((g, x) for g, x in sums.items() if x)] = None
+    rows.pop(frozenset(), None)
+    if not rows:
         return p.ngens, ()
-    snf = smith_normal_form(relator_matrix(p))
+    matrix = [[0] * p.ngens for _ in rows]
+    for dense, row in zip(matrix, rows):
+        for g, x in row:
+            dense[g] = x
+    snf = smith_normal_form(matrix)
     torsion = tuple(d for d in snf.invariant_factors if d > 1)
     return snf.free_rank, torsion
 

@@ -9,6 +9,7 @@ import collections
 import contextlib
 import hashlib
 import json
+import os
 import random
 import sys
 
@@ -73,6 +74,17 @@ def test_timing_excluded_from_digest(capsys):
         json.dumps(report, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     assert claimed == recomputed
+
+
+def test_stdout_is_the_canonical_json_its_digest_covers(capsys):
+    """One line of sorted, unspaced JSON; without the digest and timing it hashes to the digest."""
+    code, captured = invoke(["h2", "--trivial", "2", "--coeff", "Z2"], capsys)
+    assert code == 0
+    report = json.loads(captured.out)
+    assert captured.out == cli._canonical(report).decode() + "\n"
+    claimed = report.pop("report_digest")
+    report.pop("timing_ms")
+    assert hashlib.sha256(cli._canonical(report)).hexdigest() == claimed
 
 
 def test_build_sources(capsys):
@@ -598,6 +610,37 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["aut_order"] == 2
+
+
+# Run in a fresh interpreter, so VmHWM is this run's own peak, not pytest's.
+_PEAK_PROBE = """
+import contextlib, io, json, sys, time
+from quandlekit import cli
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.run(sys.argv[1:])
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as fh:
+    peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"code": code, "seconds": seconds, "peak_mb": peak_kb / 1024,
+                  "report": json.loads(out.getvalue())}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_abelianization_at_the_construction_cap_stays_small():
+    """All 39,800 relators of the trivial quandle of order 200 have zero exponent sums."""
+    import subprocess
+
+    argv = ["envelope", "--abelianization", "--trivial", "200"]
+    proc = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["code"] == 0
+    assert probe["report"]["results"] == {
+        "generators": 200, "relators": 39800, "free_rank": 200, "torsion": []}
+    assert probe["peak_mb"] < 128 and probe["seconds"] < 10
 
 
 def _write(tmp_path, doc):

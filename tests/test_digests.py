@@ -44,7 +44,7 @@ from quandlekit.envgroup import smith_normal_form
 from quandlekit.fingroup import automorphism_group, conj_quandle, make_group
 from quandlekit.quandle import build, enumerate_quandles
 from integer_h2 import condition_matrix, quotient_matrix
-from test_envgroup import dense_transforms
+from test_envgroup import dense_d, dense_transforms
 
 DIGESTS = {
     "aut --trivial 3": "172dfe817a0a3a111cb12e5f8c20d758aea12432412c5936d1c9ba709a7d05e8",
@@ -399,7 +399,7 @@ def test_smith_normal_form_transforms_are_pinned():
             distinct.append(mat)
     assert len(distinct) == 65
     forms = [smith_normal_form(mat) for mat in distinct]
-    doc = json.dumps([[s.d, *dense_transforms(s)[:2]] for s in forms], separators=(",", ":"))
+    doc = json.dumps([[dense_d(s), *dense_transforms(s)[:2]] for s in forms], separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == SNF_TRANSFORMS_DIGEST
 
 
@@ -417,7 +417,7 @@ def test_smith_normal_form_transforms_are_pinned_where_pivots_are_units():
     for _ in range(20):
         m, n = rng.randrange(2, 9), rng.randrange(2, 9)
         forms.append(smith_normal_form([[rng.choice(values) for _ in range(n)] for _ in range(m)]))
-    doc = json.dumps([[s.d, *dense_transforms(s)[:2]] for s in forms], separators=(",", ":"))
+    doc = json.dumps([[dense_d(s), *dense_transforms(s)[:2]] for s in forms], separators=(",", ":"))
     assert hashlib.sha256(doc.encode()).hexdigest() == SNF_UNIT_PIVOT_DIGEST
 
 
