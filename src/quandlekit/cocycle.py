@@ -591,16 +591,16 @@ def _cyclic_pieces(gens, m: int) -> list:
     pieces = sorted(((m // e, vec) for _, e, vec in gens), key=lambda piece: piece[0])
     if not any(_scaled(d, (vec,), (m,))[0] for d, vec in pieces):
         return pieces
-    relations = [[0] * len(gens) for _ in gens]
+    relations = [{j: m // e} for j, (_, e, _) in enumerate(gens)]
     for j, (_, e, vec) in enumerate(gens):
-        relations[j][j] = m // e
         rest = _scaled(m // e, (vec,), (m,))
         for i, (lead, e_i, other) in enumerate(gens[j + 1:], j + 1):
-            relations[j][i] = -(rest[0].get(lead, 0) // e_i)
-            _axpy(rest, (other,), relations[j][i], (m,))
+            if c := -(rest[0].get(lead, 0) // e_i):
+                relations[j][i] = c
+                _axpy(rest, (other,), c, (m,))
         if rest[0]:
             raise AssertionError("a kernel generator has lost the Howell property")
-    snf = smith_normal_form(relations)
+    snf = smith_normal_form(relations, len(gens))
     pieces = [(d, ({},)) for d in snf.invariant_factors]
     for (_, vec), combination in zip(pieces, snf.v_inv):
         for j, c in combination.items():

@@ -3,8 +3,9 @@
 A quandle embeds its structure into a finitely presented group with one
 generator per element and one conjugation relator per ordered pair.  This
 module builds those presentations and answers the questions about them that
-stay decidable: abelianization through an exact Smith normal form,
-commutator-subgroup generators, and coset enumeration (Todd-Coxeter).
+stay decidable: abelianization through an exact Smith normal form on sparse
+rows, from its callers to its certificate, commutator-subgroup generators,
+and coset enumeration (Todd-Coxeter).
 
 Everything runs on exact integers.  Python integers are unbounded, so the
 overflow failure mode that plagues fixed-width Smith normal form code cannot
@@ -139,43 +140,49 @@ def _is_inverse_pair(rows, cols) -> bool:
     return True
 
 
-def smith_normal_form(matrix) -> SmithForm:
-    """Diagonalize an integer matrix with certified transforms.
+def smith_normal_form(rows, ncols: int) -> SmithForm:
+    """Diagonalize an integer matrix, given as sparse rows on ncols columns, with certified transforms.
 
-    Returns U, V with U*A*V = D, U and V unimodular, and the diagonal
-    entries nonnegative with each dividing the next, plus the inverse of V.
-    The pivot is the smallest nonzero |a_ij| of the remaining block, first in
-    row-major order; no entry is smaller than a unit, so the scan stops at
-    the first one.  A pivot of 1 divides every entry, so the divisibility
-    scan is skipped under it.  Every elementary operation on U or V applies
-    its inverse to a running U^-1 or V^-1, all held as sparse rows or
-    columns.  Before returning, U*U^-1 = I and V^-1*V = I are re-checked
-    exactly, and then A = U^-1*D*V^-1 as a sum of sparse outer products,
-    which given those inverses is U*A*V = D.  So a returned SmithForm is a
-    verified certificate, not just a claim.  The working copy is the one
-    dense matrix; A is kept by its nonzero entries.
+    Each row maps columns in range(ncols) to nonzero entries, else ValueError.
+    Returns U, V with U*A*V = D, U and V unimodular, and the diagonal entries
+    nonnegative with each dividing the next, plus the inverse of V.  The pivot
+    is the smallest nonzero |a_ij| of the remaining block, first in row-major
+    order; no entry is smaller than a unit, so the scan stops at the first one.
+    A pivot of 1 divides every entry, so the divisibility scan is skipped under
+    it.  Elimination runs on copies of the rows, and column operations walk
+    only the block's rows: those above it hold just their diagonal entry.
+    Every elementary operation on U or V applies its inverse to a running U^-1
+    or V^-1, all held as sparse rows or columns.  Before returning, U*U^-1 = I
+    and V^-1*V = I are re-checked exactly, and then A = U^-1*D*V^-1 as a sum of
+    sparse outer products, which given those inverses is U*A*V = D.  So a
+    returned SmithForm is a verified certificate.
     """
-    a = [list(map(int, row)) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix rows must have equal length")
-    original = {(i, j): x for i, row in enumerate(a) for j, x in enumerate(row) if x}
+    a = [dict(row) for row in rows]
+    if not all(j in range(ncols) and x for row in a for j, x in row.items()):
+        raise ValueError(f"rows must map columns in range({ncols}) to nonzero entries")
+    m = len(rows)
     u = [{i: 1} for i in range(m)]  # rows of U
     u_inv = [{i: 1} for i in range(m)]  # columns of U^-1
-    v = [{i: 1} for i in range(n)]  # columns of V
-    v_inv = [{i: 1} for i in range(n)]  # rows of V^-1
+    v = [{i: 1} for i in range(ncols)]  # columns of V
+    v_inv = [{i: 1} for i in range(ncols)]  # rows of V^-1
 
-    def row_op(i, k, c):  # row i -= c * row k; both are zero before column t
-        for j in range(t, n):
-            a[i][j] -= c * a[k][j]
+    def row_op(i, k, c):  # row i -= c * row k
+        target = a[i]
+        for j, x in a[k].items():
+            if y := target.get(j, 0) - c * x:
+                target[j] = y
+            else:
+                target.pop(j, None)
         _axpy(u[i], u[k], -c)
         _axpy(u_inv[k], u_inv[i], c)
 
     def col_op(j, k, c):  # col j -= c * col k; both are zero above row t
-        for i in range(t, m):
-            a[i][j] -= c * a[i][k]
+        for row in a[t:]:
+            if k in row:
+                if y := row.get(j, 0) - c * row[k]:
+                    row[j] = y
+                else:
+                    row.pop(j, None)
         _axpy(v[j], v[k], -c)
         _axpy(v_inv[k], v_inv[j], c)
 
@@ -184,104 +191,96 @@ def smith_normal_form(matrix) -> SmithForm:
         u[i], u[k] = u[k], u[i]
         u_inv[i], u_inv[k] = u_inv[k], u_inv[i]
 
-    def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
+    def swap_cols(j, k):  # both are zero above row t
+        for row in a[t:]:
+            if j in row or k in row:
+                x, y = row.pop(j, 0), row.pop(k, 0)
+                if y:
+                    row[j] = y
+                if x:
+                    row[k] = x
         v[j], v[k] = v[k], v[j]
         v_inv[j], v_inv[k] = v_inv[k], v_inv[j]
 
     def negate_row(i):
-        a[i] = [-x for x in a[i]]
+        a[i] = {j: -x for j, x in a[i].items()}
         u[i] = {j: -x for j, x in u[i].items()}
         u_inv[i] = {j: -x for j, x in u_inv[i].items()}
 
     t = 0
-    while t < min(m, n):
+    while t < min(m, ncols):
         # the smallest nonzero entry in the remaining block
         pivot, best = None, 0
         for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < best):
-                    pivot, best = (i, j), abs(a[i][j])
+            if a[i]:
+                x, j = min((abs(x), j) for j, x in a[i].items())
+                if pivot is None or x < best:
+                    pivot, best = (i, j), x
                     if best == 1:
                         break
-            if best == 1:
-                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        if pivot[1] != t:
+            swap_cols(t, pivot[1])
         if a[t][t] < 0:
             negate_row(t)
+        p = a[t][t]
         dirty = False
         for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                row_op(i, t, q)
-                if a[i][t]:
+            if t in a[i]:
+                row_op(i, t, a[i][t] // p)
+                if t in a[i]:
                     dirty = True
-        for j in range(t + 1, n):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                col_op(j, t, q)
-                if a[t][j]:
-                    dirty = True
+        for j in sorted(a[t])[1:]:  # the keys after t
+            col_op(j, t, a[t][j] // p)
+            if j in a[t]:
+                dirty = True
         if dirty:
             continue
         # pivot clean; pull in any entry it does not divide yet
-        culprit = None
-        if a[t][t] != 1:  # 1 divides every entry
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-        if culprit is not None:
-            row_op(t, culprit, -1)  # row t += row culprit
-            continue
+        if p != 1:  # 1 divides every entry
+            culprit = next((i for i in range(t + 1, m) if any(x % p for x in a[i].values())), None)
+            if culprit is not None:
+                row_op(t, culprit, -1)  # row t += row culprit
+                continue
         t += 1
 
     if not _is_inverse_pair(u, u_inv) or not _is_inverse_pair(v_inv, v):
         raise AssertionError("transform matrices lost unimodularity")
-    factors = tuple(a[i][i] for i in range(min(m, n)) if a[i][i] != 0)
-    product: dict = {}  # U^-1 * D * V^-1
+    factors = tuple(a[i][i] for i in range(t))  # the block from row t on is zero
+    product = [{} for _ in range(m)]  # U^-1 * D * V^-1, by rows
     for i, x in enumerate(factors):
         for r, y in u_inv[i].items():
             for k, z in v_inv[i].items():
-                product[r, k] = product.get((r, k), 0) + x * y * z
-    if {key: x for key, x in product.items() if x} != original:
+                product[r][k] = product[r].get(k, 0) + x * y * z
+    if any({k: x for k, x in got.items() if x} != row for got, row in zip(product, rows)):
         raise AssertionError("certificate U*A*V = D failed to re-verify")
     return SmithForm(
         u=tuple(u),
         v=tuple(v),
         v_inv=tuple(v_inv),
         invariant_factors=factors,
-        free_rank=n - len(factors),
+        free_rank=ncols - len(factors),
     )
 
 
 def abelianization(p: Presentation) -> tuple[int, tuple]:
     """Cokernel of the exponent-sum matrix: (free rank, nontrivial torsion factors).
 
-    Its distinct nonzero rows span the same lattice, so only they reach the
-    Smith form, in order of first appearance.
+    A row r and its negative span the same lattice, so each nonzero row is
+    scaled to make its lowest-generator entry positive, and only the distinct
+    ones reach the Smith form, in order of first appearance.
     """
     rows: dict = {}
     for w in p.relators:
         sums: dict = {}
         for g, s in w:
             sums[g] = sums.get(g, 0) + s
-        rows[frozenset((g, x) for g, x in sums.items() if x)] = None
-    rows.pop(frozenset(), None)
-    if not rows:
-        return p.ngens, ()
-    matrix = [[0] * p.ngens for _ in rows]
-    for dense, row in zip(matrix, rows):
-        for g, x in row:
-            dense[g] = x
-    snf = smith_normal_form(matrix)
+        if sums := {g: x for g, x in sums.items() if x}:
+            sign = 1 if sums[min(sums)] > 0 else -1
+            rows[frozenset((g, sign * x) for g, x in sums.items())] = None
+    snf = smith_normal_form([dict(row) for row in rows], p.ngens)
     torsion = tuple(d for d in snf.invariant_factors if d > 1)
     return snf.free_rank, torsion
 

@@ -15,6 +15,11 @@ from quandlekit.envgroup import smith_normal_form
 from quandlekit.quandle import orbit_partition
 
 
+def smith_form_of(mat):
+    """The Smith form of a matrix given as dense lists of rows, passed as sparse rows."""
+    return smith_normal_form([{j: x for j, x in enumerate(row) if x} for row in mat], len(mat[0]))
+
+
 def condition_matrix(q) -> list:
     """The rows a[x*n + x] and the nonzero rows a[i] + a[j] - a[k] - a[l] of `_conditions`."""
     n = q.order
@@ -104,6 +109,6 @@ def predicted_h2(q, moduli) -> tuple:
     t of the condition form, so H^2(Q, Z_m) = Z_m^(o^2 - o) + sum_t Z_gcd(t, m).
     """
     o = len(orbit_partition(q))
-    torsion = smith_normal_form(condition_matrix(q)).invariant_factors
+    torsion = smith_form_of(condition_matrix(q)).invariant_factors
     return invariant_factors([m for m in moduli for _ in range(o * o - o)]
                              + [gcd(t, m) for m in moduli for t in torsion])

@@ -22,7 +22,7 @@ from quandlekit.errors import CosetLimitExceeded
 from quandlekit.fingroup import conj_quandle, symmetric_group_table
 from quandlekit.perm import Perm, closure
 from quandlekit.quandle import build, enumerate_quandles, orbit_partition
-from integer_h2 import condition_matrix, quotient_matrix
+from integer_h2 import condition_matrix, quotient_matrix, smith_form_of
 
 R3 = build("dihedral", 3)
 SQUARE_OF_GEN0 = (((0, 1), (0, 1)),)
@@ -85,32 +85,37 @@ def test_commutator_generator_count_bound_on_enumerated_quandles():
 
 
 def test_smith_normal_form_zero_matrix():
-    s = smith_normal_form([[0, 0], [0, 0]])
+    s = smith_form_of([[0, 0], [0, 0]])
     assert s.invariant_factors == ()
     assert s.free_rank == 2
     assert dense_d(s) == [[0, 0], [0, 0]]
 
 
 def test_smith_normal_form_diag_2_3():
-    s = smith_normal_form([[2, 0], [0, 3]])
+    s = smith_form_of([[2, 0], [0, 3]])
     assert s.invariant_factors == (1, 6)
     assert s.free_rank == 0
 
 
 def test_smith_normal_form_rectangular():
-    s = smith_normal_form([[1, 2, 3]])
+    s = smith_form_of([[1, 2, 3]])
     assert s.invariant_factors == (1,)
     assert s.free_rank == 2
-    s2 = smith_normal_form([[2, 4], [6, 8], [10, 12]])
+    s2 = smith_form_of([[2, 4], [6, 8], [10, 12]])
     assert s2.invariant_factors == (2, 4)
 
 
 def test_smith_normal_form_empty_edge_cases():
-    s = smith_normal_form([])
+    s = smith_normal_form([], 0)
     assert s.invariant_factors == ()
     assert s.free_rank == 0
-    with pytest.raises(ValueError):
-        smith_normal_form([[1, 2], [3]])
+    s = smith_normal_form([], 3)
+    assert s.invariant_factors == ()
+    assert s.free_rank == 3
+    assert s.v_inv == ({0: 1}, {1: 1}, {2: 1})
+    for row in ({0: 1, 3: 2}, {-1: 1}, {1: 0}):
+        with pytest.raises(ValueError):
+            smith_normal_form([{0: 1}, row], 3)
 
 
 def matmul(a, b):
@@ -147,7 +152,7 @@ def test_smith_normal_form_certificate_on_random_matrices():
         m = rng.randrange(1, 5)
         n = rng.randrange(1, 5)
         a = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
-        s = smith_normal_form(a)
+        s = smith_form_of(a)
         u, v, _ = dense_transforms(s)
         assert matmul(matmul(u, a), v) == dense_d(s)
         factors = s.invariant_factors
@@ -180,7 +185,7 @@ def sympy_invariant_factors(mat) -> tuple:
 
 
 def assert_agrees_with_sympy(mat):
-    s = smith_normal_form(mat)
+    s = smith_form_of(mat)
     expected = sympy_invariant_factors(mat)
     assert s.invariant_factors == expected
     assert s.free_rank == len(mat[0]) - len(expected)
@@ -196,7 +201,7 @@ def test_smith_normal_form_agrees_with_sympy_on_h2_relations_of_r5():
     """The integer condition matrix of R5 and its quotient matrices over Z2, Z3 and Z5."""
     q = build("dihedral", 5)
     mats = [condition_matrix(q)]
-    cond = smith_normal_form(mats[0])
+    cond = smith_form_of(mats[0])
     mats += [quotient_matrix(q, m, cond) for m in (2, 3, 5)]
     for mat in mats:
         assert_agrees_with_sympy(mat)
@@ -222,7 +227,7 @@ def fraction_inverse(mat) -> list:
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(SMALL_MATRICES, TALL_MATRICES))
 def test_v_inv_is_the_inverse_of_v(mat):
-    _, v, v_inv = dense_transforms(smith_normal_form(mat))
+    _, v, v_inv = dense_transforms(smith_form_of(mat))
     n = len(mat[0])
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     assert matmul(v, v_inv) == identity
@@ -239,7 +244,7 @@ def transform_updates(monkeypatch, mat) -> int:
     real = envgroup._axpy
     calls = []
     monkeypatch.setattr(envgroup, "_axpy", lambda dst, src, c: calls.append(c) or real(dst, src, c))
-    assert smith_normal_form(mat).invariant_factors == (1, 2, 54)
+    assert smith_form_of(mat).invariant_factors == (1, 2, 54)
     monkeypatch.setattr(envgroup, "_axpy", real)
     return len(calls)
 
@@ -261,7 +266,7 @@ def test_a_corrupted_transform_update_fails_the_certificate(monkeypatch):
 
         monkeypatch.setattr(envgroup, "_axpy", off_by_one)
         with pytest.raises(AssertionError, match="unimodularity"):
-            smith_normal_form(NONSINGULAR)
+            smith_form_of(NONSINGULAR)
 
 
 def test_a_dropped_elementary_operation_fails_the_product_check(monkeypatch):
@@ -279,7 +284,7 @@ def test_a_dropped_elementary_operation_fails_the_product_check(monkeypatch):
 
         monkeypatch.setattr(envgroup, "_axpy", drop_pair)
         with pytest.raises(AssertionError, match="U\\*A\\*V"):
-            smith_normal_form(NONSINGULAR)
+            smith_form_of(NONSINGULAR)
 
 
 def test_inverse_pair_check_rejects_one_changed_entry():
@@ -328,12 +333,13 @@ def assert_abelianization_agrees_with_sympy(p):
 
 @st.composite
 def presentations_with_repeats(draw):
-    """Relators drawn with repeats from a few words and from words whose exponent sums vanish."""
+    """Relators drawn with repeats from a few words, their inverses and words of zero exponent sum."""
     ngens = draw(st.integers(1, 4))
     letters = st.tuples(st.integers(0, ngens - 1), st.sampled_from((1, -1)))
     words = draw(st.lists(st.lists(letters, max_size=6).map(tuple), min_size=1, max_size=4))
+    inverses = [tuple((g, -s) for g, s in reversed(w)) for w in words]
     zero_sums = [w + tuple((g, -s) for g, s in w) for w in words]
-    relators = draw(st.lists(st.sampled_from(words + zero_sums), min_size=1, max_size=12))
+    relators = draw(st.lists(st.sampled_from(words + inverses + zero_sums), min_size=1, max_size=12))
     return Presentation(ngens, tuple(relators))
 
 
