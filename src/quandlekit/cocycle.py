@@ -34,7 +34,7 @@ from .errors import (
     require_list,
 )
 from .perm import Perm, PermGroup, _invert
-from .quandle import Quandle, _automorphisms, _require_automorphism, orbit_partition
+from .quandle import Quandle, _automorphisms, _base, _require_automorphism, orbit_partition
 
 # Largest coefficient group whose translations abelian_to_constant builds.
 DEFAULT_FIBER_CAP = 64
@@ -674,10 +674,24 @@ def compute_h2(q: Quandle, moduli, max_order: int = DEFAULT_H2_CAP) -> tuple:
     The condition rows are reduced once over Z/m per distinct modulus m, and
     the pieces of all coordinates fold into invariant factors.  For prime m
     the representatives are the reduced echelon basis of the cocycles zero on
-    the pivot cells of B^2 (`_h2_cyclic` gives the rule for other m).  The
-    certificate re-checks each echelon row as its stated combination, each
-    kernel generator, coboundary and representative as a cocycle in one pass
-    over `_conditions`, and that the pieces of each modulus multiply to
+    the pivot cells of B^2 (`_h2_cyclic` gives the rule for other m).
+
+    Only the conditions (x, y, z) with z in a generating set S (`_base`) are
+    reduced, since they have the same solutions as all n^3.  Lemma: for a
+    cochain f, the z whose right translation R_z of E = Q x_f Z_m, (x, s) ->
+    (x*z, s + f(x, z)), is an endomorphism of E are exactly the z whose
+    conditions all hold, and they are closed under *.  Proof: R_z is a
+    bijection, and it maps (x, s)*(y, t) as R_z(x, s)*R_z(y, t) iff
+    f(x, y) + f(x*y, z) = f(x, z) + f(x*z, y*z).  If R_b is an automorphism,
+    R_b R_a = R_{a*b} R_b, so R_{a*b} = R_b R_a R_b^-1 is one when R_a is.
+    So the closure of S, which is Q, satisfies every condition.  Over Z/m,
+    a quasi-Frobenius ring, equal solution sets mean equal row spans, so the
+    pivots, kernel generators and representatives are those of all n^3 rows.
+
+    The certificate does not rely on the lemma: it re-checks each echelon
+    row as its stated combination, each kernel generator, coboundary and
+    representative as a cocycle in one pass over all n^3 triples of
+    `_conditions`, and that the pieces of each modulus multiply to
     |Z^2| / |B^2|; a failure raises AssertionError, a fault of the package.
     """
     if q.order > max_order:
@@ -686,8 +700,11 @@ def compute_h2(q: Quandle, moduli, max_order: int = DEFAULT_H2_CAP) -> tuple:
     if any(m < 1 for m in moduli):
         raise ValueError("moduli must be positive")
     n, t = q.order, q.table
+    generating = {z for z, _ in _base(t, range(n))}
     conditions = {((x * n + x, 1),): {x * n + x: 1} for x in range(n)}  # zero on the diagonal
-    for _, positions in _conditions(t):
+    for (_, _, z), positions in _conditions(t):
+        if z not in generating:
+            continue
         row: dict = {}
         for p, sign in zip(positions, (1, 1, -1, -1)):
             row[p] = row.get(p, 0) + sign

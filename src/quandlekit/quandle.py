@@ -296,7 +296,9 @@ def _base(table, order):
     comes with that closed subset, as a list.  These are the choice points
     on the identity path of `_iso_images`: once the earlier ones are mapped
     to themselves, propagation fixes their whole closed subset.  An
-    automorphism fixing the base fixes every element.
+    automorphism fixing the base fixes every element.  Its other caller is
+    `cocycle.compute_h2`, which reduces only the cocycle conditions (x, y, z)
+    with z in the base: over a quandle the base generates, they imply the rest.
     """
     inside: set[int] = set()
     base = []

@@ -632,6 +632,49 @@ def test_h2_reduces_the_rows_once_per_modulus(monkeypatch, moduli):
         assert sizes[0] == base.order and sizes[1] > base.order
 
 
+@pytest.mark.parametrize("base, rows", [(build("dihedral", 7), 91), (build("dihedral", 16), 492),
+                                        (build("trivial", 6), 6)], ids=["R7", "R16", "T6"])
+def test_h2_reduces_only_the_conditions_of_a_generating_set(monkeypatch, base, rows):
+    """The diagonal rows and the distinct rows (x, y, z) with z in `_base`: 301 and 3,488 for all z.
+
+    Over a trivial base every triple row vanishes, so only the diagonal is left.
+    """
+    calls = []
+    real = cocyclemod._echelon
+    monkeypatch.setattr(cocyclemod, "_echelon", lambda r, m: calls.append(len(r)) or real(r, m))
+    compute_h2(base, (2,), max_order=base.order)
+    assert calls == [base.order, rows]
+
+
+@pytest.mark.parametrize("base", [R3, build("dihedral", 4), build("dihedral", 5),
+                                  conj_quandle(make_group("S3"))], ids=["R3", "R4", "R5", "Conj(S3)"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_h2_certificate_checks_every_triple_past_a_wrong_generating_set(monkeypatch, base, m):
+    """Cut to its first element, the set no longer generates: its conditions admit non-cocycles."""
+    real = cocyclemod._base
+    monkeypatch.setattr(cocyclemod, "_base", lambda table, order: real(table, order)[:1])
+    with pytest.raises(AssertionError, match="an H\\^2 generator is not a cocycle"):
+        compute_h2(base, (m,))
+
+
+CLASSES_TO_ORDER_6 = [q.table for n in range(1, 7) for q in enumerate_quandles(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CLASSES_TO_ORDER_6), st.data())
+def test_h2_is_invariant_under_relabeling(table, data):
+    """A new labeling gives a new generating set, and the same invariant factors."""
+    n = len(table)
+    sigma = data.draw(st.permutations(range(n)))
+    relabeled = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            relabeled[sigma[x]][sigma[y]] = sigma[table[x][y]]
+    q, p = Quandle.from_table(table), Quandle.from_table(relabeled)
+    for moduli in ((2,), (3,), (4,), (2, 3)):
+        assert compute_h2(p, moduli)[0] == compute_h2(q, moduli)[0]
+
+
 # An order-6 quandle with H_2 torsion Z_2 + Z_4, labeled so that the element
 # of order 4 in H^2(Q, Z_m) leads with a cell value of order 2: the kernel
 # generators alone are not a direct sum, and `_cyclic_pieces` needs the
