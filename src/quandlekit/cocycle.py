@@ -33,7 +33,7 @@ from .errors import (
     require_ints,
     require_list,
 )
-from .perm import Perm, PermGroup, _invert
+from .perm import Perm, PermGroup, _compose, _invert
 from .quandle import Quandle, _automorphisms, _base, _require_automorphism, orbit_partition
 
 # Largest coefficient group whose translations abelian_to_constant builds.
@@ -130,8 +130,7 @@ class _Products(dict):
 
     def __missing__(self, right: int) -> int:
         images = self.numbering.images
-        p = images[self.left]
-        product = self[right] = self.numbering.number(tuple([p[t] for t in images[right]]))
+        product = self[right] = self.numbering.number(_compose(images[self.left], images[right]))
         return product
 
 
@@ -226,14 +225,14 @@ def trivial_cocycle(base: Quandle, fiber_size: int) -> ConstantCocycle:
 
 def extend(alpha: ConstantCocycle) -> Quandle:
     """The twisted product quandle on pairs, encoded as x * fiber + t."""
-    n, s, bt = alpha.base.order, alpha.fiber_size, alpha.base.table
-    table = [[0] * (n * s) for _ in range(n * s)]
-    for x in range(n):
+    s = alpha.fiber_size
+    table = []
+    for base_row, fibers in zip(alpha.base.table, alpha.table):
         for t in range(s):
-            for y in range(n):
-                image = alpha.table[x][y](t)
-                for u in range(s):
-                    table[x * s + t][y * s + u] = bt[x][y] * s + image
+            row = []
+            for xy, theta in zip(base_row, fibers):
+                row += [xy * s + theta.images[t]] * s
+            table.append(row)
     return Quandle.from_table(table)
 
 

@@ -47,7 +47,7 @@ class Perm:
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a rearrangement of 0..{len(images) - 1}: {images!r}")
-        object.__setattr__(self, "images", images)
+        _set_images(self, images)
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
@@ -56,7 +56,7 @@ class Perm:
     def _trusted(cls, images: tuple[int, ...]) -> "Perm":
         """Wrap an image tuple known to be a rearrangement, without checking it again."""
         p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
+        _set_images(p, images)
         return p
 
     @classmethod
@@ -77,7 +77,7 @@ class Perm:
         oi = other.images
         if len(si) != len(oi):
             raise ValueError("degree mismatch")
-        return Perm._trusted(tuple([si[x] for x in oi]))
+        return Perm._trusted(_compose(si, oi))
 
     def inverse(self) -> "Perm":
         return Perm._trusted(_invert(self.images))
@@ -96,6 +96,10 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm{self.images}"
+
+
+# The slot's own setter, which the immutable __setattr__ does not reach.
+_set_images = Perm.__dict__["images"].__set__
 
 
 class PermGroup:
@@ -156,8 +160,14 @@ class PermGroup:
 
 
 def _compose(p, q):
-    """p*q on image tuples of degree at least 2: (p*q)(x) = p(q(x))."""
-    return itemgetter(*q)(p)
+    """p*q on image tuples of one degree: (p*q)(x) = p(q(x)).
+
+    `itemgetter` returns a scalar for one index and raises for none, so
+    degrees 0 and 1 take the loop.
+    """
+    if len(q) > 1:
+        return itemgetter(*q)(p)
+    return tuple([p[x] for x in q])
 
 
 def _invert(p):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit import cli, cocycle, construct, envgroup, fingroup, quandle, theorems
+from quandlekit.errors import ParseError
 from quandlekit.perm import Perm
 
 
@@ -537,6 +538,18 @@ def test_file_table_entries_must_be_integers(tmp_path, capsys, table):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("quandlekit: error:")
+
+
+@pytest.mark.parametrize("order", [True, 1.0, "1"], ids=["boolean", "float", "string"])
+def test_file_order_must_be_an_integer(tmp_path, capsys, order):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"kind": "quandle", "order": order, "table": [[0]]}))
+    with pytest.raises(ParseError, match="quandle 'order' must be an integer"):
+        quandle.Quandle.from_json(json.loads(path.read_text()))
+    code, captured = invoke(["aut", "--file", str(path)], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert "quandle 'order' must be an integer" in captured.err
 
 
 @pytest.mark.parametrize("labels", [5, ["a"], ["a", 1]], ids=["not-array", "too-few", "not-string"])

@@ -57,6 +57,16 @@ def spec_example():
     return validate_constant(T2, 2, [[ID2, SWAP], [ID2, ID2]])
 
 
+def test_products_on_a_fiber_of_one_point():
+    numbering = cocyclemod._Numbering(1)
+    assert numbering.products[0][0] == 0
+    assert numbering.images == [(0,)]
+    alpha = validate_constant(R3, 1, [[(0,)] * 3] * 3)
+    assert extend(alpha).table == R3.table
+    assert are_cohomologous(alpha, trivial_cocycle(R3, 1)) is not None
+    assert len(all_constant_cocycles(R3, 1)) == 1
+
+
 def test_validate_all_identity():
     a = trivial_cocycle(R3, 3)
     assert a.fiber_size == 3

@@ -43,6 +43,34 @@ def test_compose_is_function_composition():
         assert (p * q)(x) == p(q(x))
 
 
+def test_products_at_degrees_zero_and_one():
+    assert (Perm(()) * Perm(())).images == ()
+    assert (Perm((0,)) * Perm((0,))).images == (0,)
+
+
+@pytest.mark.parametrize("left, right", [((), (0,)), ((0,), (1, 0)), ((1, 0), (0, 2, 1))])
+def test_product_of_different_degrees_is_refused(left, right):
+    with pytest.raises(ValueError, match="degree mismatch"):
+        Perm(left) * Perm(right)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        Perm(right) * Perm(left)
+
+
+@st.composite
+def perm_pairs(draw):
+    n = draw(st.integers(0, 24))
+    return Perm(draw(st.permutations(range(n)))), Perm(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=perm_pairs())
+def test_product_images_are_the_composed_tuple(pair):
+    p, q = pair
+    product = (p * q).images
+    assert type(product) is tuple
+    assert product == tuple(p.images[x] for x in q.images)
+
+
 def test_inverse_and_identity():
     rng = random.Random(7)
     for _ in range(20):

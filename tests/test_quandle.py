@@ -14,6 +14,7 @@ from quandlekit.errors import (
     Axiom3Violation,
     CapExceeded,
     HypothesisViolated,
+    ParseError,
 )
 from quandlekit.fingroup import core_quandle, make_group
 from quandlekit.perm import Perm, PermGroup, _cycle_type, is_k_transitive
@@ -90,8 +91,9 @@ def test_axiom_violations_carry_witnesses():
         [3, 2, 2, 2],
         [2, 3, 3, 3],
     ]
-    with pytest.raises(Axiom3Violation):
+    with pytest.raises(Axiom3Violation) as e3:
         Quandle.from_table(bad)
+    assert e3.value.triple == (2, 0, 2)
 
 
 def test_from_table_rejects_ragged_and_out_of_range():
@@ -160,6 +162,98 @@ def test_aut_matches_naive_filter():
 
 SMALL_CLASSES = [q.table for n in range(1, 6) for q in enumerate_quandles(n)]
 ORDER_SIX_SAMPLE = [q.table for q in enumerate_quandles(6)[::6]]
+
+
+def reference_rejection(table):
+    """(class, message) of the first failure a direct reading of the axioms meets, or None.
+
+    Rows are checked in order for length, entry type and range; then
+    x * x = x for each x; then each column for bijectivity; then
+    (x * y) * z = (x * z) * (y * z) over all triples, z innermost.
+    """
+    n = len(table)
+    for x, row in enumerate(table):
+        if len(row) != n:
+            return ValueError, f"row {x} has length {len(row)}, expected {n}"
+        if any(type(v) is not int for v in row):
+            return ParseError, f"row {x} has an entry that is not an integer"
+        if any(v < 0 or v >= n for v in row):
+            return ValueError, f"row {x} has out-of-range entries"
+    for x in range(n):
+        if table[x][x] != x:
+            return Axiom1Violation, f"idempotence fails at element {x}"
+    for y in range(n):
+        if sorted(table[x][y] for x in range(n)) != list(range(n)):
+            return Axiom2Violation, f"right translation by {y} is not a bijection"
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if table[table[x][y]][z] != table[table[x][z]][table[y][z]]:
+                    return Axiom3Violation, f"(x*y)*z != (x*z)*(y*z) at ({x}, {y}, {z})"
+    return None
+
+
+def assert_rejected_as_reference(table):
+    expected = reference_rejection(table)
+    if expected is None:
+        assert Quandle.from_table(table).table == tuple(map(tuple, table))
+        return
+    cls, message = expected
+    with pytest.raises(ValueError) as e:
+        Quandle.from_table(table)
+    assert type(e.value) is cls
+    assert str(e.value) == message
+
+
+PERTURBED_BASES = (
+    SMALL_CLASSES
+    + [q.table for q in enumerate_quandles(6)]
+    + [build("dihedral", n).table for n in range(3, 13)]
+)
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A valid table with one to three changes to its entries.
+
+    Most are swaps of two off-diagonal entries of one column, which keep
+    the columns bijective and x * x = x, and so break axiom 3 if anything;
+    the rest put in a bool, an out-of-range int or another in-range int.
+    """
+    table = [list(row) for row in draw(st.sampled_from(PERTURBED_BASES))]
+    n = len(table)
+    points = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["swap"] * 5 + ["bool", "out of range", "in range"]))
+        x, y = draw(points), draw(points)
+        if kind == "swap":
+            if n > 2:
+                off_diagonal = st.sampled_from([v for v in range(n) if v != y])
+                x, w = draw(st.lists(off_diagonal, min_size=2, max_size=2, unique=True))
+                table[x][y], table[w][y] = table[w][y], table[x][y]
+        elif kind == "bool":
+            table[x][y] = draw(st.booleans())
+        elif kind == "out of range":
+            table[x][y] = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=n)))
+        else:
+            table[x][y] = draw(points)
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=perturbed_tables())
+def test_from_table_rejects_perturbed_tables_as_the_triple_loop_does(table):
+    assert_rejected_as_reference(table)
+
+
+def test_from_table_above_256_points_walks_every_column():
+    table = [list(row) for row in build("dihedral", 257).table]
+    assert Quandle.from_table(table).order == 257
+    # swap two off-diagonal entries of the last column, which stays bijective;
+    # every column now fails, and the least witness lies in the last one
+    table[1][256], table[2][256] = table[2][256], table[1][256]
+    assert reference_rejection(table) == (Axiom3Violation, "(x*y)*z != (x*z)*(y*z) at (0, 1, 256)")
+    assert_rejected_as_reference(table)
 
 
 def naive_orbits(q):
