@@ -192,6 +192,8 @@ def _enumerate(args, inputs):
 
 
 def _envelope(args, inputs):
+    if args.abelianization and args.max_cosets is not None:
+        raise _UsageError("quandlekit: error: --max-cosets only applies with --coset-enum")
     q = _source_quandle(args, inputs)
     p = envgroup.presentation_of(q)
     if args.abelianization:

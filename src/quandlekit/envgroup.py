@@ -265,22 +265,94 @@ def smith_normal_form(rows, ncols: int) -> SmithForm:
     )
 
 
+def _exponent_sums(word) -> dict:
+    """The nonzero exponent sums of a word, by generator."""
+    sums: dict = {}
+    for g, s in word:
+        sums[g] = sums.get(g, 0) + s
+    return {g: x for g, x in sums.items() if x}
+
+
+def _orbit_map(p: Presentation) -> tuple[list[int], list[dict]]:
+    """The component of each generator in the graph whose edges are the
+    relators with exponent-sum row +-(e_a - e_b), numbered in order of least
+    generator, and the other nonzero exponent-sum rows, by relator.
+
+    Components are merged by union-find, and each merge keeps the relator it
+    came from as an edge of a spanning forest, which `_check_forest`
+    re-derives from the relator's letters before the map is returned.  For
+    presentation_of(q) every nonzero row is such an edge and the components
+    are the orbits of q; a word's exponent sums added up over each component
+    are its per-orbit exponent sums.
+    """
+    parent = list(range(p.ngens))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    forest = []
+    rest = []
+    for i, w in enumerate(p.relators):
+        row = _exponent_sums(w)
+        if len(row) == 2 and sorted(row.values()) == [-1, 1]:
+            a, b = row
+            ra, rb = root(a), root(b)
+            if ra != rb:
+                parent[ra] = rb
+                forest.append((a, b, i))
+        elif row:
+            rest.append(row)
+    label: dict = {}
+    orbit = [label.setdefault(root(g), len(label)) for g in range(p.ngens)]
+    _check_forest(p, orbit, forest)
+    return orbit, rest
+
+
+def _check_forest(p: Presentation, orbit: Sequence[int], forest) -> None:
+    """Certify that relator rows span the kernel of e_g -> e_orbit[g].
+
+    Each edge (a, b, i) must be the exponent-sum row +-(e_a - e_b) of relator
+    i, re-derived from its letters, with orbit[a] == orbit[b], and the orbit
+    map must take ngens - |forest| values.  Union-find keeps an edge only
+    where it joins two components, so the forest is acyclic and has
+    ngens - |forest| components; the map is constant on each, so they are
+    its fibres, and the forest edges span its kernel.
+    """
+    for a, b, i in forest:
+        if _exponent_sums(p.relators[i]) not in ({a: 1, b: -1}, {a: -1, b: 1}):
+            raise AssertionError(f"forest edge ({a}, {b}) is not the row of relator {i}")
+        if orbit[a] != orbit[b]:
+            raise AssertionError(f"forest edge ({a}, {b}) joins two components")
+    if len(set(orbit)) != p.ngens - len(forest):
+        raise AssertionError("the forest does not span the components")
+
+
 def abelianization(p: Presentation) -> tuple[int, tuple]:
     """Cokernel of the exponent-sum matrix: (free rank, nontrivial torsion factors).
 
-    A row r and its negative span the same lattice, so each nonzero row is
-    scaled to make its lowest-generator entry positive, and only the distinct
-    ones reach the Smith form, in order of first appearance.
+    Lemma: if the rows +-(e_a - e_b) among the relators join the generators
+    into c components, the map e_g -> (the basis vector of g's component)
+    from Z^ngens onto Z^c has for kernel the span of the edges of any
+    spanning forest of those rows.  That kernel lies in the row lattice, so
+    the cokernel of the rows is the cokernel of their images in Z^c, where
+    the difference rows vanish.  So only the images of the other rows reach
+    the Smith form, on c columns.  An image r and its negative span the same
+    lattice, so each nonzero image is scaled to make its lowest-component
+    entry positive, and only the distinct ones are passed, in order of first
+    appearance.
     """
+    orbit, rest = _orbit_map(p)
     rows: dict = {}
-    for w in p.relators:
-        sums: dict = {}
-        for g, s in w:
-            sums[g] = sums.get(g, 0) + s
-        if sums := {g: x for g, x in sums.items() if x}:
-            sign = 1 if sums[min(sums)] > 0 else -1
-            rows[frozenset((g, sign * x) for g, x in sums.items())] = None
-    snf = smith_normal_form([dict(row) for row in rows], p.ngens)
+    for row in rest:
+        image: dict = {}
+        for g, x in row.items():
+            image[orbit[g]] = image.get(orbit[g], 0) + x
+        if image := {k: x for k, x in image.items() if x}:
+            sign = 1 if image[min(image)] > 0 else -1
+            rows[frozenset((k, sign * x) for k, x in image.items())] = None
+    snf = smith_normal_form([dict(row) for row in rows], len(set(orbit)))
     torsion = tuple(d for d in snf.invariant_factors if d > 1)
     return snf.free_rank, torsion
 

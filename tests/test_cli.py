@@ -261,6 +261,15 @@ def test_envelope_coset_enum_needs_max_cosets(capsys):
     assert "--max-cosets" in captured.err
 
 
+def test_envelope_abelianization_refuses_max_cosets(capsys):
+    code, captured = invoke(
+        ["envelope", "--dihedral", "3", "--abelianization", "--max-cosets", "5"], capsys
+    )
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip() == "quandlekit: error: --max-cosets only applies with --coset-enum"
+
+
 def test_extend_constant_cocycle(tmp_path, capsys):
     alpha = cocycle.trivial_cocycle(quandle.build("trivial", 2), 3)
     path = tmp_path / "alpha.json"
@@ -641,20 +650,23 @@ print(json.dumps({"code": code, "seconds": seconds, "peak_mb": peak_kb / 1024,
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize("kind, free_rank", [("trivial", 200), ("dihedral", 2)])
-def test_abelianization_at_the_construction_cap_stays_small(kind, free_rank):
+@pytest.mark.parametrize("kind, order, free_rank",
+                         [("trivial", 200, 200), ("dihedral", 200, 2), ("dihedral", 199, 1)],
+                         ids=["trivial-200", "dihedral-2", "dihedral-1"])
+def test_abelianization_at_the_construction_cap_stays_small(kind, order, free_rank):
     """All 39,800 relators of the trivial quandle of order 200 have zero exponent
-    sums; those of the dihedral quandle have 9,900 distinct rows up to sign."""
+    sums; those of the dihedral quandles have rows e_j - e_{j*i}, 9,900 and
+    19,701 distinct up to sign at orders 200 and 199."""
     import subprocess
 
-    argv = ["envelope", "--abelianization", f"--{kind}", "200"]
+    argv = ["envelope", "--abelianization", f"--{kind}", str(order)]
     proc = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
     assert probe["code"] == 0
-    assert probe["report"]["results"] == {
-        "generators": 200, "relators": 39800, "free_rank": free_rank, "torsion": []}
+    assert probe["report"]["results"] == {"generators": order, "relators": order * (order - 1),
+                                          "free_rank": free_rank, "torsion": []}
     assert probe["peak_mb"] < 128 and probe["seconds"] < 10
 
 

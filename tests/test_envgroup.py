@@ -349,6 +349,83 @@ def test_abelianization_agrees_with_sympy_on_repeated_and_zero_relators(p):
     assert_abelianization_agrees_with_sympy(p)
 
 
+def difference_word(a, b, k=1, conjugator=()):
+    """x a^-k b^k x^-1, whose exponent-sum row is k(e_b - e_a)."""
+    inverse = tuple((g, -s) for g, s in reversed(conjugator))
+    return tuple(conjugator) + ((a, -1),) * k + ((b, 1),) * k + inverse
+
+
+@st.composite
+def presentations_with_differences(draw):
+    """Relators mixing random words with difference words: edges a^-1 b
+    (a == b and repeats included), chains, cycles, conjugated edges, and
+    multiples a^-k b^k with k > 1, whose rows must not be contracted."""
+    ngens = draw(st.integers(1, 6))
+    gen = st.integers(0, ngens - 1)
+    letters = st.tuples(gen, st.sampled_from((1, -1)))
+    words = draw(st.lists(st.lists(letters, max_size=6).map(tuple), max_size=4))
+    edges = draw(st.lists(st.tuples(gen, gen), max_size=8))
+    chain = draw(st.lists(gen, max_size=5))
+    edges += list(zip(chain, chain[1:]))
+    if draw(st.booleans()) and chain:
+        edges.append((chain[-1], chain[0]))
+    edges += draw(st.lists(st.tuples(gen, gen), max_size=3).map(lambda es: es + es))
+    differences = [difference_word(a, b) for a, b in edges]
+    differences += [difference_word(a, b, conjugator=w) for (a, b), w in
+                    draw(st.lists(st.tuples(st.tuples(gen, gen), st.lists(letters, max_size=2)),
+                                  max_size=3))]
+    differences += [difference_word(a, b, k) for a, b, k in
+                    draw(st.lists(st.tuples(gen, gen, st.integers(2, 3)), max_size=3))]
+    relators = draw(st.permutations(words + differences))
+    return Presentation(ngens, tuple(relators))
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations_with_differences())
+def test_abelianization_agrees_with_sympy_on_contracted_differences(p):
+    assert_abelianization_agrees_with_sympy(p)
+
+
+def test_multiples_of_a_difference_are_not_contracted():
+    double = difference_word(0, 1, 2)
+    assert abelianization(Presentation(2, (double,))) == (1, (2,))
+    assert abelianization(Presentation(3, (double, difference_word(1, 2)))) == (1, (2,))
+    orbit, rest = envgroup._orbit_map(Presentation(2, (double, difference_word(1, 1))))
+    assert orbit == [0, 1] and rest == [{0: -2, 1: 2}]
+
+
+def test_orbit_map_numbers_components_by_least_generator():
+    p = Presentation(5, (difference_word(4, 1), difference_word(3, 0), difference_word(1, 3),
+                         difference_word(2, 2)))
+    assert envgroup._orbit_map(p) == ([0, 0, 1, 0, 0], [])
+    assert envgroup._orbit_map(presentation_of(build("trivial", 3))) == ([0, 1, 2], [])
+
+
+def test_a_forged_forest_fails_its_check():
+    p = Presentation(4, (difference_word(0, 1), difference_word(2, 3, 2), difference_word(1, 2)))
+    envgroup._check_forest(p, [0, 0, 0, 1], [(0, 1, 0), (2, 1, 2)])
+    forged = [
+        ([0, 0, 0, 0], [(0, 1, 0), (2, 1, 2), (2, 3, 1)], "not the row of relator 1"),
+        ([0, 0, 0, 1], [(0, 2, 0), (2, 1, 2)], "not the row of relator 0"),
+        ([0, 1, 1, 2], [(0, 1, 0), (2, 1, 2)], "joins two components"),
+        ([0, 0, 0, 0], [(0, 1, 0), (2, 1, 2)], "does not span"),
+        ([0, 0, 0, 1], [(0, 1, 0), (2, 1, 2), (1, 0, 0)], "does not span"),
+    ]
+    for orbit, forest, message in forged:
+        with pytest.raises(AssertionError, match=message):
+            envgroup._check_forest(p, orbit, forest)
+
+
+def test_abelianization_checks_the_forest_it_built(monkeypatch):
+    """An edge slipped into the forest that abelianization builds is caught."""
+    real = envgroup._check_forest
+    monkeypatch.setattr(envgroup, "_check_forest",
+                        lambda p, orbit, forest: real(p, orbit, [(0, 1, 1)] + forest))
+    p = Presentation(3, (difference_word(1, 2), difference_word(0, 1, 2)))
+    with pytest.raises(AssertionError, match="not the row of relator 1"):
+        abelianization(p)
+
+
 def test_abelianization_matches_orbit_count_up_to_order_five():
     for n in range(1, 6):
         for q in enumerate_quandles(n):
