@@ -273,6 +273,13 @@ def _exponent_sums(word) -> dict:
     return {g: x for g, x in sums.items() if x}
 
 
+def _find(parent: list, x: int) -> int:
+    """The root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def _orbit_map(p: Presentation) -> tuple[list[int], list[dict]]:
     """The component of each generator in the graph whose edges are the
     relators with exponent-sum row +-(e_a - e_b), numbered in order of least
@@ -286,26 +293,20 @@ def _orbit_map(p: Presentation) -> tuple[list[int], list[dict]]:
     are its per-orbit exponent sums.
     """
     parent = list(range(p.ngens))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     forest = []
     rest = []
     for i, w in enumerate(p.relators):
         row = _exponent_sums(w)
         if len(row) == 2 and sorted(row.values()) == [-1, 1]:
             a, b = row
-            ra, rb = root(a), root(b)
+            ra, rb = _find(parent, a), _find(parent, b)
             if ra != rb:
                 parent[ra] = rb
                 forest.append((a, b, i))
         elif row:
             rest.append(row)
     label: dict = {}
-    orbit = [label.setdefault(root(g), len(label)) for g in range(p.ngens)]
+    orbit = [label.setdefault(_find(parent, g), len(label)) for g in range(p.ngens)]
     _check_forest(p, orbit, forest)
     return orbit, rest
 
@@ -367,137 +368,128 @@ def abelianization(p: Presentation) -> tuple[int, tuple]:
 _COSET_CEILING = 1_000_000
 
 
+def _columns(word) -> tuple:
+    """A word as table columns: (g, +1) is 2g and (g, -1) is 2g + 1, so c ^ 1 inverts c."""
+    return tuple(2 * g + (s < 0) for g, s in free_reduce(word))
+
+
+def _trace(table, c: int, word) -> int:
+    """The coset a word of columns sends coset c to, in a complete table."""
+    for col in word:
+        c = table[c][col]
+    return c
+
+
 class _CosetTable:
+    """HLT with coincidences (Holt, Eick & O'Brien, Handbook of Computational
+    Group Theory, 2005, section 5.1).  Row c maps each column to a coset or
+    None.  A merge retires the higher coset under the lower in the union-find
+    forest `parent`, so coset 0 stays live.
+    """
+
     def __init__(self, ngens: int, max_cosets: int, relators):
-        self.ngens = ngens
         self.width = 2 * ngens
-        self.max_cosets = max_cosets
+        self.limit = min(max_cosets, _COSET_CEILING)
         self.relators = relators
-        self.table: list[list] = []
-        self.parent: list[int] = []
-        self.nlive = 0
-        self._new_coset()
-
-    @staticmethod
-    def _col(letter) -> int:
-        g, s = letter
-        return 2 * g if s > 0 else 2 * g + 1
-
-    @staticmethod
-    def _inv_col(col: int) -> int:
-        return col ^ 1
-
-    def _new_coset(self) -> int:
-        idx = len(self.table)
-        self.table.append([None] * self.width)
-        self.parent.append(idx)
-        self.nlive += 1
-        return idx
-
-    def rep(self, c: int) -> int:
-        while self.parent[c] != c:
-            self.parent[c] = self.parent[self.parent[c]]
-            c = self.parent[c]
-        return c
+        self.table: list[list] = [[None] * self.width]
+        self.parent = [0]
+        self.nlive = 1
 
     def _merge(self, a: int, b: int, queue: list):
-        a, b = self.rep(a), self.rep(b)
-        if a != b:
-            lo, hi = min(a, b), max(a, b)
+        lo, hi = sorted((_find(self.parent, a), _find(self.parent, b)))
+        if lo != hi:
             self.parent[hi] = lo
             self.nlive -= 1
             queue.append(hi)
 
     def coincidence(self, a: int, b: int):
+        table, parent = self.table, self.parent
         queue: list[int] = []
         self._merge(a, b, queue)
-        i = 0
-        while i < len(queue):
-            dead = queue[i]
-            i += 1
-            for col in range(self.width):
-                target = self.table[dead][col]
+        for dead in queue:  # grows while it is read
+            for col, target in enumerate(table[dead]):  # sees the entries it clears
                 if target is None:
                     continue
-                self.table[target][self._inv_col(col)] = None
-                mu = self.rep(dead)
-                nu = self.rep(target)
-                if self.table[mu][col] is not None:
-                    self._merge(nu, self.table[mu][col], queue)
-                elif self.table[nu][self._inv_col(col)] is not None:
-                    self._merge(mu, self.table[nu][self._inv_col(col)], queue)
+                table[target][col ^ 1] = None
+                mu, nu = _find(parent, dead), _find(parent, target)
+                if table[mu][col] is not None:
+                    self._merge(nu, table[mu][col], queue)
+                elif table[nu][col ^ 1] is not None:
+                    self._merge(mu, table[nu][col ^ 1], queue)
                 else:
-                    self.table[mu][col] = nu
-                    self.table[nu][self._inv_col(col)] = mu
+                    table[mu][col] = nu
+                    table[nu][col ^ 1] = mu
 
-    def define(self, c: int, col: int) -> None:
-        limit = min(self.max_cosets, _COSET_CEILING)
-        if self.nlive >= limit:
+    def define(self, c: int, col: int) -> bool:
+        """Send coset c along column col to a new coset.
+
+        At the cap a lookahead runs first.  If it merges cosets, nothing is
+        defined and False is returned, since c itself may have retired;
+        otherwise the cap is exceeded.
+        """
+        if self.nlive >= self.limit:
             self._lookahead()
-        if self.nlive >= limit == _COSET_CEILING:
-            raise QuandleKitError(
-                f"coset enumeration reached the fixed ceiling of {limit} live cosets,"
-                " which does not prove the index infinite; no flag raises the ceiling"
-            )
-        if self.nlive >= limit:
+            if self.nlive < self.limit:
+                return False
+            if self.limit == _COSET_CEILING:
+                raise QuandleKitError(
+                    f"coset enumeration reached the fixed ceiling of {self.limit} live cosets,"
+                    " which does not prove the index infinite; no flag raises the ceiling"
+                )
             raise CosetLimitExceeded(
-                f"coset enumeration exceeded the cap of {limit} live cosets,"
+                f"coset enumeration exceeded the cap of {self.limit} live cosets,"
                 " which does not prove the index infinite"
             )
-        d = self._new_coset()
-        self.table[c][col] = d
-        self.table[d][self._inv_col(col)] = c
+        d = len(self.table)
+        self.table.append([None] * self.width)
+        self.table[c][col], self.table[d][col ^ 1] = d, c
+        self.parent.append(d)
+        self.nlive += 1
+        return True
 
     def _lookahead(self) -> None:
         """Scan every relator at every live coset, coincidences only."""
         for c in range(len(self.table)):
-            if self.rep(c) != c:
-                continue
             for rel in self.relators:
-                if self.rep(c) != c:
+                if self.parent[c] != c:
                     break
                 self.scan(c, rel)
 
     def scan(self, start: int, word, fill: bool = False) -> None:
-        """Trace a relator from `start` forwards and backwards.
+        """Trace a word of columns from `start` forwards and backwards.
 
         A complete trace that closes up on different cosets records a
         coincidence, and a gap of one letter is a deduction.  A wider gap is
         bridged by defining a coset when `fill` is set; otherwise nothing
-        can be deduced and the scan stops.
+        can be deduced and the scan stops.  A definition that the cap's
+        lookahead turns down restarts the scan, unless `start` retired.
         """
-        f = start
-        i = 0
-        b = start
-        j = len(word) - 1
+        table, parent = self.table, self.parent
+        f, i, b, j = start, 0, start, len(word) - 1
         while True:
-            while i <= j:
-                nxt = self.table[f][self._col(word[i])]
-                if nxt is None:
-                    break
-                f = self.rep(nxt)
+            while i <= j and (nxt := table[f][word[i]]) is not None:
+                f = _find(parent, nxt)
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i:
-                prv = self.table[b][self._inv_col(self._col(word[j]))]
-                if prv is None:
-                    break
-                b = self.rep(prv)
+            while j >= i and (prv := table[b][word[j] ^ 1]) is not None:
+                b = _find(parent, prv)
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
-            col = self._col(word[i])
             if i == j:
-                self.table[f][col] = b
-                self.table[b][self._inv_col(col)] = f
+                table[f][word[i]] = b
+                table[b][word[i] ^ 1] = f
                 return
             if not fill:
                 return
-            self.define(f, col)
+            if not self.define(f, word[i]):
+                if parent[start] != start:
+                    return
+                f, i, b, j = start, 0, start, len(word) - 1
 
 
 def todd_coxeter(
@@ -513,60 +505,42 @@ def todd_coxeter(
     a caller's `_cap_flag` names the flag for both.  A cap at or above
     `_COSET_CEILING` stops at the ceiling instead, with a QuandleKitError
     that names no flag, since none raises it.  A completed table is
-    verified before the index is returned: every column is a bijection on
-    live cosets and every relator traces to the identity everywhere.
+    renumbered onto its live cosets and verified: every column is a
+    bijection, every relator fixes every coset, every subgroup word coset 0.
     """
     if max_cosets < 1:
         raise CapExceeded(f"coset cap {max_cosets} is below the floor of 1")
-    relators = [free_reduce(w) for w in p.relators]
-    subgroup = [free_reduce(w) for w in subgroup_words]
+    relators = [_columns(w) for w in p.relators]
+    subgroup = [_columns(w) for w in subgroup_words]
     for w in subgroup:
-        for g, _ in w:
-            if not 0 <= g < p.ngens:
-                raise ValueError(f"subgroup word uses unknown generator {g}")
+        for col in w:
+            if not 0 <= col < 2 * p.ngens:
+                raise ValueError(f"subgroup word uses unknown generator {col // 2}")
 
     ct = _CosetTable(p.ngens, max_cosets, relators)
     for w in subgroup:
         ct.scan(0, w, fill=True)
     alpha = 0
     while alpha < len(ct.table):
-        if ct.rep(alpha) != alpha:
-            alpha += 1
-            continue
         for rel in relators:
-            if ct.rep(alpha) != alpha:
+            if ct.parent[alpha] != alpha:
                 break
             ct.scan(alpha, rel, fill=True)
-        if ct.rep(alpha) == alpha:
-            for col in range(ct.width):
-                if ct.table[alpha][col] is None:
-                    ct.define(alpha, col)
+        for col in range(ct.width):
+            while ct.parent[alpha] == alpha and ct.table[alpha][col] is None:
+                ct.define(alpha, col)
         alpha += 1
 
-    live = [c for c in range(len(ct.table)) if ct.rep(c) == c]
-    live_set = set(live)
-    # normalize any entries that still point at retired cosets
-    for c in live:
-        ct.table[c] = [None if e is None else ct.rep(e) for e in ct.table[c]]
-    for c in live:
-        for col in range(ct.width):
-            d = ct.table[c][col]
-            if d is None or d not in live_set:
-                raise AssertionError("incomplete table escaped the loop")
-            if ct.table[d][ct._inv_col(col)] != c:
-                raise AssertionError("table lost mirror symmetry")
-    for c in live:
-        for rel in relators:
-            cur = c
-            for letter in rel:
-                cur = ct.table[cur][ct._col(letter)]
-            if cur != c:
-                raise AssertionError("relator does not act trivially on completed table")
-    start = ct.rep(0)
-    for w in subgroup:
-        cur = start
-        for letter in w:
-            cur = ct.table[cur][ct._col(letter)]
-        if cur != start:
-            raise AssertionError("subgroup generator moved its own coset")
-    return len(live)
+    live = [c for c, root in enumerate(ct.parent) if root == c]
+    number = {c: k for k, c in enumerate(live)}
+    table = [[number.get(d) for d in ct.table[c]] for c in live]
+    for c, row in enumerate(table):
+        if None in row:
+            raise AssertionError("incomplete table escaped the loop")
+        if any(table[d][col ^ 1] != c for col, d in enumerate(row)):
+            raise AssertionError("table lost mirror symmetry")
+        if any(_trace(table, c, rel) != c for rel in relators):
+            raise AssertionError("relator does not act trivially on completed table")
+    if any(_trace(table, 0, w) != 0 for w in subgroup):
+        raise AssertionError("subgroup generator moved its own coset")
+    return len(table)

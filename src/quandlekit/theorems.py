@@ -203,18 +203,27 @@ def _classes(options):
 
 
 def _abelianization_case(q, options) -> dict:
-    """Abelianized enveloping groups are free of rank the orbit count."""
-    orbits = len(quandlemod.orbit_partition(q))
+    """Abelianized enveloping groups are free of rank the orbit count.
+
+    Each commutator-subgroup generator must lie in the kernel of the map
+    As(Q) -> Z^orbits, that is, have exponent sum zero on every orbit.
+    """
+    partition = quandlemod.orbit_partition(q)
+    orbit_of = {x: k for k, block in enumerate(partition) for x in block}
     free_rank, torsion = envgroup.abelianization(envgroup.presentation_of(q))
     commutators = envgroup.commutator_generators(q)
+    in_kernel = True
+    for word in commutators:
+        sums = [0] * len(partition)
+        for g, e in word:
+            sums[orbit_of[g]] += e
+        in_kernel &= not any(sums)
     return {
-        "orbits": orbits,
+        "orbits": len(partition),
         "free_rank": free_rank,
         "torsion": list(torsion),
         "commutator_generators": len(commutators),
-        "passed": free_rank == orbits
-        and not torsion
-        and len(commutators) <= q.order * q.order,
+        "passed": free_rank == len(partition) and not torsion and in_kernel,
     }
 
 
@@ -777,6 +786,7 @@ def _suite_stabilizer_embedding(options: dict) -> list:
                 ext = cocyclemod.extend(alpha)
                 stab = cocyclemod.cocycle_stabilizer(alpha)
                 lifts = {}
+                graph = []  # phi + theta + gamma on n + s + n*s points
                 for phi in base_aut:
                     for theta in fiber_perms:
                         gamma = cocyclemod.lift(phi, (theta,) * n, s)
@@ -784,13 +794,14 @@ def _suite_stabilizer_embedding(options: dict) -> list:
                             lifts[(phi, theta)] = gamma
                             joined = phi.images + tuple(n + t for t in theta.images)
                             converse &= Perm(joined) in stab
+                            graph.append(joined + tuple(n + s + x for x in gamma.images))
                 converse &= len(lifts) == stab.order
                 if len(set(lifts.values())) != len(lifts):
                     injective = False
-                for (phi1, theta1), gamma1 in lifts.items():
-                    for (phi2, theta2), gamma2 in lifts.items():
-                        if lifts.get((phi1 * phi2, theta1 * theta2)) != gamma1 * gamma2:
-                            multiplicative = False
+                # The graph is finite and holds the identity, so it is closed
+                # under products exactly when it generates no more than itself.
+                if PermGroup.generated(n + s + n * s, graph).order != len(graph):
+                    multiplicative = False
             cases.append(
                 {
                     "case": f"{name}.fiber{s}",

@@ -964,6 +964,7 @@ def test_source_cap_is_raised_by_cap_group(capsys):
 
 _DEEP = "[" * 100_000
 _HUGE = str(10**20)
+_MID_CAPS = range(1, 13)
 
 
 @pytest.mark.parametrize(
@@ -984,11 +985,18 @@ _HUGE = str(10**20)
          {"index": 6}),
         (["theorem", "7.3", "--cap-order", _HUGE], None),
         (["theorem", "3.3", "--max-order", "-1"], None),
-    ],
+    ]
+    # Mid-range coset caps on R_3, where the lookahead at the cap fires: a
+    # cap completes from 7 live cosets on, and below that names its flag.
+    + [(["envelope", "--dihedral", "3", "--coset-enum", "[[1,1]]", "--max-cosets", str(k)],
+        {"index": 6} if k >= 7 else "raise it with --max-cosets") for k in _MID_CAPS]
+    + [(["theorem", "3.1", "--cap-order", str(k)], None if k >= 7 else "raise it with --cap-order")
+       for k in _MID_CAPS],
     ids=["deep-json-file", "deep-json-words", "6.3-max-order-0", "enumerate-0", "coeff-Z0",
          "coeff-trailing-x", "coeff-huge", "power-huge", "5.4-max-order-huge",
          "max-cosets-negative", "max-cosets-huge", "7.3-cap-order-huge",
-         "3.3-max-order-negative"],
+         "3.3-max-order-negative"]
+    + [f"max-cosets-{k}" for k in _MID_CAPS] + [f"3.1-cap-order-{k}" for k in _MID_CAPS],
 )
 def test_flag_edge_values_exit_cleanly(tmp_path, capsys, argv, expect):
     """Edge values of flags give exit 0, 1 or 2 and never a traceback.

@@ -1,5 +1,7 @@
 """Tests for presentations, Smith normal form and coset enumeration."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit import envgroup
+from quandlekit import envgroup, theorems
 from quandlekit.envgroup import (
     Presentation,
     abelianization,
@@ -490,6 +492,8 @@ SMALL_GROUP_GENERATORS = [
     ),
 ), st.data())
 def test_todd_coxeter_on_a_multiplication_table_gives_the_index_of_the_chain_orders(gens, data):
+    """At any cap the outcome is the index or CosetLimitExceeded, and a cap
+    that completes is followed by larger caps that complete."""
     group = closure(gens)
     elements = list(group)
     presentation, index = multiplication_table_presentation(elements)
@@ -497,6 +501,15 @@ def test_todd_coxeter_on_a_multiplication_table_gives_the_index_of_the_chain_ord
     sub = closure(sub_gens, degree=group.degree)
     words = [((index[h], 1),) for h in sub_gens]
     assert todd_coxeter(presentation, words) * sub.order == group.order
+    caps = data.draw(st.lists(st.integers(1, 2 * group.order + 4), min_size=2, max_size=2))
+    outcomes = []
+    for cap in sorted(caps):
+        try:
+            outcomes.append(todd_coxeter(presentation, words, max_cosets=cap))
+        except CosetLimitExceeded:
+            outcomes.append(None)
+    assert all(x in (None, group.order // sub.order) for x in outcomes)
+    assert outcomes[0] is None or outcomes[1] is not None
 
 
 def test_todd_coxeter_order_independent():
@@ -524,6 +537,82 @@ def test_todd_coxeter_limit():
     p = Presentation(1, ())
     with pytest.raises(CosetLimitExceeded):
         todd_coxeter(p, (), max_cosets=50)
+
+
+# The benchmark's subgroup words for coset enumeration (`perfbench/plan.py`).
+COSET_WORD_POOL = ([[1, 1]], [[1, 2]], [[2, 1]], [[2, 3]], [[1, 3]])
+
+# The sweep below, as sorted JSON.  Recorded when the lookahead at the cap
+# stopped writing through cosets it had retired.  Before that, 103 of its 920
+# cells raised AssertionError; every other cell is as it was then.
+COSET_CAP_SWEEP_DIGEST = "e4efaa5550930f65ff4dd00f9a74c067554d1427202746b10bd474b407de6b87"
+
+
+def coset_cap_sweep():
+    """Outcome per presentation, pool word and cap 1-40: the index, or "cap"."""
+    presentations = {
+        "As(R3)": presentation_of(R3),
+        "As(R5)": presentation_of(build("dihedral", 5)),
+        "As(R7)": presentation_of(build("dihedral", 7)),
+        "As(Conj(S3))": presentation_of(conj_quandle(symmetric_group_table(3))),
+        "braid": theorems._BRAID_STYLE,
+    }
+    sweep = {}
+    for name, p in presentations.items():
+        for letters in COSET_WORD_POOL:
+            words = [word_from_json(w) for w in letters]
+            if any(g >= p.ngens for w in words for g, _ in w):
+                continue
+            row = []
+            for cap in range(1, 41):
+                try:
+                    row.append(todd_coxeter(p, words, max_cosets=cap))
+                except CosetLimitExceeded:
+                    row.append("cap")
+            sweep[f"{name} {json.dumps(letters)}"] = row
+    return sweep
+
+
+def test_coset_cap_sweep_is_pinned_and_completes_from_one_cap_on():
+    sweep = coset_cap_sweep()
+    for row in sweep.values():
+        done = [x for x in row if x != "cap"]
+        assert row[len(row) - len(done):] == done
+        assert len(set(done)) <= 1
+    text = json.dumps(sweep, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == COSET_CAP_SWEEP_DIGEST
+
+
+ORDER_FIVE = enumerate_quandles(5)
+
+
+@pytest.mark.parametrize(
+    "q, letters, caps",
+    [(R3, [[1, 1]], range(7, 12)),
+     (ORDER_FIVE[9], [[1], [2]], range(13, 16)),
+     (ORDER_FIVE[16], [[1, 1]], range(42, 45))],
+    ids=["R3", "order5.class9", "order5.class16"],
+)
+def test_no_coset_is_defined_from_a_retired_one(monkeypatch, q, letters, caps):
+    """Around these caps the lookahead at the cap retires cosets of a scan in
+    progress, its start among them on the order-5 classes; the scan must
+    then restart or stop, not define a coset from one it retired."""
+    real = envgroup._CosetTable.define
+    retired = []
+
+    def define(self, c, col):
+        if self.parent[c] != c:
+            retired.append(c)
+        return real(self, c, col)
+
+    monkeypatch.setattr(envgroup._CosetTable, "define", define)
+    words = [word_from_json(w) for w in letters]
+    for cap in caps:
+        try:
+            todd_coxeter(presentation_of(q), words, max_cosets=cap)
+        except CosetLimitExceeded:
+            pass
+    assert retired == []
 
 
 def test_todd_coxeter_rejects_bad_input():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pathlib
+import types
 
 import pytest
 
@@ -326,6 +327,34 @@ def test_stabilizer_suite_fails_when_the_stabilizer_is_wrong(monkeypatch, change
     for case in rep["cases"]:
         assert not case["shape_matches_stabilizer"]
         assert not case["passed"]
+
+
+def test_stabilizer_suite_fails_when_the_lifts_are_not_multiplicative(monkeypatch):
+    """Inverted lifts preserve the same extensions but reverse products, which
+    shows on every case but trivial2.fiber2, whose Aut(base) x Sym(2) is abelian."""
+    real = cocyclemod.lift
+    monkeypatch.setattr(cocyclemod, "lift", lambda phi, thetas, s: real(phi, thetas, s).inverse())
+    rep = run_suite("7.3")
+    assert not rep["passed"]
+    assert [c["case"] for c in rep["cases"] if c["multiplicative"]] == ["trivial2.fiber2"]
+    for case in rep["cases"]:
+        assert case["injective"] and case["shape_matches_stabilizer"]
+        assert case["passed"] == case["multiplicative"]
+
+
+def test_abelianization_suite_fails_with_commutators_outside_the_kernel(monkeypatch):
+    """Read off the transposed table, the words a_(i*j)^-1 a_j leave the kernel
+    of As(Q) -> Z^orbits exactly on the classes with two orbits or more."""
+    real = envgroup.commutator_generators
+    monkeypatch.setattr(
+        envgroup,
+        "commutator_generators",
+        lambda q: real(types.SimpleNamespace(order=q.order, table=tuple(zip(*q.table)))),
+    )
+    rep = run_suite("3.3")
+    assert not rep["passed"]
+    for case in rep["cases"]:
+        assert case["passed"] == (case["orbits"] == 1)
 
 
 def test_braid_relator_case_fails_without_the_braid_relator(monkeypatch):
