@@ -539,7 +539,8 @@ def test_todd_coxeter_limit():
         todd_coxeter(p, (), max_cosets=50)
 
 
-# The benchmark's subgroup words for coset enumeration (`perfbench/plan.py`).
+# The benchmark's subgroup words for coset enumeration (`perfbench/plan.py`),
+# copied so that the pin below does not move with the benchmark.
 COSET_WORD_POOL = ([[1, 1]], [[1, 2]], [[2, 1]], [[2, 3]], [[1, 3]])
 
 # The sweep below, as sorted JSON.  Recorded when the lookahead at the cap
