@@ -230,10 +230,8 @@ def automorphism_group(group: FiniteGroup) -> PermGroup:
     """All table automorphisms, as a permutation group on element indices.
 
     The search is `quandle._automorphisms`, which needs only a table with
-    bijective columns.
+    bijective columns, and which refuses a group above `DEFAULT_GROUP_CAP`.
     """
-    if group.order > DEFAULT_GROUP_CAP:
-        raise CapExceeded(f"group order {group.order} exceeds cap {DEFAULT_GROUP_CAP}")
     return _automorphisms(group.table, DEFAULT_GROUP_CAP)
 
 

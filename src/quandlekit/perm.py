@@ -1,7 +1,7 @@
 """Permutations on {0, ..., n-1} and permutation groups held as stabilizer chains.
 
-Everything here is exact and small-scale by design.  Every group is a
-stabilizer chain on the base 0, 1, ..., n-1, built by deterministic
+Everything here is exact and small-scale by design.  A `PermGroup` is
+itself a stabilizer chain on the base 0, 1, ..., n-1, built by deterministic
 Schreier-Sims (A. Seress, Permutation Group Algorithms, 2003, ch. 4-5): the
 order is the product of the basic orbit lengths, membership is a sift, and
 iteration walks the transversals in sorted order, one element at a time,
@@ -102,63 +102,6 @@ class Perm:
 _set_images = Perm.__dict__["images"].__set__
 
 
-class PermGroup:
-    """A permutation group, held as a stabilizer chain (`_Chain`).
-
-    The order comes from the chain, membership is a sift, and two groups of
-    equal order are equal when one's level-0 generators sift through the
-    other's chain.  Iterating walks the elements in lexicographic order of
-    their image tuples, lazily, from the chain.  The greedy generators are
-    computed only when read, unless the constructor was given generators:
-    walk the sorted elements and keep each one outside the span of those
-    kept before.
-    """
-
-    def __init__(self, chain: "_Chain", generators: Sequence[Perm] | None = None):
-        self.degree = chain.degree
-        self._chain = chain
-        if generators is not None:
-            self.generators = tuple(generators)
-
-    @classmethod
-    def generated(cls, degree: int, generators: Iterable[tuple[int, ...]]) -> "PermGroup":
-        """The group generated by image tuples."""
-        return cls(_Chain(degree, generators))
-
-    @property
-    def order(self) -> int:
-        return self._chain.order()
-
-    @cached_property
-    def generators(self) -> tuple[Perm, ...]:
-        """Greedy generators: each sorted element outside the span of those kept before."""
-        return tuple(map(Perm._trusted, self._chain.greedy_generators()))
-
-    def __contains__(self, p) -> bool:
-        return (
-            isinstance(p, Perm)
-            and len(p.images) == self.degree
-            and self._chain.contains(p.images)
-        )
-
-    def __iter__(self):
-        return map(Perm._trusted, self._chain.walk(tuple(range(self.degree)), 0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PermGroup)
-            and self.degree == other.degree
-            and self.order == other.order
-            and all(map(self._chain.contains, other._chain.gens[0]))
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.order))
-
-    def __repr__(self) -> str:
-        return f"PermGroup(degree={self.degree}, order={self.order})"
-
-
 def _compose(p, q):
     """p*q on image tuples of one degree: (p*q)(x) = p(q(x)).
 
@@ -177,16 +120,20 @@ def _invert(p):
     return tuple(inv)
 
 
-class _Chain:
-    """A stabilizer chain on the base 0, 1, ..., n-1, over image tuples.
+class PermGroup:
+    """A permutation group, held as a stabilizer chain on the base 0, 1, ..., n-1.
 
-    Level k holds G^(k), the pointwise stabilizer of 0, ..., k-1: the strong
-    generators `gens[k]` that fix 0, ..., k-1, the basic orbit `orbits[k]`
-    of k under them, and for each point d of that orbit a transversal
-    element `reps[k][d]` sending k to d, with its inverse in `invs[k][d]`.
-    The order of the group is the product of the basic orbit lengths, and
+    `PermGroup(n, generators)` is the group of degree n generated by image
+    tuples, and with none the trivial group.  Level k of the chain holds
+    G^(k), the pointwise stabilizer of 0, ..., k-1: the strong generators
+    `_gens[k]` that fix 0, ..., k-1, the basic orbit `_orbits[k]` of k
+    under them, and for each point d of that orbit a transversal element
+    `_reps[k][d]` sending k to d, with its inverse in `_invs[k][d]`, all as
+    image tuples.  The order is the product of the basic orbit lengths, and
     g is a member exactly when it sifts: dividing off, level by level, the
-    transversal element that agrees with it at k ends at the identity.
+    transversal element that agrees with it at k ends at the identity.  Two
+    groups of equal order are equal when one's strong generators sift
+    through the other.
 
     The chain is built by deterministic Schreier-Sims (Seress, Permutation
     Group Algorithms, 2003, ch. 4): each generator that does not sift is
@@ -194,45 +141,96 @@ class _Chain:
     is complete once each of its Schreier generators sifts through the
     levels below it.  Points whose orbit is {k} cost nothing beyond a
     comparison.  Degree-1 groups have no non-identity element, so nothing
-    is ever composed at degree 1.  `gens[n]` belongs to the trivial group
-    G^(n) and stays empty; it keeps `gens[0]` defined at degree 0.
-    """
+    is ever composed at degree 1.  `_gens[n]` belongs to the trivial group
+    G^(n) and stays empty; it keeps `_gens[0]` defined at degree 0.
 
-    __slots__ = ("degree", "gens", "orbits", "reps", "invs", "_sifted")
+    Iterating walks the elements in lexicographic order of their image
+    tuples, lazily, from the chain.  The greedy generators are computed
+    only when read, unless `closure` was given generators: walk the sorted
+    elements and keep each one outside the span of those kept before.
+    """
 
     def __init__(self, degree: int, generators: Iterable[tuple[int, ...]] = ()):
         identity = tuple(range(degree))
         self.degree = degree
-        self.gens: list[list[tuple[int, ...]]] = [[] for _ in range(degree + 1)]
-        self.orbits = [[k] for k in range(degree)]
-        self.reps = [{k: identity} for k in range(degree)]
-        self.invs = [{k: identity} for k in range(degree)]
+        self._gens: list[list[tuple[int, ...]]] = [[] for _ in range(degree + 1)]
+        self._orbits = [[k] for k in range(degree)]
+        self._reps = [{k: identity} for k in range(degree)]
+        self._invs = [{k: identity} for k in range(degree)]
         # the (orbit point, generator index) pairs whose Schreier generator sifts
         self._sifted: list[set[tuple[int, int]]] = [set() for _ in range(degree)]
         for g in generators:
-            self.add(g)
+            self._add(g)
 
+    @classmethod
+    def generated(cls, degree: int, generators: Iterable[tuple[int, ...]]) -> "PermGroup":
+        """The group generated by image tuples."""
+        return cls(degree, generators)
+
+    @property
     def order(self) -> int:
         total = 1
-        for orbit in self.orbits:
+        for orbit in self._orbits:
             total *= len(orbit)
         return total
+
+    @property
+    def strong_generators(self) -> tuple[tuple[int, ...], ...]:
+        """The level-0 strong generators, as image tuples; they generate the group."""
+        return tuple(self._gens[0])
+
+    @cached_property
+    def generators(self) -> tuple[Perm, ...]:
+        """Greedy generators: each sorted element outside the span of those kept before."""
+        return tuple(map(Perm._trusted, self._greedy_generators()))
+
+    def __contains__(self, p) -> bool:
+        return isinstance(p, Perm) and len(p.images) == self.degree and self._contains(p.images)
+
+    def __iter__(self):
+        return map(Perm._trusted, self._walk(tuple(range(self.degree)), 0))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PermGroup)
+            and self.degree == other.degree
+            and self.order == other.order
+            and all(map(self._contains, other.strong_generators))
+        )
+
+    def __hash__(self):
+        return hash((self.degree, self.order))
+
+    def __repr__(self) -> str:
+        return f"PermGroup(degree={self.degree}, order={self.order})"
+
+    def is_k_transitive(self, k: int) -> bool:
+        """Whether the group moves any ordered k-tuple of distinct points to any other.
+
+        The orbit of (0, ..., k-1) has the size of the product of the first
+        k basic orbits, and basic orbit i has at most n - i points, so the
+        group is k-transitive exactly when each of those orbits is full.
+        For k larger than the degree this is vacuously true (there are no
+        such tuples), matching the usual convention.
+        """
+        n = self.degree
+        return k > n or all(len(self._orbits[i]) == n - i for i in range(k))
 
     def _strip(self, g, level):
         """Sift g from `level` down: (None, degree) for a member, else (residue, its level)."""
         for k in range(level, self.degree):
             d = g[k]
             if d != k:
-                inv = self.invs[k].get(d)
+                inv = self._invs[k].get(d)
                 if inv is None:
                     return g, k
                 g = _compose(inv, g)
         return None, self.degree
 
-    def contains(self, g) -> bool:
+    def _contains(self, g) -> bool:
         return self._strip(g, 0)[0] is None
 
-    def add(self, g) -> None:
+    def _add(self, g) -> None:
         """Extend the group by g, keeping the chain complete."""
         residue, level = self._strip(g, 0)
         if residue is not None:
@@ -242,7 +240,7 @@ class _Chain:
     def _insert(self, h, first, last):
         """Make h a strong generator at levels first..last and grow their orbits."""
         for k in range(first, last + 1):
-            gens, orbit, reps, invs = self.gens[k], self.orbits[k], self.reps[k], self.invs[k]
+            gens, orbit, reps, invs = self._gens[k], self._orbits[k], self._reps[k], self._invs[k]
             gens.append(h)
             for d in orbit:  # grows while it is walked
                 u = reps[d]
@@ -268,10 +266,10 @@ class _Chain:
 
     def _first_residue(self, k):
         """The residue of the first Schreier generator at level k that does not sift."""
-        reps, invs, sifted = self.reps[k], self.invs[k], self._sifted[k]
-        for d in self.orbits[k]:
+        reps, invs, sifted = self._reps[k], self._invs[k], self._sifted[k]
+        for d in self._orbits[k]:
             u = reps[d]
-            for i, s in enumerate(self.gens[k]):
+            for i, s in enumerate(self._gens[k]):
                 if (d, i) in sifted:
                     continue
                 e = s[d]
@@ -285,7 +283,7 @@ class _Chain:
                 sifted.add((d, i))
         return None
 
-    def walk(self, g, k):
+    def _walk(self, g, k):
         """The elements of g G^(k), in lexicographic order of their image tuples.
 
         G^(k) fixes 0, ..., k-1, so its elements agree with g there, and
@@ -297,14 +295,14 @@ class _Chain:
         stack, so each element is yielded from one frame, not passed up
         through one frame per level.
         """
-        levels = [j for j in range(k, self.degree) if len(self.reps[j]) > 1]
+        levels = [j for j in range(k, self.degree) if len(self._reps[j]) > 1]
         if not levels:
             yield g
             return
 
         def cosets(h, depth):
             j = levels[depth]
-            reps = self.reps[j]
+            reps = self._reps[j]
             return (h if d == j else _compose(h, reps[d]) for d in sorted(reps, key=h.__getitem__))
 
         stack = [cosets(g, 0)]
@@ -318,7 +316,7 @@ class _Chain:
                 else:
                     stack.append(cosets(h, len(stack)))
 
-    def greedy_generators(self) -> list[tuple[int, ...]]:
+    def _greedy_generators(self) -> list[tuple[int, ...]]:
         """The sorted elements each outside the span of those before, found without listing G.
 
         The next greedy generator is the least element of G outside the span
@@ -330,19 +328,19 @@ class _Chain:
         generator is the least element of the first coset whose
         representative is not in H.
         """
-        span = _Chain(self.degree)
+        span = PermGroup(self.degree)
         found: list[tuple[int, ...]] = []
         k = self.degree
         while True:
-            while k > 0 and all(map(span.contains, self.gens[k - 1])):
+            while k > 0 and all(map(span._contains, self._gens[k - 1])):
                 k -= 1
             if k == 0:
                 return found
-            reps = self.reps[k - 1]
-            d = next(d for d in sorted(reps) if not span.contains(reps[d]))
-            g = next(self.walk(reps[d], k))
+            reps = self._reps[k - 1]
+            d = next(d for d in sorted(reps) if not span._contains(reps[d]))
+            g = next(self._walk(reps[d], k))
             found.append(g)
-            span.add(g)
+            span._add(g)
 
 
 def closure(generators: Sequence[Perm], degree: int | None = None) -> PermGroup:
@@ -358,7 +356,9 @@ def closure(generators: Sequence[Perm], degree: int | None = None) -> PermGroup:
         degree = len(generators[0].images)
     if any(len(g.images) != degree for g in generators):
         raise ValueError("generators have mixed degrees")
-    return PermGroup(_Chain(degree, [g.images for g in generators]), generators)
+    group = PermGroup(degree, [g.images for g in generators])
+    group.generators = tuple(generators)
+    return group
 
 
 def _orbit(start, step) -> set:
@@ -389,15 +389,3 @@ def _orbits(neighbours) -> list[list[int]]:
             orbits.append(sorted(orbit))
     return orbits
 
-
-def is_k_transitive(group: PermGroup, k: int) -> bool:
-    """Whether the group moves any ordered k-tuple of distinct points to any other.
-
-    The orbit of (0, ..., k-1) has the size of the product of the first k
-    basic orbits, and basic orbit i has at most n - i points, so the group
-    is k-transitive exactly when each of those orbits is full.  For k larger
-    than the degree this is vacuously true (there are no such tuples),
-    matching the usual convention.
-    """
-    n = group.degree
-    return k > n or all(len(group._chain.orbits[i]) == n - i for i in range(k))

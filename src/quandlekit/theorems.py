@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedSpec,
     _cap_flag,
 )
-from .perm import Perm, PermGroup, _cycle_type, closure, is_k_transitive
+from .perm import Perm, PermGroup, _cycle_type, closure
 from .quandle import _first_unpreserved
 
 GROUP_CATALOG = (
@@ -197,8 +197,11 @@ def _suite_two_generator_envelope(options: dict) -> list:
 
 def _classes(options):
     """Items (name, quandle) for every isomorphism class of order 1 to `--max-order`."""
+    cap = options.get("cap_order", quandlemod.DEFAULT_ENUM_CAP)
     for n in range(1, options["max_order"] + 1):
-        for idx, q in enumerate(quandlemod.enumerate_quandles(n)):
+        with _cap_flag("--cap-order"):
+            classes = quandlemod.enumerate_quandles(n, cap)
+        for idx, q in enumerate(classes):
             yield f"order{n}.class{idx}", q
 
 
@@ -637,9 +640,12 @@ def _suite_three_transitive(options: dict) -> list:
     max_order, inner_max = options["max_order"], options["cap_order"]
     if max_order < 1:
         raise QuandleKitError(f"--max-order {max_order} is below the floor of order 1")
-    classes = {
-        n: quandlemod.enumerate_quandles(n) for n in range(1, max(max_order, inner_max) + 1)
-    }
+    cap = max(quandlemod.DEFAULT_ENUM_CAP, inner_max)
+    with _cap_flag("--cap-order"):
+        classes = {
+            n: quandlemod.enumerate_quandles(n, cap)
+            for n in range(1, max(max_order, inner_max) + 1)
+        }
     r3 = quandlemod.build("dihedral", 3)
     cases = []
     for n in range(1, max_order + 1):
@@ -648,7 +654,7 @@ def _suite_three_transitive(options: dict) -> list:
             named = trivial or quandlemod.is_isomorphic(q, r3)
             aut_q = quandlemod.aut(q)
             full = aut_q.order == math.factorial(n)
-            three = is_k_transitive(aut_q, 3)
+            three = aut_q.is_k_transitive(3)
             cases.append(
                 {
                     "case": f"order{n}.class{idx}",
@@ -659,7 +665,7 @@ def _suite_three_transitive(options: dict) -> list:
                 }
             )
     for n in range(4, inner_max + 1):
-        bad = sum(is_k_transitive(quandlemod.inn(q), 3) for q in classes[n])
+        bad = sum(quandlemod.inn(q).is_k_transitive(3) for q in classes[n])
         cases.append(
             {
                 "case": f"inner_order{n}",

@@ -391,11 +391,16 @@ def test_suite_sweeps_are_capped_before_building(capsys, monkeypatch, argv, orde
       "--cap-order"),
      (["theorem", "3.1", "--cap-order", "0"],
       "coset cap 0 is below the floor of 1 (raise it with --cap-order)", "--cap-order"),
+     (["theorem", "3.3", "--max-order", "7"], "order 7 exceeds enumeration cap 6",
+      "--cap-order"),
+     (["theorem", "8.2", "--max-order", "4", "--cap-order", "3"],
+      "order 4 exceeds enumeration cap 3", "--cap-order"),
      (["envelope", "--dihedral", "3", "--coset-enum", "[[1,1]]", "--max-cosets", "2"],
       "exceeded the cap of 2 live cosets", "--max-cosets"),
      (["envelope", "--dihedral", "3", "--coset-enum", "[[1,1]]", "--max-cosets", "0"],
       "coset cap 0 is below the floor of 1", "--max-cosets")],
-    ids=["4.4", "5.1", "5.2", "5.4", "3.1", "3.1-floor", "envelope", "envelope-floor"],
+    ids=["4.4", "5.1", "5.2", "5.4", "3.1", "3.1-floor", "3.3", "8.2", "envelope",
+         "envelope-floor"],
 )
 def test_suite_cap_errors_end_with_their_flag(capsys, argv, message, flag):
     code, captured = invoke(argv, capsys)
@@ -985,6 +990,8 @@ _MID_CAPS = range(1, 13)
          {"index": 6}),
         (["theorem", "7.3", "--cap-order", _HUGE], None),
         (["theorem", "3.3", "--max-order", "-1"], None),
+        # the inner-group sweep of 6.3 reads --cap-order as its enumeration cap too
+        (["theorem", "6.3", "--max-order", "1", "--cap-order", "7"], {"passed": True}),
     ]
     # Mid-range coset caps on R_3, where the lookahead at the cap fires: a
     # cap completes from 7 live cosets on, and below that names its flag.
@@ -995,7 +1002,7 @@ _MID_CAPS = range(1, 13)
     ids=["deep-json-file", "deep-json-words", "6.3-max-order-0", "enumerate-0", "coeff-Z0",
          "coeff-trailing-x", "coeff-huge", "power-huge", "5.4-max-order-huge",
          "max-cosets-negative", "max-cosets-huge", "7.3-cap-order-huge",
-         "3.3-max-order-negative"]
+         "3.3-max-order-negative", "6.3-cap-order-7"]
     + [f"max-cosets-{k}" for k in _MID_CAPS] + [f"3.1-cap-order-{k}" for k in _MID_CAPS],
 )
 def test_flag_edge_values_exit_cleanly(tmp_path, capsys, argv, expect):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.perm import Perm, PermGroup, _cycle_type, _orbits, closure, is_k_transitive
+from quandlekit.perm import Perm, PermGroup, _cycle_type, _orbits, closure
 
 try:
     from sympy import combinatorics
@@ -130,6 +130,15 @@ def test_cycle_and_transposition_helpers():
     assert _cycle_type((1, 2, 0, 3)) == (1, 3)
 
 
+@pytest.mark.parametrize("degree", [0, 5])
+def test_a_group_of_no_generators_is_trivial(degree):
+    trivial = PermGroup(degree)
+    assert trivial.order == 1
+    assert list(trivial) == [Perm.identity(degree)]
+    assert trivial == PermGroup.generated(degree, [])
+    assert trivial.generators == () and trivial.strong_generators == ()
+
+
 def test_closure_of_single_transposition():
     group = closure([Perm.transposition(3, 0, 1)])
     assert group.order == 2
@@ -218,14 +227,14 @@ def test_orbit_partition_matches_naive_reachability():
 def test_k_transitivity_of_symmetric_group():
     s4 = symmetric_group(4)
     for k in (1, 2, 3, 4):
-        assert is_k_transitive(s4, k)
-    assert is_k_transitive(s4, 5)  # beyond the degree: vacuous
+        assert s4.is_k_transitive(k)
+    assert s4.is_k_transitive(5)  # beyond the degree: vacuous
 
 
 def test_k_transitivity_of_cyclic_rotations():
     c4 = closure([Perm((1, 2, 3, 0))])
-    assert is_k_transitive(c4, 1)
-    assert not is_k_transitive(c4, 2)
+    assert c4.is_k_transitive(1)
+    assert not c4.is_k_transitive(2)
 
 
 def test_k_transitivity_against_naive_definition():
@@ -242,7 +251,7 @@ def test_k_transitivity_against_naive_definition():
                 for src in tuples
                 for dst in tuples
             )
-            assert is_k_transitive(group, k) == naive
+            assert group.is_k_transitive(k) == naive
 
 
 def test_from_elements_reduces_generators():
@@ -337,7 +346,7 @@ def test_stabilizer_chain_agrees_with_the_closure(case):
     assert [p.images for p in chained] == span
     for k in range(1, min(degree, 3) + 1):
         tuples = {p[:k] for p in span}
-        assert is_k_transitive(chained, k) == (len(tuples) == perm(degree, k))
+        assert chained.is_k_transitive(k) == (len(tuples) == perm(degree, k))
 
 
 @pytest.mark.skipif(combinatorics is None, reason="sympy is not installed")

@@ -138,3 +138,52 @@ def test_every_import_is_read_by_its_module():
         }
         dead += [f"{module}.{name}" for name in sorted(bound - read)]
     assert dead == [], "imports their module never reads: " + ", ".join(dead)
+
+
+def test_private_attributes_are_reached_only_through_their_owner():
+    """An underscore attribute is read through `self`, `cls`, a package class or a module.
+
+    Inside a class, the class's own private names may also be read through
+    any name, such as another instance of it.  Anywhere else, `obj._name`
+    reaches into state that the object's class keeps to itself; the class
+    should say what it exposes.  Dunder attributes are Python's, not the
+    package's, and are exempt.
+    """
+    modules = _modules()
+    classes = {
+        node.name
+        for tree in modules.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    owners = {"self", "cls"} | classes
+
+    def private(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        )
+
+    def through(node):
+        return node.value.id if isinstance(node.value, ast.Name) else None
+
+    reaches = []
+    for module, tree in modules.items():
+        packages = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+        }
+        for top in tree.body:
+            own = set()
+            if isinstance(top, ast.ClassDef):
+                own = {node.name for node in top.body if isinstance(node, ast.FunctionDef)}
+                own |= {
+                    node.attr for node in ast.walk(top) if private(node) and through(node) == "self"
+                }
+            for node in ast.walk(top):
+                if private(node) and node.attr not in own and through(node) not in owners | packages:
+                    reaches.append(f"{module}:{node.lineno} {ast.unparse(node)}")
+    assert reaches == [], "private attributes read through another object: " + ", ".join(reaches)

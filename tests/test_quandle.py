@@ -17,7 +17,7 @@ from quandlekit.errors import (
     ParseError,
 )
 from quandlekit.fingroup import core_quandle, make_group
-from quandlekit.perm import Perm, PermGroup, _cycle_type, is_k_transitive
+from quandlekit.perm import Perm, PermGroup, _cycle_type
 from quandlekit.quandle import (
     Quandle,
     _canonical_table,
@@ -666,8 +666,8 @@ def test_inn_of_the_transposition_quandle_of_s10_is_uncapped():
 
 def test_inn_three_transitivity_examples():
     # right translations of the 3-element dihedral quandle generate S_3
-    assert is_k_transitive(inn(build("dihedral", 3)), 3)
-    assert not is_k_transitive(inn(build("dihedral", 4)), 2)
+    assert inn(build("dihedral", 3)).is_k_transitive(3)
+    assert not inn(build("dihedral", 4)).is_k_transitive(2)
 
 
 def reference_canonical(table):

@@ -436,7 +436,9 @@ def test_readme_lists_the_catalog_options():
 def test_three_transitive_suite_enumerates_each_order_once(monkeypatch):
     orders = []
     real = quandlemod.enumerate_quandles
-    monkeypatch.setattr(quandlemod, "enumerate_quandles", lambda n: orders.append(n) or real(n))
+    monkeypatch.setattr(
+        quandlemod, "enumerate_quandles", lambda n, cap: orders.append(n) or real(n, cap)
+    )
     run_suite("6.3")
     assert orders == [1, 2, 3, 4, 5, 6]
     orders.clear()
