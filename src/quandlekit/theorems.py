@@ -324,10 +324,7 @@ def _conj_bound_case(tid: str, row, options) -> dict:
 
 
 def _central_translations(group):
-    return [
-        (a, Perm(tuple(group.table[a][x] for x in range(group.order))))
-        for a in fingroup.center(group)
-    ]
+    return [(a, Perm(group.table[a])) for a in fingroup.center(group)]
 
 
 def _core_subgroup_case(group, options) -> dict:
@@ -347,7 +344,7 @@ def _core_subgroup_case(group, options) -> dict:
         _preserves(core.table, p) for _, p in translations
     )
     transported = all(
-        phi * p * phi.inverse() == Perm(tuple(group.table[phi(a)][x] for x in range(group.order)))
+        phi * p * phi.inverse() == Perm(group.table[phi(a)])
         for phi in autg.generators
         for a, p in translations
     )
@@ -917,9 +914,13 @@ def _suite_compatible_maps(options: dict) -> list:
     The identity assignment reproduces the trivial quandle and the
     conjugation assignment reproduces the conjugation quandle on every
     catalog group; a compatible assignment without fixed points is
-    rejected by the fixed-point check.
+    rejected by the fixed-point check.  That fixed case would pass alone,
+    so a `max_order` that keeps no catalog group is an error.
     """
     cases = _sweep(_catalog_groups, _compatible_maps_case)(options)
+    if not cases:
+        max_order = options["max_order"]
+        raise QuandleKitError(f"suite 9.1 has no catalog group with max_order {max_order}")
     z3 = fingroup.cyclic_group(3)
     inversion = Perm((0, 2, 1))
     assignment = [Perm.identity(3), inversion, inversion]

@@ -344,6 +344,16 @@ def test_theorem_empty_sweep_exits_two(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("max_order", ["1", "-5"])
+def test_compatible_maps_suite_without_catalog_groups_exits_two(capsys, max_order):
+    # suite 9.1 adds a fixed Z3 case to its sweep, so run_suite sees a case
+    code, captured = invoke(["theorem", "9.1", "--max-order", max_order], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert f"suite 9.1 has no catalog group with max_order {max_order}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["enumerate", "7"], ["aut", "--trivial", "9"], ["qinn", "--trivial", "9"],

@@ -1,5 +1,6 @@
 """Tests for finite group tables, automorphisms, and group-based quandles."""
 
+import functools
 import itertools
 import math
 
@@ -57,10 +58,10 @@ def naive_automorphisms(g):
 
 
 def test_table_validation_rejects_non_groups():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row 1 is not a rearrangement$"):
         FiniteGroup([[0, 1], [1, 1]])  # not Latin
-    # Latin square without associativity
-    with pytest.raises(ValueError):
+    # Latin square without associativity, whose least failing z is not 0
+    with pytest.raises(ValueError, match=r"^associativity fails at \(1, 1, 2\)$"):
         FiniteGroup(
             [
                 [0, 1, 2, 3, 4],
@@ -70,6 +71,124 @@ def test_table_validation_rejects_non_groups():
                 [4, 3, 1, 2, 0],
             ]
         )
+
+
+def reference_group_rejection(table):
+    """(message, identity, inverses): the first failure a direct reading of the axioms meets.
+
+    The table must be square; then each row, then each column, must be a
+    rearrangement; the identity is an e with e*x = x*e = x for every x;
+    then (x*y)*z = x*(y*z) over all triples, z innermost.  A group gives
+    message None, its identity and the two-sided inverse of each element.
+    """
+    n = len(table)
+    if any(len(row) != n for row in table):
+        return "table is not square", None, None
+    for x in range(n):
+        if sorted(table[x]) != list(range(n)):
+            return f"row {x} is not a rearrangement", None, None
+    for y in range(n):
+        if sorted(table[x][y] for x in range(n)) != list(range(n)):
+            return f"column {y} is not a rearrangement", None, None
+    identities = [
+        e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))
+    ]
+    if not identities:
+        return "no identity element", None, None
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return f"associativity fails at ({x}, {y}, {z})", None, None
+    e = identities[0]
+    inverses = tuple(
+        next(y for y in range(n) if table[x][y] == e == table[y][x]) for x in range(n)
+    )
+    return None, e, inverses
+
+
+PERTURBATIONS = (
+    "swap in a row", "swap in a column", "change an entry", "swap two columns",
+    "swap two values", "swap the identity row", "flip an intercalate", "move the identity",
+)
+
+
+@functools.cache
+def intercalates(spec):
+    """Corners (x, a, b, y) of the 2 x 2 Latin subsquares p q / q p of a group table, off its identity."""
+    g = make_group(spec)
+    t, n = g.table, g.order
+    return [
+        (x, a, b, y)
+        for x in range(n)
+        for a in range(x + 1, n)
+        for b in range(n)
+        for y in [t[a].index(t[x][b])]
+        if b < y and t[x][y] == t[a][b] and g.identity not in (x, a, b, y)
+    ]
+
+
+@st.composite
+def perturbed_group_tables(draw):
+    """A catalog group table with one or two changes, and one time in ten a short row.
+
+    Swapping two entries of a row keeps the rows rearrangements and breaks
+    two columns.  Swapping two whole columns or values, or the identity row
+    with another, keeps a Latin square without an identity, although after
+    a row swap one row is still 0..n-1.  Flipping a 2 x 2 Latin subsquare
+    p q / q p outside the identity's row and column keeps the identity and
+    may break associativity.  Moving the identity renames it and another
+    element everywhere, which keeps a group.
+    """
+    spec = draw(st.sampled_from(GROUP_CATALOG + ("D5", "Z3xZ3", "S4")))
+    g = make_group(spec)
+    table = [list(row) for row in g.table]
+    n, e = len(table), g.identity
+    points = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(PERTURBATIONS))
+        a, b, x = draw(points), draw(points), draw(points)
+        if kind == "move the identity":
+            a = e
+        swap = list(range(n))
+        swap[a], swap[b] = b, a
+        if kind == "swap in a row":
+            table[x][a], table[x][b] = table[x][b], table[x][a]
+        elif kind == "swap in a column":
+            table[a][x], table[b][x] = table[b][x], table[a][x]
+        elif kind == "change an entry":
+            table[x][a] = b
+        elif kind == "swap two columns":
+            table = [[row[v] for v in swap] for row in table]
+        elif kind == "swap two values":
+            table = [[swap[v] for v in row] for row in table]
+        elif kind == "swap the identity row":
+            table[e], table[b] = table[b], table[e]
+        elif kind == "flip an intercalate":
+            if intercalates(spec):
+                x, a, b, y = draw(st.sampled_from(intercalates(spec)))
+                if table[x][b] == table[a][y] and table[x][y] == table[a][b]:
+                    table[x][b], table[x][y] = table[x][y], table[x][b]
+                    table[a][b], table[a][y] = table[a][y], table[a][b]
+        else:
+            table = [[swap[table[swap[x]][swap[y]]] for y in range(n)] for x in range(n)]
+    if draw(st.integers(0, 9)) == 0:
+        table[draw(points)].pop()
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=perturbed_group_tables())
+def test_table_validation_matches_the_triple_loop_reference(table):
+    message, identity, inverses = reference_group_rejection(table)
+    if message is None:
+        g = FiniteGroup(table)
+        assert (g.identity, g.inverses) == (identity, inverses)
+        return
+    with pytest.raises(ValueError) as e:
+        FiniteGroup(table)
+    assert type(e.value) is ValueError
+    assert str(e.value) == message
 
 
 def test_cyclic_group_basics():

@@ -451,6 +451,11 @@ def test_empty_sweep_is_an_error():
         run_suite("4.6", {"max_order": -3})
 
 
+def test_compatible_maps_suite_refuses_an_empty_catalog_sweep():
+    with pytest.raises(QuandleKitError, match="suite 9.1 has no catalog group with max_order 1"):
+        run_suite("9.1", {"max_order": 1})
+
+
 def test_options_narrow_the_sweep():
     rep = run_suite("3.3", {"max_order": 3})
     assert len(rep["cases"]) == 5
