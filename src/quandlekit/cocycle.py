@@ -362,7 +362,7 @@ def cocycle_stabilizer(alpha: ConstantCocycle) -> PermGroup:
             column[a], column[b] = b, a
         columns.append(column)
     lifts = _automorphisms(list(zip(*columns)), len(columns), [0] * n + [1] * s + [2] * (n * s))
-    group = PermGroup.generated(e, [g[:e] for g in lifts.strong_generators])
+    group = PermGroup(e, [g[:e] for g in lifts.strong_generators])
     if group.order != lifts.order:
         raise AssertionError("the stabilizer's lifts do not restrict faithfully")
     return group

@@ -339,21 +339,17 @@ def abelianization(p: Presentation) -> tuple[int, tuple]:
     spanning forest of those rows.  That kernel lies in the row lattice, so
     the cokernel of the rows is the cokernel of their images in Z^c, where
     the difference rows vanish.  So only the images of the other rows reach
-    the Smith form, on c columns.  An image r and its negative span the same
-    lattice, so each nonzero image is scaled to make its lowest-component
-    entry positive, and only the distinct ones are passed, in order of first
-    appearance.
+    the Smith form, on c columns, and of those only the nonzero ones.
     """
     orbit, rest = _orbit_map(p)
-    rows: dict = {}
+    rows = []
     for row in rest:
         image: dict = {}
         for g, x in row.items():
             image[orbit[g]] = image.get(orbit[g], 0) + x
         if image := {k: x for k, x in image.items() if x}:
-            sign = 1 if image[min(image)] > 0 else -1
-            rows[frozenset((k, sign * x) for k, x in image.items())] = None
-    snf = smith_normal_form([dict(row) for row in rows], len(set(orbit)))
+            rows.append(image)
+    snf = smith_normal_form(rows, len(set(orbit)))
     torsion = tuple(d for d in snf.invariant_factors if d > 1)
     return snf.free_rank, torsion
 

@@ -92,10 +92,6 @@ class CosetLimitExceeded(CapExceeded):
     """
 
 
-class HypothesisViolated(QuandleKitError):
-    """Input does not satisfy the hypothesis a report or check requires."""
-
-
 class SigmaNotHom(QuandleKitError):
     """The first gluing map of a union spec is not a quandle homomorphism."""
 

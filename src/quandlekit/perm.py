@@ -162,11 +162,6 @@ class PermGroup:
         for g in generators:
             self._add(g)
 
-    @classmethod
-    def generated(cls, degree: int, generators: Iterable[tuple[int, ...]]) -> "PermGroup":
-        """The group generated by image tuples."""
-        return cls(degree, generators)
-
     @property
     def order(self) -> int:
         total = 1

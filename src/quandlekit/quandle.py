@@ -413,7 +413,7 @@ def _automorphisms(table, cap: int, colours: Sequence[int] | None = None) -> Per
                 gens.append(g)
                 orbit = _orbit(b, step)
         order *= len(orbit)
-    group = PermGroup.generated(n, gens)
+    group = PermGroup(n, gens)
     if group.order != order:
         raise AssertionError("the generators do not generate the product of the orbit lengths")
     return group
@@ -640,6 +640,7 @@ def enumerate_quandles(n: int, cap: int = DEFAULT_ENUM_CAP) -> list[Quandle]:
             bucket.append((t, inv))
             reps.append(t)
     canon = sorted(_canonical_table(t, n) for t in reps)
-    assert len(set(canon)) == len(reps)
+    if len(set(canon)) != len(reps):
+        raise AssertionError("two classes share a canonical table")
     return [Quandle.from_table(t) for t in canon]
 

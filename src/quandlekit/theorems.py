@@ -29,7 +29,6 @@ from . import quandle as quandlemod
 from .errors import (
     CapExceeded,
     FixedPointHypothesisViolated,
-    HypothesisViolated,
     NotInvolutory,
     QuandleKitError,
     UnsupportedSpec,
@@ -391,13 +390,13 @@ def _odd_takasaki_case(components, options) -> dict:
     q = fingroup.core_quandle(group)
     autg = fingroup.automorphism_group(group)
     with _cap_flag("--cap-order"):
-        aut_q = quandlemod.aut(q, cap=max(options["cap_order"], 0))
+        aut_q = quandlemod.aut(q, cap=options["cap_order"])
     inn_q = quandlemod.inn(q)
     n = group.order
     translations = list(group.table)
     negation = tuple(group.inv(x) for x in range(n))
-    aut_match = aut_q == PermGroup.generated(n, translations + [g.images for g in autg.generators])
-    inn_match = inn_q == PermGroup.generated(n, translations + [negation])
+    aut_match = aut_q == PermGroup(n, translations + [g.images for g in autg.generators])
+    inn_match = inn_q == PermGroup(n, translations + [negation])
     return {
         "aut_order": aut_q.order,
         "expected_aut_order": group.order * autg.order,
@@ -426,29 +425,21 @@ def _coxeter_group_order(ngens: int, m: int) -> int | None:
     return None
 
 
-def coxeter_report(components, cap: int = 64) -> dict:
+def _reflection_case(components, cap) -> dict:
     """Compare the translation group of 2y - x on a cyclic sum with a Coxeter group.
 
     The quandle is Core(G) of the cyclic sum G, whose x * y = y x^-1 y is
-    2y - x.  The reflection-style relations are checked directly; the
-    counted number of distinct translations is compared against the product
-    formula (odd components contribute their order, even ones half of it)
-    and against the doubling rule (translations by y and z coincide exactly
-    when 2y = 2z, so they are counted by the set 2G read off G's table).  A
-    size mismatch with the Coxeter group is flagged, not raised: for some
-    inputs the comparison group is infinite while the translation group is
-    small, and the report records exactly that.
+    2y - x, and the exponent of G is even and above 2.  The reflection-style
+    relations are checked directly; the counted number of distinct
+    translations is compared against the product formula (odd components
+    contribute their order, even ones half of it) and against the doubling
+    rule (translations by y and z coincide exactly when 2y = 2z, so they are
+    counted by the set 2G read off G's table).  These must hold.  A size
+    mismatch with the Coxeter group is flagged, not failed: for some inputs
+    the comparison group is infinite while the translation group is small,
+    and the report records exactly that.
     """
-    components = tuple(int(c) for c in components)
-    if not components or any(c < 1 for c in components):
-        raise HypothesisViolated("components must be positive integers")
-    total = math.prod(components)
-    if total > cap:
-        raise CapExceeded(f"carrier order {total} exceeds cap {cap}")
-    exp = math.lcm(*components)
-    if exp <= 2 or exp % 2:
-        raise HypothesisViolated("the exponent of the carrier must be even and > 2")
-    m = exp // 2
+    m = math.lcm(*components) // 2
     group = fingroup.make_group(_cyclic_sum_name(components), cap=cap)
     q = fingroup.core_quandle(group)
     gens = quandlemod.inner_generators(q)
@@ -463,9 +454,10 @@ def coxeter_report(components, cap: int = 64) -> dict:
     inn_order = quandlemod.inn(q).order
     coxeter_order = _coxeter_group_order(n_counted, m)
     match = coxeter_order == inn_order
+    relations_pass = involutions_ok and braid_ok and n_counted == n_formula
     return {
         "components": list(components),
-        "carrier_order": total,
+        "carrier_order": group.order,
         "relation_exponent": m,
         "distinct_translations": n_counted,
         "translation_count_formula": n_formula,
@@ -479,25 +471,9 @@ def coxeter_report(components, cap: int = 64) -> dict:
         "coxeter_finite": coxeter_order is not None,
         "orders_match": match,
         "mismatch_flag": not match,
-        "relations_pass": involutions_ok and braid_ok and n_counted == n_formula,
+        "relations_pass": relations_pass,
+        "passed": relations_pass and n_doubled == n_counted,
     }
-
-
-def _reflection_case(report: dict) -> dict:
-    return {**report, "passed": report["relations_pass"] and report["doubling_rule_matches"]}
-
-
-def _suite_reflection_report(options: dict) -> list:
-    """Report-mode comparison of inner groups with reflection groups.
-
-    Involution and braid-style relations plus the translation-count rules
-    must hold; order mismatches with the comparison group are recorded via
-    the mismatch flag and do not fail the suite.
-    """
-    return [
-        {"case": _cyclic_sum_name(c), **_reflection_case(coxeter_report(c))}
-        for c in _REFLECTION_SPECS
-    ]
 
 
 def _even_dihedral_case(m, options) -> dict:
@@ -508,8 +484,7 @@ def _even_dihedral_case(m, options) -> dict:
     mode for the same reason as the general suite.
     """
     n = m // 2
-    cap = options.get("cap_group", fingroup.DEFAULT_GROUP_CAP)
-    case = _reflection_case(coxeter_report((m,), cap))
+    case = _reflection_case((m,), options.get("cap_group", fingroup.DEFAULT_GROUP_CAP))
     return {
         **case,
         "expected_generators": n,
@@ -570,7 +545,7 @@ def _suite_r4_aut_structure(options: dict) -> list:
     phi = Perm((1, 0, 3, 2))
     s0 = Perm(tuple(q.table[x][0] for x in range(4)))
     s1 = Perm(tuple(q.table[x][1] for x in range(4)))
-    klein = PermGroup.generated(4, [s0.images, s1.images])
+    klein = PermGroup(4, [s0.images, s1.images])
     iso = (
         klein.order == 4
         and s0 * s1 == s1 * s0
@@ -578,7 +553,7 @@ def _suite_r4_aut_structure(options: dict) -> list:
         and (phi * phi).is_identity()
         and phi not in klein
         and phi * s0 * phi.inverse() == s1
-        and PermGroup.generated(4, [s0.images, s1.images, phi.images]) == aut_q
+        and PermGroup(4, [s0.images, s1.images, phi.images]) == aut_q
     )
     return [
         {
@@ -759,64 +734,62 @@ def _suite_cohomologous_extensions(options: dict) -> list:
     ]
 
 
-def _suite_stabilizer_embedding(options: dict) -> list:
+def _stabilizer_extensions(options):
+    """Items (name, (base, fiber size)) for trivial2 and dihedral3 with fibers of size 2 and 3."""
+    if options["cap_order"] < 1:
+        raise QuandleKitError(f"--cap-order {options['cap_order']} is below the floor of 1 cocycle")
+    bases = (
+        ("trivial2", quandlemod.build("trivial", 2)),
+        ("dihedral3", quandlemod.build("dihedral", 3)),
+    )
+    return [(f"{name}.fiber{s}", (base, s)) for name, base in bases for s in (2, 3)]
+
+
+def _stabilizer_embedding_case(extension, options) -> dict:
     """Stabilizer pairs embed into the extension's automorphism group.
 
-    For every valid cocycle up to the cap, the lift (x, t) -> (phi x,
+    For every valid cocycle up to `--cap-order`, the lift (x, t) -> (phi x,
     theta t) of a pair in Aut(base) x Sym(fiber) is an automorphism of the
     extension exactly when the pair is in `cocycle_stabilizer`, and the
     lifts of those pairs are injective and multiplicative.
     """
-    max_cocycles = options["cap_order"]
-    if max_cocycles < 1:
-        raise QuandleKitError(f"--cap-order {max_cocycles} is below the floor of 1 cocycle")
-    corpus = [
-        ("trivial2", quandlemod.build("trivial", 2)),
-        ("dihedral3", quandlemod.build("dihedral", 3)),
-    ]
-    cases = []
-    for name, base in corpus:
-        n = base.order
-        base_aut = quandlemod.aut(base)
-        for s in (2, 3):
-            found = cocyclemod.all_constant_cocycles(base, s)
-            kept = found[:max_cocycles]
-            fiber_perms = [Perm(p) for p in itertools.permutations(range(s))]
-            injective = True
-            multiplicative = True
-            converse = True
-            for alpha in kept:
-                ext = cocyclemod.extend(alpha)
-                stab = cocyclemod.cocycle_stabilizer(alpha)
-                lifts = {}
-                graph = []  # phi + theta + gamma on n + s + n*s points
-                for phi in base_aut:
-                    for theta in fiber_perms:
-                        gamma = cocyclemod.lift(phi, (theta,) * n, s)
-                        if _preserves(ext.table, gamma):
-                            lifts[(phi, theta)] = gamma
-                            joined = phi.images + tuple(n + t for t in theta.images)
-                            converse &= Perm(joined) in stab
-                            graph.append(joined + tuple(n + s + x for x in gamma.images))
-                converse &= len(lifts) == stab.order
-                if len(set(lifts.values())) != len(lifts):
-                    injective = False
-                # The graph is finite and holds the identity, so it is closed
-                # under products exactly when it generates no more than itself.
-                if PermGroup.generated(n + s + n * s, graph).order != len(graph):
-                    multiplicative = False
-            cases.append(
-                {
-                    "case": f"{name}.fiber{s}",
-                    "valid_cocycles": len(found),
-                    "checked": len(kept),
-                    "injective": injective,
-                    "multiplicative": multiplicative,
-                    "shape_matches_stabilizer": converse,
-                    "passed": injective and multiplicative and converse,
-                }
-            )
-    return cases
+    base, s = extension
+    n = base.order
+    base_aut = quandlemod.aut(base)
+    found = cocyclemod.all_constant_cocycles(base, s)
+    kept = found[:options["cap_order"]]
+    fiber_perms = [Perm(p) for p in itertools.permutations(range(s))]
+    injective = True
+    multiplicative = True
+    converse = True
+    for alpha in kept:
+        ext = cocyclemod.extend(alpha)
+        stab = cocyclemod.cocycle_stabilizer(alpha)
+        lifts = {}
+        graph = []  # phi + theta + gamma on n + s + n*s points
+        for phi in base_aut:
+            for theta in fiber_perms:
+                gamma = cocyclemod.lift(phi, (theta,) * n, s)
+                if _preserves(ext.table, gamma):
+                    lifts[(phi, theta)] = gamma
+                    joined = phi.images + tuple(n + t for t in theta.images)
+                    converse &= Perm(joined) in stab
+                    graph.append(joined + tuple(n + s + x for x in gamma.images))
+        converse &= len(lifts) == stab.order
+        if len(set(lifts.values())) != len(lifts):
+            injective = False
+        # The graph is finite and holds the identity, so it is closed
+        # under products exactly when it generates no more than itself.
+        if PermGroup(n + s + n * s, graph).order != len(graph):
+            multiplicative = False
+    return {
+        "valid_cocycles": len(found),
+        "checked": len(kept),
+        "injective": injective,
+        "multiplicative": multiplicative,
+        "shape_matches_stabilizer": converse,
+        "passed": injective and multiplicative and converse,
+    }
 
 
 # --- quasi-inner automorphisms ----------------------------------------------
@@ -1042,14 +1015,15 @@ CATALOG = {
     "5.1": (_sweep(_catalog_groups, _core_subgroup_case), {"max_order": 8}),
     "5.2": (_sweep(_odd_components, _odd_takasaki_case),
             {"max_order": 8, "cap_order": quandlemod.DEFAULT_AUT_CAP}),
-    "5.3": (_suite_reflection_report, {}),
+    "5.3": (_sweep(lambda options: [(_cyclic_sum_name(c), c) for c in _REFLECTION_SPECS],
+                   lambda c, options: _reflection_case(c, fingroup.DEFAULT_GROUP_CAP)), {}),
     "5.4": (_sweep(_dihedral_orders(6, "Z{}"), _even_dihedral_case), {"max_order": 10}),
     "5.5": (_sweep(_elementary_powers, _elementary_inner_case), {"max_order": 2}),
     "5.6": (_suite_r4_aut_structure, {}),
     "5.7": (_sweep(_dihedral_orders(2, "order{}"), _orbit_swap_case), {"max_order": 10}),
     "6.3": (_suite_three_transitive, {"max_order": 5, "cap_order": 6}),
     "7.1": (_suite_cohomologous_extensions, {"trials": 120, "seed": DEFAULT_SEED}),
-    "7.3": (_suite_stabilizer_embedding, {"cap_order": 40}),
+    "7.3": (_sweep(_stabilizer_extensions, _stabilizer_embedding_case), {"cap_order": 40}),
     "8.2": (_sweep(_connected_classes, _connected_quasi_inner_case), {"max_order": 5}),
     "8.3": (_sweep(_dihedral_orders(5, "order{}"), _quasi_inner_gap_case), {"max_order": 7}),
     "8.4": (_suite_r4_quasi_inner, {}),

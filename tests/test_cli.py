@@ -394,6 +394,8 @@ def test_suite_sweeps_are_capped_before_building(capsys, monkeypatch, argv, orde
       "group order 12 exceeds cap 10", "--cap-group"),
      (["theorem", "5.2", "--cap-order", "5"], "order 7 exceeds automorphism cap 5",
       "--cap-order"),
+     (["theorem", "5.2", "--cap-order", "-1"], "order 3 exceeds automorphism cap -1",
+      "--cap-order"),
      (["theorem", "5.4", "--max-order", "12", "--cap-group", "10"],
       "quandle order 12 exceeds the construction cap 10", "--cap-group"),
      (["theorem", "3.1", "--cap-order", "5"], "coset enumeration exceeded the cap of 5 live"
@@ -409,7 +411,7 @@ def test_suite_sweeps_are_capped_before_building(capsys, monkeypatch, argv, orde
       "exceeded the cap of 2 live cosets", "--max-cosets"),
      (["envelope", "--dihedral", "3", "--coset-enum", "[[1,1]]", "--max-cosets", "0"],
       "coset cap 0 is below the floor of 1", "--max-cosets")],
-    ids=["4.4", "5.1", "5.2", "5.4", "3.1", "3.1-floor", "3.3", "8.2", "envelope",
+    ids=["4.4", "5.1", "5.2", "5.2-negative", "5.4", "3.1", "3.1-floor", "3.3", "8.2", "envelope",
          "envelope-floor"],
 )
 def test_suite_cap_errors_end_with_their_flag(capsys, argv, message, flag):
@@ -432,13 +434,13 @@ def test_suite_cap_is_raised_by_cap_group(capsys):
 
 def test_reflection_sweep_passes_cap_group_to_the_report(capsys, monkeypatch):
     caps = []
-    real = theorems.coxeter_report
+    real = theorems._reflection_case
 
-    def recording(components, cap=None):
+    def recording(components, cap):
         caps.append(cap)
-        return real(components) if cap is None else real(components, cap)
+        return real(components, cap)
 
-    monkeypatch.setattr(theorems, "coxeter_report", recording)
+    monkeypatch.setattr(theorems, "_reflection_case", recording)
     code, raised = report_of(["theorem", "5.4", "--cap-group", "150"], capsys)
     assert code == 0
     assert caps == [150, 150, 150]
@@ -446,9 +448,6 @@ def test_reflection_sweep_passes_cap_group_to_the_report(capsys, monkeypatch):
     _, default = report_of(["theorem", "5.4"], capsys)
     assert caps == [200, 200, 200]
     assert raised["results"] == default["results"]
-    caps.clear()
-    assert report_of(["theorem", "5.3"], capsys)[0] == 0
-    assert caps == [None] * 5  # 5.3 keeps the report's own cap
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

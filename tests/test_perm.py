@@ -135,7 +135,7 @@ def test_a_group_of_no_generators_is_trivial(degree):
     trivial = PermGroup(degree)
     assert trivial.order == 1
     assert list(trivial) == [Perm.identity(degree)]
-    assert trivial == PermGroup.generated(degree, [])
+    assert trivial == PermGroup(degree, [])
     assert trivial.generators == () and trivial.strong_generators == ()
 
 
@@ -257,7 +257,7 @@ def test_k_transitivity_against_naive_definition():
 def test_from_elements_reduces_generators():
     s3 = symmetric_group(3)
     shuffled = [p.images for p in reversed(list(s3))]
-    rebuilt = PermGroup.generated(3, shuffled)
+    rebuilt = PermGroup(3, shuffled)
     assert rebuilt == s3
     assert rebuilt.order == len(shuffled)
     assert len(rebuilt.generators) <= 2
@@ -315,7 +315,7 @@ def test_from_elements_matches_greedy_reference(case, rng):
     kept = _greedy_generators(elements, degree)
     shuffled = [Perm(p) for p in elements]
     rng.shuffle(shuffled)
-    group = PermGroup.generated(degree, [p.images for p in shuffled])
+    group = PermGroup(degree, [p.images for p in shuffled])
     assert group.order == len(elements)
     assert [p.images for p in group.generators] == kept
     assert [p.images for p in group] == elements
@@ -335,7 +335,7 @@ def test_stabilizer_chain_agrees_with_the_closure(case):
     # the oracles are the breadth-first span and the greedy walk over it
     degree, gens, probes = case
     closed = closure([Perm(g) for g in gens], degree=degree)
-    chained = PermGroup.generated(degree, gens)
+    chained = PermGroup(degree, gens)
     span = sorted(_bfs_span(gens, degree))
     assert chained.order == closed.order == len(span)
     members = set(span)
@@ -355,7 +355,7 @@ def test_stabilizer_chain_agrees_with_the_closure(case):
 def test_stabilizer_chain_agrees_with_sympy(case):
     # sympy's Schreier-Sims and element generation share no code with `perm`
     degree, gens, probes = case
-    group = PermGroup.generated(degree, gens)
+    group = PermGroup(degree, gens)
     oracle = combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(g)) for g in [tuple(range(degree)), *gens]]
     )

@@ -13,10 +13,10 @@ from quandlekit.errors import (
     Axiom2Violation,
     Axiom3Violation,
     CapExceeded,
-    HypothesisViolated,
     ParseError,
 )
-from quandlekit.fingroup import core_quandle, make_group
+from quandlekit.fingroup import DEFAULT_GROUP_CAP, core_quandle, make_group
+from quandlekit import quandle as quandlemod
 from quandlekit.perm import Perm, PermGroup, _cycle_type
 from quandlekit.quandle import (
     Quandle,
@@ -43,7 +43,7 @@ from quandlekit.theorems import (
     _elementary_powers,
     _odd_components,
     _REFLECTION_SPECS,
-    coxeter_report,
+    _reflection_case,
 )
 
 JOYCE_TABLE = [[0, 2, 0], [1, 1, 1], [2, 0, 2]]
@@ -276,7 +276,7 @@ def assert_aut_is_brute_force_group(q):
     orbits = naive_orbits(q)
     quasi_inner = [p for p in automorphisms if all(p[x] in orbits[x] for x in range(q.order))]
     for found, brute in ((aut(q), automorphisms), (qinn(q), quasi_inner)):
-        expected = PermGroup.generated(q.order, brute)
+        expected = PermGroup(q.order, brute)
         assert expected.order == len(brute)
         assert list(found) == list(expected)
         assert found.generators == expected.generators
@@ -595,7 +595,7 @@ def test_takasaki_is_involutory():
 
 
 def test_coxeter_report_single_even_components():
-    r4 = coxeter_report((4,))
+    r4 = _reflection_case((4,), DEFAULT_GROUP_CAP)
     assert r4["distinct_translations"] == 2
     assert r4["relation_exponent"] == 2
     assert r4["inn_order"] == 4
@@ -603,7 +603,7 @@ def test_coxeter_report_single_even_components():
     assert r4["orders_match"] and not r4["mismatch_flag"]
     assert r4["relations_pass"]
 
-    r6 = coxeter_report((6,))
+    r6 = _reflection_case((6,), DEFAULT_GROUP_CAP)
     assert r6["distinct_translations"] == 3
     assert r6["relation_exponent"] == 3
     assert r6["inn_order"] == 6
@@ -611,7 +611,7 @@ def test_coxeter_report_single_even_components():
     assert r6["mismatch_flag"]
     assert r6["relations_pass"]
 
-    r8 = coxeter_report((8,))
+    r8 = _reflection_case((8,), DEFAULT_GROUP_CAP)
     assert r8["distinct_translations"] == 4
     assert r8["inn_order"] == 8
     assert r8["coxeter_order"] is None
@@ -619,14 +619,14 @@ def test_coxeter_report_single_even_components():
 
 
 def test_coxeter_report_two_components():
-    r24 = coxeter_report((2, 4))
+    r24 = _reflection_case((2, 4), DEFAULT_GROUP_CAP)
     assert r24["distinct_translations"] == 2
     assert r24["relation_exponent"] == 2
     assert r24["inn_order"] == 4
     assert r24["coxeter_order"] == 4
     assert r24["orders_match"]
 
-    r34 = coxeter_report((3, 4))
+    r34 = _reflection_case((3, 4), DEFAULT_GROUP_CAP)
     assert r34["distinct_translations"] == 6
     assert r34["translation_count_matches"]
     assert r34["relation_exponent"] == 6
@@ -637,15 +637,12 @@ def test_coxeter_report_two_components():
 
 def test_coxeter_report_doubling_rule():
     for spec in ((4,), (6,), (8,), (2, 4), (3, 4), (2, 2, 4)):
-        assert coxeter_report(spec)["doubling_rule_matches"]
+        assert _reflection_case(spec, DEFAULT_GROUP_CAP)["doubling_rule_matches"]
 
 
 def test_coxeter_report_hypothesis_checks():
-    for bad in ((2,), (3,), (5,), (1,), (3, 9)):
-        with pytest.raises(HypothesisViolated):
-            coxeter_report(bad)
     with pytest.raises(CapExceeded):
-        coxeter_report((4,), cap=3)
+        _reflection_case((4,), 3)
 
 
 def test_inn_of_the_transposition_quandle_of_s10_is_uncapped():
@@ -687,6 +684,13 @@ def test_pruned_labelings_keep_every_class(n):
     assert {_canonical_table(t, n) for t in pruned} == {reference_canonical(t) for t in brute}
     if n == 4:
         assert len(pruned) < len(brute)
+
+
+def test_enumeration_refuses_two_classes_with_one_canonical_table(monkeypatch):
+    """The check survives `python -O`, which strips a bare assert."""
+    monkeypatch.setattr(quandlemod, "_canonical_table", lambda t, n: ((0,),))
+    with pytest.raises(AssertionError, match="two classes share a canonical table"):
+        enumerate_quandles(3)
 
 
 ORDER_FIVE = [q.table for q in enumerate_quandles(5)]

@@ -213,7 +213,7 @@ def test_odd_takasaki_sweep_matches_published_aut_orders():
 
 
 def test_odd_takasaki_certificates_fail_with_the_wrong_aut_group(monkeypatch):
-    monkeypatch.setattr(fingroup, "automorphism_group", lambda g: PermGroup.generated(g.order, []))
+    monkeypatch.setattr(fingroup, "automorphism_group", lambda g: PermGroup(g.order, []))
     rep = run_suite("5.2")
     assert not rep["passed"]
     for case in rep["cases"]:
@@ -431,6 +431,21 @@ def test_readme_lists_the_catalog_options():
         for tid, (_, defaults) in CATALOG.items()
     }
     assert listed == {tid: f"`{text}`" if text else "none" for tid, text in expected.items()}
+
+
+def test_every_suite_of_one_case_shape_is_a_sweep(reports):
+    """A suite whose default report has more than one case, all with one key set, is a `_sweep`."""
+    swept = theorems._sweep(None, None).__qualname__
+    uniform = [
+        tid for tid, rep in reports.items()
+        if len(rep["cases"]) > 1 and len({frozenset(case) for case in rep["cases"]}) == 1
+    ]
+    assert "5.3" in uniform and "7.3" in uniform
+    assert [tid for tid in uniform if CATALOG[tid][0].__qualname__ != swept] == []
+
+
+def test_reflection_suite_reads_no_cap(reports):
+    assert run_suite("5.3", {"cap_group": 1}) == reports["5.3"]
 
 
 def test_three_transitive_suite_enumerates_each_order_once(monkeypatch):
