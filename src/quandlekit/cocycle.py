@@ -10,10 +10,10 @@ H^2 with finite abelian coefficients by certified elimination modulo each
 coefficient order.  A cocycle's stabilizer is found by `quandle.aut`'s search.
 
 Permutation products follow the package convention: (p*q)(x) = p(q(x)).
-Inside the module a fiber permutation is an integer id of a `_Numbering`,
-one per call, which composes two ids by a memoized lookup; `Perm` appears
-only at the API boundary (`ConstantCocycle.table`, the arguments of `act`
-and `lift`, witnesses and `to_json`).
+Inside the module a fiber permutation is its image tuple, composed by
+`perm._compose` and inverted by `perm._invert`; `Perm` appears only at the
+API boundary (`ConstantCocycle.table`, the arguments of `act` and `lift`,
+witnesses and `to_json`).
 """
 
 from __future__ import annotations
@@ -115,91 +115,22 @@ def _first_break(t, lanes):
     return None
 
 
-class _Products(dict):
-    """Row `left` of a numbering's product table: right id -> id of the product.
-
-    A product is composed the first time it is looked up, and kept.
-    """
-
-    __slots__ = ("numbering", "left")
-
-    def __init__(self, numbering: "_Numbering", left: int):
-        super().__init__()
-        self.numbering = numbering
-        self.left = left
-
-    def __missing__(self, right: int) -> int:
-        images = self.numbering.images
-        product = self[right] = self.numbering.number(_compose(images[self.left], images[right]))
-        return product
+def _images(table) -> tuple:
+    """A table of `Perm`s as rows of image tuples."""
+    return tuple(tuple(p.images for p in row) for row in table)
 
 
-class _Numbering:
-    """The permutations of one fiber that a call meets, numbered in the order met.
-
-    Inside this module a fiber permutation is its id: `images[i]` is the
-    image tuple of id i, id 0 is the identity, and `products[i][j]` is the id
-    of images[i] * images[j].  Products and inverses are composed on their
-    first request and memoized by id, never laid out as an s! x s! table,
-    since fibers reach 64 points.  `perm(i)` makes the one `Perm` of id i,
-    for the API boundary only.
-    """
-
-    __slots__ = ("fiber_size", "images", "ids", "products", "_inverses", "_perms")
-
-    def __init__(self, fiber_size: int):
-        self.fiber_size = fiber_size
-        self.images: list = []
-        self.ids: dict = {}
-        self.products: list = []
-        self._inverses: dict = {}
-        self._perms: dict = {}
-        self.number(tuple(range(fiber_size)))
-
-    def number(self, images: tuple) -> int:
-        """The id of an image tuple, new if the tuple is."""
-        i = self.ids.get(images)
-        if i is None:
-            i = self.ids[images] = len(self.images)
-            self.images.append(images)
-            self.products.append(_Products(self, i))
-        return i
-
-    def numbered(self, table) -> tuple:
-        """A table of `Perm`s as rows of ids."""
-        number = self.number
-        return tuple(tuple(number(p.images) for p in row) for row in table)
-
-    def inverse(self, i: int) -> int:
-        j = self._inverses.get(i)
-        if j is None:
-            j = self._inverses[i] = self.number(_invert(self.images[i]))
-            self._inverses[j] = i
-        return j
-
-    def perm(self, i: int) -> Perm:
-        p = self._perms.get(i)
-        if p is None:
-            p = self._perms[i] = Perm._trusted(self.images[i])
-        return p
-
-    def table(self, ids) -> tuple:
-        """Rows of ids as a table of `Perm`s."""
-        perm = self.perm
-        return tuple(tuple(map(perm, row)) for row in ids)
-
-
-def _checked(base: Quandle, numbering: _Numbering, ids) -> ConstantCocycle:
-    """The cocycle with the id table `ids`, once its diagonal and every condition hold."""
-    flat = [i for row in ids for i in row]
-    products = numbering.products
+def _checked(base: Quandle, s: int, rows) -> ConstantCocycle:
+    """The cocycle with the image-tuple table `rows`, once its diagonal and every condition hold."""
+    flat = [p for row in rows for p in row]
+    identity = tuple(range(s))
     for x in range(base.order):
-        if ids[x][x] != 0:
+        if rows[x][x] != identity:
             raise DiagonalViolation(x)
     for triple, (i, j, k, l) in _conditions(base.table):
-        if products[flat[i]][flat[j]] != products[flat[k]][flat[l]]:
+        if _compose(flat[i], flat[j]) != _compose(flat[k], flat[l]):
             raise CocycleViolation(*triple)
-    return ConstantCocycle(base, numbering.fiber_size, numbering.table(ids))
+    return ConstantCocycle(base, s, tuple(tuple(map(Perm._trusted, row)) for row in rows))
 
 
 def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
@@ -214,8 +145,7 @@ def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
                     for p in row) for row in rows)
     if any(len(p.images) != fiber_size for row in a for p in row):
         raise ValueError("cocycle entries must permute the fiber")
-    numbering = _Numbering(fiber_size)
-    return _checked(base, numbering, numbering.numbered(a))
+    return _checked(base, fiber_size, _images(a))
 
 
 def trivial_cocycle(base: Quandle, fiber_size: int) -> ConstantCocycle:
@@ -259,12 +189,10 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
             f"lambda search work {s}! * {n}**2 (fiber permutations times pairs)"
             f" exceeds cap {_LAMBDA_SEARCH_CAP}"
         )
-    numbering = _Numbering(s)
-    products = numbering.products
-    a = numbering.numbered(alpha.table)
-    b = numbering.numbered(beta.table)
-    a_inverses = [[numbering.inverse(i) for i in row] for row in a]
-    candidates = [numbering.number(p) for p in itertools.permutations(range(s))]
+    a = _images(alpha.table)
+    b = _images(beta.table)
+    a_inverses = [[_invert(p) for p in row] for row in a]
+    candidates = list(itertools.permutations(range(s)))
 
     lam: list = [None] * n
 
@@ -278,7 +206,7 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
                 x = queue.pop()
                 bx, lx, ax, tx = b[x], assignment[x], a_inverses[x], t[x]
                 for y in range(n):
-                    forced = products[products[bx[y]][lx]][ax[y]]
+                    forced = _compose(_compose(bx[y], lx), ax[y])
                     target = tx[y]
                     if target in assignment:
                         if assignment[target] != forced:
@@ -296,20 +224,19 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
     for block in orbit_partition(alpha.base):
         if not settle_orbit(block):
             return None
-    if _transport(numbering, t, range(n), lam, a) != b:
+    if _transport(t, range(n), lam, a) != b:
         raise AssertionError("lambda witness failed re-verification")
-    return tuple(map(numbering.perm, lam))
+    return tuple(map(Perm._trusted, lam))
 
 
-def _transport(numbering: _Numbering, t, pinv, thetas, a) -> tuple:
-    """Ids of beta(phi x, phi y) = thetas[x*y] a(x, y) thetas[x]^-1, unvalidated.
+def _transport(t, pinv, thetas, a) -> tuple:
+    """Image tuples of beta(phi x, phi y) = thetas[x*y] a(x, y) thetas[x]^-1, unvalidated.
 
-    `a` and `thetas` are ids of `numbering`, `t` is the base table and
-    `pinv` lists the images of phi^-1.
+    `a` and `thetas` are image tuples, `t` is the base table and `pinv`
+    lists the images of phi^-1.
     """
-    products = numbering.products
-    inverses = [numbering.inverse(theta) for theta in thetas]
-    return tuple(tuple(products[products[thetas[t[x][y]]][a[x][y]]][inverses[x]] for y in pinv)
+    inverses = [_invert(theta) for theta in thetas]
+    return tuple(tuple(_compose(_compose(thetas[t[x][y]], a[x][y]), inverses[x]) for y in pinv)
                  for x in pinv)
 
 
@@ -324,11 +251,9 @@ def act(phi: Perm, thetas, alpha: ConstantCocycle) -> ConstantCocycle:
         raise ValueError(f"need one fiber permutation per base element, got {len(thetas)}")
     if any(len(theta.images) != alpha.fiber_size for theta in thetas):
         raise ValueError("every theta must permute the fiber")
-    numbering = _Numbering(alpha.fiber_size)
-    beta = _transport(numbering, alpha.base.table, _invert(phi.images),
-                      [numbering.number(theta.images) for theta in thetas],
-                      numbering.numbered(alpha.table))
-    return _checked(alpha.base, numbering, beta)
+    beta = _transport(alpha.base.table, _invert(phi.images),
+                      [theta.images for theta in thetas], _images(alpha.table))
+    return _checked(alpha.base, alpha.fiber_size, beta)
 
 
 def cocycle_stabilizer(alpha: ConstantCocycle) -> PermGroup:
@@ -375,9 +300,8 @@ def all_constant_cocycles(base: Quandle, fiber_size: int, cap: int = 10**6) -> l
     """
     n = base.order
     t = base.table
-    numbering = _Numbering(fiber_size)
-    products = numbering.products
-    candidates = [numbering.number(p) for p in itertools.permutations(range(fiber_size))]
+    identity = tuple(range(fiber_size))
+    candidates = list(itertools.permutations(identity))
     # the off-diagonal pairs, as positions x*n + y of the flattened table
     free = [x * n + y for x in range(n) for y in range(n) if x != y]
     slot = {pos: i for i, pos in enumerate(free)}
@@ -389,15 +313,15 @@ def all_constant_cocycles(base: Quandle, fiber_size: int, cap: int = 10**6) -> l
         if last >= 0:
             due[last].append(positions)
 
-    entries = [0] * (n * n)  # the identity everywhere
+    entries = [identity] * (n * n)
     out = []
     tried = 0
 
     def rec(k: int):
         nonlocal tried
         if k == len(free):
-            ids = tuple(tuple(entries[x * n:(x + 1) * n]) for x in range(n))
-            out.append(_checked(base, numbering, ids))
+            rows = tuple(tuple(entries[x * n:(x + 1) * n]) for x in range(n))
+            out.append(_checked(base, fiber_size, rows))
             return
         tried += len(candidates)
         if tried > cap:
@@ -405,11 +329,11 @@ def all_constant_cocycles(base: Quandle, fiber_size: int, cap: int = 10**6) -> l
         for p in candidates:
             entries[free[k]] = p
             if all(
-                products[entries[i]][entries[j]] == products[entries[u]][entries[v]]
+                _compose(entries[i], entries[j]) == _compose(entries[u], entries[v])
                 for i, j, u, v in due[k]
             ):
                 rec(k + 1)
-        entries[free[k]] = 0
+        entries[free[k]] = identity
 
     rec(0)
     return out

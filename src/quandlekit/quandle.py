@@ -261,7 +261,9 @@ def _iso_search(t1, t2, n, inv1, inv2):
     on it would map it; so with t1 == t2, `fixed` must be a closed subset.
     Passing that subset as checked pairs instead finds the same maps, but
     re-checks pairs the identity already satisfies, and made the rounds of
-    the aut-groups benchmark workload about 5% slower.
+    the aut-groups benchmark workload about 5% slower.  The elements x of the
+    pairs (x, v) must be distinct and outside `fixed`, as the one pair (b, v)
+    of `_automorphisms` is, since `_base` puts b outside it.
     """
     static_order = _search_order(inv1)
     cand = [[v for v in range(n) if inv2[v] == inv1[x]] for x in range(n)]
@@ -318,9 +320,7 @@ def _iso_search(t1, t2, n, inv1, inv2):
             return False
 
         for x, v in pairs:
-            if mapping[x] == v:
-                continue
-            if mapping[x] != -1 or used[v] or inv1[x] != inv2[v]:
+            if used[v] or inv1[x] != inv2[v]:
                 return None
             mapping[x] = v
             used[v] = True

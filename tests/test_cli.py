@@ -1001,6 +1001,13 @@ _MID_CAPS = range(1, 13)
         (["theorem", "3.3", "--max-order", "-1"], None),
         # the inner-group sweep of 6.3 reads --cap-order as its enumeration cap too
         (["theorem", "6.3", "--max-order", "1", "--cap-order", "7"], {"passed": True}),
+        # group specs refused by make_group
+        (["build", "--conj", "Z0"], "Z atoms need n >= 1"),
+        (["build", "--conj", " "], "empty group spec"),
+        (["build", "--core", "Z15xZ15"],
+         "product order exceeds group cap 200 (raise it with --cap-group)"),
+        (["build", "--conj", "S5", "--cap-group", "100"],
+         "group order 120 exceeds cap 100 (raise it with --cap-group)"),
     ]
     # Mid-range coset caps on R_3, where the lookahead at the cap fires: a
     # cap completes from 7 live cosets on, and below that names its flag.
@@ -1011,7 +1018,8 @@ _MID_CAPS = range(1, 13)
     ids=["deep-json-file", "deep-json-words", "6.3-max-order-0", "enumerate-0", "coeff-Z0",
          "coeff-trailing-x", "coeff-huge", "power-huge", "5.4-max-order-huge",
          "max-cosets-negative", "max-cosets-huge", "7.3-cap-order-huge",
-         "3.3-max-order-negative", "6.3-cap-order-7"]
+         "3.3-max-order-negative", "6.3-cap-order-7", "spec-Z0", "spec-blank",
+         "spec-product-over-cap", "spec-order-over-cap"]
     + [f"max-cosets-{k}" for k in _MID_CAPS] + [f"3.1-cap-order-{k}" for k in _MID_CAPS],
 )
 def test_flag_edge_values_exit_cleanly(tmp_path, capsys, argv, expect):

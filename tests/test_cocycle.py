@@ -58,13 +58,41 @@ def spec_example():
 
 
 def test_products_on_a_fiber_of_one_point():
-    numbering = cocyclemod._Numbering(1)
-    assert numbering.products[0][0] == 0
-    assert numbering.images == [(0,)]
+    # at degree 1 `_compose` takes its loop path; act and lift run `_transport` and `_invert` there
     alpha = validate_constant(R3, 1, [[(0,)] * 3] * 3)
     assert extend(alpha).table == R3.table
     assert are_cohomologous(alpha, trivial_cocycle(R3, 1)) is not None
     assert len(all_constant_cocycles(R3, 1)) == 1
+    phi, thetas = Perm((0, 2, 1)), (Perm((0,)),) * 3
+    beta = act(phi, thetas, alpha)
+    assert beta == alpha
+    gamma = lift(phi, thetas, 1)
+    assert gamma == phi
+    assert _first_unpreserved(extend(alpha).table, extend(beta).table, gamma.images) is None
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("base, phi", [(R3, Perm((0, 2, 1))), (T2, SWAP)], ids=["R3", "T2"])
+def test_perm_products_stay_at_the_api_boundary(base, phi, s, monkeypatch):
+    """No cocycle routine multiplies or inverts a `Perm`: inside, fiber permutations are tuples."""
+    def refuse(*args):
+        raise AssertionError("a Perm was multiplied or inverted inside the cocycle layer")
+
+    monkeypatch.setattr(Perm, "__mul__", refuse)
+    monkeypatch.setattr(Perm, "inverse", refuse)
+    n = base.order
+    off_diagonal = 1 if base is T2 else 0  # on a trivial quandle every such table is a cocycle
+    mu = validate_abelian(base, (s,), [[(off_diagonal * (x != y),) for y in range(n)]
+                                       for x in range(n)])
+    alpha = abelian_to_constant(mu)
+    assert validate_constant(base, s, alpha.table) == alpha
+    thetas = tuple(Perm((x + u) % s for x in range(s)) for u in range(n))
+    beta = act(phi, thetas, alpha)
+    assert are_cohomologous(alpha, act(Perm.identity(n), thetas, alpha)) is not None
+    assert are_cohomologous(beta, beta) is not None
+    assert alpha in all_constant_cocycles(base, s)
+    assert cocycle_stabilizer(alpha).order >= 1
+    assert extend(beta).order == n * s
 
 
 def test_validate_all_identity():
