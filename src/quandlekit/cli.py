@@ -159,14 +159,16 @@ def _group(args, inputs):
     q = _source_quandle(args, inputs)
     if args.subcommand == "inn":
         group = quandlemod.inn(q)
+        generators = quandlemod.inner_generators(q)
     else:
         search = quandlemod.aut if args.subcommand == "aut" else quandlemod.qinn
         with _cap_flag("--cap-order"):
             group = search(q, cap=_cap_order(args, quandlemod.DEFAULT_AUT_CAP))
+        generators = group.generators
     return {
         "degree": group.degree,
         "order": group.order,
-        "generators": [list(g.images) for g in group.generators],
+        "generators": [list(g.images) for g in generators],
     }, {}
 
 

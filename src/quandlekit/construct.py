@@ -24,7 +24,7 @@ from .errors import (
     require_list,
 )
 from .fingroup import FiniteGroup
-from .perm import Perm
+from .perm import Perm, _compose
 from .quandle import Quandle, _require_automorphism, is_involutory
 
 
@@ -56,11 +56,10 @@ def is_compatible(group: FiniteGroup, assignment) -> tuple:
 
 
 def inner_assignment(group: FiniteGroup) -> list:
-    """The assignment sending each g to conjugation h -> g h g^{-1}."""
-    return [
-        Perm(tuple(group.mul(group.mul(g, h), group.inv(g)) for h in range(group.order)))
-        for g in range(group.order)
-    ]
+    """The assignment sending each g to conjugation h -> g h g^{-1}: column g^{-1}, then row g."""
+    rows, inverses = group.table, group.inverses
+    columns = list(zip(*rows))
+    return [Perm._trusted(_compose(rows[g], columns[inverses[g]])) for g in range(group.order)]
 
 
 def quandle_from_compatible(group: FiniteGroup, assignment) -> Quandle:

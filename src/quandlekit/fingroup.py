@@ -3,17 +3,18 @@
 Tables are indexed by 0..n-1 and validated in full on construction, on
 their rows: every row and column is a rearrangement, the identity is the
 element whose row and column are both 0..n-1, and associativity holds when
-row x*y, as an image tuple, is row x composed with row y.  A small catalog
-of named groups is exposed via a one-line spec grammar: atoms Z<n>, S<n>
-(n <= 5), D<n> (the dihedral group of order 2n), Q8 joined by "x" for
-direct products, e.g. "Z2xZ4".
+row x*y, as an image tuple, is row x composed with row y.  A group is its
+table, identity and inverses; Conj, Core and Alexander quandles are built
+a column at a time by composing its rows and columns with `perm._compose`.
+A small catalog of named groups is exposed via a one-line spec grammar:
+atoms Z<n>, S<n> (n <= 5), D<n> (the dihedral group of order 2n), Q8
+joined by "x" for direct products, e.g. "Z2xZ4".
 Automorphism groups come from `quandle`'s table search.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from typing import Sequence
 
@@ -60,35 +61,8 @@ class FiniteGroup:
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("label count mismatch")
 
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def inv(self, x: int) -> int:
-        return self.inverses[x]
-
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
-
-
-def power(group: FiniteGroup, x: int, k: int) -> int:
-    """k-th power of x for any integer k, reduced modulo the order of x first."""
-    acc = group.identity
-    for _ in range(k % element_order(group, x)):
-        acc = group.mul(acc, x)
-    return acc
-
-
-def element_order(group: FiniteGroup, x: int) -> int:
-    k = 1
-    acc = x
-    while acc != group.identity:
-        acc = group.mul(acc, x)
-        k += 1
-    return k
-
-
-def exponent(group: FiniteGroup) -> int:
-    return math.lcm(*(element_order(group, x) for x in range(group.order)))
 
 
 def is_abelian(group: FiniteGroup) -> bool:
@@ -213,25 +187,28 @@ def automorphism_group(group: FiniteGroup) -> PermGroup:
 
 
 def conj_quandle(group: FiniteGroup, n: int = 1) -> Quandle:
-    """Quandle on the group with x * y = y^-n x y^n; n = 0 gives the trivial one."""
-    size = group.order
-    powers = [power(group, y, n) for y in range(size)]
-    inverses = [group.inv(p) for p in powers]
-    table = [
-        [group.mul(group.mul(inverses[y], x), powers[y]) for y in range(size)]
-        for x in range(size)
-    ]
-    return Quandle.from_table(table, labels=group.labels)
+    """Quandle on the group with x * y = y^-n x y^n; n = 0 gives the trivial one.
+
+    y^n is n places along the cycle of row y through the identity.
+    """
+    rows, inverses, e = group.table, group.inverses, group.identity
+    columns = list(zip(*rows))
+    conjugations = []
+    for row in rows:
+        cycle = [e]
+        while row[cycle[-1]] != e:
+            cycle.append(row[cycle[-1]])
+        p = cycle[n % len(cycle)]
+        conjugations.append(_compose(rows[inverses[p]], columns[p]))
+    return Quandle.from_table(list(zip(*conjugations)), labels=group.labels)
 
 
 def core_quandle(group: FiniteGroup) -> Quandle:
     """Quandle on the group with x * y = y x^-1 y; always involutory."""
-    size = group.order
-    table = [
-        [group.mul(group.mul(y, group.inv(x)), y) for y in range(size)]
-        for x in range(size)
-    ]
-    return Quandle.from_table(table, labels=group.labels)
+    rows, inverses = group.table, group.inverses
+    columns = list(zip(*rows))
+    cores = [_compose(_compose(row, column), inverses) for row, column in zip(rows, columns)]
+    return Quandle.from_table(list(zip(*cores)), labels=group.labels)
 
 
 def alexander_quandle(group: FiniteGroup, phi: Perm | Sequence[int]) -> Quandle:
@@ -240,9 +217,7 @@ def alexander_quandle(group: FiniteGroup, phi: Perm | Sequence[int]) -> Quandle:
         raise NotAbelian("the carrier group must be abelian")
     p = phi if isinstance(phi, Perm) else Perm(phi)
     _require_automorphism(group.table, p, "phi")
-    size = group.order
-    table = [
-        [group.mul(p(group.mul(x, group.inv(y))), y) for y in range(size)]
-        for x in range(size)
-    ]
-    return Quandle.from_table(table, labels=group.labels)
+    columns = list(zip(*group.table))
+    translations = [_compose(columns[y], _compose(p.images, columns[y_inv]))
+                    for y, y_inv in enumerate(group.inverses)]
+    return Quandle.from_table(list(zip(*translations)), labels=group.labels)

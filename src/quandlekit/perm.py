@@ -1,12 +1,13 @@
 """Permutations on {0, ..., n-1} and permutation groups held as stabilizer chains.
 
-Everything here is exact and small-scale by design.  A `PermGroup` is
-itself a stabilizer chain on the base 0, 1, ..., n-1, built by deterministic
-Schreier-Sims (A. Seress, Permutation Group Algorithms, 2003, ch. 4-5): the
-order is the product of the basic orbit lengths, membership is a sift, and
-iteration walks the transversals in sorted order, one element at a time,
-with no element list.  The order of that walk, and the greedy generators of
-a group not built from given generators, do not depend on how the group
+Everything here is exact and small-scale by design.  `PermGroup(degree,
+images)` is the group generated by image tuples (`closure` passes it the
+images of `Perm`s), and it is itself a stabilizer chain on the base 0, 1,
+..., n-1, built by deterministic Schreier-Sims (A. Seress, Permutation
+Group Algorithms, 2003, ch. 4-5): the order is the product of the basic
+orbit lengths, membership is a sift, and iteration walks the transversals
+in sorted order, one element at a time, with no element list.  The order
+of that walk, and the greedy generators, do not depend on how the group
 was generated.
 """
 
@@ -133,7 +134,8 @@ class PermGroup:
     g is a member exactly when it sifts: dividing off, level by level, the
     transversal element that agrees with it at k ends at the identity.  Two
     groups of equal order are equal when one's strong generators sift
-    through the other.
+    through the other.  A chain holds at most n(n+1)/2 transversal
+    elements, whatever the order of the group, so no order cap is needed.
 
     The chain is built by deterministic Schreier-Sims (Seress, Permutation
     Group Algorithms, 2003, ch. 4): each generator that does not sift is
@@ -146,8 +148,8 @@ class PermGroup:
 
     Iterating walks the elements in lexicographic order of their image
     tuples, lazily, from the chain.  The greedy generators are computed
-    only when read, unless `closure` was given generators: walk the sorted
-    elements and keep each one outside the span of those kept before.
+    only when read: walk the sorted elements and keep each one outside the
+    span of those kept before.
     """
 
     def __init__(self, degree: int, generators: Iterable[tuple[int, ...]] = ()):
@@ -192,9 +194,6 @@ class PermGroup:
             and self.order == other.order
             and all(map(self._contains, other.strong_generators))
         )
-
-    def __hash__(self):
-        return hash((self.degree, self.order))
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -338,22 +337,9 @@ class PermGroup:
             span._add(g)
 
 
-def closure(generators: Sequence[Perm], degree: int | None = None) -> PermGroup:
-    """Group generated by the given permutations, which it keeps as its generators.
-
-    A stabilizer chain holds at most n(n+1)/2 transversal elements, whatever
-    the order of the group, so no order cap is needed.
-    """
-    generators = list(generators)
-    if degree is None:
-        if not generators:
-            raise ValueError("need generators or an explicit degree")
-        degree = len(generators[0].images)
-    if any(len(g.images) != degree for g in generators):
-        raise ValueError("generators have mixed degrees")
-    group = PermGroup(degree, [g.images for g in generators])
-    group.generators = tuple(generators)
-    return group
+def closure(generators: Sequence[Perm], degree: int) -> PermGroup:
+    """The group of degree `degree` generated by the given permutations."""
+    return PermGroup(degree, [g.images for g in generators])
 
 
 def _orbit(start, step) -> set:

@@ -198,20 +198,13 @@ def is_involutory(q: Quandle) -> bool:
 
 
 def inner_generators(q: Quandle) -> list[Perm]:
-    """Distinct right translations, in order of their smallest representative."""
-    out: list[Perm] = []
-    seen = set()
-    for y in range(q.order):
-        images = tuple(q.table[x][y] for x in range(q.order))
-        if images not in seen:
-            seen.add(images)
-            out.append(Perm(images))
-    return out
+    """Distinct right translations (the columns), in order of their smallest representative."""
+    return [Perm(column) for column in dict.fromkeys(zip(*q.table))]
 
 
 def inn(q: Quandle) -> PermGroup:
     """Group generated by the right translations."""
-    return closure(inner_generators(q), degree=q.order)
+    return closure(inner_generators(q), q.order)
 
 
 def orbit_partition(q: Quandle) -> list[list[int]]:

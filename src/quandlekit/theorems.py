@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedSpec,
     _cap_flag,
 )
-from .perm import Perm, PermGroup, _cycle_type, closure
+from .perm import Perm, PermGroup, _cycle_type
 from .quandle import _first_unpreserved
 
 GROUP_CATALOG = (
@@ -126,7 +126,7 @@ def _suite_two_generator_envelope(options: dict) -> list:
     abelianization and on the index of the central-square subgroup.  Two
     transpositions must satisfy the two-generator relators and generate the
     symmetric group on 3 points, whose order the stabilizer chain of
-    `closure` decides.
+    `PermGroup` decides.
     """
     r3 = quandlemod.build("dihedral", 3)
     from_table = envgroup.presentation_of(r3)
@@ -181,7 +181,7 @@ def _suite_two_generator_envelope(options: dict) -> list:
         functools.reduce(Perm.__mul__, map(letters.get, rel)).is_identity()
         for rel in _BRAID_STYLE.relators
     )
-    image = closure(images)
+    image = PermGroup(3, [g.images for g in images])
     cases.append(
         {
             "case": "symmetric_image_two_generators",
@@ -290,7 +290,7 @@ _CONJ_BOUNDS = {
     "4.6": ("semidirect_order", ("aut_conj_order", "semidirect_order"),
             lambda aut_g, z: z * aut_g,
             lambda group, z: z == 1 or group.order in (2, 3)
-            or (group.order == 4 and fingroup.exponent(group) == 2)),
+            or (group.order == 4 and group.inverses == (0, 1, 2, 3))),
 }
 
 
@@ -347,8 +347,7 @@ def _core_subgroup_case(group, options) -> dict:
         for phi in autg.generators
         for a, p in translations
     )
-    gens = list(autg.generators) + [p for _, p in translations]
-    sub = closure(gens, degree=group.order)
+    sub = PermGroup(group.order, [*autg.strong_generators, *(p.images for _, p in translations)])
     expected = len(translations) * autg.order
     with _cap_flag("--cap-order"):
         total = quandlemod.aut(core, cap=cap_order).order
@@ -394,9 +393,8 @@ def _odd_takasaki_case(components, options) -> dict:
     inn_q = quandlemod.inn(q)
     n = group.order
     translations = list(group.table)
-    negation = tuple(group.inv(x) for x in range(n))
     aut_match = aut_q == PermGroup(n, translations + [g.images for g in autg.generators])
-    inn_match = inn_q == PermGroup(n, translations + [negation])
+    inn_match = inn_q == PermGroup(n, translations + [group.inverses])
     return {
         "aut_order": aut_q.order,
         "expected_aut_order": group.order * autg.order,

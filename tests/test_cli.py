@@ -548,6 +548,12 @@ def test_file_errors_exit_two(tmp_path, capsys):
     assert code == 2
     assert "kind" in captured.err
 
+    array = tmp_path / "arr.json"
+    array.write_text(json.dumps([1, 2]))
+    code, captured = invoke(["build", "--file", str(array)], capsys)
+    assert code == 2
+    assert "expected a JSON object" in captured.err
+
 
 @pytest.mark.parametrize(
     "table",
@@ -745,6 +751,23 @@ def test_union_files_must_hold_integers(tmp_path, capsys, doc):
     assert captured.err.startswith("quandlekit: error:")
 
 
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("extend", {"kind": "constant_cocycle", "base": BASE1, "fiber": 0, "table": [[[]]]},
+         "fiber must have at least one point"),
+        ("union", {"kind": "union_spec", "q1": BASE1, "q2": BASE2, "sigma": [[0, 1]], "tau": [[0]]},
+         "tau needs one entry per element of q2"),
+    ],
+    ids=["empty-fiber", "tau-one-short"],
+)
+def test_cocycle_and_union_shapes_are_checked(tmp_path, capsys, command, doc, message):
+    code, captured = invoke([command, _write(tmp_path, doc)], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"quandlekit: error: {message}\n"
+
+
 @pytest.mark.parametrize("kind", [[], {}], ids=["array", "object"])
 @pytest.mark.parametrize("command", ["invariants", "iso", "extend", "union"])
 def test_a_kind_that_is_not_a_string_exits_two(tmp_path, capsys, kind, command):
@@ -818,7 +841,9 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys):
     assert codes[2] > codes[0] > 0
 
 
-@pytest.mark.parametrize("words", ["[[true]]", "[5]"], ids=["boolean-letter", "word-not-array"])
+@pytest.mark.parametrize(
+    "words", ["[[true]]", "[5]", "{}"], ids=["boolean-letter", "word-not-array", "not-a-list"]
+)
 def test_coset_enum_words_must_be_integer_arrays(capsys, words):
     argv = ["envelope", "--dihedral", "3", "--coset-enum", words, "--max-cosets", "10"]
     code, captured = invoke(argv, capsys)

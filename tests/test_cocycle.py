@@ -166,6 +166,13 @@ def test_cohomologous_negative_spec_example():
     assert are_cohomologous(spec_example(), trivial_cocycle(T2, 2)) is None
 
 
+def test_cohomologous_refuses_cocycles_over_different_bases_or_fibers():
+    with pytest.raises(ValueError, match="different base quandles"):
+        are_cohomologous(trivial_cocycle(T2, 2), trivial_cocycle(R3, 2))
+    with pytest.raises(ValueError, match="different fibers"):
+        are_cohomologous(trivial_cocycle(T2, 2), trivial_cocycle(T2, 3))
+
+
 def random_lambda(rng, n, s):
     return tuple(Perm(tuple(rng.sample(range(s), s))) for _ in range(n))
 

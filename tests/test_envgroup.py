@@ -22,7 +22,7 @@ from quandlekit.envgroup import (
 )
 from quandlekit.errors import CosetLimitExceeded
 from quandlekit.fingroup import conj_quandle, symmetric_group_table
-from quandlekit.perm import Perm, closure
+from quandlekit.perm import Perm, PermGroup
 from quandlekit.quandle import build, enumerate_quandles, orbit_partition
 from integer_h2 import condition_matrix, quotient_matrix, smith_form_of
 
@@ -494,11 +494,11 @@ SMALL_GROUP_GENERATORS = [
 def test_todd_coxeter_on_a_multiplication_table_gives_the_index_of_the_chain_orders(gens, data):
     """At any cap the outcome is the index or CosetLimitExceeded, and a cap
     that completes is followed by larger caps that complete."""
-    group = closure(gens)
+    group = PermGroup(len(gens[0].images), [g.images for g in gens])
     elements = list(group)
     presentation, index = multiplication_table_presentation(elements)
     sub_gens = data.draw(st.lists(st.sampled_from(elements), max_size=2))
-    sub = closure(sub_gens, degree=group.degree)
+    sub = PermGroup(group.degree, [h.images for h in sub_gens])
     words = [((index[h], 1),) for h in sub_gens]
     assert todd_coxeter(presentation, words) * sub.order == group.order
     caps = data.draw(st.lists(st.integers(1, 2 * group.order + 4), min_size=2, max_size=2))

@@ -25,14 +25,12 @@ from quandlekit.fingroup import (
     cyclic_group,
     dihedral_group,
     direct_product_group,
-    element_order,
-    exponent,
     is_abelian,
     make_group,
-    power,
     quaternion_group,
     symmetric_group_table,
 )
+from quandlekit.construct import inner_assignment
 from quandlekit.quandle import _iso_images, build
 from quandlekit.quandle import is_isomorphic as quandle_isomorphic
 from quandlekit.theorems import GROUP_CATALOG, LARGER_GROUP_CATALOG
@@ -43,13 +41,26 @@ def group_iso(a, b):
     return _iso_images(a.table, b.table, a.order)
 
 
+def element_order(g, x):
+    """The least k >= 1 with x^k the identity, by repeated table products."""
+    k, acc = 1, x
+    while acc != g.identity:
+        acc = g.table[acc][x]
+        k += 1
+    return k
+
+
+def exponent(g):
+    return math.lcm(*(element_order(g, x) for x in range(g.order)))
+
+
 def naive_automorphisms(g):
     """Filter every bijection for the homomorphism property."""
-    n = g.order
+    n, t = g.order, g.table
     out = []
     for images in itertools.permutations(range(n)):
         if all(
-            images[g.mul(x, y)] == g.mul(images[x], images[y])
+            images[t[x][y]] == t[images[x]][images[y]]
             for x in range(n)
             for y in range(n)
         ):
@@ -224,7 +235,7 @@ def test_quaternion_labels_follow_hamiltons_rule():
     at = {name: x for x, name in enumerate(q8.labels)}
 
     def times(a, b):
-        return q8.labels[q8.mul(at[a], at[b])]
+        return q8.labels[q8.table[at[a]][at[b]]]
 
     assert (times("i", "j"), times("j", "k"), times("k", "i")) == ("k", "i", "j")
     assert times("i", "i") == times("j", "j") == times("k", "k") == "-1"
@@ -316,7 +327,7 @@ def test_find_isomorphism_returns_checked_witness():
     f = group_iso(a, b)
     assert f is not None
     assert all(
-        f[a.mul(x, y)] == b.mul(f[x], f[y]) for x in range(6) for y in range(6)
+        f[a.table[x][y]] == b.table[f[x]][f[y]] for x in range(6) for y in range(6)
     )
     assert group_iso(make_group("D4"), make_group("Q8")) is None
 
@@ -337,7 +348,7 @@ def relabel_group(g, sigma):
     table = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            table[sigma[x]][sigma[y]] = sigma[g.mul(x, y)]
+            table[sigma[x]][sigma[y]] = sigma[g.table[x][y]]
     return FiniteGroup(table)
 
 
@@ -350,19 +361,48 @@ def test_relabeled_catalog_group_is_isomorphic_to_it(spec, data):
     f = group_iso(g, h)
     assert f is not None
     assert sorted(f) == list(range(n))
-    assert all(f[g.mul(x, y)] == h.mul(f[x], f[y]) for x in range(n) for y in range(n))
+    assert all(f[g.table[x][y]] == h.table[f[x]][f[y]] for x in range(n) for y in range(n))
     assert automorphism_group(h).order == automorphism_group(g).order
 
 
-def test_power_matches_repeated_products():
-    g = symmetric_group_table(3)
-    for x in range(g.order):
-        for k in range(-13, 14):
-            step = x if k >= 0 else g.inv(x)
-            expected = g.identity
-            for _ in range(abs(k)):
-                expected = g.mul(expected, step)
-            assert power(g, x, k) == expected
+def table_power(t, e, y, k):
+    """y^k by square-and-multiply on the table t with identity e; k < 0 uses the inverse of y."""
+    if k < 0:
+        y, k = next(z for z in range(len(t)) if t[y][z] == e), -k
+    acc = e
+    while k:
+        if k & 1:
+            acc = t[acc][y]
+        y, k = t[y][y], k >> 1
+    return acc
+
+
+@pytest.mark.parametrize("spec", GROUP_CATALOG + LARGER_GROUP_CATALOG)
+def test_group_quandles_match_table_products(spec):
+    """Conj^n, Core, the inner assignment and Alexander quandles, entry by entry.
+
+    The oracle reads only the table and the identity, and finds inverses by
+    searching rows, so it shares no code with the builders.
+    """
+    g = make_group(spec)
+    t, e, n = g.table, g.identity, g.order
+    inv = [next(z for z in range(n) if t[x][z] == e) for x in range(n)]
+    for k in [*range(-13, 14), 10**11, -(10**11)]:
+        powers = [table_power(t, e, y, k) for y in range(n)]
+        conj = conj_quandle(g, k).table
+        assert all(
+            conj[x][y] == t[t[inv[powers[y]]][x]][powers[y]] for x in range(n) for y in range(n)
+        ), k
+    core = core_quandle(g).table
+    assert all(core[x][y] == t[t[y][inv[x]]][y] for x in range(n) for y in range(n))
+    assignment = inner_assignment(g)
+    assert all(assignment[a](h) == t[t[a][h]][inv[a]] for a in range(n) for h in range(n))
+    if is_abelian(g):
+        for phi in automorphism_group(g).generators:
+            alex = alexander_quandle(g, phi).table
+            assert all(
+                alex[x][y] == t[phi(t[x][inv[y]])][y] for x in range(n) for y in range(n)
+            ), phi
 
 
 def test_conj_quandle_of_abelian_group_is_trivial():
@@ -431,8 +471,7 @@ def test_alexander_with_identity_map_is_trivial():
 
 def test_alexander_with_inversion_is_core():
     g = make_group("Z2xZ4")
-    inversion = tuple(g.inv(x) for x in range(g.order))
-    q = alexander_quandle(g, inversion)
+    q = alexander_quandle(g, g.inverses)
     assert q.table == core_quandle(g).table
 
 

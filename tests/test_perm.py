@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.perm import Perm, PermGroup, _cycle_type, _orbits, closure
+from quandlekit.perm import Perm, PermGroup, _cycle_type, _orbits
 
 try:
     from sympy import combinatorics
@@ -28,7 +28,7 @@ def naive_closure(gens, degree):
 
 def symmetric_group(n):
     """S_n for n >= 3, generated by a transposition and an n-cycle."""
-    return closure([Perm.transposition(n, 0, 1), Perm((*range(1, n), 0))])
+    return PermGroup(n, [Perm.transposition(n, 0, 1).images, (*range(1, n), 0)])
 
 
 def steps(gens, degree):
@@ -140,7 +140,7 @@ def test_a_group_of_no_generators_is_trivial(degree):
 
 
 def test_closure_of_single_transposition():
-    group = closure([Perm.transposition(3, 0, 1)])
+    group = PermGroup(3, [(1, 0, 2)])
     assert group.order == 2
     assert Perm((1, 0, 2)) in group and (1, 0, 2) not in group
 
@@ -155,19 +155,19 @@ def test_closure_matches_naive_oracle_on_random_generators():
             rng.shuffle(images)
             gens.append(Perm(images))
         expected = naive_closure(gens, degree)
-        got = closure(gens, degree=degree)
+        got = PermGroup(degree, [g.images for g in gens])
         assert set(got) == expected
 
 
 def test_closure_element_order_independent_of_generator_order():
-    gens = [Perm.transposition(4, 0, 1), Perm((1, 2, 3, 0))]
-    a = closure(gens)
-    b = closure(list(reversed(gens)))
+    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    a = PermGroup(4, gens)
+    b = PermGroup(4, list(reversed(gens)))
     assert list(a) == list(b)
 
 
 def test_closure_elements_sorted_and_group_axioms_hold():
-    group = closure([Perm.transposition(4, 0, 1), Perm((0, 2, 3, 1))])
+    group = PermGroup(4, [(1, 0, 2, 3), (0, 2, 3, 1)])
     elements = list(group)
     assert elements == sorted(elements)
     for g in elements:
@@ -178,9 +178,7 @@ def test_closure_elements_sorted_and_group_axioms_hold():
 
 def test_dihedral_r4_translation_closure_has_order_four():
     # the two distinct right translations of the 4-element dihedral quandle
-    s0 = Perm((0, 3, 2, 1))
-    s1 = Perm((2, 1, 0, 3))
-    group = closure([s0, s1])
+    group = PermGroup(4, [(0, 3, 2, 1), (2, 1, 0, 3)])
     assert group.order == 4
     assert all((g * g).is_identity() for g in group)
 
@@ -190,7 +188,7 @@ def test_dihedral_r6_translation_closure_matches_oracle():
     gens = [Perm(tuple((2 * j - i) % 6 for i in range(6))) for j in range(3)]
     expected = naive_closure(gens, 6)
     assert len(expected) == 6
-    assert closure(gens).order == 6
+    assert PermGroup(6, [g.images for g in gens]).order == 6
 
 
 def test_orbit_partition_basic():
@@ -232,7 +230,7 @@ def test_k_transitivity_of_symmetric_group():
 
 
 def test_k_transitivity_of_cyclic_rotations():
-    c4 = closure([Perm((1, 2, 3, 0))])
+    c4 = PermGroup(4, [(1, 2, 3, 0)])
     assert c4.is_k_transitive(1)
     assert not c4.is_k_transitive(2)
 
@@ -243,7 +241,7 @@ def test_k_transitivity_against_naive_definition():
         degree = rng.randrange(2, 6)
         images = list(range(degree))
         rng.shuffle(images)
-        group = closure([Perm(images), Perm.transposition(degree, 0, degree - 1)])
+        group = PermGroup(degree, [tuple(images), Perm.transposition(degree, 0, degree - 1).images])
         for k in range(1, degree + 1):
             tuples = list(itertools.permutations(range(degree), k))
             naive = all(
@@ -261,7 +259,7 @@ def test_from_elements_reduces_generators():
     assert rebuilt == s3
     assert rebuilt.order == len(shuffled)
     assert len(rebuilt.generators) <= 2
-    assert closure(rebuilt.generators, degree=3) == s3
+    assert PermGroup(3, [p.images for p in rebuilt.generators]) == s3
 
 
 def _bfs_span(gens, degree):
@@ -302,9 +300,8 @@ def generator_sets(draw):
 @given(generator_sets())
 def test_closure_matches_breadth_first_span(case):
     degree, gens = case
-    group = closure([Perm(g) for g in gens], degree=degree)
+    group = PermGroup(degree, gens)
     assert [p.images for p in group] == sorted(_bfs_span(gens, degree))
-    assert [p.images for p in group.generators] == gens
 
 
 @settings(max_examples=150, deadline=None)
@@ -332,9 +329,10 @@ def chain_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(chain_cases())
 def test_stabilizer_chain_agrees_with_the_closure(case):
-    # the oracles are the breadth-first span and the greedy walk over it
+    # the oracles are the breadth-first span and the greedy walk over it; the
+    # chain built from the generators in reverse order must be the same group
     degree, gens, probes = case
-    closed = closure([Perm(g) for g in gens], degree=degree)
+    closed = PermGroup(degree, gens[::-1])
     chained = PermGroup(degree, gens)
     span = sorted(_bfs_span(gens, degree))
     assert chained.order == closed.order == len(span)
