@@ -17,6 +17,7 @@ import argparse
 import collections
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -92,10 +93,14 @@ def _cap_order(args, default: int) -> int:
     return default if args.cap_order is None else args.cap_order
 
 
+def _cap_group(args) -> int:
+    return fingroup.DEFAULT_GROUP_CAP if args.cap_group is None else args.cap_group
+
+
 def _source_quandle(args, inputs: _Inputs) -> Quandle:
     if args.power is not None and args.conj is None:
         raise _UsageError("quandlekit: error: --power only applies with --conj")
-    cap = fingroup.DEFAULT_GROUP_CAP if args.cap_group is None else args.cap_group
+    cap = _cap_group(args)
     with _cap_flag("--cap-group"):
         for kind in ("trivial", "dihedral"):
             n = getattr(args, kind)
@@ -227,12 +232,17 @@ def _envelope(args, inputs):
 
 def _extend(args, inputs):
     alpha = inputs.load_doc(args.cocyclefile, ("constant_cocycle", "abelian_cocycle"))
-    cap = _cap_order(args, cocyclemod.DEFAULT_FIBER_CAP)
+    abelian = isinstance(alpha, cocyclemod.AbelianCocycle)
+    n, s = alpha.base.order, math.prod(alpha.moduli) if abelian else alpha.fiber_size
+    cap, group_cap = _cap_order(args, cocyclemod.DEFAULT_FIBER_CAP), _cap_group(args)
+    with _cap_flag("--cap-group"):
+        if s <= cap and n * s > group_cap:  # a fiber over its cap is refused first, below
+            raise CapExceeded(f"extension order {n} * {s} exceeds the construction cap {group_cap}")
     with _cap_flag("--cap-order"):
-        if isinstance(alpha, cocyclemod.AbelianCocycle):
+        if abelian:
             alpha = cocyclemod.abelian_to_constant(alpha, cap=cap)
-        elif alpha.fiber_size > cap:
-            raise CapExceeded(f"fiber size {alpha.fiber_size} exceeds the fiber cap {cap}")
+        elif s > cap:
+            raise CapExceeded(f"fiber size {s} exceeds the fiber cap {cap}")
     ext = cocyclemod.extend(alpha)
     return {
         "base_order": alpha.base.order,

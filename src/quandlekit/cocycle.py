@@ -10,10 +10,10 @@ H^2 with finite abelian coefficients by certified elimination modulo each
 coefficient order.  A cocycle's stabilizer is found by `quandle.aut`'s search.
 
 Permutation products follow the package convention: (p*q)(x) = p(q(x)).
-Inside the module a fiber permutation is its image tuple, composed by
-`perm._compose` and inverted by `perm._invert`; `Perm` appears only at the
-API boundary (`ConstantCocycle.table`, the arguments of `act` and `lift`,
-witnesses and `to_json`).
+A fiber permutation is its image tuple, composed by `perm._compose` and
+inverted by `perm._invert`, in `ConstantCocycle.table`, `lift` and the
+witnesses of `are_cohomologous` too.  `Perm` is only for the validated
+arguments of `act` and `lift`, and for `validate_constant` input.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ _LAMBDA_SEARCH_CAP = 10**6
 
 @dataclass(frozen=True)
 class ConstantCocycle:
-    """A validated fiber-permutation table over a base quandle.
+    """A validated table of fiber permutations, as image tuples, over a base quandle.
 
     Construct through validate_constant (or from_json); the dataclass
     itself performs no checking.
@@ -67,7 +67,7 @@ class ConstantCocycle:
             "kind": "constant_cocycle",
             "base": self.base.to_json(),
             "fiber": self.fiber_size,
-            "table": [[list(p.images) for p in row] for row in self.table],
+            "table": [[list(p) for p in row] for row in self.table],
         }
 
     @classmethod
@@ -115,22 +115,20 @@ def _first_break(t, lanes):
     return None
 
 
-def _images(table) -> tuple:
-    """A table of `Perm`s as rows of image tuples."""
-    return tuple(tuple(p.images for p in row) for row in table)
-
-
 def _checked(base: Quandle, s: int, rows) -> ConstantCocycle:
-    """The cocycle with the image-tuple table `rows`, once its diagonal and every condition hold."""
+    """The cocycle with the image-tuple table `rows`, once its diagonal and every condition hold.
+
+    With the diagonal checked, the triples with x = y or y = z read a = a and are skipped.
+    """
     flat = [p for row in rows for p in row]
     identity = tuple(range(s))
     for x in range(base.order):
         if rows[x][x] != identity:
             raise DiagonalViolation(x)
-    for triple, (i, j, k, l) in _conditions(base.table):
-        if _compose(flat[i], flat[j]) != _compose(flat[k], flat[l]):
-            raise CocycleViolation(*triple)
-    return ConstantCocycle(base, s, tuple(tuple(map(Perm._trusted, row)) for row in rows))
+    for (x, y, z), (i, j, k, l) in _conditions(base.table):
+        if x != y != z and _compose(flat[i], flat[j]) != _compose(flat[k], flat[l]):
+            raise CocycleViolation(x, y, z)
+    return ConstantCocycle(base, s, rows)
 
 
 def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
@@ -141,15 +139,15 @@ def validate_constant(base: Quandle, fiber_size: int, table) -> ConstantCocycle:
     rows = tuple(table)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"cocycle table must be {n}x{n}")
-    a = tuple(tuple(p if isinstance(p, Perm) else Perm(require_ints(p, "cocycle entry"))
+    a = tuple(tuple((p if isinstance(p, Perm) else Perm(require_ints(p, "cocycle entry"))).images
                     for p in row) for row in rows)
-    if any(len(p.images) != fiber_size for row in a for p in row):
+    if any(len(p) != fiber_size for row in a for p in row):
         raise ValueError("cocycle entries must permute the fiber")
-    return _checked(base, fiber_size, _images(a))
+    return _checked(base, fiber_size, a)
 
 
 def trivial_cocycle(base: Quandle, fiber_size: int) -> ConstantCocycle:
-    row = (Perm.identity(fiber_size),) * base.order
+    row = (tuple(range(fiber_size)),) * base.order
     return ConstantCocycle(base, fiber_size, (row,) * base.order)
 
 
@@ -161,19 +159,21 @@ def extend(alpha: ConstantCocycle) -> Quandle:
         for t in range(s):
             row = []
             for xy, theta in zip(base_row, fibers):
-                row += [xy * s + theta.images[t]] * s
+                row += [xy * s + theta[t]] * s
             table.append(row)
     return Quandle.from_table(table)
 
 
-def lift(phi: Perm, thetas, s: int) -> Perm:
-    """The map (x, t) -> (phi x, thetas[x] t) on the extension points x * s + t."""
-    return Perm(phi.images[x] * s + theta.images[t]
-                for x, theta in enumerate(thetas) for t in range(s))
+def lift(phi: Perm, thetas, s: int) -> tuple:
+    """The images of (x, t) -> (phi x, thetas[x] t) on the extension points x * s + t.
+
+    phi and the n thetas on s points are `Perm`s, so the map is a bijection, not checked again.
+    """
+    return tuple(phi.images[x] * s + u for x, theta in enumerate(thetas) for u in theta.images)
 
 
 def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
-    """Search for a lambda map linking two cocycles; None when there is none.
+    """Search for a lambda map linking two cocycles, as image tuples; None when there is none.
 
     The defining equation propagates lambda along inner orbits, so the
     search tries fiber permutations only at one root per orbit and floods
@@ -189,8 +189,7 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
             f"lambda search work {s}! * {n}**2 (fiber permutations times pairs)"
             f" exceeds cap {_LAMBDA_SEARCH_CAP}"
         )
-    a = _images(alpha.table)
-    b = _images(beta.table)
+    a, b = alpha.table, beta.table
     a_inverses = [[_invert(p) for p in row] for row in a]
     candidates = list(itertools.permutations(range(s)))
 
@@ -226,7 +225,7 @@ def are_cohomologous(alpha: ConstantCocycle, beta: ConstantCocycle):
             return None
     if _transport(t, range(n), lam, a) != b:
         raise AssertionError("lambda witness failed re-verification")
-    return tuple(map(Perm._trusted, lam))
+    return tuple(lam)
 
 
 def _transport(t, pinv, thetas, a) -> tuple:
@@ -252,7 +251,7 @@ def act(phi: Perm, thetas, alpha: ConstantCocycle) -> ConstantCocycle:
     if any(len(theta.images) != alpha.fiber_size for theta in thetas):
         raise ValueError("every theta must permute the fiber")
     beta = _transport(alpha.base.table, _invert(phi.images),
-                      [theta.images for theta in thetas], _images(alpha.table))
+                      [theta.images for theta in thetas], alpha.table)
     return _checked(alpha.base, alpha.fiber_size, beta)
 
 
@@ -276,7 +275,7 @@ def cocycle_stabilizer(alpha: ConstantCocycle) -> PermGroup:
     e = n + s  # the extension point (x, u) is e + x*s + u
     columns = [
         [t[y][x] for y in range(n)] + list(range(n, e))
-        + [e + t[y][x] * s + v for y in range(n) for v in alpha.table[y][x].images]
+        + [e + t[y][x] * s + v for y in range(n) for v in alpha.table[y][x]]
         for x in range(n)
     ]
     swaps = [[(x, e + x * s + u) for x in range(n)] for u in range(s)]  # columns n + u
@@ -406,12 +405,11 @@ def abelian_to_constant(mu: AbelianCocycle, cap: int = DEFAULT_FIBER_CAP) -> Con
     elements = list(itertools.product(*[range(m) for m in mu.moduli]))
     index = {e: i for i, e in enumerate(elements)}
 
-    def translation(v) -> Perm:
-        return Perm(index[tuple((c + d) % m for c, d, m in zip(e, v, mu.moduli))]
-                    for e in elements)
+    def translation(v) -> tuple:
+        return tuple(index[tuple((c + d) % m for c, d, m in zip(e, v, mu.moduli))]
+                     for e in elements)
 
-    table = tuple(tuple(translation(v) for v in row) for row in mu.table)
-    return validate_constant(mu.base, size, table)
+    return _checked(mu.base, size, tuple(tuple(map(translation, row)) for row in mu.table))
 
 
 # ---------------------------------------------------------------------------

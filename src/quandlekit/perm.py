@@ -64,12 +64,6 @@ class Perm:
     def identity(cls, n: int) -> "Perm":
         return cls(range(n))
 
-    @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> "Perm":
-        images = list(range(n))
-        images[a], images[b] = images[b], images[a]
-        return cls(images)
-
     def __call__(self, x: int) -> int:
         return self.images[x]
 

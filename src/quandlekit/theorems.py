@@ -70,8 +70,8 @@ def _cyclic_sum_name(components) -> str:
     return "x".join(f"Z{c}" for c in components)
 
 
-def _preserves(table, p: Perm) -> bool:
-    return _first_unpreserved(table, table, p.images) is None
+def _preserves(table, images) -> bool:
+    return _first_unpreserved(table, table, images) is None
 
 
 def _catalog_groups(options):
@@ -175,7 +175,7 @@ def _suite_two_generator_envelope(options: dict) -> list:
         }
     )
 
-    images = [Perm.transposition(3, 0, 1), Perm.transposition(3, 1, 2)]
+    images = [Perm((1, 0, 2)), Perm((0, 2, 1))]
     letters = {(g, e): x if e > 0 else x.inverse() for g, x in enumerate(images) for e in (1, -1)}
     relators_hold = all(
         functools.reduce(Perm.__mul__, map(letters.get, rel)).is_identity()
@@ -268,7 +268,8 @@ def _center_swap_case(row, options) -> dict:
     else:
         e = group.identity
         a = min(x for x in row["center"] if x != e)
-        swap_ok = _preserves(q.table, Perm.transposition(group.order, e, a))
+        swap = tuple({e: a, a: e}.get(x, x) for x in range(group.order))
+        swap_ok = _preserves(q.table, swap)
         case["swap_is_automorphism"] = swap_ok
         case["passed"] = swap_ok and row["aut_conj_order"] > row["aut_group_order"]
     return case
@@ -339,8 +340,8 @@ def _core_subgroup_case(group, options) -> dict:
     core = fingroup.core_quandle(group)
     autg = fingroup.automorphism_group(group)
     translations = _central_translations(group)
-    members_ok = all(_preserves(core.table, p) for p in autg.generators) and all(
-        _preserves(core.table, p) for _, p in translations
+    members_ok = all(_preserves(core.table, p.images) for p in autg.generators) and all(
+        _preserves(core.table, p.images) for _, p in translations
     )
     transported = all(
         phi * p * phi.inverse() == Perm(group.table[phi(a)])
@@ -584,10 +585,7 @@ def _orbit_swap_case(m, options) -> dict:
     orbits is not automatically an automorphism.
     """
     q = quandlemod.build("dihedral", m)
-    images = []
-    for i in range(0, m, 2):
-        images.extend((i + 1, i))
-    observed = _preserves(q.table, Perm(images))
+    observed = _preserves(q.table, tuple(i ^ 1 for i in range(m)))  # a(2i) <-> a(2i+1)
     expected = m <= 4
     return {
         "swap_is_automorphism": observed,
@@ -610,6 +608,8 @@ def _suite_three_transitive(options: dict) -> list:
     max_order, inner_max = options["max_order"], options["cap_order"]
     if max_order < 1:
         raise QuandleKitError(f"--max-order {max_order} is below the floor of order 1")
+    if inner_max < 4:
+        raise QuandleKitError(f"--cap-order {inner_max} is below the floor of order 4")
     cap = max(quandlemod.DEFAULT_ENUM_CAP, inner_max)
     with _cap_flag("--cap-order"):
         classes = {
@@ -663,15 +663,9 @@ def _extension_bases():
 def _cocycle_pool(base, fiber_size):
     """A few valid cocycles to seed randomized twisting."""
     pool = [cocyclemod.trivial_cocycle(base, fiber_size)]
-    n = base.order
-    identity = Perm.identity(fiber_size)
-    for images in itertools.permutations(range(fiber_size)):
-        c = Perm(images)
-        if c.is_identity():
-            continue
-        table = tuple(
-            tuple(identity if x == y else c for y in range(n)) for x in range(n)
-        )
+    identity, *others = map(Perm, itertools.permutations(range(fiber_size)))
+    for c in others:
+        table = [[identity if x == y else c for y in range(base.order)] for x in range(base.order)]
         try:
             pool.append(cocyclemod.validate_constant(base, fiber_size, table))
         except QuandleKitError:
@@ -717,7 +711,7 @@ def _suite_cohomologous_extensions(options: dict) -> list:
         ext_a = cocyclemod.extend(alpha)
         ext_b = cocyclemod.extend(beta)
         f = cocyclemod.lift(identity, lam, s)
-        explicit_ok = _first_unpreserved(ext_a.table, ext_b.table, f.images) is None
+        explicit_ok = _first_unpreserved(ext_a.table, ext_b.table, f) is None
         if witness is None or not explicit_ok:
             failures.append(
                 {"trial": trial, "base": name, "fiber": s, "witness_found": witness is not None}
@@ -772,7 +766,7 @@ def _stabilizer_embedding_case(extension, options) -> dict:
                     lifts[(phi, theta)] = gamma
                     joined = phi.images + tuple(n + t for t in theta.images)
                     converse &= Perm(joined) in stab
-                    graph.append(joined + tuple(n + s + x for x in gamma.images))
+                    graph.append(joined + tuple(n + s + x for x in gamma))
         converse &= len(lifts) == stab.order
         if len(set(lifts.values())) != len(lifts):
             injective = False

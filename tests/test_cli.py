@@ -458,6 +458,15 @@ def test_stabilizer_suite_rejects_a_cocycle_cap_below_one(capsys, cap):
     assert f"--cap-order {cap} is below the floor of 1 cocycle" in captured.err
 
 
+@pytest.mark.parametrize("cap", ["3", "0"])
+def test_three_transitive_suite_rejects_an_inner_cap_below_four(capsys, cap):
+    # below order 4 the inner-group sweep has no case, and its claim would pass vacuously
+    code, captured = invoke(["theorem", "6.3", "--cap-order", cap], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert f"--cap-order {cap} is below the floor of order 4" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, flags",
     [(["5.6", "--trials", "3"], "--trials"),
@@ -882,6 +891,37 @@ def test_extend_fiber_cap_is_raised_by_cap_order(tmp_path, capsys):
         code, report = report_of(["extend", _write(tmp_path, doc), "--cap-order", "65"], capsys)
         assert code == 0
         assert report["results"]["fiber"] == 65
+
+
+# Cocycles over the trivial quandle of order 4 with a fiber of 51 points: 204 extension points.
+_T4 = quandle.build("trivial", 4).to_json()
+EXTENSION_204 = [
+    {"kind": "abelian_cocycle", "base": _T4, "moduli": [51], "table": [[[0]] * 4] * 4},
+    {"kind": "constant_cocycle", "base": _T4, "fiber": 51, "table": [[list(range(51))] * 4] * 4},
+]
+
+
+@pytest.mark.parametrize("doc", EXTENSION_204, ids=["abelian", "constant"])
+@pytest.mark.parametrize("cap", [None, "203"])
+def test_extend_caps_the_extension_order_before_building_it(tmp_path, capsys, monkeypatch, doc, cap):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the construction cap")
+
+    monkeypatch.setattr(cocycle, "abelian_to_constant", refuse)
+    monkeypatch.setattr(cocycle, "extend", refuse)
+    argv = ["extend", _write(tmp_path, doc)] + ([] if cap is None else ["--cap-group", cap])
+    code, captured = invoke(argv, capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert (f"extension order 4 * 51 exceeds the construction cap {cap or 200} "
+            "(raise it with --cap-group)") in captured.err
+
+
+@pytest.mark.parametrize("doc", EXTENSION_204, ids=["abelian", "constant"])
+def test_extend_extension_cap_is_raised_by_cap_group(tmp_path, capsys, doc):
+    code, report = report_of(["extend", _write(tmp_path, doc), "--cap-group", "204"], capsys)
+    assert code == 0
+    assert report["results"]["extension"]["order"] == 204
 
 
 # Help and usage text, pinned as (exit code, sha256 of stdout, sha256 of

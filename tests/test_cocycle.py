@@ -52,6 +52,11 @@ SWAP = Perm((1, 0))
 ID2 = Perm.identity(2)
 
 
+def as_perms(table):
+    """A cocycle table of image tuples as rows of `Perm`s."""
+    return tuple(tuple(map(Perm, row)) for row in table)
+
+
 def spec_example():
     # base trivial(2), fiber of size 2, only alpha(0,1) is the swap
     return validate_constant(T2, 2, [[ID2, SWAP], [ID2, ID2]])
@@ -67,16 +72,19 @@ def test_products_on_a_fiber_of_one_point():
     beta = act(phi, thetas, alpha)
     assert beta == alpha
     gamma = lift(phi, thetas, 1)
-    assert gamma == phi
-    assert _first_unpreserved(extend(alpha).table, extend(beta).table, gamma.images) is None
+    assert gamma == phi.images
+    assert _first_unpreserved(extend(alpha).table, extend(beta).table, gamma) is None
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 @pytest.mark.parametrize("base, phi", [(R3, Perm((0, 2, 1))), (T2, SWAP)], ids=["R3", "T2"])
 def test_perm_products_stay_at_the_api_boundary(base, phi, s, monkeypatch):
-    """No cocycle routine multiplies or inverts a `Perm`: inside, fiber permutations are tuples."""
+    """No cocycle routine multiplies, inverts or builds a `Perm` once its arguments are built.
+
+    Inside the layer and in what it returns, fiber permutations are image tuples.
+    """
     def refuse(*args):
-        raise AssertionError("a Perm was multiplied or inverted inside the cocycle layer")
+        raise AssertionError("a Perm was multiplied, inverted or built inside the cocycle layer")
 
     monkeypatch.setattr(Perm, "__mul__", refuse)
     monkeypatch.setattr(Perm, "inverse", refuse)
@@ -87,8 +95,13 @@ def test_perm_products_stay_at_the_api_boundary(base, phi, s, monkeypatch):
     alpha = abelian_to_constant(mu)
     assert validate_constant(base, s, alpha.table) == alpha
     thetas = tuple(Perm((x + u) % s for x in range(s)) for u in range(n))
+    identity = Perm.identity(n)
+    monkeypatch.setattr(Perm, "__init__", refuse)
+    monkeypatch.setattr(Perm, "_trusted", refuse)  # it builds a Perm without __init__
     beta = act(phi, thetas, alpha)
-    assert are_cohomologous(alpha, act(Perm.identity(n), thetas, alpha)) is not None
+    gamma = lift(phi, thetas, s)
+    assert _first_unpreserved(extend(alpha).table, extend(beta).table, gamma) is None
+    assert are_cohomologous(alpha, act(identity, thetas, alpha)) is not None
     assert are_cohomologous(beta, beta) is not None
     assert alpha in all_constant_cocycles(base, s)
     assert cocycle_stabilizer(alpha).order >= 1
@@ -98,12 +111,12 @@ def test_perm_products_stay_at_the_api_boundary(base, phi, s, monkeypatch):
 def test_validate_all_identity():
     a = trivial_cocycle(R3, 3)
     assert a.fiber_size == 3
-    assert all(p.is_identity() for row in a.table for p in row)
+    assert all(p.is_identity() for row in as_perms(a.table) for p in row)
 
 
 def test_validate_spec_example():
     a = spec_example()
-    assert a.table[0][1] == SWAP
+    assert Perm(a.table[0][1]) == SWAP
 
 
 def test_validate_diagonal_violation():
@@ -159,7 +172,7 @@ def test_extend_spec_example_inner_group():
 def test_cohomologous_reflexive():
     a = spec_example()
     w = are_cohomologous(a, a)
-    assert w is not None and all(p.is_identity() for p in w)
+    assert w is not None and all(Perm(p).is_identity() for p in w)
 
 
 def test_cohomologous_negative_spec_example():
@@ -181,7 +194,7 @@ def push_through_lambda(alpha, lam):
     n = alpha.base.order
     t = alpha.base.table
     table = tuple(
-        tuple(lam[t[x][y]] * alpha.table[x][y] * lam[x].inverse() for y in range(n))
+        tuple(lam[t[x][y]] * Perm(alpha.table[x][y]) * lam[x].inverse() for y in range(n))
         for x in range(n)
     )
     return validate_constant(alpha.base, alpha.fiber_size, table)
@@ -205,7 +218,7 @@ def test_cohomologous_witness_gives_extension_isomorphism():
     w = are_cohomologous(alpha, beta)
     ea, eb = extend(alpha), extend(beta)
     s = alpha.fiber_size
-    f = Perm(tuple((i // s) * s + w[i // s](i % s) for i in range(ea.order)))
+    f = Perm(tuple((i // s) * s + Perm(w[i // s])(i % s) for i in range(ea.order)))
     for i in range(ea.order):
         for j in range(ea.order):
             assert f(ea.table[i][j]) == eb.table[f(i)][f(j)]
@@ -331,20 +344,20 @@ def test_stabilizer_reaches_a_64_point_fiber_past_its_cap(monkeypatch):
 
 
 def test_embed_identity_pair():
-    assert lift(ID2, (ID2, ID2), 2).is_identity()
+    assert Perm(lift(ID2, (ID2, ID2), 2)).is_identity()
 
 
 def test_lift_numbers_points_as_extend_does():
     # (x, t) -> (phi x, thetas[x] t) on the points x * s + t
-    assert lift(SWAP, (ID2, SWAP), 2) == Perm((2, 3, 1, 0))
-    assert lift(Perm.identity(3), (Perm((1, 2, 0)),) * 3, 3) == Perm((1, 2, 0, 4, 5, 3, 7, 8, 6))
+    assert Perm(lift(SWAP, (ID2, SWAP), 2)) == Perm((2, 3, 1, 0))
+    assert Perm(lift(Perm.identity(3), (Perm((1, 2, 0)),) * 3, 3)) == Perm((1, 2, 0, 4, 5, 3, 7, 8, 6))
 
 
 def test_embed_is_injective_homomorphism_into_aut():
     a = spec_example()
     stab = pairs_of(cocycle_stabilizer(a), 2)
     full = set(aut(extend(a)))
-    images = {pair: lift(pair[0], (pair[1],) * 2, 2) for pair in stab}
+    images = {pair: Perm(lift(pair[0], (pair[1],) * 2, 2)) for pair in stab}
     assert set(images.values()) <= full
     assert len(set(images.values())) == len(stab)
     for p1 in stab:
@@ -358,7 +371,7 @@ def test_embed_rejects_non_stabilizing_pair():
     assert joined(SWAP, ID2) not in cocycle_stabilizer(a)
     ext = extend(a)
     gamma = lift(SWAP, (ID2, ID2), 2)
-    assert _first_unpreserved(ext.table, ext.table, gamma.images) is not None
+    assert _first_unpreserved(ext.table, ext.table, gamma) is not None
 
 
 def naive_constant_cocycles(base, s):
@@ -384,7 +397,7 @@ def naive_constant_cocycles(base, s):
 
 def test_all_constant_cocycles_matches_naive_filter():
     for base in (T2, R3):
-        ours = {a.table for a in all_constant_cocycles(base, 2)}
+        ours = {as_perms(a.table) for a in all_constant_cocycles(base, 2)}
         assert ours == set(naive_constant_cocycles(base, 2))
 
 
@@ -408,7 +421,7 @@ def test_all_constant_cocycles_over_s2_are_the_z2_coboundaries_of_r5():
     assert len(coboundaries) == 16
     found = all_constant_cocycles(r5, 2)  # its unpruned space 2**20 is over the cap
     assert len(found) == 16
-    assert {a.table for a in found} == coboundaries
+    assert {as_perms(a.table) for a in found} == coboundaries
 
 
 def test_constant_classes_over_trivial_base():
@@ -441,8 +454,8 @@ def test_abelian_to_constant_translations():
     mu = validate_abelian(T2, (2,), [[(0,), (1,)], [(0,), (0,)]])
     a = abelian_to_constant(mu)
     assert a.fiber_size == 2
-    assert a.table[0][1] == SWAP
-    assert a.table[0][0].is_identity()
+    assert Perm(a.table[0][1]) == SWAP
+    assert Perm(a.table[0][0]).is_identity()
 
 
 def test_abelian_to_constant_caps_the_fiber():
@@ -856,11 +869,11 @@ def test_one_changed_cell_fails_at_the_first_broken_triple(alpha, data):
         st.sampled_from([(x, y) for x in range(n) for y in range(n) if x != y])
     )
     p = data.draw(st.sampled_from([Perm(i) for i in itertools.permutations(range(s))]))
-    table = [list(row) for row in alpha.table]
+    table = [list(row) for row in as_perms(alpha.table)]
     table[x][y] = p
     expected = first_cocycle_violation(alpha.base.table, table)
     if expected is None:
-        assert validate_constant(alpha.base, s, table).table[x][y] == p
+        assert Perm(validate_constant(alpha.base, s, table).table[x][y]) == p
     else:
         with pytest.raises(CocycleViolation) as e:
             validate_constant(alpha.base, s, table)
@@ -899,12 +912,12 @@ def test_wide_fibers_fail_at_the_first_broken_triple(alpha, data):
     )
     cells = [p for other in WIDE_COCYCLES + Z8Z8_COCYCLES if other.fiber_size == s
              for row in other.table for p in row]
-    p = data.draw(st.one_of(st.sampled_from(cells), st.permutations(range(s)).map(Perm)))
-    table = [list(row) for row in alpha.table]
+    p = data.draw(st.one_of(st.sampled_from(cells), st.permutations(range(s))).map(Perm))
+    table = [list(row) for row in as_perms(alpha.table)]
     table[x][y] = p
     expected = first_cocycle_violation(alpha.base.table, table)
     if expected is None:
-        assert validate_constant(alpha.base, s, table).table[x][y] == p
+        assert Perm(validate_constant(alpha.base, s, table).table[x][y]) == p
     else:
         with pytest.raises(CocycleViolation) as e:
             validate_constant(alpha.base, s, table)
@@ -969,6 +982,46 @@ def off_diagonal_cocycles(base, s):
     return found
 
 
+def full_walk_violation(t, a):
+    """(DiagonalViolation, x) for the first x with a(x, x) other than the identity, else
+    (CocycleViolation, triple) for the triple of the walk over all n**3; None for a cocycle."""
+    diagonal = next((x for x in range(len(t)) if not a[x][x].is_identity()), None)
+    if diagonal is not None:
+        return DiagonalViolation, diagonal
+    triple = first_cocycle_violation(t, a)
+    return None if triple is None else (CocycleViolation, triple)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("base", [R3, build("dihedral", 4), build("trivial", 3),
+                                  conj_quandle(make_group("S3"))], ids=["R3", "R4", "T3", "Conj(S3)"])
+def test_perturbed_cocycles_fail_with_the_witness_of_a_full_walk(base, s):
+    """`_checked` skips the triples with x = y or y = z; its witnesses are still the first of all n**3."""
+    rng = random.Random(s * 100 + base.order)
+    seeds = ([trivial_cocycle(base, s)] + off_diagonal_cocycles(base, s)
+             + [abelian_to_constant(rep) for rep in compute_h2(base, (s,))[1]])
+    n, perms = base.order, [Perm(p) for p in itertools.permutations(range(s))]
+    seen = set()
+    for _ in range(60):
+        alpha = push_through_lambda(rng.choice(seeds), random_lambda(rng, n, s))
+        table = [list(row) for row in as_perms(alpha.table)]
+        for _ in range(rng.choice((1, 2))):
+            table[rng.randrange(n)][rng.randrange(n)] = rng.choice(perms)
+        expected = full_walk_violation(base.table, table)
+        seen.add(None if expected is None else expected[0])
+        if expected is None:
+            assert as_perms(validate_constant(base, s, table).table) == tuple(map(tuple, table))
+        else:
+            kind, witness = expected
+            with pytest.raises(kind) as e:
+                validate_constant(base, s, table)
+            assert (e.value.x if kind is DiagonalViolation else e.value.triple) == witness
+    kinds = {None, DiagonalViolation, CocycleViolation}
+    if s == 2 and base.table == build("trivial", 3).table:
+        kinds.remove(CocycleViolation)  # a trivial base asks only that a row's entries commute
+    assert seen == kinds
+
+
 # Seeds for the gauge action over trivial 2-3 and dihedral 3-4 with fibers 2-3:
 # every cocycle where the search is cheap, else the off-diagonal ones.
 GAUGE_SEEDS = VALID_COCYCLES + [
@@ -993,11 +1046,11 @@ def test_act_is_the_gauge_action_that_lift_realizes(seed, rng):
     thetas1, thetas2 = random_lambda(rng, n, s), random_lambda(rng, n, s)
     beta = act(phi2, thetas2, alpha)
     gamma = lift(phi2, thetas2, s)
-    assert _first_unpreserved(extend(alpha).table, extend(beta).table, gamma.images) is None
+    assert _first_unpreserved(extend(alpha).table, extend(beta).table, gamma) is None
     # act(phi1, thetas1) after act(phi2, thetas2) is act(phi1 phi2, x -> thetas1[phi2 x] thetas2[x])
     composite = tuple(thetas1[phi2(x)] * thetas2[x] for x in range(n))
     assert act(phi1, thetas1, beta).table == act(phi1 * phi2, composite, alpha).table
-    assert lift(phi1, thetas1, s) * gamma == lift(phi1 * phi2, composite, s)
+    assert Perm(lift(phi1, thetas1, s)) * Perm(gamma) == Perm(lift(phi1 * phi2, composite, s))
 
 
 def oracle_cohomologous(alpha, beta):
@@ -1013,7 +1066,7 @@ def oracle_cohomologous(alpha, beta):
             while queue and ok:
                 x = queue.pop()
                 for y in range(n):
-                    forced = beta.table[x][y] * assignment[x] * alpha.table[x][y].inverse()
+                    forced = Perm(beta.table[x][y]) * assignment[x] * Perm(alpha.table[x][y]).inverse()
                     target = t[x][y]
                     if target not in assignment:
                         assignment[target] = forced
@@ -1027,7 +1080,7 @@ def oracle_cohomologous(alpha, beta):
                 break
         else:
             return None
-    return tuple(lam)
+    return tuple(p.images for p in lam)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1077,7 +1130,7 @@ def oracle_constant_cocycles(base, s):
 @pytest.mark.parametrize("base", [T2, R3], ids=["trivial2", "dihedral3"])
 @pytest.mark.parametrize("s", [2, 3])
 def test_all_constant_cocycles_match_the_perm_product_backtrack(base, s):
-    assert [a.table for a in all_constant_cocycles(base, s)] == oracle_constant_cocycles(base, s)
+    assert [as_perms(a.table) for a in all_constant_cocycles(base, s)] == oracle_constant_cocycles(base, s)
 
 
 def oracle_stabilizer(alpha):
@@ -1087,7 +1140,7 @@ def oracle_stabilizer(alpha):
     lexicographic order, and (phi, theta) is kept when alpha pulled back
     along phi equals theta alpha theta^-1, so the pairs come out sorted.
     """
-    n, s, t, a = alpha.base.order, alpha.fiber_size, alpha.base.table, alpha.table
+    n, s, t, a = alpha.base.order, alpha.fiber_size, alpha.base.table, as_perms(alpha.table)
     gauged = []
     for images in itertools.permutations(range(s)):
         theta = Perm(images)

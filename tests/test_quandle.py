@@ -317,7 +317,7 @@ def test_aut_of_trivial_quandle_is_the_symmetric_group(n):
     # every permutation preserves x * y = x
     group = aut(build("trivial", n), cap=n)
     assert group.order == factorial(n)
-    adjacent = [Perm.transposition(n, k, k + 1) for k in reversed(range(n - 1))]
+    adjacent = [Perm((*range(k), k + 1, k, *range(k + 2, n))) for k in reversed(range(n - 1))]
     assert list(group.generators) == adjacent
 
 
