@@ -29,7 +29,6 @@ from . import fingroup
 from . import quandle as quandlemod
 from . import theorems
 from .errors import CapExceeded, ParseError, QuandleKitError, _cap_flag
-from .perm import Perm
 from .quandle import Quandle
 
 
@@ -68,8 +67,8 @@ class _Inputs:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise QuandleKitError(f"{path} is not valid JSON: {exc}") from exc
 
-    def load_doc(self, path: str, expected: tuple):
-        """Load a JSON document and read it by its top-level kind field."""
+    def load_doc(self, path: str, expected: tuple, cap: int | None = None):
+        """Load a JSON document and read it by its top-level kind field, up to an order `cap`."""
         doc = self.load_json(path)
         if not isinstance(doc, dict):
             raise QuandleKitError(f"{path}: expected a JSON object")
@@ -82,6 +81,9 @@ class _Inputs:
             raise QuandleKitError(
                 f"{path}: kind {kind!r} not usable here (expected one of {', '.join(expected)})"
             )
+        order = doc.get("order")
+        if cap is not None and type(order) is int and order > cap:
+            raise CapExceeded(f"quandle order {order} exceeds the construction cap {cap}")
         return _FILE_READERS[kind](doc)
 
 
@@ -119,8 +121,8 @@ def _source_quandle(args, inputs: _Inputs) -> Quandle:
             images = inputs.load_json(autfile)
             if not isinstance(images, list) or not all(type(i) is int for i in images):
                 raise QuandleKitError(f"{autfile}: expected a JSON array of integer images")
-            return fingroup.alexander_quandle(group, Perm(images))
-    return inputs.load_doc(args.file, ("quandle",))
+            return fingroup.alexander_quandle(group, images)
+        return inputs.load_doc(args.file, ("quandle",), cap)
 
 
 _COEFF_RE = re.compile(r"^Z(\d+)$")
@@ -178,7 +180,9 @@ def _group(args, inputs):
 
 
 def _iso(args, inputs):
-    q1, q2 = (inputs.load_doc(path, ("quandle",)) for path in (args.file1, args.file2))
+    cap = _cap_group(args)
+    with _cap_flag("--cap-group"):
+        q1, q2 = (inputs.load_doc(path, ("quandle",), cap) for path in (args.file1, args.file2))
     witness = quandlemod.find_isomorphism(q1, q2)
     results = {
         "isomorphic": witness is not None,

@@ -245,7 +245,7 @@ def act(phi: Perm, thetas, alpha: ConstantCocycle) -> ConstantCocycle:
     Returns the validated beta(phi x, phi y) = thetas[x*y] alpha(x, y) thetas[x]^-1;
     lift(phi, thetas, s) maps extend(alpha) onto extend(beta).
     """
-    _require_automorphism(alpha.base.table, phi)
+    _require_automorphism(alpha.base.table, phi.images)
     if len(thetas) != alpha.base.order:
         raise ValueError(f"need one fiber permutation per base element, got {len(thetas)}")
     if any(len(theta.images) != alpha.fiber_size for theta in thetas):

@@ -6,6 +6,9 @@ carrier.  The second glues two quandles into one structure on their
 disjoint union, driven by a pair of mutually coherent maps into each
 other's automorphism groups; doubling an involutory quandle is the special
 case where both maps send elements to their own right translations.
+
+Assigned and glue maps are image tuples, validated once on the way in and
+composed by `perm._compose`; no condition needs an inverse.
 """
 
 from __future__ import annotations
@@ -28,11 +31,29 @@ from .perm import Perm, _compose
 from .quandle import Quandle, _require_automorphism, is_involutory
 
 
-def _as_perm(p, degree: int, what: str) -> Perm:
-    p = p if isinstance(p, Perm) else Perm(require_ints(p, what))
-    if len(p.images) != degree:
+def _images(p, degree: int, what: str) -> tuple:
+    images = p.images if isinstance(p, Perm) else Perm(require_ints(p, what)).images
+    if len(images) != degree:
         raise ValueError(f"{what} must act on {degree} points")
-    return p
+    return images
+
+
+def _checked_assignment(group: FiniteGroup, assignment) -> tuple:
+    """The maps of an assignment, validated once, and its first incompatible pair or None.
+
+    (x, y) is incompatible when f_{f_x(y)} f_x != f_x f_y, that is f_{f_x(y)} != f_x f_y f_x^-1.
+    """
+    n = group.order
+    maps = [_images(p, n, "assignment entry") for p in assignment]
+    if len(maps) != n:
+        raise ValueError(f"need one automorphism per element, got {len(maps)}")
+    for f in maps:
+        _require_automorphism(group.table, f)
+    for x, fx in enumerate(maps):
+        for y in range(n):
+            if _compose(maps[fx[y]], fx) != _compose(fx, maps[y]):
+                return maps, (x, y)
+    return maps, None
 
 
 def is_compatible(group: FiniteGroup, assignment) -> tuple:
@@ -41,25 +62,15 @@ def is_compatible(group: FiniteGroup, assignment) -> tuple:
     Each entry must itself be a group automorphism.  Returns (True, None)
     or (False, (x, y)) with the first failing pair.
     """
-    n = group.order
-    maps = [_as_perm(p, n, "assignment entry") for p in assignment]
-    if len(maps) != n:
-        raise ValueError(f"need one automorphism per element, got {len(maps)}")
-    for p in maps:
-        _require_automorphism(group.table, p)
-    for x in range(n):
-        inv = maps[x].inverse()
-        for y in range(n):
-            if maps[maps[x](y)] != maps[x] * maps[y] * inv:
-                return False, (x, y)
-    return True, None
+    _, witness = _checked_assignment(group, assignment)
+    return witness is None, witness
 
 
 def inner_assignment(group: FiniteGroup) -> list:
     """The assignment sending each g to conjugation h -> g h g^{-1}: column g^{-1}, then row g."""
     rows, inverses = group.table, group.inverses
     columns = list(zip(*rows))
-    return [Perm._trusted(_compose(rows[g], columns[inverses[g]])) for g in range(group.order)]
+    return [_compose(rows[g], columns[inverses[g]]) for g in range(group.order)]
 
 
 def quandle_from_compatible(group: FiniteGroup, assignment) -> Quandle:
@@ -68,24 +79,21 @@ def quandle_from_compatible(group: FiniteGroup, assignment) -> Quandle:
     Requires compatibility and that every assigned map fixes its own
     element; the finished table is validated again.
     """
-    ok, witness = is_compatible(group, assignment)
-    if not ok:
+    maps, witness = _checked_assignment(group, assignment)
+    if witness is not None:
         raise ValueError(f"assignment is not compatible; first failure at {witness}")
-    n = group.order
-    maps = [_as_perm(p, n, "assignment entry") for p in assignment]
-    for x in range(n):
-        if maps[x](x) != x:
+    for x, f in enumerate(maps):
+        if f[x] != x:
             raise FixedPointHypothesisViolated(x)
-    table = [[maps[y](x) for y in range(n)] for x in range(n)]
-    return Quandle.from_table(table, labels=group.labels)
+    return Quandle.from_table(list(zip(*maps)), labels=group.labels)
 
 
 @dataclass(frozen=True)
 class UnionSpec:
     """Gluing data for a quandle structure on a disjoint union.
 
-    sigma assigns to each element of q1 an automorphism of q2; tau goes
-    the other way.  Indices of q1 come first in the glued quandle.
+    sigma assigns to each element of q1 an automorphism of q2 (its image
+    tuple); tau goes the other way.  Indices of q1 come first in the union.
     """
 
     q1: Quandle
@@ -98,8 +106,8 @@ class UnionSpec:
             "kind": "union_spec",
             "q1": self.q1.to_json(),
             "q2": self.q2.to_json(),
-            "sigma": [list(p.images) for p in self.sigma],
-            "tau": [list(p.images) for p in self.tau],
+            "sigma": [list(p) for p in self.sigma],
+            "tau": [list(p) for p in self.tau],
         }
 
     @classmethod
@@ -114,8 +122,8 @@ class UnionSpec:
 
 
 def make_union_spec(q1: Quandle, q2: Quandle, sigma, tau) -> UnionSpec:
-    sigma = tuple(_as_perm(p, q2.order, "sigma entry") for p in sigma)
-    tau = tuple(_as_perm(p, q1.order, "tau entry") for p in tau)
+    sigma = tuple(_images(p, q2.order, "sigma entry") for p in sigma)
+    tau = tuple(_images(p, q1.order, "tau entry") for p in tau)
     if len(sigma) != q1.order:
         raise ValueError("sigma needs one entry per element of q1")
     if len(tau) != q2.order:
@@ -130,21 +138,10 @@ def assemble_union_table(q1: Quandle, q2: Quandle, sigma, tau) -> list:
     use union_quandle for anything real.
     """
     n1, n2 = q1.order, q2.order
-    total = n1 + n2
-    table = [[0] * total for _ in range(total)]
-    for x in range(n1):
-        for y in range(n1):
-            table[x][y] = q1.table[x][y]
-    for x in range(n2):
-        for y in range(n2):
-            table[n1 + x][n1 + y] = n1 + q2.table[x][y]
-    for x in range(n1):
-        for y in range(n2):
-            table[x][n1 + y] = tau[y](x)
-    for y in range(n2):
-        for x in range(n1):
-            table[n1 + y][x] = n1 + sigma[x](y)
-    return table
+    upper = [[*row, *(tau[y][x] for y in range(n2))] for x, row in enumerate(q1.table)]
+    lower = [[*(n1 + sigma[x][y] for x in range(n1)), *(n1 + v for v in row)]
+             for y, row in enumerate(q2.table)]
+    return upper + lower
 
 
 def union_quandle(spec: UnionSpec) -> Quandle:
@@ -160,29 +157,28 @@ def union_quandle(spec: UnionSpec) -> Quandle:
         _require_automorphism(q1.table, p)
     t1, t2 = q1.table, q2.table
     n1, n2 = q1.order, q2.order
+    # sigma_{x*y} = sigma_y sigma_x sigma_y^-1, compared as sigma_{x*y} sigma_y = sigma_y sigma_x
     for x in range(n1):
         for y in range(n1):
-            if sigma[t1[x][y]] != sigma[y] * sigma[x] * sigma[y].inverse():
+            if _compose(sigma[t1[x][y]], sigma[y]) != _compose(sigma[y], sigma[x]):
                 raise SigmaNotHom(f"sigma breaks the product at ({x}, {y})")
     for x in range(n2):
         for y in range(n2):
-            if tau[t2[x][y]] != tau[y] * tau[x] * tau[y].inverse():
+            if _compose(tau[t2[x][y]], tau[y]) != _compose(tau[y], tau[x]):
                 raise TauNotHom(f"tau breaks the product at ({x}, {y})")
     for x in range(n1):
         for y in range(n1):
             for z in range(n2):
-                if t1[tau[z](x)][y] != tau[sigma[y](z)](t1[x][y]):
+                if t1[tau[z][x]][y] != tau[sigma[y][z]][t1[x][y]]:
                     raise Condition1Violated(x, y, z)
     for x in range(n2):
         for y in range(n2):
             for z in range(n1):
-                if t2[sigma[z](x)][y] != sigma[tau[y](z)](t2[x][y]):
+                if t2[sigma[z][x]][y] != sigma[tau[y][z]][t2[x][y]]:
                     raise Condition2Violated(x, y, z)
     labels = None
     if q1.labels is not None and q2.labels is not None:
-        labels = tuple(f"1.{lab}" for lab in q1.labels) + tuple(
-            f"2.{lab}" for lab in q2.labels
-        )
+        labels = (*(f"1.{lab}" for lab in q1.labels), *(f"2.{lab}" for lab in q2.labels))
     return Quandle.from_table(assemble_union_table(q1, q2, sigma, tau), labels=labels)
 
 
@@ -190,7 +186,5 @@ def involutory_double(q: Quandle) -> Quandle:
     """Glue two copies of an involutory quandle along right translations."""
     if not is_involutory(q):
         raise NotInvolutory("doubling requires an involutory quandle")
-    cols = tuple(
-        Perm(tuple(q.table[z][x] for z in range(q.order))) for x in range(q.order)
-    )
+    cols = tuple(zip(*q.table))
     return union_quandle(make_union_spec(q, q, cols, cols))

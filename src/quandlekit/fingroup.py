@@ -216,7 +216,7 @@ def alexander_quandle(group: FiniteGroup, phi: Perm | Sequence[int]) -> Quandle:
     if not is_abelian(group):
         raise NotAbelian("the carrier group must be abelian")
     p = phi if isinstance(phi, Perm) else Perm(phi)
-    _require_automorphism(group.table, p, "phi")
+    _require_automorphism(group.table, p.images, "phi")
     columns = list(zip(*group.table))
     translations = [_compose(columns[y], _compose(p.images, columns[y_inv]))
                     for y, y_inv in enumerate(group.inverses)]

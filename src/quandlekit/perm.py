@@ -36,16 +36,18 @@ def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
 
 
 class Perm:
-    """A permutation stored as its tuple of images.
+    """A validated permutation: the constructor checks that its images are ints rearranging 0..n-1.
 
-    Composition is function composition: (p * q)(x) == p(q(x)).  The
-    constructor checks the images; products and inverses need no check.
+    The package composes and inverts image tuples with `_compose` and `_invert`.
+    The product is function composition: (p * q)(x) == p(q(x)).
     """
 
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
+        if not set(map(type, images)) <= {int}:
+            raise ValueError(f"images must be ints: {images!r}")
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a rearrangement of 0..{len(images) - 1}: {images!r}")
         _set_images(self, images)
@@ -73,12 +75,6 @@ class Perm:
         if len(si) != len(oi):
             raise ValueError("degree mismatch")
         return Perm._trusted(_compose(si, oi))
-
-    def inverse(self) -> "Perm":
-        return Perm._trusted(_invert(self.images))
-
-    def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images

@@ -164,11 +164,11 @@ def _axiom3_witness(rows, columns) -> tuple[int, int, int] | None:
     return min(witnesses, default=None)
 
 
-def _require_automorphism(table, p: Perm, what: str = "map") -> None:
-    """Raise NotAutomorphism unless p is a permutation of the table's elements preserving it."""
-    if len(p.images) != len(table):
-        raise NotAutomorphism(f"{what} has degree {len(p.images)}, not {len(table)}")
-    pair = _first_unpreserved(table, table, p.images)
+def _require_automorphism(table, images, what: str = "map") -> None:
+    """Raise NotAutomorphism unless the permutation `images` preserves the table."""
+    if len(images) != len(table):
+        raise NotAutomorphism(f"{what} has degree {len(images)}, not {len(table)}")
+    pair = _first_unpreserved(table, table, images)
     if pair is not None:
         raise NotAutomorphism(f"{what} breaks the product at {pair}")
 

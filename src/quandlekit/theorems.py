@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedSpec,
     _cap_flag,
 )
-from .perm import Perm, PermGroup, _cycle_type
+from .perm import Perm, PermGroup, _compose, _cycle_type, _invert
 from .quandle import _first_unpreserved
 
 GROUP_CATALOG = (
@@ -175,13 +175,13 @@ def _suite_two_generator_envelope(options: dict) -> list:
         }
     )
 
-    images = [Perm((1, 0, 2)), Perm((0, 2, 1))]
-    letters = {(g, e): x if e > 0 else x.inverse() for g, x in enumerate(images) for e in (1, -1)}
+    images = [(1, 0, 2), (0, 2, 1)]
+    letters = {(g, e): x if e > 0 else _invert(x) for g, x in enumerate(images) for e in (1, -1)}
     relators_hold = all(
-        functools.reduce(Perm.__mul__, map(letters.get, rel)).is_identity()
+        functools.reduce(_compose, map(letters.get, rel)) == (0, 1, 2)
         for rel in _BRAID_STYLE.relators
     )
-    image = PermGroup(3, [g.images for g in images])
+    image = PermGroup(3, images)
     cases.append(
         {
             "case": "symmetric_image_two_generators",
@@ -324,7 +324,7 @@ def _conj_bound_case(tid: str, row, options) -> dict:
 
 
 def _central_translations(group):
-    return [(a, Perm(group.table[a])) for a in fingroup.center(group)]
+    return [(a, group.table[a]) for a in fingroup.center(group)]
 
 
 def _core_subgroup_case(group, options) -> dict:
@@ -341,14 +341,14 @@ def _core_subgroup_case(group, options) -> dict:
     autg = fingroup.automorphism_group(group)
     translations = _central_translations(group)
     members_ok = all(_preserves(core.table, p.images) for p in autg.generators) and all(
-        _preserves(core.table, p.images) for _, p in translations
+        _preserves(core.table, p) for _, p in translations
     )
     transported = all(
-        phi * p * phi.inverse() == Perm(group.table[phi(a)])
+        _compose(phi.images, p) == _compose(group.table[phi(a)], phi.images)
         for phi in autg.generators
         for a, p in translations
     )
-    sub = PermGroup(group.order, [*autg.strong_generators, *(p.images for _, p in translations)])
+    sub = PermGroup(group.order, [*autg.strong_generators, *(p for _, p in translations)])
     expected = len(translations) * autg.order
     with _cap_flag("--cap-order"):
         total = quandlemod.aut(core, cap=cap_order).order
@@ -441,14 +441,15 @@ def _reflection_case(components, cap) -> dict:
     m = math.lcm(*components) // 2
     group = fingroup.make_group(_cyclic_sum_name(components), cap=cap)
     q = fingroup.core_quandle(group)
-    gens = quandlemod.inner_generators(q)
+    gens = [p.images for p in quandlemod.inner_generators(q)]
+    identity = tuple(range(group.order))
     n_counted = len(gens)
     n_formula = math.prod(c if c % 2 else c // 2 for c in components)
     n_doubled = len({group.table[e][e] for e in range(group.order)})
-    involutions_ok = all((p * p).is_identity() for p in gens)
+    involutions_ok = all(_compose(p, p) == identity for p in gens)
     # (p1 p2)^m = 1 exactly when the order of p1 p2 divides m
     braid_ok = all(
-        m % math.lcm(*_cycle_type((p1 * p2).images)) == 0 for p1 in gens for p2 in gens
+        m % math.lcm(*_cycle_type(_compose(p1, p2))) == 0 for p1 in gens for p2 in gens
     )
     inn_order = quandlemod.inn(q).order
     coxeter_order = _coxeter_group_order(n_counted, m)
@@ -503,28 +504,25 @@ def _elementary_powers(options):
 def _elementary_inner_case(k, options) -> dict:
     """Inner groups of order-4 cyclic powers are elementary abelian.
 
-    For k components the quandle has 2^k distinct translations, all
-    commuting involutions, so the inner group is elementary abelian.  The
-    comparison group of order 2^(2^k) is only an upper bound: for k = 2 the
-    four generators multiply out to the identity and the inner group is a
-    proper quotient, so the order comparison stays report mode.
+    This is the reflection case of Z4^k, with relation exponent 2: its braid
+    relations say that the involutions commute, and its Coxeter group, of
+    order 2^(2^k), is the comparison group.  The quandle has 2^k distinct
+    translations, all commuting involutions, so the inner group is
+    elementary abelian.  The comparison order is only an upper bound: for
+    k = 2 the four generators multiply out to the identity and the inner
+    group is a proper quotient, so the order comparison stays report mode.
     """
-    cap = options.get("cap_group", fingroup.DEFAULT_GROUP_CAP)
-    q = fingroup.core_quandle(fingroup.make_group(_cyclic_sum_name((4,) * k), cap=cap))
-    gens = quandlemod.inner_generators(q)
-    involutions = all((p * p).is_identity() for p in gens)
-    commuting = all(p1 * p2 == p2 * p1 for p1 in gens for p2 in gens)
-    order = quandlemod.inn(q).order
-    elementary = involutions and commuting
+    case = _reflection_case((4,) * k, options.get("cap_group", fingroup.DEFAULT_GROUP_CAP))
+    involutions, commuting = case["involution_relations_hold"], case["braid_relations_hold"]
     return {
-        "distinct_translations": len(gens),
-        "inn_order": order,
+        "distinct_translations": case["distinct_translations"],
+        "inn_order": case["inn_order"],
         "all_involutions": involutions,
         "all_commute": commuting,
-        "comparison_order": 2 ** (2**k),
-        "orders_match": order == 2 ** (2**k),
-        "mismatch_flag": order != 2 ** (2**k),
-        "passed": len(gens) == 2**k and elementary,
+        "comparison_order": case["coxeter_order"],
+        "orders_match": case["orders_match"],
+        "mismatch_flag": case["mismatch_flag"],
+        "passed": case["distinct_translations"] == 2**k and involutions and commuting,
     }
 
 
@@ -542,17 +540,16 @@ def _suite_r4_aut_structure(options: dict) -> list:
     aut_q = quandlemod.aut(q)
     inn_q = quandlemod.inn(q)
     phi = Perm((1, 0, 3, 2))
-    s0 = Perm(tuple(q.table[x][0] for x in range(4)))
-    s1 = Perm(tuple(q.table[x][1] for x in range(4)))
-    klein = PermGroup(4, [s0.images, s1.images])
+    s0, s1, *_ = zip(*q.table)
+    conjugates = _compose(phi.images, s0) == _compose(s1, phi.images)  # phi s0 phi^-1 = s1
+    klein = PermGroup(4, [s0, s1])
     iso = (
         klein.order == 4
-        and s0 * s1 == s1 * s0
-        and (s0 * s0).is_identity()
-        and (phi * phi).is_identity()
+        and _compose(s0, s1) == _compose(s1, s0)
+        and _compose(s0, s0) == _compose(phi.images, phi.images) == (0, 1, 2, 3)
         and phi not in klein
-        and phi * s0 * phi.inverse() == s1
-        and PermGroup(4, [s0.images, s1.images, phi.images]) == aut_q
+        and conjugates
+        and PermGroup(4, [s0, s1, phi.images]) == aut_q
     )
     return [
         {
@@ -572,7 +569,7 @@ def _suite_r4_aut_structure(options: dict) -> list:
         },
         {
             "case": "swap_conjugates_translations",
-            "passed": phi * s0 * phi.inverse() == s1,
+            "passed": conjugates,
         },
     ]
 
@@ -855,7 +852,7 @@ def _suite_r4_quasi_inner(options: dict) -> list:
 def _compatible_maps_case(group, options) -> dict:
     """The identity and conjugation assignments give the trivial and conjugation quandles."""
     n = group.order
-    identity = [Perm.identity(n)] * n
+    identity = [tuple(range(n))] * n
     ok_id, _ = constructmod.is_compatible(group, identity)
     from_id = constructmod.quandle_from_compatible(group, identity)
     trivial_ok = all(from_id.table[x][y] == x for x in range(n) for y in range(n))
@@ -887,8 +884,8 @@ def _suite_compatible_maps(options: dict) -> list:
         max_order = options["max_order"]
         raise QuandleKitError(f"suite 9.1 has no catalog group with max_order {max_order}")
     z3 = fingroup.cyclic_group(3)
-    inversion = Perm((0, 2, 1))
-    assignment = [Perm.identity(3), inversion, inversion]
+    inversion = (0, 2, 1)
+    assignment = [(0, 1, 2), inversion, inversion]
     compatible, _ = constructmod.is_compatible(z3, assignment)
     try:
         constructmod.quandle_from_compatible(z3, assignment)
@@ -922,9 +919,7 @@ def _suite_union_gluing(options: dict) -> list:
 
     two = quandlemod.build("trivial", 2)
     one = quandlemod.build("trivial", 1)
-    spec = constructmod.make_union_spec(
-        two, one, [Perm.identity(1), Perm.identity(1)], [Perm((1, 0))]
-    )
+    spec = constructmod.make_union_spec(two, one, [(0,), (0,)], [(1, 0)])
     glued = constructmod.union_quandle(spec)
     expected = ((0, 0, 1), (1, 1, 0), (2, 2, 2))
     joyce = quandlemod.Quandle.from_table([list(r) for r in _JOYCE_TABLE])
@@ -967,13 +962,14 @@ def _suite_union_gluing(options: dict) -> list:
     for _ in range(trials):
         sigma = [aut2[rng.randrange(len(aut2))] for _ in range(q1.order)]
         tau = [aut1[rng.randrange(len(aut1))] for _ in range(q2.order)]
+        spec = constructmod.make_union_spec(q1, q2, sigma, tau)
         try:
-            constructmod.union_quandle(constructmod.make_union_spec(q1, q2, sigma, tau))
+            constructmod.union_quandle(spec)
             accidental += 1
             continue
         except QuandleKitError:
             pass
-        table = constructmod.assemble_union_table(q1, q2, sigma, tau)
+        table = constructmod.assemble_union_table(q1, q2, spec.sigma, spec.tau)
         try:
             quandlemod.Quandle.from_table(table)
             broken += 1

@@ -1040,6 +1040,40 @@ def test_source_cap_is_raised_by_cap_group(capsys):
     assert report["results"]["order"] == 201
 
 
+TRIVIAL_201 = {"kind": "quandle", "order": 201, "table": [[x] * 201 for x in range(201)]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "--file", "{big}"], ["iso", "{big}", "{small}"], ["iso", "{small}", "{big}"]],
+    ids=["build", "iso-first", "iso-second"],
+)
+def test_quandle_files_are_capped_before_validating(argv, tmp_path, capsys, monkeypatch, r3_file):
+    big = _write(tmp_path, TRIVIAL_201)
+    from_table = quandle.Quandle.from_table
+
+    def small_only(table, labels=None):
+        assert len(table) <= 200, "a table past the construction cap was validated"
+        return from_table(table, labels)
+
+    monkeypatch.setattr(quandle.Quandle, "from_table", small_only)
+    code, captured = invoke([a.format(big=big, small=r3_file) for a in argv], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert ("quandle order 201 exceeds the construction cap 200 "
+            "(raise it with --cap-group)") in captured.err
+
+
+def test_quandle_file_cap_is_raised_by_cap_group(tmp_path, capsys, r3_file):
+    big = _write(tmp_path, TRIVIAL_201)
+    code, report = report_of(["build", "--file", big, "--cap-group", "201"], capsys)
+    assert code == 0
+    assert report["results"]["order"] == 201
+    code, report = report_of(["iso", r3_file, big, "--cap-group", "201"], capsys)
+    assert code == 1
+    assert report["results"]["isomorphic"] is False
+
+
 
 _DEEP = "[" * 100_000
 _HUGE = str(10**20)

@@ -33,6 +33,7 @@ from quandlekit.fingroup import (
 )
 from quandlekit.perm import Perm
 from quandlekit.quandle import Quandle, aut, build, is_isomorphic, orbit_partition
+from quandlekit.theorems import CATALOG, run_suite
 
 R3 = build("dihedral", 3)
 JOYCE_PAPER_ORDER = [[0, 2, 0], [1, 1, 1], [2, 0, 2]]
@@ -261,3 +262,87 @@ def test_union_labels_are_prefixed():
     q = conj_quandle(cyclic_group(2))
     doubled = involutory_double(q)
     assert doubled.labels == ("1.0", "1.1", "2.0", "2.1")
+
+
+def test_no_suite_or_construction_multiplies_perms(monkeypatch):
+    """Every catalog suite and construction composes image tuples, never `Perm`s."""
+    def refuse(*args):
+        raise AssertionError("a Perm was multiplied")
+
+    monkeypatch.setattr(Perm, "__mul__", refuse)
+    for tid in CATALOG:
+        assert run_suite(tid)["passed"], tid
+    s3, z4 = symmetric_group_table(3), cyclic_group(4)
+    inversion = Perm((0, 3, 2, 1))
+    assert is_compatible(s3, inner_assignment(s3)) == (True, None)
+    maps = [Perm.identity(4), inversion, Perm.identity(4), Perm.identity(4)]
+    assert is_compatible(z4, maps) == (False, (1, 1))
+    assert quandle_from_compatible(s3, inner_assignment(s3)).table == conj_quandle(s3, -1).table
+    with pytest.raises(FixedPointHypothesisViolated):
+        quandle_from_compatible(cyclic_group(3), [(0, 1, 2), (0, 2, 1), (0, 2, 1)])
+    two, one = build("trivial", 2), build("trivial", 1)
+    spec = make_union_spec(two, one, [Perm.identity(1)] * 2, [Perm((1, 0))])
+    assert union_quandle(spec).table == ((0, 0, 1), (1, 1, 0), (2, 2, 2))
+    rotate, reflect = Perm((1, 2, 3, 0)), Perm((0, 3, 2, 1))
+    with pytest.raises(SigmaNotHom):
+        union_quandle(make_union_spec(two, build("dihedral", 4), [rotate, reflect], [(0, 1)] * 4))
+    with pytest.raises(Condition1Violated):
+        union_quandle(make_union_spec(R3, one, [(0,)] * 3, [(1, 2, 0)]))
+    assert involutory_double(R3).order == 6
+
+
+def outcome(f, *args):
+    """What a call gives: its result, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def as_arrays(maps):
+    return [list(p.images) for p in maps]
+
+
+Z4_INVERSION = Perm((0, 3, 2, 1))
+ASSIGNMENTS = {
+    "identity": (cyclic_group(3), [Perm.identity(3)] * 3),
+    "inner": (make_group("D4"), [Perm(p) for p in inner_assignment(make_group("D4"))]),
+    "fixed_point": (cyclic_group(3), [Perm.identity(3), Perm((0, 2, 1)), Perm((0, 2, 1))]),
+    "incompatible": (cyclic_group(4), [Perm.identity(4), Z4_INVERSION, *[Perm.identity(4)] * 2]),
+    "not_automorphism": (cyclic_group(3), [Perm((1, 0, 2))] * 3),
+    "too_few": (cyclic_group(3), [Perm.identity(3)] * 2),
+    "wrong_degree": (cyclic_group(3), [Perm.identity(4)] * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSIGNMENTS))
+def test_assignments_read_the_same_as_perms_and_as_int_arrays(name):
+    group, maps = ASSIGNMENTS[name]
+    assert outcome(is_compatible, group, maps) == outcome(is_compatible, group, as_arrays(maps))
+    built = [outcome(quandle_from_compatible, group, m) for m in (maps, as_arrays(maps))]
+    assert built[0] == built[1]
+
+
+_ROTATE, _REFLECT = Perm((1, 2, 3, 0)), Perm((0, 3, 2, 1))
+GLUES = {
+    "identity": (R3, build("dihedral", 4), [Perm.identity(4)] * 3, [Perm.identity(3)] * 4),
+    "joyce": (build("trivial", 2), build("trivial", 1), [Perm.identity(1)] * 2, [Perm((1, 0))]),
+    "sigma_not_hom": (build("trivial", 2), build("dihedral", 4), [_ROTATE, _REFLECT],
+                      [Perm.identity(2)] * 4),
+    "tau_not_hom": (build("dihedral", 4), build("trivial", 2), [Perm.identity(2)] * 4,
+                    [_ROTATE, _REFLECT]),
+    "condition1": (R3, build("trivial", 1), [Perm.identity(1)] * 3, [Perm((1, 2, 0))]),
+    "condition2": (build("trivial", 1), R3, [Perm((1, 2, 0))], [Perm.identity(1)] * 3),
+    "short_sigma": (R3, R3, [Perm.identity(3)] * 2, [Perm.identity(3)] * 3),
+    "wrong_degree": (R3, R3, [Perm.identity(4)] * 3, [Perm.identity(3)] * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GLUES))
+def test_union_specs_read_the_same_as_perms_and_as_int_arrays(name):
+    q1, q2, sigma, tau = GLUES[name]
+    specs = [outcome(make_union_spec, q1, q2, sigma, tau),
+             outcome(make_union_spec, q1, q2, as_arrays(sigma), as_arrays(tau))]
+    assert specs[0] == specs[1]
+    if isinstance(specs[0], UnionSpec):
+        assert outcome(union_quandle, specs[0]) == outcome(union_quandle, specs[1])

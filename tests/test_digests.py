@@ -322,6 +322,34 @@ def test_pretty_suite_output_is_pinned(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == PRETTY_SUITES_DIGEST
 
 
+# Recorded while suite 5.5 built and checked its Z4^k case itself, before it
+# read the case from suite 5.3's reflection check.  Each pin is the report
+# digest and the sha256 of the `--pretty` stdout, which sees key order.
+ELEMENTARY_SUITE_DIGESTS = {
+    "theorem 5.5 --max-order 1": (
+        "0a8a7e08ec60977cbb8b104dc86b40b33ec806bd613ed646f7eb36c5460a6e67",
+        "6cbc1431bbe9339e71c72a03d5b6441da551688988c1677877c604800192cd9d",
+    ),
+    "theorem 5.5 --max-order 3": (
+        "f58f93eeccc8140acbf617bc7c611fd1053ef6be4638a2dbc1f7aaef8201f18f",
+        "7eb7d774ab8a158ac81d7e849bb850d7a5cd85c2366dc247685d57573a8da8bc",
+    ),
+    "theorem 5.5 --max-order 4 --cap-group 256": (
+        "b92b1661df549131e2979dfef36d4fcf081931779e2dcb6544e435a5a5353b25",
+        "f6cca4d77b7e62ff85b49ff7bf186d70b5f6ca61c59ae539f50fb0ca23e40f75",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ELEMENTARY_SUITE_DIGESTS))
+def test_elementary_suite_digest_is_pinned(command, capsys):
+    digest, pretty = ELEMENTARY_SUITE_DIGESTS[command]
+    assert cli.run(command.split()) == 0
+    assert json.loads(capsys.readouterr().out)["report_digest"] == digest
+    assert cli.run([*command.split(), "--pretty"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pretty
+
+
 # Recorded while `aut` closed its generators by Dimino's algorithm, listed
 # all 9! elements and picked the generators greedily over the sorted list,
 # before the group became a stabilizer chain with lazy elements.

@@ -396,7 +396,7 @@ def test_group_quandles_match_table_products(spec):
     core = core_quandle(g).table
     assert all(core[x][y] == t[t[y][inv[x]]][y] for x in range(n) for y in range(n))
     assignment = inner_assignment(g)
-    assert all(assignment[a](h) == t[t[a][h]][inv[a]] for a in range(n) for h in range(n))
+    assert all(assignment[a][h] == t[t[a][h]][inv[a]] for a in range(n) for h in range(n))
     if is_abelian(g):
         for phi in automorphism_group(g).generators:
             alex = alexander_quandle(g, phi).table
@@ -453,6 +453,12 @@ def test_alexander_quandle_validation():
         alexander_quandle(symmetric_group_table(3), tuple(range(6)))
     with pytest.raises(NotAutomorphism):
         alexander_quandle(g, (0, 2, 1, 3, 4))
+
+
+@pytest.mark.parametrize("images", [[0.0, 2.0, 4.0, 1.0, 3.0], [0, 2, 4, 1, True]])
+def test_alexander_quandle_refuses_images_that_are_not_ints(images):
+    with pytest.raises(ValueError, match="images must be ints"):
+        alexander_quandle(make_group("Z5"), images)
 
 
 def test_automorphism_checks_name_the_map_and_the_witness():
