@@ -81,9 +81,12 @@ class _Inputs:
             raise QuandleKitError(
                 f"{path}: kind {kind!r} not usable here (expected one of {', '.join(expected)})"
             )
-        order = doc.get("order")
-        if cap is not None and type(order) is int and order > cap:
-            raise CapExceeded(f"quandle order {order} exceeds the construction cap {cap}")
+        parts = (doc.get("q1"), doc.get("q2")) if kind == "union_spec" else (doc,)
+        orders = [part.get("order") for part in parts if isinstance(part, dict)]
+        total = sum(order for order in orders if type(order) is int and order > 0)
+        if cap is not None and total > cap:
+            noun = "union" if kind == "union_spec" else "quandle"
+            raise CapExceeded(f"{noun} order {total} exceeds the construction cap {cap}")
         return _FILE_READERS[kind](doc)
 
 
@@ -269,7 +272,8 @@ def _h2(args, inputs):
 
 
 def _union(args, inputs):
-    spec = inputs.load_doc(args.specfile, ("union_spec",))
+    with _cap_flag("--cap-group"):
+        spec = inputs.load_doc(args.specfile, ("union_spec",), _cap_group(args))
     return constructmod.union_quandle(spec).to_json(), {}
 
 

@@ -6,9 +6,10 @@ images of `Perm`s), and it is itself a stabilizer chain on the base 0, 1,
 ..., n-1, built by deterministic Schreier-Sims (A. Seress, Permutation
 Group Algorithms, 2003, ch. 4-5): the order is the product of the basic
 orbit lengths, membership is a sift, and iteration walks the transversals
-in sorted order, one element at a time, with no element list.  The order
-of that walk, and the greedy generators, do not depend on how the group
-was generated.
+in sorted order, one element at a time, with no element list.  The greedy
+generators are read off the same chain, level by level, by orbits of the
+ones found so far, with no second chain.  The order of the walk, and the
+greedy generators, do not depend on how the group was generated.
 """
 
 from __future__ import annotations
@@ -132,14 +133,15 @@ class PermGroup:
     added at every level whose base prefix its residue fixes, and a level
     is complete once each of its Schreier generators sifts through the
     levels below it.  Points whose orbit is {k} cost nothing beyond a
-    comparison.  Degree-1 groups have no non-identity element, so nothing
+    comparison.  Each level keeps one sifted count per orbit point, so no
+    Schreier generator is sifted twice.  Degree-1 groups have no non-identity element, so nothing
     is ever composed at degree 1.  `_gens[n]` belongs to the trivial group
     G^(n) and stays empty; it keeps `_gens[0]` defined at degree 0.
 
     Iterating walks the elements in lexicographic order of their image
-    tuples, lazily, from the chain.  The greedy generators are computed
-    only when read: walk the sorted elements and keep each one outside the
-    span of those kept before.
+    tuples, lazily, from the chain.  The greedy generators, each the least
+    element outside the span of those before, are computed only when read,
+    from the chain's own levels and the orbits of the ones found so far.
     """
 
     def __init__(self, degree: int, generators: Iterable[tuple[int, ...]] = ()):
@@ -149,10 +151,14 @@ class PermGroup:
         self._orbits = [[k] for k in range(degree)]
         self._reps = [{k: identity} for k in range(degree)]
         self._invs = [{k: identity} for k in range(degree)]
-        # the (orbit point, generator index) pairs whose Schreier generator sifts
-        self._sifted: list[set[tuple[int, int]]] = [set() for _ in range(degree)]
+        # per orbit point, how many of the level's generators have sifted there: a level's
+        # generators and orbit only grow, and each point scans its generators in order
+        self._sifted: list[dict[int, int]] = [{} for _ in range(degree)]
         for g in generators:
-            self._add(g)
+            residue, level = self._strip(g, 0)
+            if residue is not None:
+                self._insert(residue, 0, level)
+                self._complete(level)
 
     @property
     def order(self) -> int:
@@ -214,13 +220,6 @@ class PermGroup:
     def _contains(self, g) -> bool:
         return self._strip(g, 0)[0] is None
 
-    def _add(self, g) -> None:
-        """Extend the group by g, keeping the chain complete."""
-        residue, level = self._strip(g, 0)
-        if residue is not None:
-            self._insert(residue, 0, level)
-            self._complete(level)
-
     def _insert(self, h, first, last):
         """Make h a strong generator at levels first..last and grow their orbits."""
         for k in range(first, last + 1):
@@ -250,12 +249,11 @@ class PermGroup:
 
     def _first_residue(self, k):
         """The residue of the first Schreier generator at level k that does not sift."""
-        reps, invs, sifted = self._reps[k], self._invs[k], self._sifted[k]
+        gens, reps, invs, sifted = self._gens[k], self._reps[k], self._invs[k], self._sifted[k]
         for d in self._orbits[k]:
             u = reps[d]
-            for i, s in enumerate(self._gens[k]):
-                if (d, i) in sifted:
-                    continue
+            for i in range(sifted.get(d, 0), len(gens)):
+                s = gens[i]
                 e = s[d]
                 if d == e == k:  # the Schreier generator is s, strong at level k + 1
                     continue
@@ -263,8 +261,9 @@ class PermGroup:
                 if su != reps[e]:
                     residue = self._strip(_compose(invs[e], su), k + 1)
                     if residue[0] is not None:
+                        sifted[d] = i
                         return residue
-                sifted.add((d, i))
+            sifted[d] = len(gens)
         return None
 
     def _walk(self, g, k):
@@ -301,30 +300,25 @@ class PermGroup:
                     stack.append(cosets(h, len(stack)))
 
     def _greedy_generators(self) -> list[tuple[int, ...]]:
-        """The sorted elements each outside the span of those before, found without listing G.
+        """The sorted elements each outside the span of those before, read off the chain's levels.
 
         The next greedy generator is the least element of G outside the span
-        H of the ones before it.  Let k be least with G^(k) <= H, which holds
-        when every strong generator of level k sifts through H's chain.  The
-        elements of G^(k-1) are the least in G, and some lie outside H; they
-        fall into the cosets u G^(k), for u in level k-1's transversal, each
-        inside H or disjoint from it, and ordered by u(k-1).  So the next
-        generator is the least element of the first coset whose
-        representative is not in H.
+        H of the ones before it.  The levels are taken from the deepest up;
+        once those below k are done, G^(k+1) <= H <= G^(k).  Then H is a union
+        of the cosets u_d G^(k+1) of level k's transversal, so an element of
+        G^(k) lies in H exactly when its image of k lies in the orbit of k
+        under the generators found so far.  The elements of G^(k) are the
+        least in G, and those sending k to d form u_d G^(k+1).  So while that
+        orbit is not all of level k's basic orbit, the next generator is the
+        least element of u_d G^(k+1) for the least d outside it.
         """
-        span = PermGroup(self.degree)
         found: list[tuple[int, ...]] = []
-        k = self.degree
-        while True:
-            while k > 0 and all(map(span._contains, self._gens[k - 1])):
-                k -= 1
-            if k == 0:
-                return found
-            reps = self._reps[k - 1]
-            d = next(d for d in sorted(reps) if not span._contains(reps[d]))
-            g = next(self._walk(reps[d], k))
-            found.append(g)
-            span._add(g)
+        for k in reversed(range(self.degree)):
+            reps = self._reps[k]
+            while len(reached := _orbit(k, lambda x: [g[x] for g in found])) < len(reps):
+                d = min(d for d in reps if d not in reached)
+                found.append(next(self._walk(reps[d], k + 1)))
+        return found
 
 
 def closure(generators: Sequence[Perm], degree: int) -> PermGroup:

@@ -9,6 +9,7 @@ import collections
 import contextlib
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -699,6 +700,22 @@ def test_abelianization_at_the_construction_cap_stays_small(kind, order, free_ra
     assert probe["peak_mb"] < 128 and probe["seconds"] < 10
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_aut_near_the_construction_cap_stays_small():
+    """Aut of the trivial quandle of order 90 is S_90, with 89 greedy generators
+    on 89 levels of its chain, each read in the report."""
+    import subprocess
+
+    argv = ["aut", "--trivial", "90", "--cap-order", "90"]
+    proc = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["code"] == 0
+    assert probe["report"]["results"]["order"] == math.factorial(90)
+    assert probe["peak_mb"] < 64 and probe["seconds"] < 10
+
+
 def _write(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -1072,6 +1089,41 @@ def test_quandle_file_cap_is_raised_by_cap_group(tmp_path, capsys, r3_file):
     code, report = report_of(["iso", r3_file, big, "--cap-group", "201"], capsys)
     assert code == 1
     assert report["results"]["isomorphic"] is False
+
+
+def _trivial_union_spec(n1, n2):
+    """The union spec gluing trivial quandles of orders n1 and n2 by identities."""
+    q1, q2 = ({"kind": "quandle", "order": n, "table": [[x] * n for x in range(n)]} for n in (n1, n2))
+    return {"kind": "union_spec", "q1": q1, "q2": q2,
+            "sigma": [list(range(n2))] * n1, "tau": [list(range(n1))] * n2}
+
+
+def test_union_spec_obeys_the_construction_cap(tmp_path, capsys):
+    spec = _write(tmp_path, _trivial_union_spec(199, 2))
+    code, captured = invoke(["union", spec], capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert ("union order 201 exceeds the construction cap 200 "
+            "(raise it with --cap-group)") in captured.err
+    code, report = report_of(["union", spec, "--cap-group", "201"], capsys)
+    assert code == 0
+    assert report["results"]["order"] == 201
+
+
+@pytest.mark.parametrize("q2_order, total", [(1, 321), (-120, 320), ("1", 320)],
+                         ids=["320+1", "negative-q2", "string-q2"])
+def test_union_spec_is_capped_before_validating(q2_order, total, tmp_path, capsys, monkeypatch):
+    """A malformed q2 order neither lowers the total nor lets q1 be validated first."""
+    doc = _trivial_union_spec(320, 1)
+    doc["q2"]["order"] = q2_order
+    spec = _write(tmp_path, doc)
+    validated = []
+    monkeypatch.setattr(quandle.Quandle, "from_table",
+                        lambda table, labels=None: validated.append(len(table)))
+    code, captured = invoke(["union", spec], capsys)
+    assert code == 2
+    assert f"union order {total} exceeds the construction cap 200" in captured.err
+    assert validated == []
 
 
 

@@ -355,6 +355,14 @@ def test_elementary_suite_digest_is_pinned(command, capsys):
 # before the group became a stabilizer chain with lazy elements.
 CHAIN_DIGESTS = {
     "aut --trivial 9 --cap-order 9": "cee8ffba94b2cd752bd8ae7f199aa5e5e8c28dfffb27856f0c9ed8b94ca02483",
+    # Recorded while the greedy generators were found by sifting through a
+    # second stabilizer chain of their span, before they were read off the
+    # group's own levels.  Each list spans many levels, several of them with
+    # more than one generator.
+    "aut --trivial 30 --cap-order 30": "772cb6872fd067165f5762c331cbec759e68f6ae0200ca3f400cd2d9ff74a3f4",
+    "aut --dihedral 199 --cap-order 199": "bd5f63a1884bb2270b769354b19324adacbca39362b870ba5426617aafb7c1a3",
+    "aut --conj Z2xQ8 --cap-order 16": "a9cf46d55bbf9dc13411c670da6cf99fe9c4310a30e479c183f0fcdaaa90f6d3",
+    "aut --conj Z4xZ4 --cap-order 16": "5e2733a31a395d6e2aadec07e9b55845d8819b933eb4f79315e5cea8e596ecef",
 }
 
 

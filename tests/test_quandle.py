@@ -312,6 +312,45 @@ def test_aut_cap():
     assert aut(build("trivial", 9), cap=9).order == 362880
 
 
+def _corrupted_search(monkeypatch, corrupt):
+    """Make `_automorphisms`' search return `corrupt(g, pairs, fixed)` for each map g it finds."""
+    real = quandlemod._iso_search
+
+    def search_factory(*args):
+        search = real(*args)
+        return lambda pairs, fixed=(): corrupt(search(pairs, fixed), pairs, fixed)
+
+    monkeypatch.setattr(quandlemod, "_iso_search", search_factory)
+
+
+def test_aut_refuses_a_found_map_that_is_not_an_automorphism(monkeypatch):
+    def swap_two_images(g, pairs, fixed):
+        if g is None or g == tuple(range(len(g))):
+            return g
+        return (g[1], g[0], *g[2:])
+
+    _corrupted_search(monkeypatch, swap_two_images)
+    with pytest.raises(AssertionError, match="the search returned a map that is not an automorphism"):
+        aut(build("dihedral", 5))
+
+
+def test_aut_refuses_generators_short_of_the_orbit_product(monkeypatch):
+    missed = []
+
+    def miss_first_candidate(g, pairs, fixed):
+        [(b, v)] = pairs
+        if len(fixed) == 1 and v not in fixed and v != b and not missed:
+            missed.append(v)
+            return None
+        return g
+
+    _corrupted_search(monkeypatch, miss_first_candidate)
+    message = "the generators do not generate the product of the orbit lengths"
+    with pytest.raises(AssertionError, match=message):
+        aut(build("trivial", 4))
+    assert missed
+
+
 @pytest.mark.parametrize("n", range(9, 13))
 def test_aut_of_trivial_quandle_is_the_symmetric_group(n):
     # every permutation preserves x * y = x
